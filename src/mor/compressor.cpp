@@ -141,7 +141,7 @@ double IncrementalCompressor::add_block(const MatD& block) {
     for (index i = 0; i < kept; ++i)
       col[static_cast<std::size_t>(br + i)] =
           sub.s[static_cast<std::size_t>(i)] * sub.v(j, i);
-    r_cols_.push_back(std::move(col));
+    pending_.push_back(std::move(col));
   }
   m_ += k;
   return res;
@@ -181,44 +181,75 @@ double IncrementalCompressor::add_column(std::vector<double> v, index basis_rank
   } else {
     obs::counter_add(obs::Counter::kCompressorColumnsDropped);
   }
-  r_cols_.push_back(std::move(h));
+  pending_.push_back(std::move(h));
   ++m_;
   return res_sq;
 }
 
-MatD IncrementalCompressor::r_dense() const {
+void IncrementalCompressor::settle() {
+  if (pending_.empty()) return;
+  PMTBR_TRACE_SCOPE("compressor.settle");
   const index k = rank_;
-  MatD r(std::max<index>(k, 1), std::max<index>(m_, 1));
-  for (index j = 0; j < m_; ++j) {
-    const auto& col = r_cols_[static_cast<std::size_t>(j)];
-    for (std::size_t i = 0; i < col.size(); ++i) r(static_cast<index>(i), j) = col[i];
+  const auto s = static_cast<index>(sigma_.size());
+  const auto p = static_cast<index>(pending_.size());
+  if (k == 0) {  // every column so far deflated to nothing
+    pending_.clear();
+    return;
   }
-  return r;
+  // Each new direction since the last fold arrived with at least one
+  // column, so T below is tall and its SVD yields a square V.
+  PMTBR_ENSURE(s + p >= k, "pending columns cannot cover the rank growth");
+
+  // Pᵀ, zero-padded to the current rank.
+  MatD pt(p, k);
+  for (index j = 0; j < p; ++j) {
+    const auto& col = pending_[static_cast<std::size_t>(j)];
+    std::copy(col.begin(), col.end(), pt.row_ptr(j));
+  }
+  pending_.clear();
+
+  // T = [diag(σ) ; Pᵀ·blkdiag(U, I)]: Tᵀ·T = blkdiag(U, I)ᵀ·R·Rᵀ·blkdiag(U, I).
+  // Every pending column is at least |σ| long, so only its leading |σ|
+  // entries rotate by U; the entries along newer directions pass through.
+  MatD t(s + p, k);
+  for (index i = 0; i < s; ++i) t(i, i) = sigma_[static_cast<std::size_t>(i)];
+  la::detail::gemm<double, false>(p, s, s, pt.data(), k, 1, u_.data(), s, 1, t.row_ptr(s), k,
+                                  la::detail::GemmAcc::kSet);
+  for (index j = 0; j < p; ++j)
+    for (index i = s; i < k; ++i) t(s + j, i) = pt(j, i);
+
+  la::SvdResult f = la::svd(t);
+  // U ← blkdiag(U, I)·V.
+  MatD u(k, k);
+  la::detail::gemm<double, false>(s, k, s, u_.data(), s, 1, f.v.data(), k, 1, u.data(), k,
+                                  la::detail::GemmAcc::kSet);
+  for (index i = s; i < k; ++i) std::copy_n(f.v.row_ptr(i), k, u.row_ptr(i));
+  u_ = std::move(u);
+  sigma_ = std::move(f.s);
 }
 
-std::vector<double> IncrementalCompressor::singular_values() const {
-  if (m_ == 0 || rank_ == 0) return {};
-  auto s = la::singular_values(r_dense());
-  s.resize(static_cast<std::size_t>(std::min<index>(rank_, m_)));
-  return s;
+std::vector<double> IncrementalCompressor::singular_values() {
+  settle();
+  return sigma_;
 }
 
-MatD IncrementalCompressor::basis(index order) const {
+MatD IncrementalCompressor::basis(index order) {
   PMTBR_REQUIRE(order >= 1, "order must be positive");
   PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
+  settle();
   const index k = rank_;
-  const index q = std::min(order, std::min<index>(k, m_));
-  const auto f = la::svd(r_dense());  // R = U S V^T; left vectors rotate Q
+  const index q = std::min(order, k);
   MatD out(n_, q);
   // out = basisᵀ · U(:, 0:q): the basis rows are read through swapped
   // strides, the leading q columns of U through its full row stride.
-  la::detail::gemm<double, false>(n_, q, k, basis_t_.data(), 1, n_, f.u.data(), f.u.cols(), 1,
-                                  out.data(), q, la::detail::GemmAcc::kSet);
+  la::detail::gemm<double, false>(n_, q, k, basis_t_.data(), 1, n_, u_.data(), k, 1, out.data(),
+                                  q, la::detail::GemmAcc::kSet);
   return out;
 }
 
-index IncrementalCompressor::order_for_tolerance(double tol) const {
-  const auto s = singular_values();
+index IncrementalCompressor::order_for_tolerance(double tol) {
+  settle();
+  const std::vector<double>& s = sigma_;
   if (s.empty()) return 0;
   const double s1 = s.front();
   if (s1 <= 0) return 1;

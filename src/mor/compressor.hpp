@@ -1,15 +1,36 @@
 // Incremental sample-matrix compressor for on-the-fly order control
 // (paper Sec. V-C).
 //
-// Maintains a growing factorization  Z_(i) W = Q R  with Q orthonormal so
-// that absorbing a new sample block costs O(n·k·rank) GEMM flops instead
-// of a fresh SVD of everything, and the singular values of Z_(i) W are
-// recovered from the small rank×m matrix R. This plays the role the paper
-// assigns to updatable rank-revealing factorizations (RRQR/UTV): cheap
-// trailing-singular-value estimates after every sample, plus an
-// orthonormal basis for the dominant subspace.
+// Maintains a growing factorization  Z_(i) W = Q R  with Q orthonormal
+// (n×rank), so absorbing a new sample block costs O(n·k·rank) GEMM flops
+// instead of a fresh SVD of everything. R (rank×m, m = columns absorbed) is
+// never stored. The compressor keeps a square-root SVD of it instead:
 //
-// Two absorption paths:
+//   - U, an orthogonal rank×rank matrix, and σ, sorted descending, with
+//     R·Rᵀ = U·diag(σ)²·Uᵀ over the columns folded so far — once every
+//     column is folded, σ are the singular values of Z W and Q·U its left
+//     singular vectors;
+//   - P, the R columns absorbed since the last query (each as long as the
+//     rank when it arrived; missing trailing entries are zero).
+//
+// Every query (singular_values, basis, order_for_tolerance) first folds P
+// in: one SVD of the tall matrix T = [diag(σ) ; Pᵀ·blkdiag(U, I)], of size
+// (|σ|+|P|)×rank, whose singular values are the new σ and whose right
+// vectors V give the new U = blkdiag(U, I)·V. T's leading columns are
+// already orthogonal, so the Jacobi starts warm, and a query costs
+// O((rank+|P|)·rank²) per sweep however many columns were absorbed. With P
+// empty a query costs no SVD at all: order choice, basis and the
+// singular-value list after the last sample share one fold. This plays the
+// role the paper assigns to updatable rank-revealing factorizations
+// (RRQR/UTV): cheap trailing-singular-value estimates after every sample,
+// plus an orthonormal basis for the dominant subspace.
+//
+// Where the folds fall changes the last bits of σ and U, so the state is a
+// deterministic function of the sequence of add_columns AND query calls,
+// not of the columns alone. Callers that must reproduce a model bit for bit
+// must repeat the same call sequence, queries included.
+//
+// Two absorption paths, both pushing their R columns into the same P:
 //  - kBlocked (default): two passes of block classical Gram–Schmidt
 //    against the existing basis (three GEMMs per pass), then a TSQR of the
 //    n×k residual block and an SVD of its small k×k R factor to decide
@@ -19,7 +40,8 @@
 //    the comparison oracle for tests and bench_kernels.
 //
 // Both paths are deterministic for any thread count: the blocked path's
-// GEMM and TSQR building blocks are bit-reproducible by construction.
+// GEMM and TSQR building blocks are bit-reproducible by construction, and
+// the fold runs serially.
 #pragma once
 
 #include <vector>
@@ -54,16 +76,17 @@ class IncrementalCompressor {
   index rank() const { return rank_; }
   index columns_absorbed() const { return m_; }
 
+  // The three queries fold the pending R columns first, hence non-const.
   /// Singular values of the absorbed matrix, descending (length = rank()).
-  std::vector<double> singular_values() const;
+  std::vector<double> singular_values();
 
   /// Orthonormal basis for the dominant `order`-dimensional left singular
   /// subspace (order clamped to rank()).
-  MatD basis(index order) const;
+  MatD basis(index order);
 
   /// Smallest order q whose trailing singular-value sum satisfies
   /// sum_{i>q} σ_i <= tol * σ_1 — the paper's "small tail" criterion.
-  index order_for_tolerance(double tol) const;
+  index order_for_tolerance(double tol);
 
  private:
   /// Per-block scratch reused across add_columns calls; Matrix::resize
@@ -76,6 +99,9 @@ class IncrementalCompressor {
 
   double add_block(const MatD& block);
 
+  /// Folds the pending columns P into (U, σ); a no-op when P is empty.
+  void settle();
+
   /// Seed path: returns the squared norm of v's component orthogonal to the
   /// first `basis_rank` basis directions (the basis size before the
   /// enclosing add_columns call started).
@@ -84,7 +110,6 @@ class IncrementalCompressor {
   const double* basis_row(index l) const {
     return basis_t_.data() + static_cast<std::size_t>(l * n_);
   }
-  MatD r_dense() const;
 
   index n_;
   double drop_tol_;
@@ -95,7 +120,11 @@ class IncrementalCompressor {
   // orthonormal direction, so appending a direction appends n values and
   // the GEMM projections read it without materializing a transpose.
   std::vector<double> basis_t_;
-  std::vector<std::vector<double>> r_cols_;  // R columns (length = rank at insertion)
+  // Square-root SVD of the folded part of R: R·Rᵀ = U·diag(σ)²·Uᵀ, with U
+  // |σ|×|σ| and |σ| the rank at the last fold.
+  MatD u_;
+  std::vector<double> sigma_;
+  std::vector<std::vector<double>> pending_;  // P: R columns since the last fold
   Workspace ws_;
 };
 

@@ -177,15 +177,31 @@ void prepare_resilient(const DescriptorSystem& sys, const std::vector<FrequencyS
       "no sample shift yields a factorable pencil: " + last.to_string()));
 }
 
-index choose_order(const IncrementalCompressor& comp, const PmtbrOptions& opts) {
+index choose_order(IncrementalCompressor& comp, const PmtbrOptions& opts) {
   index order = opts.fixed_order > 0 ? std::min<index>(opts.fixed_order, comp.rank())
                                      : comp.order_for_tolerance(opts.truncation_tol);
   if (opts.max_order > 0) order = std::min(order, opts.max_order);
   return std::max<index>(order, 1);
 }
 
+// Finalize shared by every driver: congruence projection onto the dominant
+// `order`-dimensional subspace, then the singular-value / HSV lists. The
+// caller opens the pmtbr.project scope around this and its order choice,
+// so the whole finalize — the compressor's last fold included — is traced.
+void finalize(const DescriptorSystem& sys, IncrementalCompressor& comp, index order,
+              PmtbrResult& out) {
+  MatD v = comp.basis(order);
+  out.model.v = v;
+  out.model.w = v;
+  out.model.system = project_congruence(sys, v);
+  out.model.singular_values = comp.singular_values();
+  out.hankel_estimates.reserve(out.model.singular_values.size());
+  for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
+}
+
 // Applies the optional frequency weighting and drops fully suppressed
-// samples — the deterministic serial prologue shared by both pipelines.
+// samples — the deterministic serial prologue of pmtbr_with_samples and
+// pmtbr_order_sweep.
 std::vector<FrequencySample> effective_samples(const std::vector<FrequencySample>& samples,
                                                const PmtbrOptions& opts) {
   std::vector<FrequencySample> eff;
@@ -307,18 +323,10 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
   }
   out.degradation = std::move(st.report);
 
-  const index order = choose_order(comp, opts);
   {
     PMTBR_TRACE_SCOPE("pmtbr.project");
-    MatD v = comp.basis(order);
-    out.model.v = v;
-    out.model.w = v;
-    out.model.system = project_congruence(sys, v);
+    finalize(sys, comp, choose_order(comp, opts), out);
   }
-  out.model.singular_values = comp.singular_values();
-  out.hankel_estimates.reserve(out.model.singular_values.size());
-  for (const double s : out.model.singular_values)
-    out.hankel_estimates.push_back(s * s);
   return out;
 }
 
@@ -404,16 +412,10 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
   enforce_coverage_floor(st, opts.resilience);
   out.degradation = std::move(st.report);
 
-  const index order = choose_order(comp, opts);
   {
     PMTBR_TRACE_SCOPE("pmtbr.project");
-    MatD v = comp.basis(order);
-    out.model.v = v;
-    out.model.w = v;
-    out.model.system = project_congruence(sys, v);
+    finalize(sys, comp, choose_order(comp, opts), out);
   }
-  out.model.singular_values = comp.singular_values();
-  for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
   return out;
 }
 
@@ -425,26 +427,28 @@ std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
   PMTBR_REQUIRE(!orders.empty(), "need at least one order");
   PMTBR_TRACE_SCOPE("pmtbr_order_sweep");
   IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  const ResilienceOptions& resilience = opts.resilience;
   DegradeState st;
-  opts.cancel.throw_if_cancelled();
-  prepare_resilient(sys, samples);
-  auto outcomes = util::parallel_try_map<SampleOutcome>(
-      static_cast<index>(samples.size()),
-      [&](index i) {
-        return try_sample_block(sys, samples[static_cast<std::size_t>(i)], resilience);
-      },
-      opts.cancel);
-  opts.cancel.throw_if_cancelled();
-  const std::vector<index> survivors = degrade_window(outcomes, samples, 0, st);
   std::vector<FrequencySample> used;
-  used.reserve(survivors.size());
-  for (index k : survivors) {
-    comp.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
-    obs::counter_add(obs::Counter::kPmtbrSamples);
-    used.push_back(samples[static_cast<std::size_t>(k)]);
+  opts.cancel.throw_if_cancelled();
+  const std::vector<FrequencySample> eff = effective_samples(samples, opts);
+  if (!eff.empty()) {
+    prepare_resilient(sys, eff);
+    auto outcomes = util::parallel_try_map<SampleOutcome>(
+        static_cast<index>(eff.size()),
+        [&](index i) {
+          return try_sample_block(sys, eff[static_cast<std::size_t>(i)], opts.resilience);
+        },
+        opts.cancel);
+    opts.cancel.throw_if_cancelled();
+    const std::vector<index> survivors = degrade_window(outcomes, eff, 0, st);
+    used.reserve(survivors.size());
+    for (index k : survivors) {
+      comp.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
+      obs::counter_add(obs::Counter::kPmtbrSamples);
+      used.push_back(eff[static_cast<std::size_t>(k)]);
+    }
+    enforce_coverage_floor(st, opts.resilience);
   }
-  enforce_coverage_floor(st, resilience);
 
   std::vector<PmtbrResult> out;
   out.reserve(orders.size());
@@ -452,14 +456,8 @@ std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
     PmtbrResult res;
     res.samples_used = used;
     res.degradation = st.report;
-    const index q = std::max<index>(1, std::min<index>(order, comp.rank()));
     PMTBR_TRACE_SCOPE("pmtbr.project");
-    MatD v = comp.basis(q);
-    res.model.v = v;
-    res.model.w = v;
-    res.model.system = project_congruence(sys, v);
-    res.model.singular_values = comp.singular_values();
-    for (const double s : res.model.singular_values) res.hankel_estimates.push_back(s * s);
+    finalize(sys, comp, std::max<index>(1, std::min<index>(order, comp.rank())), res);
     out.push_back(std::move(res));
   }
   return out;

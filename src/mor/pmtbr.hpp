@@ -143,9 +143,12 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
 
 /// Order sweep sharing one sampling + compression pass: returns one result
 /// per requested order (clamped to the available rank). Far cheaper than
-/// calling pmtbr_with_samples per order in benches and studies. Only the
-/// resilience / compressor / cancel fields of `opts` apply (order selection
-/// comes from `orders`).
+/// calling pmtbr_with_samples per order in benches and studies. Each entry
+/// equals pmtbr_with_samples with `fixed_order` set to that order: the
+/// weight_fn / resilience / compressor / cancel fields of `opts` apply as
+/// there, while fixed_order, truncation_tol, max_order and adaptive
+/// stopping are ignored (the orders come from `orders`; every sample is
+/// used).
 std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
                                            const std::vector<FrequencySample>& samples,
                                            const std::vector<index>& orders,

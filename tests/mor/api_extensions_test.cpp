@@ -2,6 +2,9 @@
 // algorithms.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "mor/error.hpp"
@@ -49,17 +52,38 @@ TEST(TbrTruncate, RejectsBadOrder) {
 }
 
 TEST(OrderSweep, MatchesIndividualCalls) {
+  // Every sweep entry equals pmtbr_with_samples at that fixed order, with
+  // the same frequency weighting: none, the low band weighted 100x, and
+  // the upper half of the band suppressed (its samples dropped).
+  struct Case {
+    Band band;
+    std::function<double(double)> weight_fn;
+    std::size_t used;  // samples left after weighting
+  };
+  const std::vector<Case> cases{
+      {Band{0.0, 1e10}, nullptr, 12},
+      {Band{0.0, 1e9}, [](double f_hz) { return f_hz < 4e8 ? 100.0 : 1.0; }, 12},
+      {Band{0.0, 1e9}, [](double f_hz) { return f_hz < 5e8 ? 1.0 : 0.0; }, 6},
+  };
   const auto sys = circuit::make_rc_line({.segments = 25});
-  const auto samples = sample_band(Band{0.0, 1e10}, 12, SamplingScheme::kUniform);
   const std::vector<index> orders{2, 5, 8};
-  const auto sweep = pmtbr_order_sweep(sys, samples, orders);
-  ASSERT_EQ(sweep.size(), 3u);
-  for (std::size_t i = 0; i < orders.size(); ++i) {
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const auto samples = sample_band(cases[c].band, 12, SamplingScheme::kUniform);
     PmtbrOptions opts;
-    opts.fixed_order = orders[i];
-    const auto direct = pmtbr_with_samples(sys, samples, opts);
-    EXPECT_EQ(sweep[i].model.system.n(), direct.model.system.n());
-    EXPECT_LT(la::max_abs_diff(sweep[i].model.v, direct.model.v), 1e-12);
+    opts.weight_fn = cases[c].weight_fn;
+    const auto sweep = pmtbr_order_sweep(sys, samples, orders, opts);
+    ASSERT_EQ(sweep.size(), 3u);
+    for (std::size_t i = 0; i < orders.size(); ++i) {
+      opts.fixed_order = orders[i];
+      const auto direct = pmtbr_with_samples(sys, samples, opts);
+      ASSERT_EQ(direct.samples_used.size(), cases[c].used);
+      ASSERT_EQ(sweep[i].samples_used.size(), direct.samples_used.size());
+      for (std::size_t k = 0; k < direct.samples_used.size(); ++k)
+        EXPECT_EQ(sweep[i].samples_used[k].weight, direct.samples_used[k].weight);
+      EXPECT_EQ(sweep[i].model.system.n(), direct.model.system.n());
+      EXPECT_LT(la::max_abs_diff(sweep[i].model.v, direct.model.v), 1e-12);
+    }
   }
 }
 

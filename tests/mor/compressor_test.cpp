@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numbers>
+#include <vector>
+
+#include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "la/svd.hpp"
+#include "mor/sampling.hpp"
+#include "util/obs/counters.hpp"
 #include "helpers.hpp"
 
 namespace pmtbr::mor {
@@ -26,13 +35,46 @@ TEST(Compressor, MatchesDirectSvdSingularValues) {
 TEST(Compressor, IncrementalEqualsBatch) {
   Rng rng(62);
   const MatD a = testing::random_matrix(15, 10, rng);
-  IncrementalCompressor batch(15), incr(15);
+  IncrementalCompressor batch(15), incr(15), queried(15);
   batch.add_columns(a);
-  for (la::index j = 0; j < a.cols(); ++j) incr.add_columns(a.columns(j, j + 1));
+  for (la::index j = 0; j < a.cols(); ++j) {
+    incr.add_columns(a.columns(j, j + 1));
+    // Queried after every column, as adaptive order control does: each
+    // query folds one pending column into the square-root factor.
+    queried.add_columns(a.columns(j, j + 1));
+    queried.order_for_tolerance(1e-8);
+  }
   const auto sb = batch.singular_values();
-  const auto si = incr.singular_values();
-  ASSERT_EQ(sb.size(), si.size());
-  for (std::size_t i = 0; i < sb.size(); ++i) EXPECT_NEAR(sb[i], si[i], 1e-10 * (1.0 + sb[0]));
+  const MatD vb = batch.basis(5);
+  for (auto* comp : {&incr, &queried}) {
+    const auto si = comp->singular_values();
+    ASSERT_EQ(sb.size(), si.size());
+    for (std::size_t i = 0; i < sb.size(); ++i) EXPECT_NEAR(sb[i], si[i], 1e-10 * sb[0]);
+    const auto cosines = la::singular_values(la::matmul_at(vb, comp->basis(5)));
+    ASSERT_EQ(cosines.size(), 5u);
+    EXPECT_GT(cosines.back(), 1.0 - 1e-8);
+  }
+}
+
+TEST(Compressor, QueriesWithoutNewColumnsShareOneFold) {
+  Rng rng(68);
+  const la::index n = 30;
+  IncrementalCompressor comp(n);
+  for (int b = 0; b < 4; ++b) {
+    comp.add_columns(testing::random_matrix(n, 3, rng));
+    comp.order_for_tolerance(1e-8);
+  }
+  comp.add_columns(testing::random_matrix(n, 3, rng));
+  // Finalize after the last sample: order choice, basis, the singular-value
+  // list and a second basis fold the pending columns once between them.
+  const std::int64_t before = obs::counter_value(obs::Counter::kSvdCalls);
+  const la::index order = comp.order_for_tolerance(1e-8);
+  const MatD v = comp.basis(order);
+  const auto s = comp.singular_values();
+  const MatD again = comp.basis(order);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSvdCalls) - before, 1);
+  EXPECT_EQ(static_cast<la::index>(s.size()), comp.rank());
+  EXPECT_EQ(la::max_abs_diff(v, again), 0.0);
 }
 
 TEST(Compressor, DeflatesDependentColumns) {
@@ -147,6 +189,64 @@ TEST(Compressor, FullyDeflatedBlockAddsNoRank) {
   EXPECT_EQ(comp.rank(), rank_before);
   EXPECT_LT(res, 1e-10 * la::norm_fro(combo));
   EXPECT_EQ(comp.columns_absorbed(), 9);
+}
+
+// The smallest order whose trailing singular-value sum is within tol·σ1
+// (the rule order_for_tolerance implements), on an explicit list.
+la::index tail_order(const std::vector<double>& s, double tol) {
+  double tail = 0;
+  for (double x : s) tail += x;
+  la::index q = 0;
+  for (const double x : s) {
+    if (tail <= tol * s.front()) break;
+    tail -= x;
+    ++q;
+  }
+  return std::max<la::index>(q, 1);
+}
+
+TEST(Compressor, MatchesStackedSvdAtAdaptiveSize) {
+  // The adaptive order-control pattern at the size it runs in practice: a
+  // 20×20 two-port RC mesh, 20 samples absorbed one by one with an order
+  // query after each, reaching rank 60 of 80 columns. Reference: one SVD of
+  // the explicitly stacked 400×80 weighted sample matrix.
+  circuit::RcMeshParams mp;
+  mp.rows = 20;
+  mp.cols = 20;
+  mp.num_ports = 2;
+  const auto sys = circuit::make_rc_mesh(mp);
+  const auto samples = sample_band(Band{1e5, 1e11}, 20, SamplingScheme::kUniform);
+  const double tol = 1e-6;
+
+  IncrementalCompressor comp(sys.n());
+  MatD stacked(sys.n(), 80);
+  la::index col = 0;
+  for (const FrequencySample& fs : samples) {
+    MatD block = la::realify_columns(sys.solve_shifted(fs.s, la::to_complex(sys.b())));
+    block *= std::sqrt(fs.weight / std::numbers::pi);
+    ASSERT_LE(col + block.cols(), stacked.cols());
+    for (la::index i = 0; i < block.rows(); ++i)
+      for (la::index j = 0; j < block.cols(); ++j) stacked(i, col + j) = block(i, j);
+    col += block.cols();
+    comp.add_columns(block);
+    comp.order_for_tolerance(tol);
+  }
+  ASSERT_EQ(sys.n(), 400);
+  ASSERT_EQ(col, 80);
+  EXPECT_EQ(comp.rank(), 60);
+
+  const la::SvdResult ref = la::svd(stacked);
+  const auto s = comp.singular_values();
+  ASSERT_EQ(static_cast<la::index>(s.size()), comp.rank());
+  for (std::size_t i = 0; i < s.size(); ++i)
+    EXPECT_NEAR(s[i], ref.s[i], 1e-9 * ref.s[0]) << "sigma_" << i;
+
+  const la::index order = comp.order_for_tolerance(tol);
+  EXPECT_EQ(order, tail_order(ref.s, tol));
+  const MatD v = comp.basis(order);
+  const auto cosines = la::singular_values(la::matmul_at(v, ref.u.columns(0, order)));
+  ASSERT_EQ(static_cast<la::index>(cosines.size()), order);
+  EXPECT_GT(cosines.back(), 1.0 - 1e-8);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "mor/pmtbr.hpp"
 #include "mor/tbr.hpp"
 #include "signal/subspace.hpp"
+#include "util/obs/trace.hpp"
 
 namespace pmtbr::mor {
 namespace {
@@ -133,6 +134,44 @@ TEST(Pmtbr, AdaptiveStopsEarly) {
   // And the model is still accurate.
   const auto err = compare_on_grid(sys, res.model.system, logspace_grid(1e6, 1e10, 20));
   EXPECT_LT(err.max_rel, 1e-3);
+}
+
+TEST(Pmtbr, FinalizeFoldsOnceInsideProjectScope) {
+  // Every R-sized SVD is a compressor fold inside a library scope. A
+  // fixed-order run folds once, under pmtbr.project, where order choice,
+  // basis and the singular-value list share it. An adaptive run folds at
+  // each per-sample order query and leaves nothing for finalize. The small
+  // per-block SVDs of absorption sit under compressor.add_columns.
+  const auto sys = circuit::make_rc_line({.segments = 30});
+  PmtbrOptions fixed;
+  fixed.bands = {Band{0.0, 1e10}};
+  fixed.num_samples = 12;
+  fixed.fixed_order = 5;
+  PmtbrOptions adaptive = fixed;
+  adaptive.fixed_order = -1;
+  adaptive.truncation_tol = 1e-6;
+  adaptive.adaptive_excess = 2.0;
+
+  const bool trace_was_enabled = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+  for (const PmtbrOptions* opts : {&fixed, &adaptive}) {
+    obs::reset_trace();
+    const auto res = pmtbr(sys, *opts);
+    long long finalize_folds = 0, sampling_folds = 0;
+    for (const auto& s : obs::trace_snapshot()) {
+      if (s.path == "pmtbr/pmtbr.project/compressor.settle") finalize_folds += s.count;
+      if (s.path == "pmtbr/compressor.settle") sampling_folds += s.count;
+      if (s.path.ends_with("la.svd")) {
+        EXPECT_TRUE(s.path.ends_with("compressor.settle/la.svd") ||
+                    s.path.ends_with("compressor.add_columns/la.svd"))
+            << s.path;
+      }
+    }
+    const auto queries = static_cast<long long>(res.samples_used.size()) - opts->min_samples + 1;
+    EXPECT_EQ(finalize_folds, opts == &fixed ? 1 : 0);
+    EXPECT_EQ(sampling_folds, opts == &fixed ? 0 : queries);
+  }
+  obs::set_trace_enabled(trace_was_enabled);
 }
 
 TEST(Pmtbr, FrequencySelectiveBeatsGlobalInBand) {

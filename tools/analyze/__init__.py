@@ -10,7 +10,6 @@ fails on new findings *and* on stale allowlist entries.
 Entry points:
   python3 tools/analyze/run.py [roots...] [-p BUILDDIR]
   python3 tools/analyze       (directory execution)
-  tools/lint_numerics.py      (deprecated shim, same behavior)
 
 When the libclang Python bindings are importable, checks may refine their
 findings on the AST (``analyze.clangast``); otherwise every check runs on
