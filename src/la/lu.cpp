@@ -16,7 +16,7 @@ template <typename T>
 util::Expected<Lu<T>> Lu<T>::factor(Matrix<T> a) {
   Lu<T> lu;
   util::Status st = lu.factorize(std::move(a));
-  if (!st.is_ok()) return std::move(st);
+  if (!st.is_ok()) return st;
   return lu;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <sstream>
 
 #include "la/ops.hpp"
@@ -95,9 +96,10 @@ struct DegradeState {
 // Classifies one window's outcomes, records drops, and redistributes the
 // lost quadrature weight (plus any carried weight from wholly failed
 // earlier windows) over the window's survivors by scaling their blocks.
-// Returns the in-window indices of the survivors, in sample order. A clean
-// window with nothing carried is left bit-exact — no scaling is applied.
-std::vector<index> degrade_window(std::vector<util::Expected<SampleOutcome>>& outcomes,
+// `base` is the window's first index in `eff`. Returns the in-window
+// indices of the survivors, in sample order. A clean window with nothing
+// carried is left bit-exact — no scaling is applied.
+std::vector<index> degrade_window(std::span<util::Expected<SampleOutcome>> outcomes,
                                   const std::vector<FrequencySample>& eff, index base,
                                   DegradeState& st) {
   auto& r = st.report;
@@ -152,7 +154,6 @@ std::vector<index> degrade_window(std::vector<util::Expected<SampleOutcome>>& ou
 void enforce_coverage_floor(DegradeState& st, const ResilienceOptions& res) {
   auto& r = st.report;
   r.coverage = st.attempted_w > 0.0 ? st.surviving_w / st.attempted_w : 1.0;
-  if (r.samples_attempted == 0) return;
   if (r.samples_ok == 0 || r.coverage < res.min_coverage) {
     std::ostringstream msg;
     msg << "surviving sample coverage " << r.coverage << " below floor " << res.min_coverage
@@ -177,47 +178,112 @@ void prepare_resilient(const DescriptorSystem& sys, const std::vector<FrequencyS
       "no sample shift yields a factorable pencil: " + last.to_string()));
 }
 
-index choose_order(IncrementalCompressor& comp, const PmtbrOptions& opts) {
-  index order = opts.fixed_order > 0 ? std::min<index>(opts.fixed_order, comp.rank())
-                                     : comp.order_for_tolerance(opts.truncation_tol);
-  if (opts.max_order > 0) order = std::min(order, opts.max_order);
-  return std::max<index>(order, 1);
-}
+// The one sampling loop behind pmtbr_with_samples, pmtbr_adaptive and
+// pmtbr_order_sweep (Algorithm 1 and its Sec. V-B / V-C variants): weight
+// the samples, solve them on the pool, commit them window by window
+// through the degradation ladder, absorb the survivors in sample order,
+// then choose the order and project. The drivers differ only in which
+// samples they hand over, in what windows, and when they stop.
+class SamplingEngine {
+ public:
+  // Called after each absorbed sample with its index in the list handed to
+  // sample(), its weighted block and its novelty (the add_columns
+  // residual). Returning true stops the run.
+  using OnAbsorb = std::function<bool(std::size_t, const MatD&, double)>;
 
-// Finalize shared by every driver: congruence projection onto the dominant
-// `order`-dimensional subspace, then the singular-value / HSV lists. The
-// caller opens the pmtbr.project scope around this and its order choice,
-// so the whole finalize — the compressor's last fold included — is traced.
-void finalize(const DescriptorSystem& sys, IncrementalCompressor& comp, index order,
-              PmtbrResult& out) {
-  MatD v = comp.basis(order);
-  out.model.v = v;
-  out.model.w = v;
-  out.model.system = project_congruence(sys, v);
-  out.model.singular_values = comp.singular_values();
-  out.hankel_estimates.reserve(out.model.singular_values.size());
-  for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
-}
+  SamplingEngine(const DescriptorSystem& sys, const PmtbrOptions& opts)
+      : sys_(sys), opts_(opts), comp_(sys.n(), 1e-13, opts.compressor) {}
 
-// Applies the optional frequency weighting and drops fully suppressed
-// samples — the deterministic serial prologue of pmtbr_with_samples and
-// pmtbr_order_sweep.
-std::vector<FrequencySample> effective_samples(const std::vector<FrequencySample>& samples,
-                                               const PmtbrOptions& opts) {
-  std::vector<FrequencySample> eff;
-  eff.reserve(samples.size());
-  for (FrequencySample fs : samples) {
-    if (opts.weight_fn) {
-      const double f_hz = fs.s.imag() / (2.0 * std::numbers::pi);
-      const double w = opts.weight_fn(f_hz);
-      PMTBR_REQUIRE(w >= 0.0, "frequency weighting must be nonnegative");
-      fs.weight *= w;
-      if (fs.weight == 0.0) continue;  // fully suppressed sample
+  IncrementalCompressor& compressor() { return comp_; }
+  index used() const { return static_cast<index>(used_.size()); }
+
+  // Weights `samples` by opts.weight_fn (paper Eq. 18; fully suppressed
+  // samples are never solved), solves them `batch` at a time, and commits
+  // each batch `window` samples at a time. When `on_absorb` stops the run,
+  // the rest of the batch is discarded without being recorded.
+  void sample(const std::vector<FrequencySample>& samples, index batch, index window,
+              const OnAbsorb& on_absorb = nullptr) {
+    const auto first = static_cast<index>(eff_.size());
+    std::vector<std::size_t> origin;  // index in `samples` of eff_[first + j]
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      FrequencySample fs = samples[i];
+      if (opts_.weight_fn) {
+        const double w = opts_.weight_fn(fs.s.imag() / (2.0 * std::numbers::pi));
+        PMTBR_REQUIRE(w >= 0.0, "frequency weighting must be nonnegative");
+        fs.weight *= w;
+        if (fs.weight == 0.0) continue;  // fully suppressed sample
+      }
+      eff_.push_back(fs);
+      origin.push_back(i);
     }
-    eff.push_back(fs);
+    const auto total = static_cast<index>(eff_.size());
+    for (index base = first; base < total; base += batch) {
+      // Cancellation checkpoint: abort between batches (and, via the token
+      // handed to parallel_try_map, skip not-yet-started tasks inside one)
+      // before any degradation bookkeeping or absorption happens — a
+      // cancelled run produces no result and no partial report.
+      opts_.cancel.throw_if_cancelled();
+      // Freeze the pencil's pivot order before the first fan-out so every
+      // thread refactors against the same symbolic analysis — results are
+      // then bit-identical to a serial run regardless of scheduling.
+      if (base == 0) prepare_resilient(sys_, eff_);
+      const index count = std::min(batch, total - base);
+      auto outcomes = util::parallel_try_map<SampleOutcome>(
+          count,
+          [&](index i) {
+            return try_sample_block(sys_, eff_[static_cast<std::size_t>(base + i)],
+                                    opts_.resilience);
+          },
+          opts_.cancel);
+      opts_.cancel.throw_if_cancelled();
+      for (index start = base; start < base + count; start += window) {
+        const std::span slots(outcomes.data() + (start - base),
+                              static_cast<std::size_t>(std::min(window, base + count - start)));
+        for (const index k : degrade_window(slots, eff_, start, st_)) {
+          const MatD& block = slots[static_cast<std::size_t>(k)].value().block;
+          const double novelty = comp_.add_columns(block);
+          obs::counter_add(obs::Counter::kPmtbrSamples);
+          used_.push_back(eff_[static_cast<std::size_t>(start + k)]);
+          if (on_absorb && on_absorb(origin[static_cast<std::size_t>(start + k - first)], block,
+                                     novelty))
+            return;
+        }
+      }
+    }
   }
-  return eff;
-}
+
+  // Order choice (fixed_order > 0 wins, else the truncation tolerance, then
+  // the max_order cap), basis, congruence projection onto the dominant
+  // subspace, and the singular-value / HSV lists. The whole finalize, the
+  // compressor's last fold included, runs in the pmtbr.project scope.
+  PmtbrResult finalize(index fixed_order, index max_order) {
+    PMTBR_REQUIRE(!eff_.empty(), "frequency weighting suppresses every sample");
+    enforce_coverage_floor(st_, opts_.resilience);
+    PmtbrResult out;
+    out.samples_used = used_;
+    out.degradation = st_.report;
+    PMTBR_TRACE_SCOPE("pmtbr.project");
+    index order = fixed_order > 0 ? std::min(fixed_order, comp_.rank())
+                                  : comp_.order_for_tolerance(opts_.truncation_tol);
+    if (max_order > 0) order = std::min(order, max_order);
+    MatD v = comp_.basis(std::max<index>(order, 1));
+    out.model.v = v;
+    out.model.w = v;
+    out.model.system = project_congruence(sys_, v);
+    out.model.singular_values = comp_.singular_values();
+    out.hankel_estimates.reserve(out.model.singular_values.size());
+    for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
+    return out;
+  }
+
+ private:
+  const DescriptorSystem& sys_;
+  const PmtbrOptions& opts_;
+  IncrementalCompressor comp_;
+  DegradeState st_;
+  std::vector<FrequencySample> eff_;   // every weighted sample handed over
+  std::vector<FrequencySample> used_;  // the absorbed ones, in order
+};
 
 }  // namespace
 
@@ -261,73 +327,29 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
                                const PmtbrOptions& opts) {
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
   PMTBR_TRACE_SCOPE("pmtbr");
-  IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  PmtbrResult out;
-  DegradeState st;
-
-  const std::vector<FrequencySample> eff = effective_samples(samples, opts);
-  if (!eff.empty()) {
-    // Freeze the pencil's pivot order before fanning out so every thread
-    // refactors against the same symbolic analysis — results are then
-    // bit-identical to a serial run regardless of scheduling. The first
-    // factorable sample seeds the ordering (shifts on a pole are skipped).
-    prepare_resilient(sys, eff);
-
-    // Sample solves run on the pool in windows; absorption (and with it
-    // the adaptive stopping decision) is committed strictly in sample
-    // order. Without adaptive stopping one window covers everything; with
-    // it, small windows bound the wasted solves past the stopping point.
-    const bool adaptive = opts.adaptive_excess > 0;
-    const auto total = static_cast<index>(eff.size());
-    const index window =
-        adaptive ? std::max<index>(index{1}, 2 * util::global_pool().size()) : total;
-    bool stopped = false;
-    for (index base = 0; base < total && !stopped; base += window) {
-      // Cancellation checkpoint: abort between windows (and, via the token
-      // handed to parallel_try_map, skip not-yet-started tasks inside the
-      // window) before any degradation bookkeeping or absorption happens —
-      // a cancelled run produces no result and no partial report.
-      opts.cancel.throw_if_cancelled();
-      const index count = std::min<index>(window, total - base);
-      auto outcomes = util::parallel_try_map<SampleOutcome>(
-          count,
-          [&](index i) {
-            return try_sample_block(sys, eff[static_cast<std::size_t>(base + i)],
-                                    opts.resilience);
-          },
-          opts.cancel);
-      opts.cancel.throw_if_cancelled();
-      const std::vector<index> survivors = degrade_window(outcomes, eff, base, st);
-      for (index k : survivors) {
-        comp.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
-        obs::counter_add(obs::Counter::kPmtbrSamples);
-        out.samples_used.push_back(eff[static_cast<std::size_t>(base + k)]);
-
-        if (adaptive && static_cast<index>(out.samples_used.size()) >= opts.min_samples) {
-          // Stop when the sample count comfortably exceeds the order
-          // estimate (the paper's "samples in excess of the model order"
-          // criterion).
-          const index est = comp.order_for_tolerance(opts.truncation_tol);
-          if (static_cast<double>(out.samples_used.size()) >=
-              opts.adaptive_excess * static_cast<double>(est)) {
-            log_debug("pmtbr: adaptive stop after ", out.samples_used.size(), " samples (order ~",
-                      est, ")");
-            obs::counter_add(obs::Counter::kPmtbrAdaptiveStops);
-            stopped = true;
-            break;
-          }
-        }
-      }
-    }
-    enforce_coverage_floor(st, opts.resilience);
+  SamplingEngine engine(sys, opts);
+  if (opts.adaptive_excess > 0) {
+    // Stop when the sample count comfortably exceeds the order estimate
+    // (the paper's "samples in excess of the model order" criterion).
+    // Solves run two per pool thread at a time, bounding the waste past the
+    // stopping point, but commit in pairs at any thread count, so what is
+    // attempted, dropped and reweighted matches a serial run.
+    engine.sample(samples, 2 * util::global_pool().size(), 2,
+                  [&](std::size_t, const MatD&, double) {
+                    const index used = engine.used();
+                    if (used < opts.min_samples) return false;
+                    const index est = engine.compressor().order_for_tolerance(opts.truncation_tol);
+                    if (static_cast<double>(used) < opts.adaptive_excess * static_cast<double>(est))
+                      return false;
+                    log_debug("pmtbr: adaptive stop after ", used, " samples (order ~", est, ")");
+                    obs::counter_add(obs::Counter::kPmtbrAdaptiveStops);
+                    return true;
+                  });
+  } else {
+    const auto all = static_cast<index>(samples.size());
+    engine.sample(samples, all, all);
   }
-  out.degradation = std::move(st.report);
-
-  {
-    PMTBR_TRACE_SCOPE("pmtbr.project");
-    finalize(sys, comp, choose_order(comp, opts), out);
-  }
-  return out;
+  return engine.finalize(opts.fixed_order, opts.max_order);
 }
 
 PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
@@ -335,63 +357,44 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
   PMTBR_REQUIRE(aopts.initial_samples >= 2, "need at least two initial samples");
   PMTBR_REQUIRE(aopts.max_samples >= aopts.initial_samples, "budget below initial samples");
   PMTBR_TRACE_SCOPE("pmtbr_adaptive");
-
-  IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  PmtbrResult out;
-  DegradeState st;
+  SamplingEngine engine(sys, opts);
 
   // Novelty of a sample: residual norm of its block after projection onto
   // the basis as it stood before the block — reported directly by the
-  // compressor from its Gram–Schmidt coefficients, so no extra projection
-  // products are needed.
+  // compressor from its Gram–Schmidt coefficients. A sample weighted out or
+  // dropped scores zero, so its interval is never refined.
   struct Interval {
     double f_lo, f_hi;
     double score;  // novelty of the sample that created it
   };
   std::vector<Interval> intervals;
   double max_block_norm = 0.0;
-
-  const auto absorb = [&](double f_hz, double width_hz) {
-    // Cancellation checkpoint: the bisection loop is serial, so between-
-    // absorption polls bound the overrun to one shifted solve.
-    opts.cancel.throw_if_cancelled();
-    FrequencySample fs{cd(0.0, 2.0 * std::numbers::pi * f_hz), 2.0 * std::numbers::pi * width_hz};
-    ++st.report.samples_attempted;
-    st.attempted_w += fs.weight;
-    SampleOutcome oc = try_sample_block(sys, fs, opts.resilience);
-    st.report.retries += oc.retries;
-    if (!oc.status.is_ok()) {
-      // A dropped sample contributes zero novelty, so its interval is not
-      // bisected further; the density-based weights need no redistribution.
-      ++st.report.samples_dropped;
-      obs::counter_add(obs::Counter::kPmtbrSamplesDropped);
-      st.report.failures.push_back({st.report.samples_attempted - 1, oc.status, oc.retries});
-      log_debug("pmtbr_adaptive: dropped sample at ", f_hz, " Hz (", oc.status.to_string(), ")");
-      return 0.0;
-    }
-    ++st.report.samples_ok;
-    if (oc.regularized) ++st.report.regularized;
-    st.surviving_w += fs.weight;
-    max_block_norm = std::max(max_block_norm, la::norm_fro(oc.block));
-    const double res = comp.add_columns(oc.block);
-    obs::counter_add(obs::Counter::kPmtbrSamples);
-    out.samples_used.push_back(fs);
-    return res;
+  // Samples `fresh` as one window and returns each sample's novelty.
+  const auto novelties = [&](const std::vector<FrequencySample>& fresh) {
+    std::vector<double> score(fresh.size(), 0.0);
+    const auto count = static_cast<index>(fresh.size());
+    engine.sample(fresh, count, count, [&](std::size_t k, const MatD& block, double novelty) {
+      score[k] = novelty;
+      max_block_norm = std::max(max_block_norm, la::norm_fro(block));
+      return false;
+    });
+    return score;
   };
 
-  // Coarse initialization (uniform midpoints).
+  // Coarse initialization: uniform midpoints (sample_band also enforces
+  // 0 <= f_lo < f_hi before anything is solved).
+  const auto scores =
+      novelties(sample_band(aopts.band, aopts.initial_samples, SamplingScheme::kUniform));
   const double width =
       (aopts.band.f_hi - aopts.band.f_lo) / static_cast<double>(aopts.initial_samples);
   double prev_edge = aopts.band.f_lo;
-  for (index k = 0; k < aopts.initial_samples; ++k) {
-    const double f = aopts.band.f_lo + (static_cast<double>(k) + 0.5) * width;
-    const double res = absorb(f, width);
-    intervals.push_back({prev_edge, prev_edge + width, res});
+  for (const double score : scores) {
+    intervals.push_back({prev_edge, prev_edge + width, score});
     prev_edge += width;
   }
 
   // Greedy bisection.
-  while (static_cast<index>(out.samples_used.size()) < aopts.max_samples) {
+  while (engine.used() < aopts.max_samples) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < intervals.size(); ++i)
       if (intervals[i].score > intervals[best].score) best = i;
@@ -401,22 +404,17 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
     const Interval iv = intervals[best];
     const double mid = 0.5 * (iv.f_lo + iv.f_hi);
     const double child_w = 0.5 * (iv.f_hi - iv.f_lo);
-    const double res = absorb(0.5 * (iv.f_lo + mid), child_w);
-    const double res2 = absorb(0.5 * (mid + iv.f_hi), child_w);
-    intervals[best] = {iv.f_lo, mid, res};
-    intervals.push_back({mid, iv.f_hi, res2});
-    log_debug("pmtbr_adaptive: bisected [", iv.f_lo, ", ", iv.f_hi, "], residuals ", res, ", ",
-              res2);
+    const auto at = [&](double f_hz) {
+      return FrequencySample{cd(0.0, 2.0 * std::numbers::pi * f_hz),
+                             2.0 * std::numbers::pi * child_w};
+    };
+    const auto res = novelties({at(0.5 * (iv.f_lo + mid)), at(0.5 * (mid + iv.f_hi))});
+    intervals[best] = {iv.f_lo, mid, res[0]};
+    intervals.push_back({mid, iv.f_hi, res[1]});
+    log_debug("pmtbr_adaptive: bisected [", iv.f_lo, ", ", iv.f_hi, "], residuals ", res[0], ", ",
+              res[1]);
   }
-
-  enforce_coverage_floor(st, opts.resilience);
-  out.degradation = std::move(st.report);
-
-  {
-    PMTBR_TRACE_SCOPE("pmtbr.project");
-    finalize(sys, comp, choose_order(comp, opts), out);
-  }
-  return out;
+  return engine.finalize(opts.fixed_order, opts.max_order);
 }
 
 std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
@@ -426,40 +424,12 @@ std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
   PMTBR_REQUIRE(!orders.empty(), "need at least one order");
   PMTBR_TRACE_SCOPE("pmtbr_order_sweep");
-  IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  DegradeState st;
-  std::vector<FrequencySample> used;
-  opts.cancel.throw_if_cancelled();
-  const std::vector<FrequencySample> eff = effective_samples(samples, opts);
-  if (!eff.empty()) {
-    prepare_resilient(sys, eff);
-    auto outcomes = util::parallel_try_map<SampleOutcome>(
-        static_cast<index>(eff.size()),
-        [&](index i) {
-          return try_sample_block(sys, eff[static_cast<std::size_t>(i)], opts.resilience);
-        },
-        opts.cancel);
-    opts.cancel.throw_if_cancelled();
-    const std::vector<index> survivors = degrade_window(outcomes, eff, 0, st);
-    used.reserve(survivors.size());
-    for (index k : survivors) {
-      comp.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
-      obs::counter_add(obs::Counter::kPmtbrSamples);
-      used.push_back(eff[static_cast<std::size_t>(k)]);
-    }
-    enforce_coverage_floor(st, opts.resilience);
-  }
-
+  SamplingEngine engine(sys, opts);
+  const auto all = static_cast<index>(samples.size());
+  engine.sample(samples, all, all);
   std::vector<PmtbrResult> out;
   out.reserve(orders.size());
-  for (const index order : orders) {
-    PmtbrResult res;
-    res.samples_used = used;
-    res.degradation = st.report;
-    PMTBR_TRACE_SCOPE("pmtbr.project");
-    finalize(sys, comp, std::max<index>(1, std::min<index>(order, comp.rank())), res);
-    out.push_back(std::move(res));
-  }
+  for (const index order : orders) out.push_back(engine.finalize(std::max<index>(order, 1), -1));
   return out;
 }
 

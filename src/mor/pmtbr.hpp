@@ -131,9 +131,14 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
 /// midpoint sample contributes the largest new direction (residual after
 /// projection onto the current basis), until the residual falls below
 /// `novelty_tol` (relative to the largest sample norm seen) or the budget
-/// is exhausted. Weights follow the local sampling density.
+/// is exhausted. Weights follow the local sampling density. Of `opts`, the
+/// order choice (fixed_order, truncation_tol, max_order) and the weight_fn /
+/// resilience / compressor / cancel fields apply as in pmtbr_with_samples;
+/// bands, num_samples, scheme and adaptive stopping are ignored (the points
+/// come from `aopts`). A sample that weight_fn suppresses or that is dropped
+/// scores zero novelty, so its interval is never refined.
 struct AdaptiveOptions {
-  Band band{};
+  Band band{};  // 0 <= f_lo < f_hi, as for sample_band
   index initial_samples = 4;
   index max_samples = 64;
   double novelty_tol = 1e-7;

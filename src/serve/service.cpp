@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "serve/model_cache.hpp"
 #include "util/check.hpp"
@@ -293,6 +294,10 @@ void ReductionService::runner_loop() {
                   : status.code() == util::ErrorCode::kDeadlineExceeded
                       ? JobOutcome::kExpired
                       : JobOutcome::kFailed;
+      } catch (const std::invalid_argument& e) {
+        // A precondition the reduction rejects up front: a malformed spec.
+        status = util::Status(util::ErrorCode::kInvalidInput, e.what());
+        outcome = JobOutcome::kFailed;
       } catch (const std::exception& e) {
         status = util::Status(util::ErrorCode::kUnhandledException, e.what());
         outcome = JobOutcome::kFailed;

@@ -91,7 +91,7 @@ util::Expected<SparseLu<T>> SparseLu<T>::factor(const Csr<T>& a, std::vector<ind
   }
   SparseLu<T> lu;
   util::Status st = lu.factor(a, *pattern);
-  if (!st.is_ok()) return std::move(st);
+  if (!st.is_ok()) return st;
   lu.pattern_ = std::move(pattern);
   return lu;
 }
@@ -129,7 +129,7 @@ util::Expected<SparseLu<T>> SparseLu<T>::refactor(const SymbolicLu<T>& symbolic,
   util::Status st = lu.refactor(a, opts);
   if (!st.is_ok()) {
     obs::counter_add(obs::Counter::kSparseLuRefactorReject);
-    return std::move(st);
+    return st;
   }
   obs::counter_add(obs::Counter::kSparseLuRefactor);
   return lu;

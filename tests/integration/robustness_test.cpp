@@ -26,6 +26,7 @@
 #include "util/obs/counters.hpp"
 #include "util/obs/manifest.hpp"
 #include "util/status.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pmtbr {
 namespace {
@@ -296,6 +297,71 @@ TEST_F(Robustness, AcSweepDropsCondemnedPointsAndKeepsTheRest) {
       expect.push_back(freqs[i]);
   ASSERT_EQ(out.size(), expect.size());
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_DOUBLE_EQ(out[i].f_hz, expect[i]);
+}
+
+// pmtbr_adaptive under fault injection. Its initial grid is one window,
+// so a condemned grid sample is dropped after the full retry ladder and its
+// weight moves to the grid's survivors; bisected pairs are windows of their
+// own. The result must not depend on the thread count.
+TEST_F(Robustness, AdaptiveDropsCondemnedSampleAndReweightsItsWindow) {
+  mor::AdaptiveOptions aopts;
+  aopts.band = {0.0, 1e9};
+  aopts.initial_samples = 4;
+  aopts.max_samples = 16;
+  // pmtbr_adaptive's initial grid is the uniform midpoint rule on the band.
+  const auto grid = mor::sample_band(aopts.band, aopts.initial_samples,
+                                     mor::SamplingScheme::kUniform);
+  std::vector<std::size_t> condemned;
+  const std::uint64_t seed = seed_with_drops(grid, 0.02, 1, condemned);
+  ASSERT_EQ(condemned.size(), 1u);
+
+  struct ScopedThreads {
+    explicit ScopedThreads(int n) { util::set_global_threads(n); }
+    ~ScopedThreads() { util::set_global_threads(util::resolve_num_threads(nullptr)); }
+  };
+  const auto run = [&](int threads) {
+    ScopedThreads guard(threads);
+    circuit::RcLineParams lp;
+    lp.segments = 30;
+    const auto sys = circuit::make_rc_line(lp);
+    fault::ScopedFault replays(fault::Site::kSpluRefactor, 1.0);
+    fault::ScopedFault pivots(fault::Site::kSpluPivot, 0.02, seed);
+    return mor::pmtbr_adaptive(sys, aopts, {});
+  };
+  const auto serial = run(1);
+  const auto parallel = run(4);
+
+  const mor::DegradeReport& r = serial.degradation;
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_EQ(static_cast<std::size_t>(r.failures[0].sample), condemned[0]);
+  EXPECT_EQ(r.failures[0].status.code(), util::ErrorCode::kInjectedFault);
+  EXPECT_EQ(r.samples_dropped, 1);
+  EXPECT_EQ(r.retries, mor::ResilienceOptions{}.max_retries);
+  EXPECT_EQ(r.reweights, 1);  // the initial grid, once
+  EXPECT_LT(r.coverage, 1.0);
+  EXPECT_GT(r.coverage, 0.5);
+  EXPECT_EQ(r.samples_ok, static_cast<index>(serial.samples_used.size()));
+  for (const auto& fs : serial.samples_used) EXPECT_NE(fs.s, grid[condemned[0]].s);
+
+  const mor::DegradeReport& p = parallel.degradation;
+  EXPECT_EQ(p.samples_attempted, r.samples_attempted);
+  EXPECT_EQ(p.samples_ok, r.samples_ok);
+  EXPECT_EQ(p.retries, r.retries);
+  EXPECT_EQ(p.reweights, r.reweights);
+  EXPECT_EQ(p.coverage, r.coverage);
+  ASSERT_EQ(p.failures.size(), 1u);
+  EXPECT_EQ(p.failures[0].sample, r.failures[0].sample);
+  ASSERT_EQ(parallel.samples_used.size(), serial.samples_used.size());
+  for (std::size_t i = 0; i < serial.samples_used.size(); ++i) {
+    EXPECT_EQ(parallel.samples_used[i].s, serial.samples_used[i].s);
+    EXPECT_EQ(parallel.samples_used[i].weight, serial.samples_used[i].weight);
+  }
+  const la::MatD& va = serial.model.v;
+  const la::MatD& vb = parallel.model.v;
+  ASSERT_EQ(va.rows(), vb.rows());
+  ASSERT_EQ(va.cols(), vb.cols());
+  for (index i = 0; i < va.rows(); ++i)
+    for (index j = 0; j < va.cols(); ++j) EXPECT_EQ(va(i, j), vb(i, j));
 }
 
 TEST_F(Robustness, CleanRunReportsNoDegradation) {

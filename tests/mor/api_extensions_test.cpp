@@ -2,7 +2,9 @@
 // algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <numbers>
 #include <string>
 
 #include "circuit/generators.hpp"
@@ -125,6 +127,46 @@ TEST(FrequencyWeighting, ZeroWeightDropsSamples) {
   opts.weight_fn = [](double f_hz) { return f_hz < 5e9 ? 1.0 : 0.0; };
   const auto res = pmtbr(sys, opts);
   EXPECT_EQ(res.samples_used.size(), 5u);
+}
+
+TEST(FrequencyWeighting, SameEffectThroughEveryEntryPoint) {
+  // weight_fn means the same thing through pmtbr, pmtbr_order_sweep and
+  // pmtbr_adaptive: no used sample lies in a zero-weight band, and a 100x
+  // low-band weight changes the model.
+  const auto sys = circuit::make_rc_line({.segments = 25});
+  const Band band{0.0, 1e9};
+  const auto run = [&](int entry, std::function<double(double)> weight_fn) {
+    PmtbrOptions opts;
+    opts.bands = {band};
+    opts.num_samples = 12;
+    opts.fixed_order = 5;
+    opts.weight_fn = std::move(weight_fn);
+    if (entry == 0) return pmtbr(sys, opts);
+    if (entry == 1)
+      return pmtbr_order_sweep(sys, sample_bands(opts.bands, opts.num_samples, opts.scheme),
+                               {opts.fixed_order}, opts)[0];
+    return pmtbr_adaptive(sys, {.band = band, .initial_samples = 4, .max_samples = 16}, opts);
+  };
+  const auto f_hz = [](const FrequencySample& fs) {
+    return fs.s.imag() / (2.0 * std::numbers::pi);
+  };
+  for (const int entry : {0, 1, 2}) {
+    SCOPED_TRACE("entry point " + std::to_string(entry));
+    const auto plain = run(entry, nullptr);
+    ASSERT_TRUE(std::any_of(plain.samples_used.begin(), plain.samples_used.end(),
+                            [&](const FrequencySample& fs) { return f_hz(fs) > 5e8; }));
+
+    const auto cut = run(entry, [](double f) { return f < 5e8 ? 1.0 : 0.0; });
+    ASSERT_FALSE(cut.samples_used.empty());
+    for (const auto& fs : cut.samples_used) {
+      EXPECT_LT(f_hz(fs), 5e8);
+      EXPECT_GT(fs.weight, 0.0);
+    }
+
+    const auto boosted = run(entry, [](double f) { return f < 4e8 ? 100.0 : 1.0; });
+    EXPECT_GT(boosted.model.singular_values[0], 2.0 * plain.model.singular_values[0]);
+    EXPECT_GT(la::max_abs_diff(boosted.model.v, plain.model.v), 1e-6);
+  }
 }
 
 TEST(FrequencyWeighting, NegativeWeightRejected) {

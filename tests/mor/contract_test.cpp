@@ -63,6 +63,26 @@ TEST(PmtbrContract, WithSamplesRejectsEmptySampleSet) {
   EXPECT_THROW(pmtbr_with_samples(small_sys(), {}, PmtbrOptions{}), std::invalid_argument);
 }
 
+TEST(PmtbrContract, AdaptiveRejectsBandOutsideZeroToHigh) {
+  // Same rule as sample_band: 0 <= f_lo < f_hi.
+  for (const Band band : {Band{1e9, 0.0}, Band{0.0, 0.0}, Band{-1e9, 1e9}}) {
+    AdaptiveOptions aopts;
+    aopts.band = band;
+    EXPECT_THROW(pmtbr_adaptive(small_sys(), aopts), std::invalid_argument);
+  }
+}
+
+TEST(PmtbrContract, WeightingThatSuppressesEverySampleThrows) {
+  PmtbrOptions opts;
+  opts.bands = {Band{1e3, 1e9}};
+  opts.num_samples = 8;
+  opts.weight_fn = [](double) { return 0.0; };
+  EXPECT_THROW(pmtbr(small_sys(), opts), std::invalid_argument);
+  EXPECT_THROW(pmtbr_order_sweep(small_sys(), sample_bands(opts.bands, 8, opts.scheme), {2}, opts),
+               std::invalid_argument);
+  EXPECT_THROW(pmtbr_adaptive(small_sys(), {}, opts), std::invalid_argument);
+}
+
 TEST(ProjectContract, BasisRowMismatchThrows) {
   const auto sys = small_sys();
   const MatD v(sys.n() + 1, 2, 1.0);

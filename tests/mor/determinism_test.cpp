@@ -9,6 +9,7 @@
 #include "mor/pmtbr.hpp"
 #include "mor/sampling.hpp"
 #include "signal/ac.hpp"
+#include "util/faultinject.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pmtbr::mor {
@@ -78,6 +79,53 @@ TEST(ParallelDeterminism, AdaptiveStopCommitsIdenticalSamplePrefix) {
   }
   expect_bit_identical(serial.model.v, parallel.model.v);
   expect_bit_identical(serial.model.system.a(), parallel.model.system.a());
+}
+
+// Adaptive stopping with a sample condemned just past the stopping point.
+// A serial run commits pairs and never solves it; a 4-thread run solves it
+// in the same batch as the stop. Windows are pairs at every pool size and
+// samples solved past the stop are discarded unrecorded, so the model and
+// the degradation report must not depend on the thread count.
+TEST(ParallelDeterminism, DegradedAdaptiveStopMatchesSerial) {
+  const auto run = [](int threads) {
+    ScopedThreads guard(threads);
+    const auto sys = circuit::make_rc_line({.segments = 30});
+    PmtbrOptions opts;
+    opts.bands = {Band{1e5, 1e10}};
+    opts.num_samples = 16;
+    opts.adaptive_excess = 2.0;
+    opts.truncation_tol = 1e-6;
+    util::fault::ScopedFault replays(util::fault::Site::kSpluRefactor, 1.0);
+    util::fault::ScopedFault pivots(util::fault::Site::kSpluPivot, 0.1, 2);
+    return pmtbr(sys, opts);
+  };
+  const auto serial = run(1);
+  const auto parallel = run(4);
+
+  const DegradeReport& a = serial.degradation;
+  const DegradeReport& b = parallel.degradation;
+  EXPECT_EQ(a.samples_attempted, b.samples_attempted);
+  EXPECT_EQ(a.samples_ok, b.samples_ok);
+  EXPECT_EQ(a.samples_dropped, b.samples_dropped);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.regularized, b.regularized);
+  EXPECT_EQ(a.reweights, b.reweights);
+  EXPECT_EQ(a.coverage, b.coverage);
+  ASSERT_EQ(a.failures.size(), b.failures.size());
+  for (std::size_t i = 0; i < a.failures.size(); ++i) {
+    EXPECT_EQ(a.failures[i].sample, b.failures[i].sample);
+    EXPECT_EQ(a.failures[i].status.code(), b.failures[i].status.code());
+    EXPECT_EQ(a.failures[i].retries, b.failures[i].retries);
+  }
+  ASSERT_EQ(serial.samples_used.size(), parallel.samples_used.size());
+  for (std::size_t i = 0; i < serial.samples_used.size(); ++i) {
+    EXPECT_EQ(serial.samples_used[i].s, parallel.samples_used[i].s);
+    EXPECT_EQ(serial.samples_used[i].weight, parallel.samples_used[i].weight);
+  }
+  expect_bit_identical(serial.model.v, parallel.model.v);
+  ASSERT_EQ(serial.model.singular_values.size(), parallel.model.singular_values.size());
+  for (std::size_t i = 0; i < serial.model.singular_values.size(); ++i)
+    EXPECT_EQ(serial.model.singular_values[i], parallel.model.singular_values[i]);
 }
 
 TEST(ParallelDeterminism, OrderSweepMatchesSerial) {

@@ -285,6 +285,24 @@ TEST(ReductionService, MalformedNetlistIsInvalidInput) {
   EXPECT_EQ(portless.status().code(), ErrorCode::kInvalidInput);
 }
 
+TEST(ReductionService, RejectedPreconditionIsInvalidInput) {
+  // A job spec the reduction rejects up front (a reversed adaptive band)
+  // fails as kInvalidInput, not as an unhandled exception.
+  ReductionService svc({.runners = 1, .max_queue = 4});
+  JobRequest req = quick_job("reversed band");
+  req.method = Method::kPmtbrAdaptive;
+  req.adaptive.band = {1e9, 0.0};
+  auto id = svc.submit(std::move(req));
+  ASSERT_TRUE(id.is_ok());
+  const JobResult res = svc.wait(id.value());
+  EXPECT_EQ(res.outcome, JobOutcome::kFailed);
+  EXPECT_EQ(res.status.code(), ErrorCode::kInvalidInput);
+
+  auto ok = svc.submit(quick_job("healthy"));
+  ASSERT_TRUE(ok.is_ok());
+  EXPECT_EQ(svc.wait(ok.value()).outcome, JobOutcome::kCompleted);
+}
+
 TEST(ReductionService, StatsPartitionAndServeExtra) {
   ReductionService svc({.runners = 2, .max_queue = 8});
   std::vector<JobId> ids;
