@@ -1,7 +1,7 @@
 // Kernel-level perf records for the blocked dense layer: GEMM (blocked vs.
 // the seed scalar triple loop), blocked compact-WY QR vs. the unblocked
-// reference, TSQR vs. flat QR, and the compressor's blocked block path vs.
-// its per-column reference mode.
+// reference, and the compressor's blocked block path vs. its per-column
+// reference mode.
 //
 // All dense-kernel records are single-threaded so the numbers isolate the
 // kernel (register tiling, packing, ISA dispatch) from thread scaling,
@@ -18,7 +18,6 @@
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
 #include "la/qr.hpp"
-#include "la/tsqr.hpp"
 #include "mor/compressor.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -111,20 +110,6 @@ void qr_records(std::vector<bench::TimingRecord>& records) {
               std::to_string(t_ref) + " s (" + std::to_string(t_ref / t_blk) + "x)");
 }
 
-void tsqr_records(std::vector<bench::TimingRecord>& records) {
-  Rng rng(13);
-  const index m = 8192, n = 32;
-  const MatD a = random_mat(rng, m, n);
-  // n < the blocked-QR threshold, so la::qr is the flat unblocked loop here
-  // and the pair isolates what the tree reduction buys on tall-skinny shapes.
-  const double t_flat = best_seconds(2, [&] { la::qr(a); });
-  const double t_tsqr = best_seconds(3, [&] { la::tsqr(a); });
-  records.push_back({"qr_flat_8192x32", t_flat, m, 0, 1});
-  records.push_back({"tsqr_8192x32", t_tsqr, m, 0, 1});
-  bench::note("tsqr 8192x32: " + std::to_string(t_tsqr) + " s vs flat qr " +
-              std::to_string(t_flat) + " s (" + std::to_string(t_flat / t_tsqr) + "x)");
-}
-
 void compressor_records(std::vector<bench::TimingRecord>& records) {
   // Stream shaped like a PMTBR sampling sweep: a few novel blocks saturate
   // the reachable subspace, then a long tail of samples that are linear
@@ -175,14 +160,13 @@ void compressor_records(std::vector<bench::TimingRecord>& records) {
 
 int main() {
   pmtbr::bench::banner("kernels",
-                       "dense-kernel GFLOP/s: blocked GEMM/QR/TSQR and compressor block path "
+                       "dense-kernel GFLOP/s: blocked GEMM/QR and compressor block path "
                        "vs. their scalar references (single thread)");
   pmtbr::util::set_global_threads(1);
 
   std::vector<pmtbr::bench::TimingRecord> records;
   gemm_records(records);
   qr_records(records);
-  tsqr_records(records);
   compressor_records(records);
 
   const std::string json = pmtbr::bench::write_timing_json("kernels", records);

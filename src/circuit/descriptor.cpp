@@ -37,15 +37,17 @@ DescriptorSystem DescriptorSystem::with_ports(const std::vector<index>& cols,
                                               bool restrict_outputs) const {
   MatD b(n(), static_cast<index>(cols.size()));
   for (index j = 0; j < static_cast<index>(cols.size()); ++j) {
-    PMTBR_REQUIRE(cols[static_cast<std::size_t>(j)] < num_inputs(), "port index out of range");
-    b.set_col(j, b_.col(cols[static_cast<std::size_t>(j)]));
+    const index col = cols[static_cast<std::size_t>(j)];
+    PMTBR_REQUIRE(0 <= col && col < num_inputs(), "port index out of range");
+    b.set_col(j, b_.col(col));
   }
   MatD c = c_;
   if (restrict_outputs) {
     c = MatD(static_cast<index>(cols.size()), n());
     for (index i = 0; i < static_cast<index>(cols.size()); ++i) {
-      PMTBR_REQUIRE(cols[static_cast<std::size_t>(i)] < num_outputs(), "port index out of range");
-      const double* src = c_.row_ptr(cols[static_cast<std::size_t>(i)]);
+      const index row = cols[static_cast<std::size_t>(i)];
+      PMTBR_REQUIRE(0 <= row && row < num_outputs(), "port index out of range");
+      const double* src = c_.row_ptr(row);
       std::copy(src, src + n(), c.row_ptr(i));
     }
   }
@@ -66,12 +68,6 @@ const std::vector<index>& DescriptorSystem::ordering_locked(Cache& cache) const 
   return *cache.ordering;
 }
 
-std::shared_ptr<const sparse::SymbolicLuC> DescriptorSystem::symbolic_for(cd s) const {
-  auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) throw util::StatusError(sym.status());
-  return std::move(sym).value();
-}
-
 util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> DescriptorSystem::try_symbolic_for(
     cd s) const {
   Cache& cache = *cache_;
@@ -89,8 +85,6 @@ util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> DescriptorSystem::try
   }
   return cache.symbolic;
 }
-
-void DescriptorSystem::prepare_shifted(cd s) const { symbolic_for(s); }
 
 namespace {
 
@@ -146,19 +140,6 @@ void regularize_diagonal(sparse::CsrC& m, double rel) {
 }
 
 }  // namespace
-
-sparse::SparseLuC DescriptorSystem::factor_shifted(cd s) const {
-  auto lu = try_factor_shifted(s, 0.0);
-  if (!lu.is_ok()) throw util::StatusError(lu.status());
-  return std::move(lu).value();
-}
-
-util::Expected<sparse::SparseLuC> DescriptorSystem::try_factor_shifted(cd s,
-                                                                       double diag_reg) const {
-  auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) return sym.status();
-  return numeric_factor(*sym.value(), s, diag_reg);
-}
 
 util::Expected<sparse::SparseLuC> DescriptorSystem::numeric_factor(
     const sparse::SymbolicLuC& symbolic, cd s, double diag_reg) const {

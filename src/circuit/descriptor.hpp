@@ -62,13 +62,6 @@ class DescriptorSystem {
   /// cached; safe to call concurrently.
   const std::vector<la::index>& ordering() const;
 
-  /// Ensures the cached symbolic factorization of the sE - A pencil exists,
-  /// building it from the pencil at shift `s` if not. Parallel drivers call
-  /// this with their first shift before fanning out, so the frozen pivot
-  /// order — and therefore every result — is independent of thread
-  /// scheduling and identical to a serial run.
-  void prepare_shifted(la::cd s) const;
-
   // Non-throwing variants for the fault-tolerant sampling pipeline
   // (docs/ROBUSTNESS.md): every data-caused failure — a singular pencil at
   // this shift, a degenerate frozen pivot, an injected test fault — travels
@@ -81,7 +74,11 @@ class DescriptorSystem {
   // last-resort fallback for a shift landing exactly on a pole; the
   // perturbation it introduces is O(diag_reg) relative, so keep it tiny.
 
-  /// Status-carrying prepare_shifted: ensures the symbolic cache exists.
+  /// Ensures the cached symbolic factorization of the sE - A pencil exists,
+  /// building it from the pencil at shift `s` if not. Parallel drivers call
+  /// this with their first shift before fanning out, so the frozen pivot
+  /// order — and therefore every result — is independent of thread
+  /// scheduling and identical to a serial run.
   util::Status try_prepare_shifted(la::cd s) const;
 
   /// X = (sE - A)^{-1} R, Status-carrying.
@@ -118,10 +115,7 @@ class DescriptorSystem {
   /// hold `cache.mutex` — enforced at compile time under -Wthread-safety.
   const std::vector<la::index>& ordering_locked(Cache& cache) const
       PMTBR_REQUIRES(cache.mutex);
-  std::shared_ptr<const sparse::SymbolicLuC> symbolic_for(la::cd s) const;
   util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> try_symbolic_for(la::cd s) const;
-  sparse::SparseLuC factor_shifted(la::cd s) const;
-  util::Expected<sparse::SparseLuC> try_factor_shifted(la::cd s, double diag_reg) const;
   /// Numeric phase against an already-resolved symbolic analysis (replay,
   /// full-factor fallback on a degenerate frozen pivot).
   util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC& symbolic,

@@ -1,6 +1,6 @@
 // Register-tiled, cache-blocked GEMM core (the BLIS/GotoBLAS loop nest),
-// shared by la::matmul, the blocked QR trailing update, and the TSQR
-// compressor path.
+// shared by la::matmul, the blocked QR trailing update, and the
+// compressor's block Gram–Schmidt projections.
 //
 // Layout of the nest, outermost first:
 //

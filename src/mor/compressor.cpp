@@ -5,8 +5,8 @@
 
 #include "la/gemm_kernel.hpp"
 #include "la/ops.hpp"
+#include "la/qr.hpp"
 #include "la/svd.hpp"
-#include "la/tsqr.hpp"
 #include "util/check.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
@@ -67,7 +67,8 @@ double IncrementalCompressor::add_block(const MatD& block) {
   }
   const double res = la::norm_fro(ws_.resid);
 
-  // TSQR of the residual block, then an SVD of its small R factor: the
+  // Householder QR of the residual block (one realified sample is only
+  // n × 2·ports), then an SVD of its small R factor: the
   // residual's left singular directions above drop_tol become new basis
   // rows, everything below is deflated. When the whole residual is already
   // below the drop threshold no singular value can survive (σ_max ≤ ‖resid‖_F),
@@ -78,7 +79,7 @@ double IncrementalCompressor::add_block(const MatD& block) {
   MatD qres;
   const double thresh = drop_tol_ * std::max(vmax, 1e-300);
   if (br < n_ && res > thresh) {
-    auto f = la::tsqr(ws_.resid);
+    auto f = la::qr(ws_.resid);
     qres = std::move(f.q);
     sub = la::svd(f.r);
     const index max_new = std::min<index>(n_ - br, static_cast<index>(sub.s.size()));

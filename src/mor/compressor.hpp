@@ -32,15 +32,15 @@
 //
 // Two absorption paths, both pushing their R columns into the same P:
 //  - kBlocked (default): two passes of block classical Gram–Schmidt
-//    against the existing basis (three GEMMs per pass), then a TSQR of the
-//    n×k residual block and an SVD of its small k×k R factor to decide
-//    which new directions survive drop_tol. One factorization per block
-//    instead of per column.
+//    against the existing basis (two GEMMs per pass), then a Householder
+//    QR (la::qr) of the n×k residual block and an SVD of its small k×k R
+//    factor to decide which new directions survive drop_tol. One
+//    factorization per block instead of per column.
 //  - kReference: the seed per-column modified Gram–Schmidt loop, kept as
 //    the comparison oracle for tests and bench_kernels.
 //
 // Both paths are deterministic for any thread count: the blocked path's
-// GEMM and TSQR building blocks are bit-reproducible by construction, and
+// GEMM and QR building blocks are bit-reproducible by construction, and
 // the fold runs serially.
 #pragma once
 
@@ -54,7 +54,7 @@ using la::index;
 using la::MatD;
 
 enum class CompressorMode {
-  kBlocked,    // block Gram–Schmidt + TSQR + small SVD
+  kBlocked,    // block Gram–Schmidt + Householder QR + small SVD
   kReference,  // seed per-column modified Gram–Schmidt
 };
 

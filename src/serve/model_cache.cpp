@@ -65,9 +65,7 @@ std::size_t result_bytes(const mor::PmtbrResult& result) {
   return bytes;
 }
 
-ModelCache::ModelCache(std::size_t byte_budget)
-    : lru_({0, byte_budget > 0 ? byte_budget
-                               : util::cache_byte_budget(kDefaultModelCacheBytes)}) {}
+ModelCache::ModelCache() : lru_(util::cache_byte_budget(kDefaultModelCacheBytes)) {}
 
 ModelCache::ResultPtr ModelCache::lookup(const util::Fingerprint& key) {
   auto hit = lru_.get(key);

@@ -45,9 +45,8 @@ class ModelCache {
   using ResultPtr = std::shared_ptr<const mor::PmtbrResult>;
   using FlightGate = util::SingleFlight<util::Fingerprint, ResultPtr, util::FingerprintHash>;
 
-  /// `byte_budget` = 0 resolves PMTBR_CACHE_BYTES (default 256 MiB); an
-  /// explicit budget wins over the environment.
-  explicit ModelCache(std::size_t byte_budget = 0);
+  /// The byte budget is PMTBR_CACHE_BYTES (default 256 MiB).
+  ModelCache();
 
   bool enabled() const { return lru_.enabled(); }
 

@@ -69,7 +69,7 @@ ReductionService::ReductionService(ServiceOptions opts) : opts_(opts) {
   PMTBR_REQUIRE(opts_.runners >= 1, "service needs at least one runner thread");
   PMTBR_REQUIRE(opts_.max_queue >= 1, "admission queue must hold at least one job");
   if (opts_.model_cache) {
-    auto cache = std::make_unique<ModelCache>(opts_.model_cache_bytes);
+    auto cache = std::make_unique<ModelCache>();
     // A byte budget resolving to 0 (PMTBR_CACHE_BYTES=0) disables caching.
     if (cache->enabled()) cache_ = std::move(cache);
   }

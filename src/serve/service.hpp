@@ -56,9 +56,6 @@ struct ServiceOptions {
   /// while fault injection is armed, so injected failures stay exactly
   /// reproducible.
   bool model_cache = true;
-  /// Model-cache byte budget; 0 = PMTBR_CACHE_BYTES or 256 MiB. A budget
-  /// resolving to 0 disables the cache for this service.
-  std::size_t model_cache_bytes = 0;
 };
 
 /// Monotonic service totals. The outcome fields partition every terminal

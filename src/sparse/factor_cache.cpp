@@ -12,7 +12,7 @@ std::size_t factor_cache_bytes(const SparseLuC& lu) {
   return (lu.nnz_factors() + static_cast<std::size_t>(lu.n())) * sizeof(la::cd);
 }
 
-FactorCache::FactorCache(std::size_t byte_budget) : lru_({0, byte_budget}) {}
+FactorCache::FactorCache(std::size_t byte_budget) : lru_(byte_budget) {}
 
 FactorCache& FactorCache::global() {
   static FactorCache cache(util::cache_byte_budget(kDefaultFactorCacheBytes));

@@ -1,15 +1,12 @@
-// Capacity- and byte-bounded LRU cache plus a single-flight gate — the
-// synchronization substrate of the cross-job caching layer
-// (docs/SERVING.md).
+// Byte-bounded LRU cache plus a single-flight gate — the synchronization
+// substrate of the cross-job caching layer (docs/SERVING.md).
 //
 // LruCache is internally synchronized behind a capability-annotated
 // util::Mutex, so the cache front-ends (serve/model_cache, sparse/
 // factor_cache) expose lock-free-looking APIs without re-deriving the
-// locking. Eviction is strict LRU over *unpinned* entries: pinned entries
-// are never evicted, so a caller can hold an entry resident across a
-// multi-step use without copying it out. Values are expected to be cheap
-// handles (shared_ptr to immutable data) — a get() returns a copy that
-// stays valid after the entry is evicted.
+// locking. Eviction is strict LRU. Values are expected to be cheap handles
+// (shared_ptr to immutable data) — a get() returns a copy that stays valid
+// after the entry is evicted.
 //
 // SingleFlight collapses N concurrent computations of the same key into
 // one: the first caller becomes the leader and computes, later callers
@@ -88,14 +85,10 @@ inline std::size_t cache_byte_budget(std::size_t fallback) noexcept {
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache {
  public:
-  struct Limits {
-    std::size_t max_entries = 0;  // 0 = unbounded count
-    std::size_t max_bytes = 0;    // 0 = cache disabled
-  };
+  /// `max_bytes` = 0 disables the cache.
+  explicit LruCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
-  explicit LruCache(Limits limits) : limits_(limits) {}
-
-  bool enabled() const noexcept { return limits_.max_bytes > 0; }
+  bool enabled() const noexcept { return max_bytes_ > 0; }
 
   /// Returns a copy of the cached value and refreshes its recency, or
   /// nullopt on a miss. Every call counts as a hit or a miss.
@@ -112,9 +105,8 @@ class LruCache {
   }
 
   /// Inserts or replaces `key`, charging `bytes` against the budget, then
-  /// evicts least-recently-used unpinned entries until the cache fits its
-  /// limits again (pinned entries can keep it temporarily over budget). A
-  /// disabled cache (max_bytes == 0) ignores the put.
+  /// evicts least-recently-used entries until the cache fits its budget
+  /// again. A disabled cache (max_bytes == 0) ignores the put.
   EvictionReport put(const Key& key, Value value, std::size_t bytes)
       PMTBR_EXCLUDES(mutex_) {
     EvictionReport report;
@@ -129,7 +121,7 @@ class LruCache {
       bytes_ += bytes;
       order_.splice(order_.begin(), order_, it->second);
     } else {
-      order_.push_front(Entry{key, std::move(value), bytes, 0});
+      order_.push_front(Entry{key, std::move(value), bytes});
       map_.emplace(key, order_.begin());
       bytes_ += bytes;
     }
@@ -140,37 +132,8 @@ class LruCache {
     return report;
   }
 
-  /// Marks the entry un-evictable until a matching unpin(). Returns false
-  /// for an absent key. Pins nest.
-  bool pin(const Key& key) PMTBR_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    ++it->second->pins;
-    return true;
-  }
-
-  bool unpin(const Key& key) PMTBR_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end() || it->second->pins == 0) return false;
-    --it->second->pins;
-    return true;
-  }
-
-  void erase(const Key& key) PMTBR_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return;
-    bytes_ -= it->second->bytes;
-    order_.erase(it->second);
-    map_.erase(it);
-    stats_.entries = static_cast<std::int64_t>(map_.size());
-    stats_.bytes = static_cast<std::int64_t>(bytes_);
-  }
-
-  /// Drops every entry (pinned included) and the resident gauges; the
-  /// monotonic totals survive so long-running stats stay meaningful.
+  /// Drops every entry and the resident gauges; the monotonic totals
+  /// survive so long-running stats stay meaningful.
   void clear() PMTBR_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     order_.clear();
@@ -197,30 +160,22 @@ class LruCache {
     Key key;
     Value value;
     std::size_t bytes = 0;
-    int pins = 0;
   };
   using Order = std::list<Entry>;
 
-  bool over_budget_locked() const PMTBR_REQUIRES(mutex_) {
-    return (limits_.max_entries > 0 && map_.size() > limits_.max_entries) ||
-           bytes_ > limits_.max_bytes;
-  }
-
   void evict_locked(EvictionReport& report) PMTBR_REQUIRES(mutex_) {
-    auto it = order_.end();
-    while (over_budget_locked() && it != order_.begin()) {
-      --it;
-      if (it->pins > 0) continue;  // pinned: skip, keep scanning toward MRU
+    while (bytes_ > max_bytes_ && !order_.empty()) {
+      const Entry& lru = order_.back();
       ++report.count;
-      report.bytes += static_cast<std::int64_t>(it->bytes);
+      report.bytes += static_cast<std::int64_t>(lru.bytes);
       ++stats_.evictions;
-      bytes_ -= it->bytes;
-      map_.erase(it->key);
-      it = order_.erase(it);
+      bytes_ -= lru.bytes;
+      map_.erase(lru.key);
+      order_.pop_back();
     }
   }
 
-  const Limits limits_;
+  const std::size_t max_bytes_;
   mutable Mutex mutex_;
   Order order_ PMTBR_GUARDED_BY(mutex_);  // front = most recently used
   std::unordered_map<Key, typename Order::iterator, Hash> map_ PMTBR_GUARDED_BY(mutex_);

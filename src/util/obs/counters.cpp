@@ -20,7 +20,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kQrFactorizations: return "qr_factorizations";
     case Counter::kQrBlockedPanels: return "qr_blocked_panels";
     case Counter::kTsqrFactorizations: return "tsqr_factorizations";
-    case Counter::kTsqrLeafBlocks: return "tsqr_leaf_blocks";
     case Counter::kQrFlops: return "qr_flops";
     case Counter::kSvdCalls: return "svd_calls";
     case Counter::kSvdSweeps: return "svd_sweeps";

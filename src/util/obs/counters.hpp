@@ -37,8 +37,7 @@ enum class Counter : int {
   kGemmBytes,              // sizeof(T)*(m*k + k*n + m*n) per call (traffic lower bound)
   kQrFactorizations,
   kQrBlockedPanels,        // compact-WY panels factored by the blocked QR
-  kTsqrFactorizations,     // tall-skinny QR reduction trees built
-  kTsqrLeafBlocks,         // leaf QRs across all TSQR trees
+  kTsqrFactorizations,     // no longer incremented; reads 0
   kQrFlops,                // ~2*m*n*min(m,n) per factorization (estimate)
   kSvdCalls,
   kSvdSweeps,              // one-sided Jacobi sweeps actually performed

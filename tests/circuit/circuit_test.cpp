@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "circuit/descriptor.hpp"
+#include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
 #include "la/eig_sym.hpp"
 #include "la/lu.hpp"
@@ -163,6 +164,16 @@ TEST(Descriptor, WithPortsRestricts) {
   const la::MatC h_sub = sub.transfer(cd(0.0, 1e9));
   EXPECT_NEAR(std::abs(h_sub(0, 0) - h_full(0, 0)), 0.0, 1e-13 * std::abs(h_full(0, 0)));
   EXPECT_NEAR(std::abs(h_sub(1, 1) - h_full(2, 2)), 0.0, 1e-13 * std::abs(h_full(2, 2)));
+}
+
+TEST(DescriptorContract, WithPortsRejectsOutOfRangeIndex) {
+  const DescriptorSystem sys = make_rc_mesh({.rows = 4, .cols = 4, .num_ports = 2});
+  ASSERT_EQ(sys.num_inputs(), 2);
+  for (const bool restrict_outputs : {true, false}) {
+    EXPECT_THROW((void)sys.with_ports({-1}, restrict_outputs), std::invalid_argument);
+    EXPECT_THROW((void)sys.with_ports({sys.num_inputs()}, restrict_outputs),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Descriptor, DenseStandardMatchesTransfer) {

@@ -1,7 +1,7 @@
 // Contracts of the blocked dense-kernel layer: GEMM edge cases against the
 // scalar reference, blocked compact-WY QR backward error against the
-// unblocked reference, TSQR subspace/backward-error/reproducibility, and
-// Matrix::resize.
+// unblocked reference (including the compressor's tall-skinny residual
+// shapes), and Matrix::resize.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +12,6 @@
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
 #include "la/qr.hpp"
-#include "la/svd.hpp"
-#include "la/tsqr.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pmtbr {
@@ -128,7 +126,8 @@ TEST(Gemm, BitIdenticalAcrossThreadCounts) {
 TEST(BlockedQr, BackwardErrorAndOrthogonalityMatchReference) {
   Rng rng(211);
   const std::pair<index, index> shapes[] = {
-      {160, 96}, {96, 96}, {96, 160} /* wide: k = m < n */, {301, 67}};
+      {160, 96}, {96, 96}, {96, 160} /* wide: k = m < n */, {301, 67},
+      {3000, 24}, {1600, 2} /* tall-skinny: compressor residual blocks */};
   for (const auto& shape : shapes) {
     const index m = shape.first, n = shape.second;
     const MatD a = random_matrix(m, n, rng);
@@ -160,58 +159,6 @@ TEST(BlockedQr, ComplexBackwardError) {
   MatC residual = la::matmul(f.q, f.r);
   residual -= a;
   EXPECT_LT(la::norm_fro(residual), 1e-12 * la::norm_fro(a));
-}
-
-// --- TSQR ------------------------------------------------------------------
-
-TEST(Tsqr, BackwardErrorOrthogonalityAndRMatchFlatQr) {
-  Rng rng(307);
-  const index m = 3000, n = 24;  // chunk 512 → multiple leaves
-  const MatD a = random_matrix(m, n, rng);
-  const auto t = la::tsqr(a);
-  ASSERT_EQ(t.q.rows(), m);
-  ASSERT_EQ(t.q.cols(), n);
-  ASSERT_EQ(t.r.rows(), n);
-
-  MatD residual = la::matmul(t.q, t.r);
-  residual -= a;
-  const double anorm = la::norm_fro(a);
-  EXPECT_LT(la::norm_fro(residual), 64.0 * static_cast<double>(m) * kEps * anorm);
-  EXPECT_LT(orthonormality_defect(t.q), 1e-13);
-
-  // Same column space as the flat factorization: every singular value of
-  // Q_tsqrᵀ·Q_flat is a principal-angle cosine and must be 1.
-  const auto flat = la::qr(a);
-  const auto s = la::singular_values(la::matmul_at(t.q, flat.q));
-  ASSERT_EQ(static_cast<index>(s.size()), n);
-  EXPECT_GT(s.back(), 1.0 - 1e-12);
-  EXPECT_LT(s.front(), 1.0 + 1e-12);
-}
-
-TEST(Tsqr, BitReproducibleAcrossThreadCounts) {
-  Rng rng(311);
-  const MatD a = random_matrix(2100, 17, rng);
-  la::TsqrResult<double> one, four;
-  {
-    ScopedThreads t(1);
-    one = la::tsqr(a);
-  }
-  {
-    ScopedThreads t(4);
-    four = la::tsqr(a);
-  }
-  EXPECT_EQ(max_abs_diff(one.q, four.q), 0.0);
-  EXPECT_EQ(max_abs_diff(one.r, four.r), 0.0);
-}
-
-TEST(Tsqr, SmallInputFallsBackToFlatQr) {
-  Rng rng(313);
-  const MatD a = random_matrix(40, 8, rng);  // below 2 leaves → flat path
-  const auto t = la::tsqr(a);
-  MatD residual = la::matmul(t.q, t.r);
-  residual -= a;
-  EXPECT_LT(la::norm_fro(residual), 1e-13 * la::norm_fro(a));
-  EXPECT_LT(orthonormality_defect(t.q), 1e-13);
 }
 
 // --- Matrix::resize --------------------------------------------------------

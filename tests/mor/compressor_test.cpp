@@ -206,47 +206,59 @@ la::index tail_order(const std::vector<double>& s, double tol) {
 }
 
 TEST(Compressor, MatchesStackedSvdAtAdaptiveSize) {
-  // The adaptive order-control pattern at the size it runs in practice: a
-  // 20×20 two-port RC mesh, 20 samples absorbed one by one with an order
-  // query after each, reaching rank 60 of 80 columns. Reference: one SVD of
-  // the explicitly stacked 400×80 weighted sample matrix.
-  circuit::RcMeshParams mp;
-  mp.rows = 20;
-  mp.cols = 20;
-  mp.num_ports = 2;
-  const auto sys = circuit::make_rc_mesh(mp);
-  const auto samples = sample_band(Band{1e5, 1e11}, 20, SamplingScheme::kUniform);
+  // The adaptive order-control pattern at the sizes it runs in practice:
+  // samples absorbed one by one with an order query after each. Reference:
+  // one SVD of the explicitly stacked weighted sample matrix. The cases are
+  // the shapes of the mesh_adaptive workload (20×20 two-port mesh, 20
+  // samples, rank 60 of 80 columns) and of the mesh_solve workload (40×40
+  // one-port mesh, n = 1600, 16 samples, rank 27 of 32), and a 32×32
+  // eight-port mesh (n = 1024, 16-column residual blocks, 4 samples, every
+  // column kept).
+  struct Case {
+    la::index side, ports, samples, rank;
+  };
+  const Case cases[] = {{20, 2, 20, 60}, {40, 1, 16, 27}, {32, 8, 4, 64}};
   const double tol = 1e-6;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.side << "x" << c.side << " mesh, " << c.ports
+                                      << " ports, " << c.samples << " samples");
+    circuit::RcMeshParams mp;
+    mp.rows = c.side;
+    mp.cols = c.side;
+    mp.num_ports = c.ports;
+    const auto sys = circuit::make_rc_mesh(mp);
+    ASSERT_EQ(sys.n(), c.side * c.side);
+    const auto samples = sample_band(Band{1e5, 1e11}, c.samples, SamplingScheme::kUniform);
 
-  IncrementalCompressor comp(sys.n());
-  MatD stacked(sys.n(), 80);
-  la::index col = 0;
-  for (const FrequencySample& fs : samples) {
-    MatD block = la::realify_columns(sys.solve_shifted(fs.s, la::to_complex(sys.b())));
-    block *= std::sqrt(fs.weight / std::numbers::pi);
-    ASSERT_LE(col + block.cols(), stacked.cols());
-    for (la::index i = 0; i < block.rows(); ++i)
-      for (la::index j = 0; j < block.cols(); ++j) stacked(i, col + j) = block(i, j);
-    col += block.cols();
-    comp.add_columns(block);
-    comp.order_for_tolerance(tol);
+    IncrementalCompressor comp(sys.n());
+    MatD stacked(sys.n(), 2 * c.ports * c.samples);
+    la::index col = 0;
+    for (const FrequencySample& fs : samples) {
+      MatD block = la::realify_columns(sys.solve_shifted(fs.s, la::to_complex(sys.b())));
+      block *= std::sqrt(fs.weight / std::numbers::pi);
+      ASSERT_LE(col + block.cols(), stacked.cols());
+      for (la::index i = 0; i < block.rows(); ++i)
+        for (la::index j = 0; j < block.cols(); ++j) stacked(i, col + j) = block(i, j);
+      col += block.cols();
+      comp.add_columns(block);
+      comp.order_for_tolerance(tol);
+    }
+    ASSERT_EQ(col, stacked.cols());
+    EXPECT_EQ(comp.rank(), c.rank);
+
+    const la::SvdResult ref = la::svd(stacked);
+    const auto s = comp.singular_values();
+    ASSERT_EQ(static_cast<la::index>(s.size()), comp.rank());
+    for (std::size_t i = 0; i < s.size(); ++i)
+      EXPECT_NEAR(s[i], ref.s[i], 1e-9 * ref.s[0]) << "sigma_" << i;
+
+    const la::index order = comp.order_for_tolerance(tol);
+    EXPECT_EQ(order, tail_order(ref.s, tol));
+    const MatD v = comp.basis(order);
+    const auto cosines = la::singular_values(la::matmul_at(v, ref.u.columns(0, order)));
+    ASSERT_EQ(static_cast<la::index>(cosines.size()), order);
+    EXPECT_GT(cosines.back(), 1.0 - 1e-8);
   }
-  ASSERT_EQ(sys.n(), 400);
-  ASSERT_EQ(col, 80);
-  EXPECT_EQ(comp.rank(), 60);
-
-  const la::SvdResult ref = la::svd(stacked);
-  const auto s = comp.singular_values();
-  ASSERT_EQ(static_cast<la::index>(s.size()), comp.rank());
-  for (std::size_t i = 0; i < s.size(); ++i)
-    EXPECT_NEAR(s[i], ref.s[i], 1e-9 * ref.s[0]) << "sigma_" << i;
-
-  const la::index order = comp.order_for_tolerance(tol);
-  EXPECT_EQ(order, tail_order(ref.s, tol));
-  const MatD v = comp.basis(order);
-  const auto cosines = la::singular_values(la::matmul_at(v, ref.u.columns(0, order)));
-  ASSERT_EQ(static_cast<la::index>(cosines.size()), order);
-  EXPECT_GT(cosines.back(), 1.0 - 1e-8);
 }
 
 }  // namespace

@@ -22,10 +22,10 @@ class ScopedThreads {
   ~ScopedThreads() { util::set_global_threads(util::resolve_num_threads(nullptr)); }
 };
 
-DescriptorSystem mesh_system() {
+DescriptorSystem mesh_system(la::index side = 10) {
   circuit::RcMeshParams p;
-  p.rows = 10;
-  p.cols = 10;
+  p.rows = side;
+  p.cols = side;
   p.num_ports = 3;
   return circuit::make_rc_mesh(p);
 }
@@ -38,9 +38,9 @@ void expect_bit_identical(const MatD& a, const MatD& b) {
       EXPECT_EQ(a(i, j), b(i, j)) << "entry (" << i << ", " << j << ")";
 }
 
-PmtbrResult run_pmtbr(int threads, bool adaptive_stop) {
+PmtbrResult run_pmtbr(int threads, bool adaptive_stop, la::index side = 10) {
   ScopedThreads guard(threads);
-  const auto sys = mesh_system();  // fresh system: no caches shared across runs
+  const auto sys = mesh_system(side);  // fresh system: no caches shared across runs
   PmtbrOptions opts;
   opts.bands = {Band{1e5, 5e10}};
   opts.num_samples = 16;
@@ -55,17 +55,21 @@ PmtbrResult run_pmtbr(int threads, bool adaptive_stop) {
 }
 
 TEST(ParallelDeterminism, PmtbrMatchesSerialBitForBit) {
-  const auto serial = run_pmtbr(1, false);
-  const auto parallel = run_pmtbr(4, false);
+  // n = 100, and n = 1024 so the compressor factors tall residual blocks.
+  for (const la::index side : {la::index{10}, la::index{32}}) {
+    SCOPED_TRACE(::testing::Message() << side << "x" << side << " mesh");
+    const auto serial = run_pmtbr(1, false, side);
+    const auto parallel = run_pmtbr(4, false, side);
 
-  expect_bit_identical(serial.model.v, parallel.model.v);
-  expect_bit_identical(serial.model.system.a(), parallel.model.system.a());
-  expect_bit_identical(serial.model.system.b(), parallel.model.system.b());
-  expect_bit_identical(serial.model.system.c(), parallel.model.system.c());
-  expect_bit_identical(serial.model.system.e(), parallel.model.system.e());
-  ASSERT_EQ(serial.model.singular_values.size(), parallel.model.singular_values.size());
-  for (std::size_t i = 0; i < serial.model.singular_values.size(); ++i)
-    EXPECT_EQ(serial.model.singular_values[i], parallel.model.singular_values[i]);
+    expect_bit_identical(serial.model.v, parallel.model.v);
+    expect_bit_identical(serial.model.system.a(), parallel.model.system.a());
+    expect_bit_identical(serial.model.system.b(), parallel.model.system.b());
+    expect_bit_identical(serial.model.system.c(), parallel.model.system.c());
+    expect_bit_identical(serial.model.system.e(), parallel.model.system.e());
+    ASSERT_EQ(serial.model.singular_values.size(), parallel.model.singular_values.size());
+    for (std::size_t i = 0; i < serial.model.singular_values.size(); ++i)
+      EXPECT_EQ(serial.model.singular_values[i], parallel.model.singular_values[i]);
+  }
 }
 
 TEST(ParallelDeterminism, AdaptiveStopCommitsIdenticalSamplePrefix) {

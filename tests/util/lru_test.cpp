@@ -1,6 +1,6 @@
 // Unit tests for the caching substrate (docs/SERVING.md): content
-// fingerprints, the PMTBR_CACHE_BYTES budget parser, the byte-bounded LRU
-// with pinning, and the single-flight gate's leader/follower protocol.
+// fingerprints, the PMTBR_CACHE_BYTES budget parser, the byte-bounded LRU,
+// and the single-flight gate's leader/follower protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -119,14 +119,14 @@ TEST_F(CacheByteBudget, MalformedValuesFallBack) {
 using IntCache = LruCache<int, int>;
 
 TEST(LruCacheTest, DisabledCacheIgnoresPuts) {
-  IntCache cache({0, 0});
+  IntCache cache(0);
   EXPECT_FALSE(cache.enabled());
   EXPECT_FALSE(cache.put(1, 10, 8).inserted);
   EXPECT_FALSE(cache.get(1).has_value());
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsedPastByteBudget) {
-  IntCache cache({0, 100});
+  IntCache cache(100);
   cache.put(1, 10, 40);
   cache.put(2, 20, 40);
   EXPECT_EQ(*cache.get(1), 10);  // 1 is now most recently used
@@ -144,17 +144,8 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsedPastByteBudget) {
   EXPECT_EQ(st.evictions, 1);
 }
 
-TEST(LruCacheTest, EntryCapEvictsIndependentlyOfBytes) {
-  IntCache cache({2, 1 << 20});
-  cache.put(1, 10, 1);
-  cache.put(2, 20, 1);
-  cache.put(3, 30, 1);
-  EXPECT_FALSE(cache.get(1).has_value());
-  EXPECT_EQ(cache.stats().entries, 2);
-}
-
 TEST(LruCacheTest, ReplacingAKeyReportsReleasedBytes) {
-  IntCache cache({0, 100});
+  IntCache cache(100);
   cache.put(1, 10, 60);
   const EvictionReport ev = cache.put(1, 11, 50);
   EXPECT_TRUE(ev.inserted);
@@ -165,23 +156,8 @@ TEST(LruCacheTest, ReplacingAKeyReportsReleasedBytes) {
   EXPECT_EQ(cache.stats().entries, 1);
 }
 
-TEST(LruCacheTest, PinnedEntriesSurviveEviction) {
-  IntCache cache({0, 80});
-  cache.put(1, 10, 40);
-  ASSERT_TRUE(cache.pin(1));
-  cache.put(2, 20, 40);
-  cache.put(3, 30, 40);  // over budget: 2 (unpinned LRU) goes, 1 stays
-  EXPECT_TRUE(cache.get(1).has_value());
-  EXPECT_FALSE(cache.get(2).has_value());
-  EXPECT_TRUE(cache.get(3).has_value());
-
-  EXPECT_TRUE(cache.unpin(1));
-  EXPECT_FALSE(cache.unpin(1));  // pins don't go negative
-  EXPECT_FALSE(cache.pin(99));   // absent key
-}
-
 TEST(LruCacheTest, ClearKeepsMonotonicTotals) {
-  IntCache cache({0, 100});
+  IntCache cache(100);
   cache.put(1, 10, 10);
   (void)cache.get(1);
   (void)cache.get(2);

@@ -11,8 +11,8 @@ built. Sanctioned exceptions are allowlisted with a justification.
 The check finds each ``parallel_for(...)`` / ``parallel_map<...>(...)`` /
 ``parallel_try_map<...>(...)`` call in src/, brace-matches the lambda
 argument's body, and flags allocation expressions inside it — including
-``Matrix`` declarations, whose storage is a heap-backed vector (the GEMM /
-TSQR kernels pack into caller-allocated buffers for exactly this reason).
+``Matrix`` declarations, whose storage is a heap-backed vector (the GEMM
+kernel packs into caller-allocated buffers for exactly this reason).
 """
 
 from __future__ import annotations
