@@ -5,6 +5,7 @@
 // EXPERIMENTS.md can quote them directly.
 #pragma once
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -14,6 +15,7 @@
 #include "util/csv.hpp"
 #include "util/obs/json.hpp"
 #include "util/obs/manifest.hpp"
+#include "util/timer.hpp"
 
 namespace pmtbr::bench {
 
@@ -35,6 +37,19 @@ inline void banner(const std::string& experiment, const std::string& description
 }
 
 inline void note(const std::string& text) { std::cout << "# " << text << "\n"; }
+
+/// Best-of-`reps` wall time of `fn` after one untimed warmup run.
+template <typename Fn>
+double best_seconds(int reps, Fn&& fn) {
+  fn();
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer t;
+    fn();
+    best = std::min(best, t.seconds());
+  }
+  return best;
+}
 
 /// One machine-readable timing measurement. `label` distinguishes runs of
 /// the same bench (e.g. "pmtbr_threads=4"); `n` is the state count and

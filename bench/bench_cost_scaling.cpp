@@ -1,6 +1,7 @@
 // Sec. III-C reproduction (the paper's cost comparison): wall-clock scaling
 // of TBR (O(n^3)), PRIMA, and PMTBR on RC lines of growing size, via
-// google-benchmark.
+// google-benchmark. The JSON records also time the shifted refactor + solve
+// under each fill-reducing ordering, and the orderings themselves.
 //
 // Paper shape: TBR's cubic cost limits it to small/medium problems; PRIMA
 // and PMTBR scale with the sparse-solve cost (PMTBR pays one factorization
@@ -8,6 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -16,6 +20,8 @@
 #include "mor/pmtbr.hpp"
 #include "mor/prima.hpp"
 #include "mor/tbr.hpp"
+#include "sparse/amd.hpp"
+#include "sparse/rcm.hpp"
 #include "sparse/splu.hpp"
 #include "util/obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -193,12 +199,83 @@ std::vector<bench::TimingRecord> run_parallel_sweep() {
   return records;
 }
 
+// Best of three timed passes of 20 shifted refactor + solve steps against one
+// symbolic analysis frozen at the first shift. A replay rejected for a
+// degenerate pivot falls back to a full factor, as DescriptorSystem does.
+double refactor_solve_seconds(const DescriptorSystem& sys, const std::vector<la::index>& perm) {
+  std::vector<la::cd> shifts;
+  for (int k = 0; k < 20; ++k) shifts.emplace_back(0.0, 1e6 * std::pow(10.0, 0.25 * k));
+  const la::MatC b = la::to_complex(sys.b());
+  const sparse::SymbolicLuC symbolic(sparse::shifted_pencil(shifts.front(), sys.e(), sys.a()),
+                                     perm);
+  return bench::best_seconds(3, [&] {
+    for (const la::cd s : shifts) {
+      const sparse::CsrC pencil = sparse::shifted_pencil(s, sys.e(), sys.a());
+      auto lu = sparse::SparseLuC::refactor(symbolic, pencil);
+      if (!lu.is_ok()) lu = sparse::SparseLuC::factor(pencil, perm);
+      benchmark::DoNotOptimize(lu.value().solve(b).rows());
+    }
+  });
+}
+
+// Both sides of DescriptorSystem::ordering()'s rule: the RC mesh (symmetric
+// pencil, AMD) and the RLC connector (RCM), each under RCM, under AMD and
+// under the selected ordering, plus the cost of each ordering itself per
+// mesh size.
+std::vector<bench::TimingRecord> run_ordering_records() {
+  std::vector<bench::TimingRecord> records;
+  const auto pattern = [](const DescriptorSystem& sys) {
+    return sparse::combine(1.0, sys.e(), 1.0, sys.a());
+  };
+  const auto mesh = [](la::index k) {
+    circuit::RcMeshParams mp;
+    mp.rows = k;
+    mp.cols = k;
+    mp.num_ports = 1;
+    return circuit::make_rc_mesh(mp);
+  };
+
+  const std::vector<std::pair<std::string, DescriptorSystem>> systems{
+      {"mesh40", mesh(40)}, {"connector", circuit::make_connector()}};
+  for (const auto& [name, sys] : systems) {
+    const auto rcm = sparse::rcm_ordering(pattern(sys));
+    const double rcm_secs = refactor_solve_seconds(sys, rcm);
+    const double amd_secs = refactor_solve_seconds(sys, sparse::amd_ordering(pattern(sys)));
+    const double selected_secs = refactor_solve_seconds(sys, sys.ordering());
+    records.push_back({"refactor_solve_" + name + "_rcm", rcm_secs, sys.n(), 20, 1});
+    records.push_back({"refactor_solve_" + name + "_amd", amd_secs, sys.n(), 20, 1});
+    records.push_back({"refactor_solve_" + name + "_selected", selected_secs, sys.n(), 20, 1});
+    bench::note("20-shift refactor+solve " + name + " n=" + std::to_string(sys.n()) +
+                ": rcm=" + std::to_string(rcm_secs) + " s, amd=" + std::to_string(amd_secs) +
+                " s, selected (" + (sys.ordering() == rcm ? "rcm" : "amd") +
+                ")=" + std::to_string(selected_secs) + " s");
+  }
+
+  for (const la::index k : {14, 40, 100}) {
+    const sparse::CsrD p = pattern(mesh(k));
+    const std::string size = std::to_string(k) + "x" + std::to_string(k);
+    const double rcm_secs = bench::best_seconds(20, [&] {
+      benchmark::DoNotOptimize(sparse::rcm_ordering(p).data());
+    });
+    const double amd_secs = bench::best_seconds(20, [&] {
+      benchmark::DoNotOptimize(sparse::amd_ordering(p).data());
+    });
+    records.push_back({"ordering_rcm_" + size, rcm_secs, p.rows(), 0, 1});
+    records.push_back({"ordering_amd_" + size, amd_secs, p.rows(), 0, 1});
+    bench::note("ordering " + size + " mesh: rcm=" + std::to_string(rcm_secs * 1e3) +
+                " ms, amd=" + std::to_string(amd_secs * 1e3) + " ms");
+  }
+  return records;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   pmtbr::bench::banner("cost_scaling",
-                       "TBR/PRIMA/PMTBR wall-clock scaling + thread sweep + symbolic reuse");
-  const auto records = run_parallel_sweep();
+                       "TBR/PRIMA/PMTBR wall-clock scaling + thread sweep + symbolic reuse "
+                       "+ fill-reducing orderings");
+  auto records = run_parallel_sweep();
+  for (auto& r : run_ordering_records()) records.push_back(std::move(r));
   const std::string json = pmtbr::bench::write_timing_json("cost_scaling", records);
   if (!json.empty()) pmtbr::bench::note("timing JSON: " + json);
 

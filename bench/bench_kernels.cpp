@@ -45,19 +45,6 @@ MatC random_cmat(Rng& rng, index m, index n) {
   return a;
 }
 
-/// Best-of-`reps` wall time of `fn` after one untimed warmup run.
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  fn();
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
-
 void gemm_records(std::vector<bench::TimingRecord>& records) {
   Rng rng(7);
   for (const index n : {index{128}, index{256}, index{512}}) {
@@ -66,8 +53,8 @@ void gemm_records(std::vector<bench::TimingRecord>& records) {
     const MatD b = random_mat(rng, n, n);
     const double dn = static_cast<double>(n);
     const double flops = 2.0 * dn * dn * dn;
-    const double t_ref = best_seconds(reps, [&] { la::matmul_reference(a, b); });
-    const double t_blk = best_seconds(reps, [&] { la::matmul(a, b); });
+    const double t_ref = bench::best_seconds(reps, [&] { la::matmul_reference(a, b); });
+    const double t_blk = bench::best_seconds(reps, [&] { la::matmul(a, b); });
     records.push_back({"gemm_double_reference_n=" + std::to_string(n), t_ref, n, 0, 1,
                        flops / t_ref / 1e9});
     records.push_back({"gemm_double_blocked_n=" + std::to_string(n), t_blk, n, 0, 1,
@@ -80,8 +67,9 @@ void gemm_records(std::vector<bench::TimingRecord>& records) {
     const MatC ac = random_cmat(rng, n, n);
     const MatC bc = random_cmat(rng, n, n);
     const double cflops = 8.0 * dn * dn * dn;  // real flops
-    const double tc_ref = best_seconds(std::max(1, reps - 1), [&] { la::matmul_reference(ac, bc); });
-    const double tc_blk = best_seconds(reps, [&] { la::matmul(ac, bc); });
+    const double tc_ref =
+        bench::best_seconds(std::max(1, reps - 1), [&] { la::matmul_reference(ac, bc); });
+    const double tc_blk = bench::best_seconds(reps, [&] { la::matmul(ac, bc); });
     records.push_back({"gemm_complex_reference_n=" + std::to_string(n), tc_ref, n, 0, 1,
                        cflops / tc_ref / 1e9});
     records.push_back({"gemm_complex_blocked_n=" + std::to_string(n), tc_blk, n, 0, 1,
@@ -102,8 +90,8 @@ void qr_records(std::vector<bench::TimingRecord>& records) {
   // equally and the ratio stays meaningful.
   const double dm = static_cast<double>(m), dn = static_cast<double>(n);
   const double flops = 2.0 * dn * dn * (dm - dn / 3.0);
-  const double t_ref = best_seconds(2, [&] { la::qr_reference(a); });
-  const double t_blk = best_seconds(3, [&] { la::qr(a); });
+  const double t_ref = bench::best_seconds(2, [&] { la::qr_reference(a); });
+  const double t_blk = bench::best_seconds(3, [&] { la::qr(a); });
   records.push_back({"qr_double_reference_768x384", t_ref, m, 0, 1, flops / t_ref / 1e9});
   records.push_back({"qr_double_blocked_768x384", t_blk, m, 0, 1, flops / t_blk / 1e9});
   bench::note("qr 768x384: blocked " + std::to_string(t_blk) + " s, reference " +
@@ -146,8 +134,8 @@ void compressor_records(std::vector<bench::TimingRecord>& records) {
     for (const auto& blk : blocks) comp.add_columns(blk);
     return comp.rank();
   };
-  const double t_ref = best_seconds(2, [&] { run(mor::CompressorMode::kReference); });
-  const double t_blk = best_seconds(2, [&] { run(mor::CompressorMode::kBlocked); });
+  const double t_ref = bench::best_seconds(2, [&] { run(mor::CompressorMode::kReference); });
+  const double t_blk = bench::best_seconds(2, [&] { run(mor::CompressorMode::kBlocked); });
   const long cols = static_cast<long>(block_cols * num_blocks);
   records.push_back({"compression_reference", t_ref, n, cols, 1});
   records.push_back({"compression_blocked", t_blk, n, cols, 1});

@@ -6,6 +6,7 @@
 #include "la/cholesky.hpp"
 #include "la/lu.hpp"
 #include "la/ops.hpp"
+#include "sparse/amd.hpp"
 #include "sparse/factor_cache.hpp"
 #include "sparse/rcm.hpp"
 #include "sparse/splu.hpp"
@@ -62,8 +63,11 @@ const std::vector<index>& DescriptorSystem::ordering() const {
 
 const std::vector<index>& DescriptorSystem::ordering_locked(Cache& cache) const {
   if (!cache.ordering) {
+    PMTBR_TRACE_SCOPE("descriptor.ordering");
     const sparse::CsrD pattern = sparse::combine(1.0, e_, 1.0, a_);
-    cache.ordering = std::make_shared<const std::vector<index>>(sparse::rcm_ordering(pattern));
+    const bool symmetric = sparse::is_symmetric(e_) && sparse::is_symmetric(a_);
+    cache.ordering = std::make_shared<const std::vector<index>>(
+        symmetric ? sparse::amd_ordering(pattern) : sparse::rcm_ordering(pattern));
   }
   return *cache.ordering;
 }

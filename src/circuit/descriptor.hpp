@@ -7,9 +7,10 @@
 // and A for every shift, one symbolic LU analysis (pivot order + fill
 // pattern) serves all shifts: the first solve performs the full
 // Gilbert–Peierls factorization and every further shift is a cheap numeric
-// refactorization. Both the RCM ordering and the symbolic analysis are
-// cached behind a mutex, so concurrent solve_shifted calls from the thread
-// pool are safe.
+// refactorization. The fill-reducing ordering (approximate minimum degree
+// for symmetric pencils, RCM otherwise; see ordering()) and the symbolic
+// analysis are cached behind a mutex, so concurrent solve_shifted calls
+// from the thread pool are safe.
 #pragma once
 
 #include <memory>
@@ -58,8 +59,14 @@ class DescriptorSystem {
   /// Transfer function H(s) = C (sE - A)^{-1} B.
   la::MatC transfer(la::cd s) const;
 
-  /// Fill-reducing ordering of the union pattern, computed lazily and
-  /// cached; safe to call concurrently.
+  /// Fill-reducing ordering of the union pattern of E and A, computed
+  /// lazily and cached; safe to call concurrently. When E and A are both
+  /// exactly symmetric (every RC network) it is sparse::amd_ordering: the
+  /// pencil's pivots stay on the diagonal, the symmetric elimination AMD
+  /// plans for, and a 2-D mesh factors with about half of RCM's fill.
+  /// Otherwise (RLC MNA, where A couples node voltages and inductor
+  /// currents antisymmetrically) it is sparse::rcm_ordering. The rule reads
+  /// only E and A.
   const std::vector<la::index>& ordering() const;
 
   // Non-throwing variants for the fault-tolerant sampling pipeline
@@ -111,7 +118,8 @@ class DescriptorSystem {
     std::shared_ptr<const util::Fingerprint> fingerprint PMTBR_GUARDED_BY(mutex);
   };
 
-  /// Builds (first call) or reads the cached RCM ordering. The caller must
+  /// Builds (first call, under the descriptor.ordering trace scope) or reads
+  /// the cached ordering chosen by the rule of ordering(). The caller must
   /// hold `cache.mutex` — enforced at compile time under -Wthread-safety.
   const std::vector<la::index>& ordering_locked(Cache& cache) const
       PMTBR_REQUIRES(cache.mutex);

@@ -160,6 +160,32 @@ CsrC to_complex(const CsrD& a) {
   return CsrC(a.rows(), a.cols(), a.row_ptr(), a.col_idx(), std::move(v));
 }
 
+bool is_symmetric(const CsrD& a) {
+  if (a.rows() != a.cols()) return false;
+  const index n = a.rows();
+  const auto& ptr = a.row_ptr();
+  const auto& col = a.col_idx();
+  const auto& val = a.values();
+  // A^T by counting sort: scanning rows in order leaves each row of A^T
+  // sorted, so a canonical A equals it slot for slot.
+  std::vector<index> tptr(static_cast<std::size_t>(n) + 1, 0);
+  for (const index j : col) ++tptr[static_cast<std::size_t>(j) + 1];
+  for (index j = 0; j < n; ++j)
+    tptr[static_cast<std::size_t>(j) + 1] += tptr[static_cast<std::size_t>(j)];
+  if (tptr != ptr) return false;
+  std::vector<index> tcol(a.nnz());
+  std::vector<double> tval(a.nnz());
+  std::vector<index> next(tptr.begin(), tptr.end() - 1);
+  for (index i = 0; i < n; ++i)
+    for (index k = ptr[static_cast<std::size_t>(i)]; k < ptr[static_cast<std::size_t>(i) + 1];
+         ++k) {
+      const index pos = next[static_cast<std::size_t>(col[static_cast<std::size_t>(k)])]++;
+      tcol[static_cast<std::size_t>(pos)] = i;
+      tval[static_cast<std::size_t>(pos)] = val[static_cast<std::size_t>(k)];
+    }
+  return tcol == col && tval == val;
+}
+
 template class Csr<double>;
 template class Csr<cd>;
 template Csr<double> combine(double, const Csr<double>&, double, const Csr<double>&);

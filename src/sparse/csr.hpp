@@ -101,6 +101,11 @@ CsrC shifted_pencil(cd s, const CsrD& e, const CsrD& a);
 /// Complex copy of a real sparse matrix.
 CsrC to_complex(const CsrD& a);
 
+/// True when A is square and its stored arrays equal those of A^T entry by
+/// entry: same pattern, same values. Conservative for non-canonical CSR
+/// (unsorted rows or duplicate entries read as unsymmetric).
+bool is_symmetric(const CsrD& a);
+
 // Make the la:: scalar/vector/matrix overloads part of this namespace's
 // overload set so unqualified is_finite() (as expanded by
 // PMTBR_CHECK_FINITE) resolves for every argument type.

@@ -73,8 +73,14 @@ std::vector<index> rcm_ordering(const CsrD& a) {
 }
 
 std::vector<index> invert_permutation(const std::vector<index>& p) {
-  std::vector<index> inv(p.size());
-  for (std::size_t k = 0; k < p.size(); ++k) inv[static_cast<std::size_t>(p[k])] = static_cast<index>(k);
+  const index n = static_cast<index>(p.size());
+  std::vector<index> inv(p.size(), -1);
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    const index v = p[k];
+    PMTBR_REQUIRE(0 <= v && v < n && inv[static_cast<std::size_t>(v)] < 0,
+                  "not a permutation: every index in [0, n) must appear exactly once");
+    inv[static_cast<std::size_t>(v)] = static_cast<index>(k);
+  }
   return inv;
 }
 

@@ -1,8 +1,11 @@
-// Reverse Cuthill–McKee fill-reducing ordering.
+// Reverse Cuthill–McKee bandwidth-reducing ordering, plus the permutation
+// helpers every ordering shares.
 //
-// Circuit MNA matrices from grids/trees have small graph bandwidth under
-// RCM, which keeps the Gilbert–Peierls LU fill (and hence the cost of the
-// many shifted solves in PMTBR) near-linear.
+// RCM keeps the fill of lines and trees near-linear but lets the fill of a
+// 2-D mesh grow like n^1.5, where approximate minimum degree
+// (sparse/amd.hpp) roughly halves it. DescriptorSystem::ordering() keeps
+// RCM for pencils that are not exactly symmetric (RLC MNA): partial
+// pivoting there moves away from the symmetric elimination AMD plans for.
 #pragma once
 
 #include <vector>
@@ -15,7 +18,8 @@ namespace pmtbr::sparse {
 /// Returns perm such that the reordered matrix is B(i,j) = A(perm[i], perm[j]).
 std::vector<index> rcm_ordering(const CsrD& a);
 
-/// Inverse of a permutation.
+/// Inverse of a permutation. Throws std::invalid_argument unless p holds
+/// every index in [0, p.size()) exactly once.
 std::vector<index> invert_permutation(const std::vector<index>& p);
 
 /// Symmetric permutation B = A(perm, perm).

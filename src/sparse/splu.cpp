@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "sparse/rcm.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
@@ -14,9 +15,10 @@ namespace pmtbr::sparse {
 namespace {
 
 // Compressed-sparse-column view of a CSR matrix after a symmetric
-// permutation: column j holds rows of A(q, q)(:, j). `slot` remembers the
-// originating CSR value slot of each entry so a numeric refactorization can
-// scatter straight from a same-pattern matrix's value array.
+// permutation: column j holds rows of A(q, q)(:, j), where inv = q^{-1}.
+// `slot` remembers the originating CSR value slot of each entry so a
+// numeric refactorization can scatter straight from a same-pattern
+// matrix's value array.
 template <typename T>
 struct Csc {
   std::vector<index> ptr, row, slot;
@@ -24,14 +26,8 @@ struct Csc {
 };
 
 template <typename T>
-Csc<T> to_permuted_csc(const Csr<T>& a, const std::vector<index>& q) {
+Csc<T> to_permuted_csc(const Csr<T>& a, const std::vector<index>& inv) {
   const index n = a.rows();
-  const auto inv = [&] {
-    std::vector<index> v(static_cast<std::size_t>(n));
-    for (index k = 0; k < n; ++k) v[static_cast<std::size_t>(q[static_cast<std::size_t>(k)])] = k;
-    return v;
-  }();
-
   Csc<T> c;
   c.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
   for (index i = 0; i < n; ++i)
@@ -89,10 +85,12 @@ util::Expected<SparseLu<T>> SparseLu<T>::factor(const Csr<T>& a, std::vector<ind
     PMTBR_REQUIRE(static_cast<index>(perm.size()) == a.rows(), "perm length mismatch");
     pattern->q = std::move(perm);
   }
+  const std::vector<index> qinv = invert_permutation(pattern->q);  // rejects a non-permutation
   SparseLu<T> lu;
-  util::Status st = lu.factor(a, *pattern);
+  util::Status st = lu.factor(a, *pattern, qinv);
   if (!st.is_ok()) return st;
   lu.pattern_ = std::move(pattern);
+  obs::counter_add(obs::Counter::kSparseLuFactorEntries, lu.factor_entries());
   return lu;
 }
 
@@ -132,16 +130,18 @@ util::Expected<SparseLu<T>> SparseLu<T>::refactor(const SymbolicLu<T>& symbolic,
     return st;
   }
   obs::counter_add(obs::Counter::kSparseLuRefactor);
+  obs::counter_add(obs::Counter::kSparseLuFactorEntries, lu.factor_entries());
   return lu;
 }
 
 template <typename T>
-util::Status SparseLu<T>::factor(const Csr<T>& a, detail::LuPattern<T>& pat) {
+util::Status SparseLu<T>::factor(const Csr<T>& a, detail::LuPattern<T>& pat,
+                                 const std::vector<index>& qinv) {
   PMTBR_TRACE_SCOPE("splu.full_factor");
   obs::counter_add(obs::Counter::kSparseLuFullFactor);
   if (util::fault::should_fail(util::fault::Site::kSpluPivot))
     return util::Status(util::ErrorCode::kInjectedFault, "splu.pivot fault injected");
-  const Csc<T> ap = to_permuted_csc(a, pat.q);
+  const Csc<T> ap = to_permuted_csc(a, qinv);
   const index n = pat.n;
 
   pat.pinv.assign(static_cast<std::size_t>(n), -1);

@@ -1,6 +1,8 @@
 // Sparse LU factorization (Gilbert–Peierls left-looking, partial pivoting)
-// templated on scalar, with optional symmetric fill-reducing pre-ordering —
-// split into a reusable symbolic analysis and a cheap numeric phase.
+// templated on scalar, with optional symmetric fill-reducing pre-ordering
+// (sparse/amd.hpp or sparse/rcm.hpp; DescriptorSystem::ordering() picks one
+// per pencil) — split into a reusable symbolic analysis and a cheap numeric
+// phase.
 //
 // This is the workhorse behind every shifted solve (s_k E - A)^{-1} B in
 // PMTBR, the transient integrator, and AC sweeps. All shifted pencils
@@ -11,6 +13,7 @@
 // that touches each stored nonzero exactly once.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -103,9 +106,12 @@ class SymbolicLu {
 template <typename T>
 class SparseLu {
  public:
-  /// Factors A (square) from scratch. If `perm` is nonempty it is applied
-  /// symmetrically (rows and columns) before factorization; partial
-  /// pivoting still permutes rows within the factorization for stability.
+  /// Factors A (square) from scratch. If `perm` is nonempty it must hold
+  /// every index in [0, n) exactly once (std::invalid_argument otherwise)
+  /// and is applied symmetrically (rows and columns) before factorization:
+  /// B(i,j) = A(perm[i], perm[j]), the convention of rcm_ordering and
+  /// amd_ordering. Partial pivoting still permutes rows within the
+  /// factorization for stability.
   /// Throws util::StatusError on a singular matrix — prefer factor() where
   /// singularity is an expected, recoverable event (e.g. a quadrature shift
   /// landing on a pole).
@@ -156,7 +162,11 @@ class SparseLu {
  private:
   friend class SymbolicLu<T>;
   SparseLu() = default;
-  util::Status factor(const Csr<T>& a, detail::LuPattern<T>& pat);
+  util::Status factor(const Csr<T>& a, detail::LuPattern<T>& pat, const std::vector<index>& qinv);
+  /// nnz(L+U) with U's diagonal, the sparse_lu_factor_entries increment.
+  std::int64_t factor_entries() const {
+    return static_cast<std::int64_t>(nnz_factors()) + static_cast<std::int64_t>(n());
+  }
   util::Status refactor(const Csr<T>& a, const SolveOptions& opts);
 
   std::shared_ptr<const detail::LuPattern<T>> pattern_;

@@ -27,6 +27,7 @@ enum class Counter : int {
   kSparseLuFullFactor,     // full Gilbert–Peierls factorizations (incl. symbolic builds)
   kSparseLuRefactor,       // numeric-only replays that succeeded
   kSparseLuRefactorReject, // replays rejected for a degenerate frozen pivot
+  kSparseLuFactorEntries,  // nnz(L+U) summed over successful full factors and refactors
   // shifted-pencil cache (src/circuit/descriptor.cpp)
   kSymbolicCacheHit,       // solve found the frozen symbolic analysis ready
   kSymbolicCacheMiss,      // solve had to build the symbolic analysis

@@ -10,6 +10,8 @@
 #include "la/eig_sym.hpp"
 #include "la/lu.hpp"
 #include "la/ops.hpp"
+#include "sparse/amd.hpp"
+#include "sparse/rcm.hpp"
 #include "helpers.hpp"
 
 namespace pmtbr::circuit {
@@ -174,6 +176,40 @@ TEST(DescriptorContract, WithPortsRejectsOutOfRangeIndex) {
     EXPECT_THROW((void)sys.with_ports({sys.num_inputs()}, restrict_outputs),
                  std::invalid_argument);
   }
+}
+
+TEST(Descriptor, OrderingFollowsPencilSymmetry) {
+  const auto pattern = [](const DescriptorSystem& s) {
+    return sparse::combine(1.0, s.e(), 1.0, s.a());
+  };
+  // RC pencils have symmetric E and A: approximate minimum degree.
+  RcMeshParams mp;
+  mp.rows = 8;
+  mp.cols = 8;
+  mp.num_ports = 2;
+  const auto mesh = make_rc_mesh(mp);
+  EXPECT_EQ(mesh.ordering(), sparse::amd_ordering(pattern(mesh)));
+  EXPECT_NE(mesh.ordering(), sparse::rcm_ordering(pattern(mesh)));
+
+  // A floating (node-to-node) capacitor makes E non-diagonal, still symmetric.
+  Netlist nl;
+  nl.ensure_node(12);
+  for (index k = 1; k <= 12; ++k) {
+    nl.add_capacitor(k, 0, 1e-12);
+    if (k < 12) nl.add_resistor(k, k + 1, 10.0);
+    if (k + 4 <= 12) nl.add_resistor(k, k + 4, 20.0);
+  }
+  nl.add_capacitor(3, 9, 5e-13);
+  nl.add_port(1);
+  const auto rc = assemble_mna(nl);
+  EXPECT_EQ(rc.ordering(), sparse::amd_ordering(pattern(rc)));
+  EXPECT_NE(rc.ordering(), sparse::rcm_ordering(pattern(rc)));
+
+  // RLC MNA couples node voltages and inductor currents antisymmetrically:
+  // A is not symmetric, so the pencil keeps RCM.
+  const auto conn = make_connector();
+  EXPECT_EQ(conn.ordering(), sparse::rcm_ordering(pattern(conn)));
+  EXPECT_NE(conn.ordering(), sparse::amd_ordering(pattern(conn)));
 }
 
 TEST(Descriptor, DenseStandardMatchesTransfer) {

@@ -1,8 +1,10 @@
-// CSR storage, combine/shifted-pencil, RCM ordering, and sparse LU tests.
+// CSR storage, combine/shifted-pencil, RCM and AMD orderings, and sparse LU
+// tests.
 #include <gtest/gtest.h>
 
 #include "la/lu.hpp"
 #include "la/ops.hpp"
+#include "sparse/amd.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/rcm.hpp"
 #include "sparse/splu.hpp"
@@ -103,14 +105,15 @@ TEST(Csr, ShiftedPencil) {
 TEST(Rcm, PermutationIsValid) {
   Rng rng(43);
   const CsrD m = random_sparse(30, 0.1, rng);
-  const auto p = rcm_ordering(m);
-  ASSERT_EQ(p.size(), 30u);
-  std::vector<char> seen(30, 0);
-  for (index v : p) {
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 30);
-    EXPECT_FALSE(seen[static_cast<std::size_t>(v)]);
-    seen[static_cast<std::size_t>(v)] = 1;
+  for (const auto& p : {rcm_ordering(m), amd_ordering(m)}) {
+    ASSERT_EQ(p.size(), 30u);
+    std::vector<char> seen(30, 0);
+    for (index v : p) {
+      ASSERT_GE(v, 0);
+      ASSERT_LT(v, 30);
+      EXPECT_FALSE(seen[static_cast<std::size_t>(v)]);
+      seen[static_cast<std::size_t>(v)] = 1;
+    }
   }
 }
 
@@ -235,9 +238,11 @@ TEST_P(SparseLuSizes, ResidualSmallWithOrdering) {
   Rng rng(500 + static_cast<std::uint64_t>(n));
   const CsrD m = random_sparse(n, 4.0 / static_cast<double>(n), rng);
   const auto b = rng.normal_vec(static_cast<std::size_t>(n));
-  const auto x = SparseLuD(m, rcm_ordering(m)).solve(b);
-  const auto back = m.matvec(x);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-8);
+  for (const auto& perm : {rcm_ordering(m), amd_ordering(m)}) {
+    const auto x = SparseLuD(m, perm).solve(b);
+    const auto back = m.matvec(x);
+    for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-8);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseLuSizes, ::testing::Values(5, 10, 50, 100, 300));

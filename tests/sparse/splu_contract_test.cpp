@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/rcm.hpp"
 #include "sparse/splu.hpp"
 #include "util/faultinject.hpp"
 #include "util/status.hpp"
@@ -70,6 +71,20 @@ TEST(SpluContract, RhsLengthMismatchThrowsInvalidArgument) {
 
 TEST(SpluContract, BadPermutationLengthThrowsInvalidArgument) {
   EXPECT_THROW(SparseLuD(identity_csr(3), std::vector<index>{0, 1}), std::invalid_argument);
+}
+
+TEST(SpluContract, NonPermutationThrowsInvalidArgument) {
+  // Right length, but an index out of range or one index twice. Either
+  // would corrupt the factorization: an out-of-bounds write into the
+  // inverse permutation, or a silently wrong solve.
+  Triplets<double> t(3, 3);
+  for (index i = 0; i < 3; ++i) t.add(i, i, static_cast<double>(i + 1));
+  const CsrD m(t);
+  EXPECT_THROW(SparseLuD(m, std::vector<index>{0, 1, 5}), std::invalid_argument);
+  EXPECT_THROW(SparseLuD(m, std::vector<index>{0, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(invert_permutation({0, 1, 5}), std::invalid_argument);
+  EXPECT_THROW(invert_permutation({0, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(invert_permutation({-1, 0, 1}), std::invalid_argument);
 }
 
 TEST(SpluContract, NanValueCaughtWhenFiniteChecksOn) {

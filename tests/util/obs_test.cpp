@@ -19,6 +19,7 @@
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "sparse/factor_cache.hpp"
+#include "sparse/splu.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/json.hpp"
 #include "util/obs/manifest.hpp"
@@ -228,16 +229,33 @@ TEST_F(ObsSymbolicCache, HitsEqualShiftCountMinusOne) {
   // factor counts below see a cold cache.
   sparse::FactorCache::global().clear();
   reset_counters();
+  set_trace_enabled(true);
   constexpr int kShifts = 6;
   for (int k = 0; k < kShifts; ++k)
     (void)sys.solve_shifted(la::cd(0.0, 1e9 * (k + 1)), rhs);
+  set_trace_enabled(false);
 
   EXPECT_EQ(counter_value(Counter::kSymbolicCacheMiss), 1);
   EXPECT_EQ(counter_value(Counter::kSymbolicCacheHit), kShifts - 1);
   EXPECT_EQ(counter_value(Counter::kShiftedSolve), kShifts);
-  EXPECT_GE(counter_value(Counter::kSparseLuFullFactor) +
-                counter_value(Counter::kSparseLuRefactor),
-            kShifts);
+  const std::int64_t factors =
+      counter_value(Counter::kSparseLuFullFactor) + counter_value(Counter::kSparseLuRefactor);
+  EXPECT_GE(factors, kShifts);
+  // Every factor of the mesh pencil keeps the diagonal pivots the analysis
+  // froze, so each adds the same nnz(L+U).
+  const std::int64_t entries = counter_value(Counter::kSparseLuFactorEntries);
+  const sparse::SymbolicLuC analysis(sparse::shifted_pencil(la::cd(0.0, 1e9), sys.e(), sys.a()),
+                                     sys.ordering());
+  EXPECT_EQ(entries, factors * static_cast<std::int64_t>(analysis.nnz_factors()));
+  // The ordering is built once, under its own scope.
+  std::int64_t orderings = 0;
+  for (const auto& s : trace_snapshot()) {
+    const std::string leaf = "descriptor.ordering";
+    if (s.path.size() >= leaf.size() &&
+        s.path.compare(s.path.size() - leaf.size(), leaf.size(), leaf) == 0)
+      orderings += s.count;
+  }
+  EXPECT_EQ(orderings, 1);
 }
 
 TEST_F(ObsThreadPool, CountersStayConsistentWhenNestedWorkThrows) {
