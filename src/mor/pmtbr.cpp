@@ -259,6 +259,11 @@ class SamplingEngine {
   PmtbrResult finalize(index fixed_order, index max_order) {
     PMTBR_REQUIRE(!eff_.empty(), "frequency weighting suppresses every sample");
     enforce_coverage_floor(st_, opts_.resilience);
+    // Cancellation checkpoint before the projection: the compressor's first
+    // settle is a full SVD of the sample span and often the run's costliest
+    // serial step, so a cancel or deadline that lands during absorption
+    // stops here rather than after it.
+    opts_.cancel.throw_if_cancelled();
     PmtbrResult out;
     out.samples_used = used_;
     out.degradation = st_.report;
