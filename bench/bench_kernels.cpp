@@ -1,7 +1,7 @@
 // Kernel-level perf records for the blocked dense layer: GEMM (blocked vs.
 // the seed scalar triple loop), blocked compact-WY QR vs. the unblocked
-// reference, and the compressor's blocked block path vs. its per-column
-// reference mode.
+// reference, the compressor's blocked block path vs. its per-column
+// reference mode, and the compressor's fold (la::svd_right vs. la::svd).
 //
 // All dense-kernel records are single-threaded so the numbers isolate the
 // kernel (register tiling, packing, ISA dispatch) from thread scaling,
@@ -11,14 +11,18 @@
 // gemm_bytes counters; CI's perf-smoke job validates both artifacts.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
 #include "la/qr.hpp"
+#include "la/svd.hpp"
 #include "mor/compressor.hpp"
+#include "util/obs/counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -144,18 +148,59 @@ void compressor_records(std::vector<bench::TimingRecord>& records) {
               " s (" + std::to_string(t_ref / t_blk) + "x)");
 }
 
+void fold_records(std::vector<bench::TimingRecord>& records) {
+  // The compressor folds pending R columns by factoring the tall
+  // T = [diag(σ) ; Pᵀ·blkdiag(U, I)] for σ and V. fold_reference_<shape>
+  // times la::svd(T), which the fold ran before la::svd_right existed;
+  // fold_<shape> times la::svd_right(T). Shapes: a warm fold of
+  // mesh_adaptive's size (56 diagonal rows, σ geometric from 1 to 1e-10,
+  // over 4 dense rows scaled column by column with σ, the 4 newest
+  // directions at the smallest σ, as in real folds) and a random 400×174 T,
+  // the shape of bench_cost_scaling's one cold fold. gflops divides each
+  // kernel's own svd_flops count for one call by its time.
+  Rng rng(31);
+  const index s = 56, p = 4, k = 60;
+  MatD warm(s + p, k);
+  for (index i = 0; i < s; ++i)
+    warm(i, i) = std::pow(1e-10, static_cast<double>(i) / static_cast<double>(s - 1));
+  for (index r = s; r < s + p; ++r)
+    for (index j = 0; j < k; ++j) warm(r, j) = rng.normal() * (j < s ? warm(j, j) : 1e-10);
+  const MatD cold = random_mat(rng, 400, 174);
+
+  const auto counted_flops = [](auto&& fn) {
+    const std::int64_t before = obs::counter_value(obs::Counter::kSvdFlops);
+    fn();
+    return static_cast<double>(obs::counter_value(obs::Counter::kSvdFlops) - before);
+  };
+  const std::pair<std::string, const MatD*> shapes[] = {{"warm60x60", &warm},
+                                                        {"cold400x174", &cold}};
+  for (const auto& [shape, t] : shapes) {
+    const int reps = t->rows() <= 100 ? 20 : 3;
+    const double f_ref = counted_flops([&] { la::svd(*t); });
+    const double f_new = counted_flops([&] { la::svd_right(*t); });
+    const double t_ref = bench::best_seconds(reps, [&] { la::svd(*t); });
+    const double t_new = bench::best_seconds(reps, [&] { la::svd_right(*t); });
+    const long m = static_cast<long>(t->rows()), n = static_cast<long>(t->cols());
+    records.push_back({"fold_reference_" + shape, t_ref, m, n, 1, f_ref / t_ref / 1e9});
+    records.push_back({"fold_" + shape, t_new, m, n, 1, f_new / t_new / 1e9});
+    bench::note("fold " + shape + ": svd_right " + std::to_string(t_new) + " s, svd " +
+                std::to_string(t_ref) + " s (" + std::to_string(t_ref / t_new) + "x)");
+  }
+}
+
 }  // namespace
 
 int main() {
   pmtbr::bench::banner("kernels",
-                       "dense-kernel GFLOP/s: blocked GEMM/QR and compressor block path "
-                       "vs. their scalar references (single thread)");
+                       "dense-kernel GFLOP/s: blocked GEMM/QR, compressor block path and "
+                       "fold vs. their references (single thread)");
   pmtbr::util::set_global_threads(1);
 
   std::vector<pmtbr::bench::TimingRecord> records;
   gemm_records(records);
   qr_records(records);
   compressor_records(records);
+  fold_records(records);
 
   const std::string json = pmtbr::bench::write_timing_json("kernels", records);
   if (!json.empty()) pmtbr::bench::note("timing JSON: " + json);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "la/gemm_kernel.hpp"
 #include "la/ops.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
@@ -109,6 +110,115 @@ SvdResult svd_tall(const MatD& a, bool want_vectors, bool* converged = nullptr) 
   return out;
 }
 
+// Dot product of two contiguous rows, accumulated in eight partial sums so
+// the loop vectorizes (two independent 4-wide accumulators under AVX2)
+// without reassociating a single running sum.
+inline double row_dot(index n, const double* x, const double* y) {
+  double s[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  index i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (int l = 0; l < 8; ++l) s[l] += x[i + l] * y[i + l];
+  for (; i < n; ++i) s[0] += x[i] * y[i];
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+// Applies the Householder reflector I − β·v·vᵀ to columns [c0, c0+nc) of the
+// pivot row `head` (reflector entry vhead) and of the `count` rows `rows`
+// (entries v): s = β·vᵀ·block, block ← block − v·s, in row order like
+// qr.cpp's reflector_sweep. Multiversioned like the GEMM macrokernel.
+PMTBR_KERNEL_CLONES
+static void reflect_rows(index c0, index nc, double* head, double vhead, double* const* rows,
+                         const double* v, index count, double beta, double* s) {
+  for (index c = 0; c < nc; ++c) s[c] = vhead * head[c0 + c];
+  for (index r = 0; r < count; ++r) {
+    const double vr = v[r];
+    const double* row = rows[r] + c0;
+    for (index c = 0; c < nc; ++c) s[c] += vr * row[c];
+  }
+  for (index c = 0; c < nc; ++c) s[c] *= beta;
+  for (index c = 0; c < nc; ++c) head[c0 + c] -= vhead * s[c];
+  for (index r = 0; r < count; ++r) {
+    const double vr = v[r];
+    double* row = rows[r] + c0;
+    for (index c = 0; c < nc; ++c) row[c] -= vr * s[c];
+  }
+}
+
+// n×n upper-triangular R of the tall m×n matrix w = Q·R (Householder, Q
+// discarded). Reflector j is applied only to the pivot row and to the rows
+// with a nonzero in column j below it; the reflector is zero on every other
+// row, which it therefore leaves untouched. On a fold's T = [diag(σ) ; D]
+// each step touches one diagonal row plus the rows of D.
+MatD r_factor(MatD w) {
+  const index m = w.rows(), n = w.cols();
+  std::vector<double*> rows;
+  std::vector<double> v, s(static_cast<std::size_t>(n));
+  double flops = 0;
+  for (index j = 0; j < n; ++j) {
+    rows.clear();
+    v.clear();
+    double below2 = 0;
+    for (index i = j + 1; i < m; ++i) {
+      const double x = w(i, j);
+      if (x == 0.0) continue;
+      rows.push_back(w.row_ptr(i));
+      v.push_back(x);
+      below2 += x * x;
+    }
+    if (v.empty()) continue;
+    double* head = w.row_ptr(j);
+    const double alpha = head[j];
+    const double xnorm = std::sqrt(alpha * alpha + below2);
+    if (xnorm == 0.0) continue;  // the nonzeros underflow when squared
+    const double vhead = alpha + std::copysign(xnorm, alpha);
+    const double beta = 2.0 / (vhead * vhead + below2);
+    head[j] = -std::copysign(xnorm, alpha);
+    const auto count = static_cast<index>(v.size());
+    reflect_rows(j + 1, n - j - 1, head, vhead, rows.data(), v.data(), count, beta, s.data());
+    flops += 4.0 * static_cast<double>((count + 1) * (n - j - 1));
+  }
+  obs::counter_add(obs::Counter::kSvdFlops, static_cast<std::int64_t>(flops));
+  MatD r(n, n);
+  for (index i = 0; i < n; ++i) std::copy(w.row_ptr(i) + i, w.row_ptr(i) + n, r.row_ptr(i) + i);
+  return r;
+}
+
+// One sweep of one-sided Jacobi over the rows of the n×n row-major matrix r,
+// with jacobi_onesided's rotation and convergence test. nrm2 carries each
+// row's squared norm: recomputed at the start of the sweep, updated on every
+// rotation (a_pp ← a_pp − t·a_pq, a_qq ← a_qq + t·a_pq), and recomputed
+// from the row when that update cancels more than half of it (LAPACK
+// dgesvj's rule). Returns the number of rotations applied.
+PMTBR_KERNEL_CLONES
+static index jacobi_row_sweep(index n, double* r, double* nrm2) {
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (index i = 0; i < n; ++i) nrm2[i] = row_dot(n, r + i * n, r + i * n);
+  index rotations = 0;
+  for (index p = 0; p < n - 1; ++p) {
+    double* x = r + p * n;
+    for (index q = p + 1; q < n; ++q) {
+      double* y = r + q * n;
+      const double app = nrm2[p], aqq = nrm2[q];
+      const double apq = row_dot(n, x, y);
+      if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == 0.0) continue;
+      ++rotations;
+      const double tau = (aqq - app) / (2.0 * apq);
+      const double t = (tau >= 0 ? 1.0 : -1.0) / (std::abs(tau) + std::sqrt(1.0 + tau * tau));
+      const double c = 1.0 / std::sqrt(1.0 + t * t);
+      const double s = c * t;
+      for (index i = 0; i < n; ++i) {
+        const double xp = x[i], yq = y[i];
+        x[i] = c * xp - s * yq;
+        y[i] = s * xp + c * yq;
+      }
+      const double npp = app - t * apq, nqq = aqq + t * apq;
+      nrm2[p] = npp < 0.5 * app ? row_dot(n, x, x) : npp;
+      nrm2[q] = nqq < 0.5 * aqq ? row_dot(n, y, y) : nqq;
+    }
+  }
+  return rotations;
+}
+
 }  // namespace
 
 SvdResult svd(const MatD& a) {
@@ -150,6 +260,48 @@ std::vector<double> singular_values(const MatD& a) {
   PMTBR_CHECK_FINITE(a, "singular_values input matrix");
   if (a.rows() >= a.cols()) return svd_tall(a, false).s;
   return svd_tall(transpose(a), false).s;
+}
+
+SvdRightResult svd_right(const MatD& a) {
+  PMTBR_REQUIRE(!a.empty(), "svd_right of empty matrix");
+  PMTBR_REQUIRE(a.rows() >= a.cols(), "svd_right needs a tall matrix (rows >= cols)");
+  PMTBR_CHECK_FINITE(a, "svd_right input matrix");
+  PMTBR_TRACE_SCOPE("la.svd");
+  obs::counter_add(obs::Counter::kSvdCalls);
+  const index n = a.cols();
+  MatD r = r_factor(a);
+
+  std::vector<double> nrm2(static_cast<std::size_t>(n));
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    obs::counter_add(obs::Counter::kSvdSweeps);
+    const index rotations = jacobi_row_sweep(n, r.data(), nrm2.data());
+    // 2n² for the norms, 2n per pair's dot product, 6n per rotation.
+    obs::counter_add(obs::Counter::kSvdFlops, n * (n * (n + 1) + 6 * rotations));
+    if (rotations == 0) break;
+  }
+
+  // Row i of the rotated R is σ_i·v_iᵀ.
+  std::vector<double> s(static_cast<std::size_t>(n));
+  for (index i = 0; i < n; ++i)
+    s[static_cast<std::size_t>(i)] = std::sqrt(row_dot(n, r.row_ptr(i), r.row_ptr(i)));
+  std::vector<index> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), index{0});
+  std::sort(order.begin(), order.end(), [&](index i, index j) {
+    return s[static_cast<std::size_t>(i)] > s[static_cast<std::size_t>(j)];
+  });
+
+  SvdRightResult out;
+  out.s.resize(static_cast<std::size_t>(n));
+  out.v = MatD(n, n);
+  for (index j = 0; j < n; ++j) {
+    const index src = order[static_cast<std::size_t>(j)];
+    const double sj = s[static_cast<std::size_t>(src)];
+    out.s[static_cast<std::size_t>(j)] = sj;
+    const double inv = sj > 0 ? 1.0 / sj : 0.0;
+    const double* row = r.row_ptr(src);
+    for (index i = 0; i < n; ++i) out.v(i, j) = row[i] * inv;
+  }
+  return out;
 }
 
 }  // namespace pmtbr::la

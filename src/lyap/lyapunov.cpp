@@ -57,7 +57,10 @@ MatD solve_lyapunov(const MatD& a, const MatD& q, const LyapunovOptions& opts) {
       return x;
     }
   }
-  PMTBR_ENSURE(false, "sign iteration did not converge (is A Hurwitz-stable?)");
+  // A direct call, not PMTBR_ENSURE(false, ...): at -O0 GCC does not fold
+  // the macro's branch and warns that control reaches the end.
+  pmtbr::detail::fail_ensure(
+      "false", "sign iteration did not converge (is A Hurwitz-stable?)", __FILE__, __LINE__);
 }
 
 MatD controllability_gramian(const MatD& a, const MatD& b, const LyapunovOptions& opts) {

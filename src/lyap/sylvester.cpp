@@ -57,7 +57,10 @@ MatD solve_sylvester(const MatD& a, const MatD& b, const MatD& c, const Sylveste
       return x;
     }
   }
-  PMTBR_ENSURE(false, "Sylvester sign iteration did not converge");
+  // A direct call, not PMTBR_ENSURE(false, ...): at -O0 GCC does not fold
+  // the macro's branch and warns that control reaches the end.
+  pmtbr::detail::fail_ensure("false", "Sylvester sign iteration did not converge", __FILE__,
+                             __LINE__);
 }
 
 MatD cross_gramian(const MatD& a, const MatD& b, const MatD& c, const SylvesterOptions& opts) {

@@ -198,7 +198,7 @@ void IncrementalCompressor::settle() {
     return;
   }
   // Each new direction since the last fold arrived with at least one
-  // column, so T below is tall and its SVD yields a square V.
+  // column, so T below is tall and svd_right yields a square V.
   PMTBR_ENSURE(s + p >= k, "pending columns cannot cover the rank growth");
 
   // Pᵀ, zero-padded to the current rank.
@@ -219,7 +219,10 @@ void IncrementalCompressor::settle() {
   for (index j = 0; j < p; ++j)
     for (index i = s; i < k; ++i) t(s + j, i) = pt(j, i);
 
-  la::SvdResult f = la::svd(t);
+  la::SvdRightResult f = la::svd_right(t);
+  // Every kept direction entered with a residual above drop_tol, so T has
+  // full column rank and no singular value can vanish.
+  PMTBR_ENSURE(f.s.back() > 0, "fold lost rank");
   // U ← blkdiag(U, I)·V.
   MatD u(k, k);
   la::detail::gemm<double, false>(s, k, s, u_.data(), s, 1, f.v.data(), k, 1, u.data(), k,

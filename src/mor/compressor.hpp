@@ -14,16 +14,18 @@
 //     rank when it arrived; missing trailing entries are zero).
 //
 // Every query (singular_values, basis, order_for_tolerance) first folds P
-// in: one SVD of the tall matrix T = [diag(σ) ; Pᵀ·blkdiag(U, I)], of size
-// (|σ|+|P|)×rank, whose singular values are the new σ and whose right
-// vectors V give the new U = blkdiag(U, I)·V. T's leading columns are
-// already orthogonal, so the Jacobi starts warm, and a query costs
-// O((rank+|P|)·rank²) per sweep however many columns were absorbed. With P
-// empty a query costs no SVD at all: order choice, basis and the
-// singular-value list after the last sample share one fold. This plays the
-// role the paper assigns to updatable rank-revealing factorizations
-// (RRQR/UTV): cheap trailing-singular-value estimates after every sample,
-// plus an orthonormal basis for the dominant subspace.
+// in: one la::svd_right of the tall matrix T = [diag(σ) ; Pᵀ·blkdiag(U, I)],
+// of size (|σ|+|P|)×rank, whose singular values are the new σ and whose
+// right vectors V give the new U = blkdiag(U, I)·V; U of T is never formed.
+// svd_right's R-only QR skips the zeros of diag(σ), so it costs
+// O((|P|+1)·rank²), and T's leading columns are already orthogonal, so the
+// row-wise Jacobi on R starts warm at O(rank³) per sweep however many
+// columns were absorbed. With P empty a query costs no SVD at all: order
+// choice, basis and the singular-value list after the last sample share
+// one fold. This plays the role the paper assigns to updatable
+// rank-revealing factorizations (RRQR/UTV): cheap trailing-singular-value
+// estimates after every sample, plus an orthonormal basis for the dominant
+// subspace.
 //
 // Where the folds fall changes the last bits of σ and U, so the state is a
 // deterministic function of the sequence of add_columns AND query calls,

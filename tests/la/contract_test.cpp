@@ -97,6 +97,7 @@ TEST(FiniteContract, FactorizationsCatchNanWhenEnabled) {
   EXPECT_THROW(LuD{a}, std::runtime_error);
   EXPECT_THROW(qr(a), std::runtime_error);
   EXPECT_THROW(svd(a), std::runtime_error);
+  EXPECT_THROW(svd_right(a), std::runtime_error);
   EXPECT_THROW(cholesky(a), std::runtime_error);
   a(2, 3) = a(3, 2) = a(2, 2);  // keep it symmetric for eig_sym's contract
   EXPECT_THROW(eig_sym(a), std::runtime_error);

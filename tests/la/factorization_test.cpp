@@ -2,11 +2,17 @@
 // reconstruction properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "la/cholesky.hpp"
 #include "la/eig_sym.hpp"
 #include "la/ops.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
+#include "util/obs/counters.hpp"
 #include "helpers.hpp"
 
 namespace pmtbr::la {
@@ -168,6 +174,98 @@ TEST(Svd, FrobeniusNormIdentity) {
   double sum = 0;
   for (double x : s) sum += x * x;
   EXPECT_NEAR(std::sqrt(sum), norm_fro(a), 1e-10);
+}
+
+// --- svd_right: σ and V without U ---------------------------------------------
+
+// The matrices the compressor's fold factors, plus a graded one:
+//  - a warm fold's T: 56 diagonal rows with σ geometric from 1 to 1e-10 over
+//    4 dense rows, 60 columns. As in real folds, the dense rows are scaled
+//    column by column with σ and the 4 newest directions enter at the
+//    smallest σ, so T = Y·D with Y well conditioned;
+//  - a random 400×174 matrix, the shape of bench_cost_scaling's cold fold;
+//  - B·diag(d) with B random (80×60) and d geometric from 1 to 1e-12.
+std::vector<std::pair<std::string, MatD>> svd_right_inputs() {
+  std::vector<std::pair<std::string, MatD>> out;
+  Rng rng(31);
+  const index s = 56, p = 4, k = 60;
+  MatD warm(s + p, k);
+  for (index i = 0; i < s; ++i)
+    warm(i, i) = std::pow(1e-10, static_cast<double>(i) / static_cast<double>(s - 1));
+  for (index r = s; r < s + p; ++r)
+    for (index j = 0; j < k; ++j) warm(r, j) = rng.normal() * (j < s ? warm(j, j) : 1e-10);
+  out.emplace_back("warm fold 60x60", std::move(warm));
+  out.emplace_back("random 400x174", testing::random_matrix(400, 174, rng));
+  MatD graded = testing::random_matrix(80, 60, rng);
+  for (index j = 0; j < graded.cols(); ++j) {
+    const double d = std::pow(1e-12, static_cast<double>(j) / 59.0);
+    for (index i = 0; i < graded.rows(); ++i) graded(i, j) *= d;
+  }
+  out.emplace_back("graded 80x60", std::move(graded));
+  return out;
+}
+
+TEST(SvdRight, MatchesSvdOnFoldShapes) {
+  for (const auto& [name, a] : svd_right_inputs()) {
+    SCOPED_TRACE(name);
+    const index n = a.cols();
+    const SvdResult ref = svd(a);
+    const SvdRightResult f = svd_right(a);
+    ASSERT_EQ(f.s.size(), ref.s.size());
+    ASSERT_EQ(f.v.rows(), n);
+    ASSERT_EQ(f.v.cols(), n);
+    // Every σ_i to 1e-10 relative to itself, not to σ_1.
+    for (std::size_t i = 0; i < f.s.size(); ++i)
+      EXPECT_NEAR(f.s[i], ref.s[i], 1e-10 * ref.s[i]) << "sigma_" << i;
+    EXPECT_LE(testing::orthonormality_defect(f.v), 1e-13 * static_cast<double>(n));
+    // V diagonalizes AᵀA: (A·V)ᵀ·(A·V) = diag(σ²) up to roundoff in σ_1².
+    // This holds whatever the gaps (the random input has none of 10%).
+    const MatD av = matmul(a, f.v);
+    const MatD gram = matmul_at(av, av);
+    double off = 0.0;
+    for (index i = 0; i < n; ++i)
+      for (index j = 0; j < n; ++j)
+        off = std::max(off, std::abs(gram(i, j) - (i == j ? f.s[static_cast<std::size_t>(i)] *
+                                                                f.s[static_cast<std::size_t>(i)]
+                                                          : 0.0)));
+    EXPECT_LE(off, 1e-12 * f.s[0] * f.s[0]);
+    // Leading right singular subspaces agree wherever the σ gap is >= 10%.
+    for (index q = 1; q < n; ++q) {
+      if (ref.s[static_cast<std::size_t>(q - 1)] < 1.1 * ref.s[static_cast<std::size_t>(q)])
+        continue;
+      const auto cosines = singular_values(matmul_at(ref.v.columns(0, q), f.v.columns(0, q)));
+      EXPECT_GT(cosines.back(), 1.0 - 1e-10) << "leading " << q;
+    }
+  }
+}
+
+TEST(SvdRight, EdgeShapes) {
+  const auto s1 = svd_right(MatD{{-2.0}});
+  ASSERT_EQ(s1.s.size(), 1u);
+  EXPECT_EQ(s1.s[0], 2.0);
+  EXPECT_EQ(s1.v(0, 0), -1.0);
+
+  const auto col = svd_right(MatD{{3.0}, {0.0}, {-4.0}});
+  ASSERT_EQ(col.s.size(), 1u);
+  EXPECT_NEAR(col.s[0], 5.0, 1e-15);
+  EXPECT_EQ(std::abs(col.v(0, 0)), 1.0);
+
+  // Orthogonal rows: R is the diagonal itself, so one sweep finds nothing
+  // to rotate and V is a signed permutation.
+  MatD diag(5, 3);
+  diag(0, 0) = 3.0;
+  diag(1, 1) = -7.0;
+  diag(2, 2) = 0.5;
+  const std::int64_t calls = obs::counter_value(obs::Counter::kSvdCalls);
+  const std::int64_t sweeps = obs::counter_value(obs::Counter::kSvdSweeps);
+  const auto d = svd_right(diag);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSvdCalls) - calls, 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSvdSweeps) - sweeps, 1);
+  EXPECT_EQ(d.s, (std::vector<double>{7.0, 3.0, 0.5}));
+  EXPECT_EQ(max_abs_diff(d.v, MatD{{0, 1, 0}, {-1, 0, 0}, {0, 0, 1}}), 0.0);
+
+  EXPECT_THROW(svd_right(MatD(2, 3)), std::invalid_argument);
+  EXPECT_THROW(svd_right(MatD()), std::invalid_argument);
 }
 
 // --- symmetric eigensolver -----------------------------------------------------

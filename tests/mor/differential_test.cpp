@@ -1,7 +1,7 @@
 // Randomized differential suite (label: slow): PMTBR versus the exact dense
-// TBR baseline over seeded random passive RC / RLC networks, plus
-// end-to-end agreement of the two compressor modes through the serving
-// path. The networks are generated as netlist text (exercising the parser
+// TBR baseline over seeded random passive RC / RLC networks, end-to-end
+// agreement of the two compressor modes through the serving path, and the
+// compressor's cold fold against a dense SVD at bench_cost_scaling's size. The networks are generated as netlist text (exercising the parser
 // and MNA assembly), are passive by construction (hence stable), and carry
 // a grounded capacitor at every node plus diagonal inductances, so E is
 // invertible and the TBR baseline applies.
@@ -9,13 +9,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "circuit/generators.hpp"
 #include "circuit/parser.hpp"
+#include "la/ops.hpp"
+#include "la/qr.hpp"
+#include "la/svd.hpp"
+#include "mor/compressor.hpp"
 #include "mor/error.hpp"
 #include "mor/pmtbr.hpp"
+#include "mor/sampling.hpp"
 #include "mor/tbr.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
@@ -185,6 +192,65 @@ TEST(Differential, CompressorModesAgreeThroughService) {
     for (std::size_t i = 0; i < sv_ref.size(); ++i)
       EXPECT_NEAR(sv_ref[i], sv_blk[i], 1e-9 * (1.0 + sv_ref[0]));
   }
+}
+
+// bench_cost_scaling's run (30×30 mesh, four ports, 50 samples: rank 174 of
+// 400 columns) absorbed without a query, so the first singular_values()
+// folds all of R in one cold svd_right of a 400×rank T. Reference and bounds
+// as in Compressor.MatchesStackedSvdAtAdaptiveSize: one SVD of the stacked
+// weighted sample matrix, σ within 1e-9·σ_1, the same order choice, and the
+// order's basis spanning the reference's leading left singular subspace.
+TEST(Differential, ColdFoldMatchesStackedSvdAtCostScalingSize) {
+  circuit::RcMeshParams mp;
+  mp.rows = 30;
+  mp.cols = 30;
+  mp.num_ports = 4;
+  const auto sys = circuit::make_rc_mesh(mp);
+  const auto samples = sample_band(Band{1e5, 1e11}, 50, SamplingScheme::kUniform);
+  IncrementalCompressor comp(sys.n());
+  MatD stacked(sys.n(), 400);
+  index col = 0;
+  for (const FrequencySample& fs : samples) {
+    MatD block = la::realify_columns(sys.solve_shifted(fs.s, la::to_complex(sys.b())));
+    block *= std::sqrt(fs.weight / std::numbers::pi);
+    ASSERT_LE(col + block.cols(), stacked.cols());
+    for (index i = 0; i < block.rows(); ++i)
+      for (index j = 0; j < block.cols(); ++j) stacked(i, col + j) = block(i, j);
+    col += block.cols();
+    comp.add_columns(block);
+  }
+  ASSERT_EQ(col, stacked.cols());
+  // 174 with the multiversioned GEMM kernels; the TSan build, which runs the
+  // baseline-ISA kernels, keeps 175: one direction's residual sits at
+  // drop_tol and the last bits decide.
+  EXPECT_NEAR(static_cast<double>(comp.rank()), 174.0, 2.0);
+
+  // Reference through la::qr_pivoted and la::svd (a dense la::svd of the
+  // 900×400 stacked matrix alone takes ~20 s): stacked·Π = Q·R, and the rows
+  // of R past its 1e-15 rank carry at most √400·1e-15·σ_1, far inside the σ
+  // bound and small enough against the σ gap at the chosen order (~3e-8·σ_1)
+  // to leave the subspace check intact. So the reference is the SVD of R's
+  // leading rows, taken as la::svd of their transpose (whose columns
+  // converge much faster than R's), with left singular vectors Q·U_R;
+  // compressor σ past that rank are compared with zero.
+  const la::QrD qr = la::qr_pivoted(stacked, 1e-15);
+  la::SvdResult ref = la::svd(la::transpose(qr.r).columns(0, qr.rank));
+  ref.u = la::matmul(qr.q.columns(0, qr.rank), ref.v);
+  const auto s = comp.singular_values();
+  ASSERT_EQ(static_cast<index>(s.size()), comp.rank());
+  for (std::size_t i = 0; i < s.size(); ++i)
+    EXPECT_NEAR(s[i], i < ref.s.size() ? ref.s[i] : 0.0, 1e-9 * ref.s[0]) << "sigma_" << i;
+
+  const double tol = 1e-6;
+  double tail = 0;
+  for (const double x : ref.s) tail += x;
+  index want = 0;
+  while (tail > tol * ref.s[0]) tail -= ref.s[static_cast<std::size_t>(want++)];
+  const index order = comp.order_for_tolerance(tol);
+  EXPECT_EQ(order, std::max<index>(want, 1));
+  const auto cosines = la::singular_values(la::matmul_at(comp.basis(order), ref.u.columns(0, order)));
+  ASSERT_EQ(static_cast<index>(cosines.size()), order);
+  EXPECT_GT(cosines.back(), 1.0 - 1e-8);
 }
 
 }  // namespace
