@@ -1,7 +1,8 @@
 // Sec. III-C reproduction (the paper's cost comparison): wall-clock scaling
 // of TBR (O(n^3)), PRIMA, and PMTBR on RC lines of growing size, via
 // google-benchmark. The JSON records also time the shifted refactor + solve
-// under each fill-reducing ordering, and the orderings themselves.
+// under each fill-reducing ordering, the symmetric pencil's LDLᵀ, and the
+// orderings themselves.
 //
 // Paper shape: TBR's cubic cost limits it to small/medium problems; PRIMA
 // and PMTBR scale with the sparse-solve cost (PMTBR pays one factorization
@@ -199,22 +200,40 @@ std::vector<bench::TimingRecord> run_parallel_sweep() {
   return records;
 }
 
-// Best of three timed passes of 20 shifted refactor + solve steps against one
-// symbolic analysis frozen at the first shift. A replay rejected for a
-// degenerate pivot falls back to a full factor, as DescriptorSystem does.
-double refactor_solve_seconds(const DescriptorSystem& sys, const std::vector<la::index>& perm) {
+std::vector<la::cd> refactor_shifts() {
   std::vector<la::cd> shifts;
   for (int k = 0; k < 20; ++k) shifts.emplace_back(0.0, 1e6 * std::pow(10.0, 0.25 * k));
+  return shifts;
+}
+
+// 20 shifted numeric factors + solves against `symbolic`. A factor rejected
+// for a degenerate pivot falls back to a full LU, as DescriptorSystem does.
+void refactor_and_solve(const DescriptorSystem& sys, const std::vector<la::index>& perm,
+                        const sparse::SymbolicLuC& symbolic) {
   const la::MatC b = la::to_complex(sys.b());
-  const sparse::SymbolicLuC symbolic(sparse::shifted_pencil(shifts.front(), sys.e(), sys.a()),
-                                     perm);
+  for (const la::cd s : refactor_shifts()) {
+    const sparse::CsrC pencil = sparse::shifted_pencil(s, sys.e(), sys.a());
+    auto lu = sparse::SparseLuC::refactor(symbolic, pencil);
+    if (!lu.is_ok()) lu = sparse::SparseLuC::factor(pencil, perm);
+    benchmark::DoNotOptimize(lu.value().solve(b).rows());
+  }
+}
+
+// Best of three timed passes of the LU replay: 20 refactor + solve steps
+// against one LU analysis frozen at the first shift.
+double refactor_solve_seconds(const DescriptorSystem& sys, const std::vector<la::index>& perm) {
+  const sparse::SymbolicLuC symbolic(
+      sparse::shifted_pencil(refactor_shifts().front(), sys.e(), sys.a()), perm);
+  return bench::best_seconds(3, [&] { refactor_and_solve(sys, perm, symbolic); });
+}
+
+// Best of three timed passes of what a symmetric pencil costs: the
+// pattern-only LDLᵀ analysis plus 20 LDLᵀ factors + solves.
+double ldlt_solve_seconds(const DescriptorSystem& sys, const std::vector<la::index>& perm) {
   return bench::best_seconds(3, [&] {
-    for (const la::cd s : shifts) {
-      const sparse::CsrC pencil = sparse::shifted_pencil(s, sys.e(), sys.a());
-      auto lu = sparse::SparseLuC::refactor(symbolic, pencil);
-      if (!lu.is_ok()) lu = sparse::SparseLuC::factor(pencil, perm);
-      benchmark::DoNotOptimize(lu.value().solve(b).rows());
-    }
+    const auto symbolic = sparse::SymbolicLuC::symmetric(
+        sparse::shifted_pencil(refactor_shifts().front(), sys.e(), sys.a()), perm);
+    refactor_and_solve(sys, perm, symbolic.value());
   });
 }
 
@@ -250,6 +269,12 @@ std::vector<bench::TimingRecord> run_ordering_records() {
                 " s, selected (" + (sys.ordering() == rcm ? "rcm" : "amd") +
                 ")=" + std::to_string(selected_secs) + " s");
   }
+  // The RC mesh's pencil is symmetric: its LDLᵀ under AMD, analysis included.
+  const DescriptorSystem& mesh40 = systems.front().second;
+  const double ldlt_secs = ldlt_solve_seconds(mesh40, mesh40.ordering());
+  records.push_back({"refactor_solve_mesh40_ldlt", ldlt_secs, mesh40.n(), 20, 1});
+  bench::note("20-shift LDLT analysis+factor+solve mesh40 n=" + std::to_string(mesh40.n()) +
+              ": " + std::to_string(ldlt_secs) + " s");
 
   for (const la::index k : {14, 40, 100}) {
     const sparse::CsrD p = pattern(mesh(k));

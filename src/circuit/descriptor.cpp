@@ -65,9 +65,9 @@ const std::vector<index>& DescriptorSystem::ordering_locked(Cache& cache) const 
   if (!cache.ordering) {
     PMTBR_TRACE_SCOPE("descriptor.ordering");
     const sparse::CsrD pattern = sparse::combine(1.0, e_, 1.0, a_);
-    const bool symmetric = sparse::is_symmetric(e_) && sparse::is_symmetric(a_);
+    cache.symmetric = sparse::is_symmetric(e_) && sparse::is_symmetric(a_);
     cache.ordering = std::make_shared<const std::vector<index>>(
-        symmetric ? sparse::amd_ordering(pattern) : sparse::rcm_ordering(pattern));
+        cache.symmetric ? sparse::amd_ordering(pattern) : sparse::rcm_ordering(pattern));
   }
   return *cache.ordering;
 }
@@ -78,12 +78,21 @@ util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> DescriptorSystem::try
   util::MutexLock lock(cache.mutex);
   if (!cache.symbolic) {
     // Build from the pencil at this shift; concurrent first callers
-    // serialize here so exactly one symbolic analysis is ever built.
+    // serialize here so exactly one symbolic analysis is ever built. A
+    // symmetric pencil gets the pattern-only LDLᵀ analysis; any other one
+    // freezes the pivot order of a full LU factorization at this shift.
     obs::counter_add(obs::Counter::kSymbolicCacheMiss);
-    const std::vector<index> perm = ordering_locked(cache);
-    auto lu = sparse::SparseLuC::factor(sparse::shifted_pencil(s, e_, a_), perm);
-    if (!lu.is_ok()) return lu.status();
-    cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(lu.value().symbolic());
+    std::vector<index> perm = ordering_locked(cache);
+    const sparse::CsrC pencil = sparse::shifted_pencil(s, e_, a_);
+    if (cache.symmetric) {
+      auto sym = sparse::SymbolicLuC::symmetric(pencil, std::move(perm));
+      if (!sym.is_ok()) return sym.status();
+      cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(std::move(sym).value());
+    } else {
+      auto lu = sparse::SparseLuC::factor(pencil, std::move(perm));
+      if (!lu.is_ok()) return lu.status();
+      cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(lu.value().symbolic());
+    }
   } else {
     obs::counter_add(obs::Counter::kSymbolicCacheHit);
   }
@@ -152,8 +161,9 @@ util::Expected<sparse::SparseLuC> DescriptorSystem::numeric_factor(
   if (diag_reg > 0.0) regularize_diagonal(pencil, diag_reg);
   auto lu = sparse::SparseLuC::refactor(symbolic, pencil);
   if (lu.is_ok()) return lu;
-  // Frozen pivot order degenerate at this shift: full factorization with
-  // fresh pivoting (deterministic — depends only on the pencil values).
+  // Frozen pivot order (or LDLᵀ's diagonal pivot) degenerate at this shift:
+  // full LU factorization with fresh pivoting (deterministic — depends only
+  // on the pencil values).
   return sparse::SparseLuC::factor(pencil, ordering());
 }
 

@@ -4,10 +4,14 @@
 // E is allowed to be singular (standard for MNA); everything PMTBR needs is
 // the shifted solve (sE - A)^{-1}, which stays well-posed as long as the
 // pencil is regular. Because shifted_pencil() emits the union pattern of E
-// and A for every shift, one symbolic LU analysis (pivot order + fill
-// pattern) serves all shifts: the first solve performs the full
-// Gilbert–Peierls factorization and every further shift is a cheap numeric
-// refactorization. The fill-reducing ordering (approximate minimum degree
+// and A for every shift, one symbolic analysis serves all shifts and every
+// shift is a cheap numeric-only factorization against it. When E and A are
+// both exactly symmetric (every RC network) sE - A is complex symmetric at
+// every s: the analysis is pattern-only and each shift is factored as
+// L·D·Lᵀ with diagonal pivots. Otherwise (RLC) the first solve performs a
+// full Gilbert–Peierls LU to freeze the pivot order and each shift replays
+// it. A pivot the numeric factor rejects falls back to a full pivoting LU
+// at that shift. The fill-reducing ordering (approximate minimum degree
 // for symmetric pencils, RCM otherwise; see ordering()) and the symbolic
 // analysis are cached behind a mutex, so concurrent solve_shifted calls
 // from the thread pool are safe.
@@ -62,11 +66,12 @@ class DescriptorSystem {
   /// Fill-reducing ordering of the union pattern of E and A, computed
   /// lazily and cached; safe to call concurrently. When E and A are both
   /// exactly symmetric (every RC network) it is sparse::amd_ordering: the
-  /// pencil's pivots stay on the diagonal, the symmetric elimination AMD
-  /// plans for, and a 2-D mesh factors with about half of RCM's fill.
-  /// Otherwise (RLC MNA, where A couples node voltages and inductor
-  /// currents antisymmetrically) it is sparse::rcm_ordering. The rule reads
-  /// only E and A.
+  /// pencil is factored as L·D·Lᵀ with its pivots on the diagonal, the
+  /// symmetric elimination AMD plans for, and a 2-D mesh factors with about
+  /// half of RCM's fill. Otherwise (RLC MNA, where A couples node voltages
+  /// and inductor currents antisymmetrically) it is sparse::rcm_ordering
+  /// and the pencil is factored by pivoting LU. The rule reads only E and
+  /// A.
   const std::vector<la::index>& ordering() const;
 
   // Non-throwing variants for the fault-tolerant sampling pipeline
@@ -82,10 +87,11 @@ class DescriptorSystem {
   // perturbation it introduces is O(diag_reg) relative, so keep it tiny.
 
   /// Ensures the cached symbolic factorization of the sE - A pencil exists,
-  /// building it from the pencil at shift `s` if not. Parallel drivers call
-  /// this with their first shift before fanning out, so the frozen pivot
-  /// order — and therefore every result — is independent of thread
-  /// scheduling and identical to a serial run.
+  /// building it from the pencil at shift `s` if not (a symmetric pencil's
+  /// analysis reads only the pattern). Parallel drivers call this with
+  /// their first shift before fanning out, so the frozen pivot order — and
+  /// therefore every result — is independent of thread scheduling and
+  /// identical to a serial run.
   util::Status try_prepare_shifted(la::cd s) const;
 
   /// X = (sE - A)^{-1} R, Status-carrying.
@@ -107,13 +113,14 @@ class DescriptorSystem {
  private:
   /// Shared lazily-computed state. Held behind one shared_ptr so copies of
   /// a system (which share the same E/A) also share the caches, and so the
-  /// class stays copyable despite owning a mutex. Both cached fields are
-  /// set-once shared_ptrs to const data: the mutex guards the pointer
+  /// class stays copyable despite owning a mutex. The cached fields are
+  /// set once, the pointers to const data: the mutex guards their
   /// installation; the pointees are immutable, so references handed out
   /// after unlock stay valid and race-free.
   struct Cache {
     util::Mutex mutex;
     std::shared_ptr<const std::vector<la::index>> ordering PMTBR_GUARDED_BY(mutex);
+    bool symmetric PMTBR_GUARDED_BY(mutex) = false;  // E and A exactly symmetric; set with ordering
     std::shared_ptr<const sparse::SymbolicLuC> symbolic PMTBR_GUARDED_BY(mutex);
     std::shared_ptr<const util::Fingerprint> fingerprint PMTBR_GUARDED_BY(mutex);
   };
@@ -124,8 +131,8 @@ class DescriptorSystem {
   const std::vector<la::index>& ordering_locked(Cache& cache) const
       PMTBR_REQUIRES(cache.mutex);
   util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> try_symbolic_for(la::cd s) const;
-  /// Numeric phase against an already-resolved symbolic analysis (replay,
-  /// full-factor fallback on a degenerate frozen pivot).
+  /// Numeric phase against an already-resolved symbolic analysis (LDLᵀ or
+  /// LU replay, full-factor fallback on a degenerate pivot).
   util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC& symbolic,
                                                    la::cd s, double diag_reg) const;
   /// Factorization for solves, consulting the process-wide factor cache

@@ -9,7 +9,7 @@ constexpr std::size_t kDefaultFactorCacheBytes = std::size_t{256} << 20;  // 256
 }  // namespace
 
 std::size_t factor_cache_bytes(const SparseLuC& lu) {
-  return (lu.nnz_factors() + static_cast<std::size_t>(lu.n())) * sizeof(la::cd);
+  return lu.stored_values() * sizeof(la::cd);
 }
 
 FactorCache::FactorCache(std::size_t byte_budget) : lru_(byte_budget) {}

@@ -34,9 +34,9 @@
 
 namespace pmtbr::sparse {
 
-/// Estimated resident size of one cached factorization: numeric payload
-/// plus the U diagonal (the shared symbolic pattern is not charged — it
-/// lives on regardless via the per-system cache).
+/// Estimated resident size of one cached factorization: the scalars it
+/// stores, L, U and U's diagonal or L and D (the shared symbolic pattern is
+/// not charged — it lives on regardless via the per-system cache).
 std::size_t factor_cache_bytes(const SparseLuC& lu);
 
 class FactorCache {

@@ -1,16 +1,26 @@
-// Sparse LU factorization (Gilbert–Peierls left-looking, partial pivoting)
-// templated on scalar, with optional symmetric fill-reducing pre-ordering
-// (sparse/amd.hpp or sparse/rcm.hpp; DescriptorSystem::ordering() picks one
-// per pencil) — split into a reusable symbolic analysis and a cheap numeric
-// phase.
+// Sparse direct factorization of square matrices, templated on scalar, with
+// an optional symmetric fill-reducing pre-ordering (sparse/amd.hpp or
+// sparse/rcm.hpp; DescriptorSystem::ordering() picks one per pencil), split
+// into a reusable symbolic analysis and a cheap numeric phase. Two kinds:
+//
+//  - LU: Gilbert–Peierls left-looking with partial pivoting, for any
+//    matrix. Its analysis is one full factorization of a representative,
+//    which freezes the pivot order and the L/U fill patterns.
+//  - LDLᵀ: pivot-free left-looking A(q,q) = L·D·Lᵀ with diagonal pivots, for
+//    matrices whose values are exactly symmetric (Aᵀ = A, no conjugation;
+//    the RC pencils sE − A). Its analysis is pattern-only — elimination tree
+//    and row/column structure of L, no numeric work — and it stores L and D
+//    only: about half the storage and flops of the LU replay.
 //
 // This is the workhorse behind every shifted solve (s_k E - A)^{-1} B in
 // PMTBR, the transient integrator, and AC sweeps. All shifted pencils
 // s_k E - A share one sparsity pattern (shifted_pencil() emits the union
-// pattern for every s), so the expensive per-column reachability DFS, the
-// pivot sequence, and the L/U fill patterns are computed once (SymbolicLu)
-// and every further shift is a numeric-only replay (SparseLu::try_refactor)
-// that touches each stored nonzero exactly once.
+// pattern for every s), so one analysis serves every shift and each further
+// shift is a numeric-only factorization (SparseLu::refactor) that touches
+// each stored nonzero exactly once. Both kinds accept a numeric factor only
+// when each pivot (LU's frozen one, LDLᵀ's diagonal one) clears
+// SolveOptions::refactor_pivot_tol; a rejection means "full LU factor with
+// fresh pivoting instead".
 #pragma once
 
 #include <cstdint>
@@ -27,14 +37,21 @@ namespace pmtbr::sparse {
 
 /// Tunables for the numeric factorization phases.
 struct SolveOptions {
-  /// Acceptance floor for replaying a frozen pivot order on new values: a
-  /// frozen pivot whose magnitude falls below `refactor_pivot_tol` times
-  /// the best candidate a fresh factorization could have picked for that
-  /// column is rejected as degenerate (kDegeneratePivot, detail = pivot
-  /// position + magnitude) and the caller should full-factor instead.
+  /// Acceptance floor for a numeric factorization against a frozen
+  /// analysis (the LU replay's frozen pivot, LDLᵀ's diagonal pivot d_j): a
+  /// pivot whose magnitude falls below `refactor_pivot_tol` times the best
+  /// candidate a fresh factorization could have picked for that column is
+  /// rejected as degenerate (kDegeneratePivot, detail = pivot position +
+  /// magnitude) and the caller should full-factor instead.
   /// The default keeps the historical hard-coded value; raise it to trade
   /// replay speed for pivot quality, lower it to accept shakier replays.
   double refactor_pivot_tol = 1e-10;
+};
+
+/// Which numeric factorization an analysis drives.
+enum class FactorKind : std::uint8_t {
+  kLu,    // P·A(q,q) = L·U, pivot order frozen by a Gilbert–Peierls factor
+  kLdlt,  // A(q,q) = L·D·Lᵀ, diagonal pivots, for exactly symmetric A
 };
 
 namespace detail {
@@ -43,21 +60,29 @@ namespace detail {
 // numeric factorization replayed from it. Immutable after construction.
 template <typename T>
 struct LuPattern {
+  FactorKind kind = FactorKind::kLu;
   index n = 0;
   std::vector<index> q;     // symmetric pre-permutation (possibly identity)
-  std::vector<index> pinv;  // pinv[permuted-row] = pivot position
-  std::vector<index> prow;  // prow[pivot position] = permuted-row
+  std::vector<index> pinv;  // LU: pinv[permuted-row] = pivot position
+  std::vector<index> prow;  // LU: prow[pivot position] = permuted-row
 
   // L (unit diagonal implicit) and U in compressed column form, pivot-row
   // indexed: L rows are pivot positions > column, U rows are < column and
-  // stored in elimination (topological) order.
+  // stored in elimination (topological) order. For LDLᵀ, L's rows ascend
+  // within each column and U = D·Lᵀ is never stored: u_ptr/u_row hold its
+  // pattern (row j of L), and u_lpos[t] is the slot in l_row of
+  // L(j, u_row[t]) — where the rows ≥ j of that column start.
   std::vector<index> l_ptr, l_row;
   std::vector<index> u_ptr, u_row;
+  std::vector<index> u_lpos;
 
   // Scatter map for numeric refactorization: per permuted column j, the
-  // pivot-position destination and CSR value slot of each entry of A.
-  std::vector<index> a_ptr, a_pos, a_slot;
-  std::size_t a_nnz = 0;
+  // pivot-position destination and CSR value slot of each entry of A (for
+  // LDLᵀ only the entries on or below the diagonal, and a_mirror holds the
+  // slot of each one's transposed twin).
+  std::vector<index> a_ptr, a_pos, a_slot, a_mirror;
+  // The analyzed CSR layout; a numeric factor of any other layout throws.
+  std::vector<index> a_row_ptr, a_col_idx;
 };
 
 }  // namespace detail
@@ -65,30 +90,45 @@ struct LuPattern {
 template <typename T>
 class SparseLu;
 
-/// Reusable symbolic factorization: runs one full Gilbert–Peierls pass on a
-/// representative matrix and freezes its elimination structure. Safe to
-/// share (const) across threads; numeric factorizations for any matrix with
-/// the SAME CSR layout are then obtained via SparseLu::try_refactor.
+/// Reusable symbolic factorization, safe to share (const) across threads;
+/// numeric factorizations for any matrix with the SAME CSR layout are then
+/// obtained via SparseLu::refactor.
 template <typename T>
 class SymbolicLu {
  public:
-  /// Analyzes `representative` (square). `perm` as in SparseLu.
+  /// LU analysis: runs one full Gilbert–Peierls factorization of
+  /// `representative` (square) and freezes its pivot order and fill.
+  /// `perm` as in SparseLu.
   explicit SymbolicLu(const Csr<T>& representative, std::vector<index> perm = {});
 
+  /// Pattern-only LDLᵀ analysis of a square, structurally symmetric matrix
+  /// in canonical CSR (sorted rows, no duplicates; std::invalid_argument
+  /// otherwise): the elimination tree of A(perm, perm) and the row and
+  /// column structure of L, no numeric work. Every matrix refactored
+  /// against it must hold exactly symmetric values.
+  /// kInjectedFault under the splu.pivot injection site, which this
+  /// analysis answers in place of the LU analysis' full factorization.
+  static util::Expected<SymbolicLu> symmetric(const Csr<T>& pattern,
+                                              std::vector<index> perm = {});
+
+  FactorKind kind() const { return pattern_->kind; }
   index n() const { return pattern_->n; }
+  /// nnz(L+U) with U's diagonal; for LDLᵀ that of the equivalent LU,
+  /// U = D·Lᵀ: 2·nnz(L) + n.
   std::size_t nnz_factors() const {
     return pattern_->l_row.size() + pattern_->u_row.size() +
            static_cast<std::size_t>(pattern_->n);
   }
 
-  /// Content hash of the frozen elimination structure: pre-permutation and
-  /// pivot order. Together with the source matrix's own content these
-  /// determine the entire fill pattern, so replays from two analyses with
-  /// equal fingerprints (over the same matrix) produce bit-identical
-  /// factors — the property the cross-job factor cache keys on
-  /// (sparse/factor_cache.hpp).
+  /// Content hash of the frozen elimination structure: factor kind,
+  /// pre-permutation and pivot order. Together with the source matrix's own
+  /// content these determine the entire fill pattern, so replays from two
+  /// analyses with equal fingerprints (over the same matrix) produce
+  /// bit-identical factors — the property the cross-job factor cache keys
+  /// on (sparse/factor_cache.hpp).
   util::Fingerprint fingerprint() const {
     util::FingerprintHasher h;
+    h.mix_i64(static_cast<std::int64_t>(pattern_->kind));
     h.mix_i64(static_cast<std::int64_t>(pattern_->n));
     h.mix_ints(pattern_->q);
     h.mix_ints(pattern_->pinv);
@@ -123,23 +163,27 @@ class SparseLu {
   static util::Expected<SparseLu> factor(const Csr<T>& a, std::vector<index> perm = {});
 
   /// Numeric-only refactorization of `a` against a frozen symbolic
-  /// analysis. `a` must have the same CSR layout (row_ptr/col_idx) as the
-  /// symbolic representative. Returns nullopt when the frozen pivot order
-  /// is numerically inadequate for these values (degenerate pivot); the
-  /// caller should fall back to a full factorization with fresh pivoting.
-  /// The replay is deterministic: identical inputs give bit-identical
-  /// factors on every thread.
+  /// analysis, of the analysis' kind. `a` must have the same CSR layout
+  /// (row_ptr/col_idx) as the analyzed matrix, std::invalid_argument
+  /// otherwise, and for LDLᵀ exactly symmetric values, likewise. Returns
+  /// nullopt when a pivot is numerically inadequate for these values
+  /// (degenerate pivot); the caller should fall back to a full
+  /// factorization with fresh pivoting. The refactor is deterministic:
+  /// identical inputs give bit-identical factors on every thread.
   static std::optional<SparseLu> try_refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a);
 
-  /// Status-carrying replay: kDegeneratePivot (detail = pivot position +
-  /// magnitude) when the frozen pivot falls below opts.refactor_pivot_tol
-  /// relative to the column's best candidate, kInjectedFault under the
-  /// splu.refactor injection site.
+  /// Status-carrying refactor: kDegeneratePivot (detail = pivot position +
+  /// magnitude) when a pivot falls below opts.refactor_pivot_tol relative
+  /// to the column's best candidate, kInjectedFault under the splu.refactor
+  /// injection site.
   static util::Expected<SparseLu> refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a,
                                            const SolveOptions& opts = {});
 
   index n() const { return pattern_->n; }
-  std::size_t nnz_factors() const { return l_val_.size() + u_val_.size(); }
+  /// nnz(L+U) without U's diagonal; for LDLᵀ that of U = D·Lᵀ: 2·nnz(L).
+  std::size_t nnz_factors() const { return l_val_.size() + pattern_->u_row.size(); }
+  /// Scalars actually stored: L, U and U's diagonal, or L and D.
+  std::size_t stored_values() const { return l_val_.size() + u_val_.size() + diag_.size(); }
 
   /// The elimination structure of this factorization, shareable for
   /// numeric-only refactorization of further same-pattern matrices.
@@ -149,7 +193,7 @@ class SparseLu {
   std::vector<T> solve(std::vector<T> b) const;
 
   /// Solves A^T x = b (plain transpose; for complex adjoint use
-  /// solve_adjoint).
+  /// solve_adjoint). For LDLᵀ, A^T = A and this is solve().
   std::vector<T> solve_transpose(std::vector<T> b) const;
 
   /// Solves A^H x = b (conjugate transpose).
@@ -168,11 +212,13 @@ class SparseLu {
     return static_cast<std::int64_t>(nnz_factors()) + static_cast<std::int64_t>(n());
   }
   util::Status refactor(const Csr<T>& a, const SolveOptions& opts);
+  util::Status refactor_ldlt(const Csr<T>& a, const SolveOptions& opts);
+  std::vector<T> solve_ldlt(const std::vector<T>& b) const;
 
   std::shared_ptr<const detail::LuPattern<T>> pattern_;
   std::vector<T> l_val_;
-  std::vector<T> u_val_;
-  std::vector<T> u_diag_;
+  std::vector<T> u_val_;  // empty for LDLᵀ
+  std::vector<T> diag_;   // U's diagonal, or D
 };
 
 using SparseLuD = SparseLu<double>;

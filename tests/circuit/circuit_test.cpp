@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "circuit/descriptor.hpp"
 #include "circuit/generators.hpp"
@@ -11,7 +13,9 @@
 #include "la/lu.hpp"
 #include "la/ops.hpp"
 #include "sparse/amd.hpp"
+#include "sparse/factor_cache.hpp"
 #include "sparse/rcm.hpp"
+#include "util/obs/trace.hpp"
 #include "helpers.hpp"
 
 namespace pmtbr::circuit {
@@ -178,9 +182,40 @@ TEST(DescriptorContract, WithPortsRejectsOutOfRangeIndex) {
   }
 }
 
+// Trace of the first shifted solve of `sys` (a fresh system: copies share
+// the analysis cache).
+std::vector<obs::ScopeStat> first_solve_trace(const DescriptorSystem& sys) {
+  sparse::FactorCache::global().clear();
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  (void)sys.solve_shifted(cd(0.0, 1e9), la::to_complex(sys.b()));
+  obs::set_trace_enabled(false);
+  return obs::trace_snapshot();
+}
+
+// Times the scopes ending in `leaf` closed in `trace`.
+long long calls(const std::vector<obs::ScopeStat>& trace, const std::string& leaf) {
+  long long n = 0;
+  for (const auto& s : trace)
+    if (s.path.size() >= leaf.size() &&
+        s.path.compare(s.path.size() - leaf.size(), leaf.size(), leaf) == 0)
+      n += s.count;
+  return n;
+}
+
 TEST(Descriptor, OrderingFollowsPencilSymmetry) {
   const auto pattern = [](const DescriptorSystem& s) {
     return sparse::combine(1.0, s.e(), 1.0, s.a());
+  };
+  // Symmetric pencils are factored as L·D·Lᵀ after a pattern-only
+  // analysis; the others by a full LU that freezes the pivot order, then an
+  // LU replay.
+  const auto expect_kernels = [](const DescriptorSystem& fresh, bool ldlt) {
+    const auto trace = first_solve_trace(fresh);
+    EXPECT_EQ(calls(trace, "splu.analyze"), ldlt ? 1 : 0);
+    EXPECT_EQ(calls(trace, "splu.ldlt"), ldlt ? 1 : 0);
+    EXPECT_EQ(calls(trace, "splu.full_factor"), ldlt ? 0 : 1);
+    EXPECT_EQ(calls(trace, "splu.refactor"), ldlt ? 0 : 1);
   };
   // RC pencils have symmetric E and A: approximate minimum degree.
   RcMeshParams mp;
@@ -190,6 +225,7 @@ TEST(Descriptor, OrderingFollowsPencilSymmetry) {
   const auto mesh = make_rc_mesh(mp);
   EXPECT_EQ(mesh.ordering(), sparse::amd_ordering(pattern(mesh)));
   EXPECT_NE(mesh.ordering(), sparse::rcm_ordering(pattern(mesh)));
+  expect_kernels(make_rc_mesh(mp), true);
 
   // A floating (node-to-node) capacitor makes E non-diagonal, still symmetric.
   Netlist nl;
@@ -204,12 +240,14 @@ TEST(Descriptor, OrderingFollowsPencilSymmetry) {
   const auto rc = assemble_mna(nl);
   EXPECT_EQ(rc.ordering(), sparse::amd_ordering(pattern(rc)));
   EXPECT_NE(rc.ordering(), sparse::rcm_ordering(pattern(rc)));
+  expect_kernels(assemble_mna(nl), true);
 
   // RLC MNA couples node voltages and inductor currents antisymmetrically:
   // A is not symmetric, so the pencil keeps RCM.
   const auto conn = make_connector();
   EXPECT_EQ(conn.ordering(), sparse::rcm_ordering(pattern(conn)));
   EXPECT_NE(conn.ordering(), sparse::amd_ordering(pattern(conn)));
+  expect_kernels(make_connector(), false);
 }
 
 TEST(Descriptor, DenseStandardMatchesTransfer) {

@@ -111,6 +111,26 @@ CsrD dense2x2(double a00, double a01, double a10, double a11) {
   return CsrD(t);
 }
 
+TEST(SpluContract, RefactorRejectsSameNnzDifferentLayout) {
+  // The off-diagonals move from (0,1)/(1,0) to (0,2)/(2,0): same nnz,
+  // another matrix. Replaying the analysis' slot map on it would factor the
+  // wrong matrix and still report success.
+  const auto build = [](index off) {
+    Triplets<double> t(3, 3);
+    for (index i = 0; i < 3; ++i) t.add(i, i, 4.0);
+    t.add(0, off, 1.0);
+    t.add(off, 0, 1.0);
+    return CsrD(t);
+  };
+  const CsrD analyzed = build(1);
+  const CsrD moved = build(2);
+  ASSERT_EQ(analyzed.nnz(), moved.nnz());
+  const SymbolicLuD symbolic(analyzed);
+  EXPECT_THROW((void)SparseLuD::refactor(symbolic, moved), std::invalid_argument);
+  EXPECT_THROW((void)SparseLuD::try_refactor(symbolic, moved), std::invalid_argument);
+  EXPECT_TRUE(SparseLuD::refactor(symbolic, analyzed).is_ok());
+}
+
 TEST(SpluStatus, FactorReportsSingularityWithDetail) {
   Triplets<double> t(2, 2);
   t.add(0, 0, 1.0);
