@@ -220,18 +220,6 @@ util::Expected<MatC> DescriptorSystem::try_transfer(cd s, double diag_reg) const
   return la::matmul(la::to_complex(c_), x.value());
 }
 
-MatC DescriptorSystem::solve_shifted_adjoint(cd s, const MatC& rhs) const {
-  PMTBR_TRACE_SCOPE("descriptor.solve_shifted_adjoint");
-  obs::counter_add(obs::Counter::kShiftedSolve);
-  auto shared = try_shared_factor(s, 0.0);
-  if (!shared.is_ok()) throw util::StatusError(shared.status());
-  const sparse::SparseLuC& lu = *shared.value();
-  MatC x(rhs.rows(), rhs.cols());
-  util::parallel_for(0, rhs.cols(),
-                     [&](index j) { x.set_col(j, lu.solve_adjoint(rhs.col(j))); });
-  return x;
-}
-
 MatC DescriptorSystem::solve_shifted_transpose(cd s, const MatC& rhs) const {
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted_transpose");
   obs::counter_add(obs::Counter::kShiftedSolve);

@@ -54,9 +54,6 @@ class DescriptorSystem {
   /// X = (sE - A)^{-1} R for a dense complex right-hand side.
   la::MatC solve_shifted(la::cd s, const la::MatC& rhs) const;
 
-  /// X = (sE - A)^{-H} R (adjoint solve; observability-side samples).
-  la::MatC solve_shifted_adjoint(la::cd s, const la::MatC& rhs) const;
-
   /// X = (sE - A)^{-T} R (plain transpose solve; cross-Gramian samples).
   la::MatC solve_shifted_transpose(la::cd s, const la::MatC& rhs) const;
 

@@ -1,11 +1,11 @@
 #include "mor/cross_gramian.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "la/ops.hpp"
 #include "la/qr.hpp"
 #include "la/schur.hpp"
+#include "mor/pmtbr.hpp"
 
 namespace pmtbr::mor {
 
@@ -55,9 +55,7 @@ CrossGramianResult cross_gramian_pmtbr(const DescriptorSystem& sys,
   const la::MatC bc = la::to_complex(sys.b());
   const la::MatC ct = la::to_complex(la::transpose(sys.c()));
   for (const auto& fs : samples) {
-    const double scale = std::abs(fs.s.imag()) == 0.0
-                             ? std::sqrt(fs.weight / (2.0 * std::numbers::pi))
-                             : std::sqrt(fs.weight / std::numbers::pi);
+    const double scale = sample_scale(fs);
     la::MatC r = sys.solve_shifted(fs.s, bc);
     la::MatC l = sys.solve_shifted_transpose(fs.s, ct);
     MatD rb = realify_bilinear(r, false);

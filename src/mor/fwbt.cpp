@@ -4,9 +4,8 @@
 #include <complex>
 #include <numbers>
 
-#include "la/eig_sym.hpp"
 #include "la/ops.hpp"
-#include "la/svd.hpp"
+#include "mor/tbr.hpp"
 #include "util/logging.hpp"
 
 namespace pmtbr::mor {
@@ -95,53 +94,9 @@ FwbtResult fwbt(const DescriptorSystem& sys, const std::optional<DenseSystem>& i
                      ? weighted_observability(d.a, d.c, *output_weight, opts.lyapunov)
                      : lyap::observability_gramian(d.a, d.c, opts.lyapunov);
 
-  const MatD lp = la::psd_factor(p);
-  const MatD lq = la::psd_factor(q);
-  const la::SvdResult f = la::svd(la::matmul_at(lq, lp));
-
   FwbtResult out;
-  out.weighted_hsv = f.s;
-
-  const double s1 = f.s.empty() ? 0.0 : f.s.front();
-  index max_usable = 0;
-  for (const double s : f.s)
-    if (s > 1e-13 * s1) ++max_usable;
-  max_usable = std::max<index>(max_usable, 1);
-
-  index order;
-  if (opts.fixed_order > 0) {
-    order = std::min<index>(opts.fixed_order, max_usable);
-  } else {
-    double total = 0;
-    for (const double s : f.s) total += s;
-    double tail = total;
-    order = 0;
-    while (order < max_usable && tail > opts.error_tol * total) {
-      tail -= f.s[static_cast<std::size_t>(order)];
-      ++order;
-    }
-    order = std::max<index>(order, 1);
-  }
-
-  MatD v(d.a.rows(), order), w(d.a.rows(), order);
-  for (index j = 0; j < order; ++j) {
-    const double is = 1.0 / std::sqrt(f.s[static_cast<std::size_t>(j)]);
-    for (index i = 0; i < d.a.rows(); ++i) {
-      double accv = 0, accw = 0;
-      for (index l = 0; l < lp.cols(); ++l) accv += lp(i, l) * f.v(l, j);
-      for (index l = 0; l < lq.cols(); ++l) accw += lq(i, l) * f.u(l, j);
-      v(i, j) = accv * is;
-      w(i, j) = accw * is;
-    }
-  }
-
-  out.model.v = v;
-  out.model.w = w;
-  out.model.singular_values = f.s;
-  MatD ar = la::matmul_at(w, la::matmul(d.a, v));
-  MatD br = la::matmul_at(w, d.b);
-  MatD cr = la::matmul(d.c, v);
-  out.model.system = DenseSystem::standard(std::move(ar), std::move(br), std::move(cr));
+  out.model = balanced_truncation(d, p, q, opts.fixed_order, opts.error_tol);
+  out.weighted_hsv = out.model.singular_values;
   if (!out.model.system.is_stable())
     log_warn("fwbt: reduced model is unstable (Enns' method carries no stability guarantee)");
   return out;

@@ -6,7 +6,8 @@
 //
 // Given stable weights W_i(s), W_o(s), Enns builds the Gramians of the
 // cascades G·W_i and W_o·G and balances the original system with the
-// corresponding diagonal blocks. No global error bound survives the
+// corresponding diagonal blocks, through TBR's square-root kernel
+// (balanced_truncation in mor/tbr.hpp). No global error bound survives the
 // weighting; stability of the reduced model is likewise not guaranteed in
 // general (both facts are part of the paper's argument).
 #pragma once

@@ -1,11 +1,10 @@
 #include "mor/input_correlated.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "la/ops.hpp"
 #include "la/svd.hpp"
-#include "mor/compressor.hpp"
+#include "mor/pmtbr.hpp"
 #include "util/rng.hpp"
 
 namespace pmtbr::mor {
@@ -15,6 +14,8 @@ InputCorrelatedResult input_correlated_tbr(const DescriptorSystem& sys, const Ma
   PMTBR_REQUIRE(input_samples.rows() == sys.num_inputs(),
                 "input sample rows must equal the port count");
   PMTBR_REQUIRE(input_samples.cols() >= 1, "need at least one input sample");
+  PMTBR_REQUIRE(opts.draws_per_frequency >= 0, "draws_per_frequency must be nonnegative");
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
 
   // Step 1: SVD of the waveform sample matrix; K = U U^T / N = V_K (S_K^2/N) V_K^T.
   const la::SvdResult f = la::svd(input_samples);
@@ -42,10 +43,6 @@ InputCorrelatedResult input_correlated_tbr(const DescriptorSystem& sys, const Ma
   Rng rng(opts.seed);
 
   for (const auto& fs : freq) {
-    // Conjugate-pair weighting as in pmtbr.cpp: jω samples count twice.
-    const double scale = std::abs(fs.s.imag()) == 0.0
-                             ? std::sqrt(fs.weight / (2.0 * std::numbers::pi))
-                             : std::sqrt(fs.weight / std::numbers::pi);
     la::MatC rhs;
     if (opts.draws_per_frequency > 0) {
       // Algorithm 3: random draws r ~ N(0, I) in the scaled direction space.
@@ -57,23 +54,13 @@ InputCorrelatedResult input_correlated_tbr(const DescriptorSystem& sys, const Ma
       // Deterministic blocked variant: all scaled directions at once.
       rhs = la::to_complex(bdir);
     }
-    const la::MatC z = sys.solve_shifted(fs.s, rhs);
-    MatD block = (std::abs(fs.s.imag()) == 0.0) ? la::real_part(z) : la::realify_columns(z);
-    block *= scale;
-    comp.add_columns(block);
+    comp.add_columns(weighted_sample(sys.solve_shifted(fs.s, rhs), fs));
   }
 
-  index order = opts.fixed_order > 0 ? std::min<index>(opts.fixed_order, comp.rank())
-                                     : comp.order_for_tolerance(opts.truncation_tol);
-  if (opts.max_order > 0) order = std::min(order, opts.max_order);
-  order = std::max<index>(order, 1);
-
-  const MatD v = comp.basis(order);
-  out.model.v = v;
-  out.model.w = v;
-  out.model.system = project_congruence(sys, v);
-  out.model.singular_values = comp.singular_values();
-  for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
+  SampledProjection p =
+      project_sampled(sys, comp, opts.fixed_order, opts.truncation_tol, opts.max_order);
+  out.model = std::move(p.model);
+  out.hankel_estimates = std::move(p.hankel_estimates);
   return out;
 }
 

@@ -7,7 +7,9 @@
 // PMTBR sample vectors are drawn as z = (sE - A)^{-1} B V_K r with
 // r ~ N(0, S_K^2 / N) — so sampling effort concentrates on input directions
 // that actually occur. A deterministic variant uses the whole scaled
-// direction block B V_K S_K/√N at every frequency point.
+// direction block B V_K S_K/√N at every frequency point. The samples are
+// weighted and projected exactly as PMTBR's (weighted_sample and
+// project_sampled in mor/pmtbr.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@ struct InputCorrelatedOptions {
 
   /// Random draws per frequency point (Algorithm 3 as published); set
   /// draws_per_frequency = 0 for the deterministic blocked variant.
+  /// Negative values are rejected.
   index draws_per_frequency = 2;
   std::uint64_t seed = 1234;
 

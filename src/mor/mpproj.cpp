@@ -1,9 +1,7 @@
 #include "mor/mpproj.hpp"
 
 #include <cmath>
-#include <vector>
 
-#include "la/gemm_kernel.hpp"
 #include "la/ops.hpp"
 
 namespace pmtbr::mor {
@@ -11,68 +9,19 @@ namespace pmtbr::mor {
 MpprojResult mpproj(const DescriptorSystem& sys, const std::vector<FrequencySample>& samples,
                     const MpprojOptions& opts) {
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
-  PMTBR_REQUIRE(opts.deflation_tol > 0, "deflation_tol must be positive");
   PMTBR_CHECK_FINITE(sys.b(), "mpproj input matrix B");
-  const index n = sys.n();
-  // Basis stored TRANSPOSED (row l = l-th direction): each sample block is
-  // projected against the whole basis with two GEMM passes; only the
-  // within-block orthogonalization and deflation decisions stay per-column.
-  std::vector<double> basis_t;
-  index rank = 0;
-
+  DeflatingBasis basis(sys.n(), opts.deflation_tol, opts.max_order);
   for (const auto& fs : samples) {
-    if (opts.max_order > 0 && rank >= opts.max_order) break;
+    if (basis.full()) break;
     const la::MatC z = sys.solve_shifted(fs.s, la::to_complex(sys.b()));
-    MatD block =
-        (std::abs(fs.s.imag()) == 0.0) ? la::real_part(z) : la::realify_columns(z);
-    const index k = block.cols();
-
-    // Deflation thresholds come from the PRE-projection column norms.
-    std::vector<double> vnorms(static_cast<std::size_t>(k));
-    for (index j = 0; j < k; ++j) vnorms[static_cast<std::size_t>(j)] = la::norm2(block.col(j));
-
-    if (rank > 0) {
-      MatD proj(rank, k);
-      for (int pass = 0; pass < 2; ++pass) {
-        la::detail::gemm<double, false>(rank, k, n, basis_t.data(), n, 1, block.data(), k, 1,
-                                        proj.data(), k, la::detail::GemmAcc::kSet);
-        la::detail::gemm<double, false>(n, k, rank, basis_t.data(), 1, n, proj.data(), k, 1,
-                                        block.data(), k, la::detail::GemmAcc::kSub);
-      }
-    }
-
-    const index block_start = rank;
-    for (index j = 0; j < k; ++j) {
-      if (opts.max_order > 0 && rank >= opts.max_order) break;
-      const double vnorm = vnorms[static_cast<std::size_t>(j)];
-      if (vnorm == 0) continue;
-      auto v = block.col(j);
-      // Orthogonalize against the directions this same block introduced.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (index l = block_start; l < rank; ++l) {
-          const double* q = basis_t.data() + static_cast<std::size_t>(l * n);
-          double d = 0;
-          for (index i = 0; i < n; ++i) d += q[i] * v[static_cast<std::size_t>(i)];
-          for (index i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] -= d * q[i];
-        }
-      }
-      const double beta = la::norm2(v);
-      if (beta <= opts.deflation_tol * vnorm) continue;
-      for (auto& x : v) x /= beta;
-      basis_t.insert(basis_t.end(), v.begin(), v.end());
-      ++rank;
-    }
+    basis.extend(std::abs(fs.s.imag()) == 0.0 ? la::real_part(z) : la::realify_columns(z));
   }
 
-  PMTBR_ENSURE(rank > 0, "mpproj produced an empty basis");
-  MatD v(n, rank);
-  for (index j = 0; j < rank; ++j)
-    for (index i = 0; i < n; ++i) v(i, j) = basis_t[static_cast<std::size_t>(j * n + i)];
-
+  PMTBR_ENSURE(basis.rank() > 0, "mpproj produced an empty basis");
   MpprojResult out;
-  out.model.v = v;
-  out.model.w = v;
-  out.model.system = project_congruence(sys, v);
+  out.model.v = basis.matrix();
+  out.model.w = out.model.v;
+  out.model.system = project_congruence(sys, out.model.v);
   return out;
 }
 

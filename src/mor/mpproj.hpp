@@ -1,6 +1,7 @@
 // Plain multipoint rational projection (MPPROJ): the same frequency samples
 // PMTBR uses, but every (numerically independent) sample column enters the
-// projection basis in arrival order — no SVD weighting or truncation.
+// projection basis in arrival order — PRIMA's deflating Gram–Schmidt
+// (DeflatingBasis) instead of SVD weighting and truncation.
 //
 // This is the baseline of paper Fig. 10: PMTBR's advantage over MPPROJ is
 // exactly its ability to prune redundant directions.

@@ -19,20 +19,6 @@ namespace pmtbr::mor {
 
 namespace {
 
-// Fold in the Parseval 1/(2π) so ZW^2Z^H approximates the true Gramian.
-// A sample at +jω implicitly carries its conjugate pair at -jω (the
-// realified columns span both), so it gets twice the weight.
-MatD weight_block(const la::MatC& z, const FrequencySample& fs) {
-  if (std::abs(fs.s.imag()) == 0.0) {
-    MatD block = la::real_part(z);
-    block *= std::sqrt(fs.weight / (2.0 * std::numbers::pi));
-    return block;
-  }
-  MatD block = la::realify_columns(z);
-  block *= std::sqrt(fs.weight / std::numbers::pi);
-  return block;
-}
-
 // One sample's solve with the full degradation ladder: base solve, then
 // bounded retries at relatively perturbed shifts s·(1+εk), then one
 // diagonally regularized solve back at the original shift. `status` is OK
@@ -65,7 +51,7 @@ SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySampl
     }
     auto z = sys.try_solve_shifted(s, la::to_complex(sys.b()));
     if (z.is_ok()) {
-      out.block = weight_block(z.value(), fs);
+      out.block = weighted_sample(z.value(), fs);
       out.status = util::Status::ok();
       return out;
     }
@@ -74,7 +60,7 @@ SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySampl
   if (res.diag_reg > 0.0) {
     auto z = sys.try_solve_shifted(fs.s, la::to_complex(sys.b()), res.diag_reg);
     if (z.is_ok()) {
-      out.block = weight_block(z.value(), fs);
+      out.block = weighted_sample(z.value(), fs);
       out.status = util::Status::ok();
       out.regularized = true;
       obs::counter_add(obs::Counter::kPmtbrSamplesRegularized);
@@ -207,6 +193,7 @@ class SamplingEngine {
     std::vector<std::size_t> origin;  // index in `samples` of eff_[first + j]
     for (std::size_t i = 0; i < samples.size(); ++i) {
       FrequencySample fs = samples[i];
+      PMTBR_REQUIRE(fs.weight >= 0.0, "sample weights must be nonnegative");
       if (opts_.weight_fn) {
         const double w = opts_.weight_fn(fs.s.imag() / (2.0 * std::numbers::pi));
         PMTBR_REQUIRE(w >= 0.0, "frequency weighting must be nonnegative");
@@ -268,16 +255,10 @@ class SamplingEngine {
     out.samples_used = used_;
     out.degradation = st_.report;
     PMTBR_TRACE_SCOPE("pmtbr.project");
-    index order = fixed_order > 0 ? std::min(fixed_order, comp_.rank())
-                                  : comp_.order_for_tolerance(opts_.truncation_tol);
-    if (max_order > 0) order = std::min(order, max_order);
-    MatD v = comp_.basis(std::max<index>(order, 1));
-    out.model.v = v;
-    out.model.w = v;
-    out.model.system = project_congruence(sys_, v);
-    out.model.singular_values = comp_.singular_values();
-    out.hankel_estimates.reserve(out.model.singular_values.size());
-    for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
+    SampledProjection p =
+        project_sampled(sys_, comp_, fixed_order, opts_.truncation_tol, max_order);
+    out.model = std::move(p.model);
+    out.hankel_estimates = std::move(p.hankel_estimates);
     return out;
   }
 
@@ -291,6 +272,34 @@ class SamplingEngine {
 };
 
 }  // namespace
+
+double sample_scale(const FrequencySample& fs) {
+  return std::abs(fs.s.imag()) == 0.0 ? std::sqrt(fs.weight / (2.0 * std::numbers::pi))
+                                      : std::sqrt(fs.weight / std::numbers::pi);
+}
+
+MatD weighted_sample(const la::MatC& z, const FrequencySample& fs) {
+  PMTBR_REQUIRE(fs.weight >= 0.0, "sample weight must be nonnegative");
+  MatD block = std::abs(fs.s.imag()) == 0.0 ? la::real_part(z) : la::realify_columns(z);
+  block *= sample_scale(fs);
+  return block;
+}
+
+SampledProjection project_sampled(const DescriptorSystem& sys, IncrementalCompressor& comp,
+                                  index fixed_order, double truncation_tol, index max_order) {
+  PMTBR_REQUIRE(comp.n() == sys.n(), "compressor and system dimensions must agree");
+  index order = fixed_order > 0 ? std::min(fixed_order, comp.rank())
+                                : comp.order_for_tolerance(truncation_tol);
+  if (max_order > 0) order = std::min(order, max_order);
+  SampledProjection out;
+  out.model.v = comp.basis(std::max<index>(order, 1));
+  out.model.w = out.model.v;
+  out.model.system = project_congruence(sys, out.model.v);
+  out.model.singular_values = comp.singular_values();
+  out.hankel_estimates.reserve(out.model.singular_values.size());
+  for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
+  return out;
+}
 
 std::pair<std::string, std::string> degradation_extra(const DegradeReport& report) {
   std::ostringstream os;
@@ -331,6 +340,7 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
                                const std::vector<FrequencySample>& samples,
                                const PmtbrOptions& opts) {
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
   PMTBR_TRACE_SCOPE("pmtbr");
   SamplingEngine engine(sys, opts);
   if (opts.adaptive_excess > 0) {
@@ -361,6 +371,7 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
                            const PmtbrOptions& opts) {
   PMTBR_REQUIRE(aopts.initial_samples >= 2, "need at least two initial samples");
   PMTBR_REQUIRE(aopts.max_samples >= aopts.initial_samples, "budget below initial samples");
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
   PMTBR_TRACE_SCOPE("pmtbr_adaptive");
   SamplingEngine engine(sys, opts);
 
@@ -442,7 +453,6 @@ PmtbrResult pmtbr(const DescriptorSystem& sys, const PmtbrOptions& opts) {
   PMTBR_REQUIRE(sys.n() > 0, "pmtbr needs a nonempty system");
   PMTBR_REQUIRE(!opts.bands.empty(), "pmtbr needs at least one frequency band");
   PMTBR_REQUIRE(opts.num_samples >= 1, "pmtbr needs at least one sample");
-  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
   const auto samples = sample_bands(opts.bands, opts.num_samples, opts.scheme);
   return pmtbr_with_samples(sys, samples, opts);
 }

@@ -121,7 +121,7 @@ struct PmtbrResult {
 PmtbrResult pmtbr(const DescriptorSystem& sys, const PmtbrOptions& opts = {});
 
 /// PMTBR on caller-provided samples (points anywhere in the closed right
-/// half-plane; weights as in Eq. 10).
+/// half-plane; nonnegative weights as in Eq. 10).
 PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
                                const std::vector<FrequencySample>& samples,
                                const PmtbrOptions& opts = {});
@@ -159,13 +159,30 @@ std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
                                            const std::vector<index>& orders,
                                            const PmtbrOptions& opts = {});
 
-/// Convenience alias emphasizing Algorithm 2 usage.
-inline PmtbrResult pmtbr_frequency_selective(const DescriptorSystem& sys,
-                                             const std::vector<Band>& bands,
-                                             PmtbrOptions opts = {}) {
-  PMTBR_REQUIRE(!bands.empty(), "need at least one frequency band");
-  opts.bands = bands;
-  return pmtbr(sys, opts);
-}
+/// The weight of one sample solve z = (sE − A)⁻¹·R in every sampled
+/// Gramian (PMTBR, input-correlated TBR, the cross-Gramian): √(w/2π) at DC,
+/// where z is real, and √(w/π) at s = jω, whose realified columns
+/// [Re z | Im z] also stand for the conjugate sample at −jω. Parseval's
+/// 1/2π is folded in, so Z·Zᵀ approximates the Gramian.
+double sample_scale(const FrequencySample& fs);
+
+/// z realified and weighted by sample_scale: Re z at DC, [Re z | Im z]
+/// otherwise. The weight must be nonnegative.
+MatD weighted_sample(const la::MatC& z, const FrequencySample& fs);
+
+/// What a sampled projection produces.
+struct SampledProjection {
+  ReducedModel model;
+  std::vector<double> hankel_estimates;  // squared singular values
+};
+
+/// The last step of PMTBR and input-correlated TBR: the order is
+/// `fixed_order` clamped to the rank if > 0, else
+/// comp.order_for_tolerance(truncation_tol), then capped by `max_order`
+/// if > 0 and kept at least 1; then the compressor's dominant basis of that
+/// order, the congruence projection of `sys` onto it, and the singular
+/// values with their squares.
+SampledProjection project_sampled(const DescriptorSystem& sys, IncrementalCompressor& comp,
+                                  index fixed_order, double truncation_tol, index max_order);
 
 }  // namespace pmtbr::mor

@@ -1,10 +1,5 @@
 #include "mor/prima.hpp"
 
-#include <cmath>
-#include <vector>
-
-#include "la/gemm_kernel.hpp"
-#include "la/ops.hpp"
 #include "sparse/splu.hpp"
 #include "util/logging.hpp"
 
@@ -12,95 +7,29 @@ namespace pmtbr::mor {
 
 PrimaResult prima(const DescriptorSystem& sys, const PrimaOptions& opts) {
   PMTBR_REQUIRE(opts.num_moments >= 1, "need at least one block moment");
-  PMTBR_REQUIRE(opts.deflation_tol > 0, "deflation_tol must be positive");
-  PMTBR_REQUIRE(sys.n() > 0, "prima needs a nonempty system");
   PMTBR_CHECK_FINITE(sys.b(), "prima input matrix B");
-  const index n = sys.n();
-  const index p = sys.num_inputs();
+  DeflatingBasis basis(sys.n(), opts.deflation_tol);
 
   // Factor (s0 E - A) once; the Krylov operator is (s0 E - A)^{-1} E.
-  const sparse::CsrD pencil = [&] {
-    if (opts.s0 == 0.0) {
-      sparse::CsrD neg_a = sys.a();
-      for (auto& v : neg_a.values()) v = -v;
-      return neg_a;
-    }
-    return sparse::combine(opts.s0, sys.e(), -1.0, sys.a());
-  }();
-  const sparse::SparseLuD lu(pencil, sys.ordering());
-
-  // Block Arnoldi with deflation. The committed basis is stored TRANSPOSED
-  // (row l = l-th orthonormal direction, contiguous) so each new moment
-  // block is projected against all of it with two GEMM passes; only the
-  // within-block orthogonalization and the deflation decisions stay
-  // per-column.
-  std::vector<double> basis_t;
-  index rank = 0;
+  const sparse::SparseLuD lu(expansion_pencil(sys, opts.s0), sys.ordering());
   MatD block = lu.solve(sys.b());  // R0 = (s0 E - A)^{-1} B
-
-  for (index moment = 0; moment < opts.num_moments; ++moment) {
-    const index k = block.cols();
-    // Deflation thresholds come from the PRE-projection column norms.
-    std::vector<double> vnorms(static_cast<std::size_t>(k));
-    for (index j = 0; j < k; ++j) vnorms[static_cast<std::size_t>(j)] = la::norm2(block.col(j));
-
-    // Two passes of block classical Gram–Schmidt against the committed
-    // basis: proj = Q·B, B ← B − Qᵀ·proj.
-    if (rank > 0) {
-      MatD proj(rank, k);
-      for (int pass = 0; pass < 2; ++pass) {
-        la::detail::gemm<double, false>(rank, k, n, basis_t.data(), n, 1, block.data(), k, 1,
-                                        proj.data(), k, la::detail::GemmAcc::kSet);
-        la::detail::gemm<double, false>(n, k, rank, basis_t.data(), 1, n, proj.data(), k, 1,
-                                        block.data(), k, la::detail::GemmAcc::kSub);
-      }
-    }
-
-    std::vector<std::vector<double>> accepted;
-    for (index j = 0; j < k; ++j) {
-      const double vnorm = vnorms[static_cast<std::size_t>(j)];
-      if (vnorm == 0) continue;
-      auto v = block.col(j);
-      // Within-block orthogonalization against this moment's survivors.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const auto& q : accepted) {
-          double d = 0;
-          for (index i = 0; i < n; ++i)
-            d += q[static_cast<std::size_t>(i)] * v[static_cast<std::size_t>(i)];
-          for (index i = 0; i < n; ++i)
-            v[static_cast<std::size_t>(i)] -= d * q[static_cast<std::size_t>(i)];
-        }
-      }
-      const double beta = la::norm2(v);
-      if (beta <= opts.deflation_tol * vnorm) continue;  // deflated direction
-      for (auto& x : v) x /= beta;
-      accepted.push_back(std::move(v));
-    }
-    if (moment + 1 < opts.num_moments) {
-      // Next block: (s0 E - A)^{-1} E * (current accepted block). Build it
-      // before the accepted vectors are moved into the basis.
-      if (accepted.empty()) break;  // fully deflated: Krylov space exhausted
-      MatD cur(n, static_cast<index>(accepted.size()));
-      for (index j = 0; j < cur.cols(); ++j)
-        cur.set_col(j, accepted[static_cast<std::size_t>(j)]);
-      block = lu.solve(sparse_times_dense(sys.e(), cur));
-    }
-    for (auto& q : accepted) {
-      basis_t.insert(basis_t.end(), q.begin(), q.end());
-      ++rank;
-    }
+  for (index moment = 0;; ++moment) {
+    const index added = basis.extend(std::move(block));
+    // Stop after the last moment, or when the block fully deflated (Krylov
+    // space exhausted); otherwise the next block is (s0 E - A)^{-1} E times
+    // the directions this one added.
+    if (moment + 1 == opts.num_moments || added == 0) break;
+    const index rank = basis.rank();
+    block = lu.solve(sparse_times_dense(sys.e(), basis.columns(rank - added, rank)));
   }
 
-  PMTBR_ENSURE(rank > 0, "PRIMA produced an empty basis");
-  MatD v(n, rank);
-  for (index j = 0; j < rank; ++j)
-    for (index i = 0; i < n; ++i) v(i, j) = basis_t[static_cast<std::size_t>(j * n + i)];
-  log_debug("prima: basis size ", v.cols(), " (", opts.num_moments, " moments x ", p, " ports)");
-
+  PMTBR_ENSURE(basis.rank() > 0, "PRIMA produced an empty basis");
+  log_debug("prima: basis size ", basis.rank(), " (", opts.num_moments, " moments x ",
+            sys.num_inputs(), " ports)");
   PrimaResult out;
-  out.model.v = v;
-  out.model.w = v;
-  out.model.system = project_congruence(sys, v);
+  out.model.v = basis.matrix();
+  out.model.w = out.model.v;
+  out.model.system = project_congruence(sys, out.model.v);
   return out;
 }
 

@@ -24,15 +24,7 @@ PvlResult pvl(const DescriptorSystem& sys, const PvlOptions& opts) {
   PMTBR_CHECK_FINITE(sys.c(), "pvl output matrix C");
   const index n = sys.n();
 
-  const sparse::CsrD pencil = [&] {
-    if (opts.s0 == 0.0) {
-      sparse::CsrD neg_a = sys.a();
-      for (auto& v : neg_a.values()) v = -v;
-      return neg_a;
-    }
-    return sparse::combine(opts.s0, sys.e(), -1.0, sys.a());
-  }();
-  const sparse::SparseLuD lu(pencil, sys.ordering());
+  const sparse::SparseLuD lu(expansion_pencil(sys, opts.s0), sys.ordering());
 
   const auto dotv = [n](const std::vector<double>& a, const std::vector<double>& b) {
     double s = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "la/gemm_kernel.hpp"
 #include "la/lu.hpp"
 #include "la/ops.hpp"
 #include "la/schur.hpp"
@@ -73,6 +74,75 @@ DenseSystem project(const DescriptorSystem& sys, const MatD& v, const MatD& w) {
 
 DenseSystem project_congruence(const DescriptorSystem& sys, const MatD& v) {
   return project(sys, v, v);
+}
+
+sparse::CsrD expansion_pencil(const DescriptorSystem& sys, double s0) {
+  PMTBR_REQUIRE(sys.n() > 0, "the expansion pencil needs a nonempty system");
+  if (s0 == 0.0) {
+    sparse::CsrD neg_a = sys.a();
+    for (auto& v : neg_a.values()) v = -v;
+    return neg_a;
+  }
+  return sparse::combine(s0, sys.e(), -1.0, sys.a());
+}
+
+DeflatingBasis::DeflatingBasis(index n, double deflation_tol, index max_rank)
+    : n_(n), deflation_tol_(deflation_tol), max_rank_(max_rank) {
+  PMTBR_REQUIRE(n > 0, "the basis needs a positive state dimension");
+  PMTBR_REQUIRE(deflation_tol > 0, "deflation_tol must be positive");
+}
+
+index DeflatingBasis::extend(MatD block) {
+  PMTBR_REQUIRE(block.rows() == n_, "block row count must equal the state dimension");
+  const index n = n_;
+  const index k = block.cols();
+  // Deflation thresholds come from the PRE-projection column norms.
+  std::vector<double> vnorms(static_cast<std::size_t>(k));
+  for (index j = 0; j < k; ++j) vnorms[static_cast<std::size_t>(j)] = la::norm2(block.col(j));
+
+  // Two passes of block classical Gram–Schmidt against the committed
+  // basis: proj = Q·B, B ← B − Qᵀ·proj.
+  if (rank_ > 0) {
+    MatD proj(rank_, k);
+    for (int pass = 0; pass < 2; ++pass) {
+      la::detail::gemm<double, false>(rank_, k, n, basis_t_.data(), n, 1, block.data(), k, 1,
+                                      proj.data(), k, la::detail::GemmAcc::kSet);
+      la::detail::gemm<double, false>(n, k, rank_, basis_t_.data(), 1, n, proj.data(), k, 1,
+                                      block.data(), k, la::detail::GemmAcc::kSub);
+    }
+  }
+
+  const index block_start = rank_;
+  for (index j = 0; j < k; ++j) {
+    if (full()) break;
+    const double vnorm = vnorms[static_cast<std::size_t>(j)];
+    if (vnorm == 0) continue;
+    auto v = block.col(j);
+    // Orthogonalize against the directions this same block introduced.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (index l = block_start; l < rank_; ++l) {
+        const double* q = basis_t_.data() + static_cast<std::size_t>(l * n);
+        double d = 0;
+        for (index i = 0; i < n; ++i) d += q[i] * v[static_cast<std::size_t>(i)];
+        for (index i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] -= d * q[i];
+      }
+    }
+    const double beta = la::norm2(v);
+    if (beta <= deflation_tol_ * vnorm) continue;  // deflated direction
+    for (auto& x : v) x /= beta;
+    basis_t_.insert(basis_t_.end(), v.begin(), v.end());
+    ++rank_;
+  }
+  return rank_ - block_start;
+}
+
+MatD DeflatingBasis::columns(index c0, index c1) const {
+  PMTBR_REQUIRE(0 <= c0 && c0 <= c1 && c1 <= rank_, "column range must lie inside the basis");
+  MatD out(n_, c1 - c0);
+  for (index j = c0; j < c1; ++j)
+    for (index i = 0; i < n_; ++i)
+      out(i, j - c0) = basis_t_[static_cast<std::size_t>(j * n_ + i)];
+  return out;
 }
 
 }  // namespace pmtbr::mor

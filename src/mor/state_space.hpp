@@ -1,6 +1,8 @@
-// Dense state-space models (the output type of every reduction algorithm)
-// and the projection operation that produces them from sparse descriptor
-// systems.
+// Dense state-space models (the output type of every reduction algorithm),
+// the projection operation that produces them from sparse descriptor
+// systems, and the two pieces the Krylov and multipoint bases share: the
+// deflating orthonormal basis (PRIMA, MPPROJ) and the expansion pencil
+// (PRIMA, PVL).
 #pragma once
 
 #include <vector>
@@ -64,5 +66,43 @@ DenseSystem project_congruence(const DescriptorSystem& sys, const MatD& v);
 
 /// Sparse E*V / A*V products used by project(); exposed for reuse.
 MatD sparse_times_dense(const sparse::CsrD& m, const MatD& v);
+
+/// The pencil a moment-matching method factors at the real expansion point
+/// s0: s0·E − A, or −A alone (A's pattern, no 0·E terms) when s0 == 0.
+sparse::CsrD expansion_pencil(const DescriptorSystem& sys, double s0);
+
+/// Orthonormal basis grown block by block with deflation: PRIMA adds one
+/// Krylov block per moment, MPPROJ one realified sample per frequency.
+/// The basis is stored transposed (row l = l-th direction, contiguous). A
+/// block first gets two passes of block classical Gram–Schmidt against the
+/// whole basis (two GEMMs per pass), then each column two passes of
+/// modified Gram–Schmidt against the directions its own block added. A
+/// column is dropped when its remainder is <= deflation_tol times its norm
+/// before projection; an exactly zero column is skipped.
+class DeflatingBasis {
+ public:
+  /// `n` is the state dimension; `max_rank` > 0 caps the basis size (the
+  /// cap may land in the middle of a block), < 0 leaves it uncapped.
+  DeflatingBasis(index n, double deflation_tol, index max_rank = -1);
+
+  /// Appends the surviving directions of `block` (n×k), in column order,
+  /// and returns how many it added.
+  index extend(MatD block);
+
+  index rank() const { return rank_; }
+  bool full() const { return max_rank_ > 0 && rank_ >= max_rank_; }
+
+  /// Directions [c0, c1) as an n×(c1 − c0) matrix.
+  MatD columns(index c0, index c1) const;
+  /// The whole basis, n×rank.
+  MatD matrix() const { return columns(0, rank_); }
+
+ private:
+  index n_;
+  double deflation_tol_;
+  index max_rank_;
+  index rank_ = 0;
+  std::vector<double> basis_t_;
+};
 
 }  // namespace pmtbr::mor

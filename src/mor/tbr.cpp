@@ -12,17 +12,29 @@ namespace pmtbr::mor {
 
 namespace {
 
-TbrResult tbr_standard(const MatD& a, const MatD& b, const MatD& c, const TbrOptions& opts) {
-  const MatD x = lyap::controllability_gramian(a, b, opts.lyapunov);
-  const MatD y = lyap::observability_gramian(a, c, opts.lyapunov);
+// Wᵀ·A·V, Wᵀ·B, C·V in the standard-form coordinates, where the balancing
+// bases satisfy Wᵀ·V = I.
+DenseSystem project_standard(const DenseStandard& d, const MatD& v, const MatD& w) {
+  MatD ar = la::matmul_at(w, la::matmul(d.a, v));
+  MatD br = la::matmul_at(w, d.b);
+  MatD cr = la::matmul(d.c, v);
+  return DenseSystem::standard(std::move(ar), std::move(br), std::move(cr));
+}
+
+}  // namespace
+
+ReducedModel balanced_truncation(const DenseStandard& d, const MatD& x, const MatD& y,
+                                 index fixed_order, double error_tol) {
+  const index n = d.a.rows();
+  PMTBR_REQUIRE(d.a.cols() == n && d.b.rows() == n && d.c.cols() == n,
+                "standard-form A, B, C shapes must agree");
+  PMTBR_REQUIRE(x.rows() == n && x.cols() == n && y.rows() == n && y.cols() == n,
+                "both Gramians must be n-by-n");
   const MatD lx = la::psd_factor(x);
   const MatD ly = la::psd_factor(y);
 
   // Ly^T Lx = U Σ V^T; Σ are the Hankel singular values.
   const la::SvdResult f = la::svd(la::matmul_at(ly, lx));
-
-  TbrResult out;
-  out.hsv = f.s;
 
   // The balancing transform needs σ^{-1/2}: cap the order where σ becomes
   // numerically zero relative to σ1.
@@ -33,28 +45,27 @@ TbrResult tbr_standard(const MatD& a, const MatD& b, const MatD& c, const TbrOpt
   max_usable = std::max<index>(max_usable, 1);
 
   index order;
-  if (opts.fixed_order > 0) {
-    order = std::min<index>(opts.fixed_order, max_usable);
-    if (order < opts.fixed_order)
-      log_warn("tbr: requested order ", opts.fixed_order, " capped to ", order,
+  if (fixed_order > 0) {
+    order = std::min<index>(fixed_order, max_usable);
+    if (order < fixed_order)
+      log_warn("balanced truncation: requested order ", fixed_order, " capped to ", order,
                " by numerically zero Hankel singular values");
   } else {
     double total = 0;
     for (const double s : f.s) total += s;
     double tail = total;
     order = 0;
-    while (order < max_usable && tail > opts.error_tol * total) {
+    while (order < max_usable && tail > error_tol * total) {
       tail -= f.s[static_cast<std::size_t>(order)];
       ++order;
     }
     order = std::max<index>(order, 1);
   }
 
-  const index q = order;
-  MatD v(a.rows(), q), w(a.rows(), q);
-  for (index j = 0; j < q; ++j) {
+  MatD v(n, order), w(n, order);
+  for (index j = 0; j < order; ++j) {
     const double is = 1.0 / std::sqrt(f.s[static_cast<std::size_t>(j)]);
-    for (index i = 0; i < a.rows(); ++i) {
+    for (index i = 0; i < n; ++i) {
       double accv = 0, accw = 0;
       for (index l = 0; l < lx.cols(); ++l) accv += lx(i, l) * f.v(l, j);
       for (index l = 0; l < ly.cols(); ++l) accw += ly(i, l) * f.u(l, j);
@@ -63,26 +74,24 @@ TbrResult tbr_standard(const MatD& a, const MatD& b, const MatD& c, const TbrOpt
     }
   }
 
-  out.model.v = v;
-  out.model.w = w;
-  MatD ar = la::matmul_at(w, la::matmul(a, v));
-  MatD br = la::matmul_at(w, b);
-  MatD cr = la::matmul(c, v);
-  out.model.system = DenseSystem::standard(std::move(ar), std::move(br), std::move(cr));
-  out.model.singular_values = f.s;
-  out.error_bound = tbr_error_bound(out.hsv, q);
+  ReducedModel out;
+  out.system = project_standard(d, v, w);
+  out.v = std::move(v);
+  out.w = std::move(w);
+  out.singular_values = f.s;
   return out;
 }
 
-}  // namespace
-
 TbrResult tbr(const DescriptorSystem& sys, const TbrOptions& opts) {
+  PMTBR_REQUIRE(opts.error_tol >= 0, "error_tol must be nonnegative");
   const DenseStandard d = to_dense_standard(sys);
-  return tbr_standard(d.a, d.b, d.c, opts);
-}
-
-TbrResult tbr_dense(const MatD& a, const MatD& b, const MatD& c, const TbrOptions& opts) {
-  return tbr_standard(a, b, c, opts);
+  const MatD x = lyap::controllability_gramian(d.a, d.b, opts.lyapunov);
+  const MatD y = lyap::observability_gramian(d.a, d.c, opts.lyapunov);
+  TbrResult out;
+  out.model = balanced_truncation(d, x, y, opts.fixed_order, opts.error_tol);
+  out.hsv = out.model.singular_values;
+  out.error_bound = tbr_error_bound(out.hsv, out.model.v.cols());
+  return out;
 }
 
 TbrResult tbr_truncate(const DescriptorSystem& sys, const TbrResult& full, index order) {
@@ -93,13 +102,7 @@ TbrResult tbr_truncate(const DescriptorSystem& sys, const TbrResult& full, index
   out.model.v = full.model.v.columns(0, order);
   out.model.w = full.model.w.columns(0, order);
   out.model.singular_values = full.model.singular_values;
-  // Project the dense standard form, exactly as tbr() does (the balancing
-  // bases satisfy W^T V = I in those coordinates).
-  const DenseStandard d = to_dense_standard(sys);
-  MatD ar = la::matmul_at(out.model.w, la::matmul(d.a, out.model.v));
-  MatD br = la::matmul_at(out.model.w, d.b);
-  MatD cr = la::matmul(d.c, out.model.v);
-  out.model.system = DenseSystem::standard(std::move(ar), std::move(br), std::move(cr));
+  out.model.system = project_standard(to_dense_standard(sys), out.model.v, out.model.w);
   out.error_bound = tbr_error_bound(full.hsv, order);
   return out;
 }

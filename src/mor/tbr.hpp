@@ -30,10 +30,17 @@ struct TbrResult {
 };
 
 /// Balanced truncation of a descriptor system (E must be invertible).
+/// Dense standard-form matrices go in through from_dense().
 TbrResult tbr(const DescriptorSystem& sys, const TbrOptions& opts = {});
 
-/// Balanced truncation of dense standard-form matrices.
-TbrResult tbr_dense(const MatD& a, const MatD& b, const MatD& c, const TbrOptions& opts = {});
+/// Square-root balanced truncation of the standard-form system `d` from a
+/// Gramian pair (X, Y), the kernel behind tbr() and fwbt(): with
+/// X = Lx·Lxᵀ, Y = Ly·Lyᵀ and Lyᵀ·Lx = U·Σ·V_svdᵀ, it projects `d` onto
+/// V = Lx·V_svd·Σ^{-1/2} and W = Ly·U·Σ^{-1/2}. The order is `fixed_order`
+/// if > 0, else the smallest q whose tail Σ_{i>q} σ_i <= error_tol·Σσ, and
+/// never more than the σ above 1e-13·σ1. `singular_values` holds every σ.
+ReducedModel balanced_truncation(const DenseStandard& d, const MatD& x, const MatD& y,
+                                 index fixed_order, double error_tol);
 
 /// Nested re-truncation: the square-root balancing bases are ordered by
 /// Hankel singular value, so the order-q TBR model is the projection onto

@@ -14,6 +14,13 @@ namespace pmtbr::sparse {
 
 namespace {
 
+// A numeric factorization against a frozen analysis (the LU replay's frozen
+// pivot, LDLᵀ's diagonal pivot d_j) rejects a pivot whose magnitude falls
+// below this times the best candidate a fresh factorization could have
+// picked for that column (kDegeneratePivot); the caller full-factors
+// instead.
+constexpr double kRefactorPivotTol = 1e-10;
+
 // Compressed-sparse-column view of a CSR matrix after a symmetric
 // permutation: column j holds rows of A(q, q)(:, j), where inv = q^{-1}.
 // `slot` remembers the originating CSR value slot of each entry so a
@@ -227,16 +234,7 @@ SymbolicLu<T> SparseLu<T>::symbolic() const {
 }
 
 template <typename T>
-std::optional<SparseLu<T>> SparseLu<T>::try_refactor(const SymbolicLu<T>& symbolic,
-                                                     const Csr<T>& a) {
-  auto lu = refactor(symbolic, a);
-  if (!lu.is_ok()) return std::nullopt;
-  return std::move(lu).value();
-}
-
-template <typename T>
-util::Expected<SparseLu<T>> SparseLu<T>::refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a,
-                                                  const SolveOptions& opts) {
+util::Expected<SparseLu<T>> SparseLu<T>::refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a) {
   const detail::LuPattern<T>& pat = *symbolic.pattern_;
   PMTBR_REQUIRE(a.rows() == a.cols() && a.rows() == pat.n, "refactor matrix size mismatch");
   PMTBR_REQUIRE(a.row_ptr() == pat.a_row_ptr && a.col_idx() == pat.a_col_idx,
@@ -245,7 +243,7 @@ util::Expected<SparseLu<T>> SparseLu<T>::refactor(const SymbolicLu<T>& symbolic,
   SparseLu<T> lu;
   lu.pattern_ = symbolic.pattern_;
   util::Status st =
-      pat.kind == FactorKind::kLdlt ? lu.refactor_ldlt(a, opts) : lu.refactor(a, opts);
+      pat.kind == FactorKind::kLdlt ? lu.refactor_ldlt(a) : lu.refactor(a);
   if (!st.is_ok()) {
     obs::counter_add(obs::Counter::kSparseLuRefactorReject);
     return st;
@@ -395,7 +393,7 @@ util::Status SparseLu<T>::factor(const Csr<T>& a, detail::LuPattern<T>& pat,
 }
 
 template <typename T>
-util::Status SparseLu<T>::refactor(const Csr<T>& a, const SolveOptions& opts) {
+util::Status SparseLu<T>::refactor(const Csr<T>& a) {
   PMTBR_TRACE_SCOPE("splu.refactor");
   if (util::fault::should_fail(util::fault::Site::kSpluRefactor))
     return util::Status(util::ErrorCode::kInjectedFault, "splu.refactor fault injected");
@@ -440,7 +438,7 @@ util::Status SparseLu<T>::refactor(const Csr<T>& a, const SolveOptions& opts) {
       best = std::max(best,
                       std::abs(la::cd(x[static_cast<std::size_t>(
                           pat.l_row[static_cast<std::size_t>(p)])])));
-    if (!(piv_mag > 0) || piv_mag < opts.refactor_pivot_tol * best)
+    if (!(piv_mag > 0) || piv_mag < kRefactorPivotTol * best)
       return util::Status(util::ErrorCode::kDegeneratePivot,
                           "frozen pivot order numerically inadequate for these values")
           .with_detail(j, piv_mag);
@@ -465,14 +463,14 @@ util::Status SparseLu<T>::refactor(const Csr<T>& a, const SolveOptions& opts) {
 // row j of L — only the rows ≥ j of each contributing column. d_j faces the
 // LU replay's pivot test, on squared magnitudes.
 template <typename T>
-util::Status SparseLu<T>::refactor_ldlt(const Csr<T>& a, const SolveOptions& opts) {
+util::Status SparseLu<T>::refactor_ldlt(const Csr<T>& a) {
   PMTBR_TRACE_SCOPE("splu.ldlt");
   if (util::fault::should_fail(util::fault::Site::kSpluRefactor))
     return util::Status(util::ErrorCode::kInjectedFault, "splu.refactor fault injected");
   const auto& pat = *pattern_;
   const index n = pat.n;
   const auto& vals = a.values();
-  const double tol2 = opts.refactor_pivot_tol * opts.refactor_pivot_tol;
+  const double tol2 = kRefactorPivotTol * kRefactorPivotTol;
 
   l_val_.resize(pat.l_row.size());
   diag_.resize(static_cast<std::size_t>(n));
@@ -627,19 +625,6 @@ std::vector<T> SparseLu<T>::solve_transpose(std::vector<T> b) const {
         pat.q[static_cast<std::size_t>(pat.prow[static_cast<std::size_t>(k)])])] =
         w[static_cast<std::size_t>(k)];
   return out;
-}
-
-template <typename T>
-std::vector<T> SparseLu<T>::solve_adjoint(const std::vector<T>& b) const {
-  if constexpr (std::is_same_v<T, cd>) {
-    std::vector<T> bc(b.size());
-    for (std::size_t i = 0; i < b.size(); ++i) bc[i] = std::conj(b[i]);
-    auto y = solve_transpose(std::move(bc));
-    for (auto& v : y) v = std::conj(v);
-    return y;
-  } else {
-    return solve_transpose(b);
-  }
 }
 
 template <typename T>

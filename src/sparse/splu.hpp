@@ -18,14 +18,13 @@
 // pattern for every s), so one analysis serves every shift and each further
 // shift is a numeric-only factorization (SparseLu::refactor) that touches
 // each stored nonzero exactly once. Both kinds accept a numeric factor only
-// when each pivot (LU's frozen one, LDLᵀ's diagonal one) clears
-// SolveOptions::refactor_pivot_tol; a rejection means "full LU factor with
-// fresh pivoting instead".
+// when each pivot (LU's frozen one, LDLᵀ's diagonal one) is at least 1e-10
+// times the best candidate a fresh factorization could have picked for its
+// column; a rejection means "full LU factor with fresh pivoting instead".
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -34,19 +33,6 @@
 #include "util/status.hpp"
 
 namespace pmtbr::sparse {
-
-/// Tunables for the numeric factorization phases.
-struct SolveOptions {
-  /// Acceptance floor for a numeric factorization against a frozen
-  /// analysis (the LU replay's frozen pivot, LDLᵀ's diagonal pivot d_j): a
-  /// pivot whose magnitude falls below `refactor_pivot_tol` times the best
-  /// candidate a fresh factorization could have picked for that column is
-  /// rejected as degenerate (kDegeneratePivot, detail = pivot position +
-  /// magnitude) and the caller should full-factor instead.
-  /// The default keeps the historical hard-coded value; raise it to trade
-  /// replay speed for pivot quality, lower it to accept shakier replays.
-  double refactor_pivot_tol = 1e-10;
-};
 
 /// Which numeric factorization an analysis drives.
 enum class FactorKind : std::uint8_t {
@@ -166,18 +152,13 @@ class SparseLu {
   /// analysis, of the analysis' kind. `a` must have the same CSR layout
   /// (row_ptr/col_idx) as the analyzed matrix, std::invalid_argument
   /// otherwise, and for LDLᵀ exactly symmetric values, likewise. Returns
-  /// nullopt when a pivot is numerically inadequate for these values
-  /// (degenerate pivot); the caller should fall back to a full
-  /// factorization with fresh pivoting. The refactor is deterministic:
-  /// identical inputs give bit-identical factors on every thread.
-  static std::optional<SparseLu> try_refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a);
-
-  /// Status-carrying refactor: kDegeneratePivot (detail = pivot position +
-  /// magnitude) when a pivot falls below opts.refactor_pivot_tol relative
-  /// to the column's best candidate, kInjectedFault under the splu.refactor
-  /// injection site.
-  static util::Expected<SparseLu> refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a,
-                                           const SolveOptions& opts = {});
+  /// kDegeneratePivot (detail = pivot position + magnitude) when a pivot
+  /// falls below 1e-10 times the column's best candidate — the caller
+  /// should then fall back to a full factorization with fresh pivoting —
+  /// and kInjectedFault under the splu.refactor injection site. The
+  /// refactor is deterministic: identical inputs give bit-identical factors
+  /// on every thread.
+  static util::Expected<SparseLu> refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a);
 
   index n() const { return pattern_->n; }
   /// nnz(L+U) without U's diagonal; for LDLᵀ that of U = D·Lᵀ: 2·nnz(L).
@@ -192,12 +173,9 @@ class SparseLu {
   /// Solves A x = b.
   std::vector<T> solve(std::vector<T> b) const;
 
-  /// Solves A^T x = b (plain transpose; for complex adjoint use
-  /// solve_adjoint). For LDLᵀ, A^T = A and this is solve().
+  /// Solves A^T x = b (plain transpose, no conjugation). For LDLᵀ,
+  /// A^T = A and this is solve().
   std::vector<T> solve_transpose(std::vector<T> b) const;
-
-  /// Solves A^H x = b (conjugate transpose).
-  std::vector<T> solve_adjoint(const std::vector<T>& b) const;
 
   /// Column-wise solve A X = B for a dense right-hand side; columns are
   /// independent and fan out across the shared thread pool.
@@ -211,8 +189,8 @@ class SparseLu {
   std::int64_t factor_entries() const {
     return static_cast<std::int64_t>(nnz_factors()) + static_cast<std::int64_t>(n());
   }
-  util::Status refactor(const Csr<T>& a, const SolveOptions& opts);
-  util::Status refactor_ldlt(const Csr<T>& a, const SolveOptions& opts);
+  util::Status refactor(const Csr<T>& a);
+  util::Status refactor_ldlt(const Csr<T>& a);
   std::vector<T> solve_ldlt(const std::vector<T>& b) const;
 
   std::shared_ptr<const detail::LuPattern<T>> pattern_;

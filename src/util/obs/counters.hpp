@@ -31,7 +31,7 @@ enum class Counter : int {
   // shifted-pencil cache (src/circuit/descriptor.cpp)
   kSymbolicCacheHit,       // solve found the frozen symbolic analysis ready
   kSymbolicCacheMiss,      // solve had to build the symbolic analysis
-  kShiftedSolve,           // (sE-A)^{-1} style solves (incl. adjoint/transpose)
+  kShiftedSolve,           // (sE-A)^{-1} style solves (incl. transpose)
   // dense kernels (src/la)
   kGemmFlops,              // 2*m*k*n per matmul call (estimate)
   kGemmCalls,              // blocked-GEMM invocations (matmul/matmul_into/matmul_at)

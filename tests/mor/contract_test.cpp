@@ -1,18 +1,25 @@
 // Contracts on the MOR entry points: option validation on pmtbr and its
-// wrappers, basis-shape checks on projection, and NaN capture at the first
-// instrumented boundary (the incremental compressor and the descriptor
-// constructor).
+// wrappers, TBR/FWBT and input-correlated TBR (each checked at entry, before
+// any solve), basis-shape checks on projection, and NaN capture at the
+// first instrumented boundary (the incremental compressor and the
+// descriptor constructor).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "circuit/generators.hpp"
 #include "mor/compressor.hpp"
 #include "mor/error.hpp"
+#include "mor/fwbt.hpp"
+#include "mor/input_correlated.hpp"
 #include "mor/pmtbr.hpp"
 #include "mor/tbr.hpp"
 #include "sparse/csr.hpp"
+#include "util/obs/counters.hpp"
 
 namespace pmtbr::mor {
 namespace {
@@ -23,6 +30,17 @@ DescriptorSystem small_sys() {
   circuit::RcLineParams p;
   p.segments = 8;
   return circuit::make_rc_line(p);
+}
+
+// `call` must throw std::invalid_argument without running a shifted solve
+// or a GEMM (every Lyapunov solve and every sampled block needs one).
+template <typename Call>
+void expect_rejected_before_any_solve(const Call& call) {
+  const std::int64_t solves = obs::counter_value(obs::Counter::kShiftedSolve);
+  const std::int64_t gemms = obs::counter_value(obs::Counter::kGemmCalls);
+  EXPECT_THROW(call(), std::invalid_argument);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShiftedSolve), solves);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kGemmCalls), gemms);
 }
 
 TEST(PmtbrContract, EmptyBandsThrow) {
@@ -45,6 +63,26 @@ TEST(PmtbrContract, NegativeTruncationTolThrows) {
   EXPECT_THROW(pmtbr(small_sys(), opts), std::invalid_argument);
 }
 
+TEST(PmtbrContract, NegativeTruncationTolThrowsFromEveryOrderChoosingEntry) {
+  const auto sys = small_sys();
+  const auto samples = sample_band(Band{1e3, 1e9}, 8, SamplingScheme::kUniform);
+  PmtbrOptions opts;
+  opts.truncation_tol = -1e-6;
+  expect_rejected_before_any_solve([&] { (void)pmtbr_with_samples(sys, samples, opts); });
+  expect_rejected_before_any_solve([&] { (void)pmtbr_adaptive(sys, AdaptiveOptions{}, opts); });
+  // pmtbr_order_sweep takes its orders from its argument and documents
+  // truncation_tol as ignored, so it does not check it.
+  EXPECT_NO_THROW((void)pmtbr_order_sweep(sys, samples, {2}, opts));
+}
+
+TEST(PmtbrContract, NegativeSampleWeightThrowsBeforeAnySolve) {
+  const auto sys = small_sys();
+  auto samples = sample_band(Band{1e3, 1e9}, 8, SamplingScheme::kUniform);
+  samples[5].weight = -1.0;
+  expect_rejected_before_any_solve([&] { (void)pmtbr_with_samples(sys, samples, {}); });
+  expect_rejected_before_any_solve([&] { (void)pmtbr_order_sweep(sys, samples, {2}, {}); });
+}
+
 TEST(PmtbrContract, ZeroTruncationTolIsLegal) {
   // tol == 0 means "keep everything" (used with max_order caps); it must
   // not be rejected by the nonnegativity contract.
@@ -53,10 +91,6 @@ TEST(PmtbrContract, ZeroTruncationTolIsLegal) {
   opts.truncation_tol = 0.0;
   opts.max_order = 3;
   EXPECT_NO_THROW(pmtbr(small_sys(), opts));
-}
-
-TEST(PmtbrContract, FrequencySelectiveRejectsEmptyBands) {
-  EXPECT_THROW(pmtbr_frequency_selective(small_sys(), {}), std::invalid_argument);
 }
 
 TEST(PmtbrContract, WithSamplesRejectsEmptySampleSet) {
@@ -100,6 +134,38 @@ TEST(TbrContract, NegativeOrderThrows) {
   EXPECT_THROW(tbr_error_bound({1.0, 0.5}, -1), std::invalid_argument);
 }
 
+TEST(TbrContract, NegativeErrorTolThrowsBeforeAnyLyapunovSolve) {
+  const auto sys = small_sys();
+  TbrOptions topts;
+  topts.error_tol = -1.0;
+  expect_rejected_before_any_solve([&] { (void)tbr(sys, topts); });
+  FwbtOptions fopts;
+  fopts.error_tol = -1.0;
+  expect_rejected_before_any_solve(
+      [&] { (void)fwbt(sys, std::nullopt, std::nullopt, fopts); });
+}
+
+TEST(InputCorrelatedContract, NegativeOptionsThrowBeforeAnySolve) {
+  circuit::MultiportRcParams p;
+  p.lines = 4;
+  p.segments = 3;
+  const auto sys = circuit::make_multiport_rc(p);
+  MatD waveforms(sys.num_inputs(), 20);
+  for (index i = 0; i < waveforms.rows(); ++i)
+    for (index j = 0; j < waveforms.cols(); ++j)
+      waveforms(i, j) = std::cos(0.3 * static_cast<double>((i + 1) * j));
+  InputCorrelatedOptions tol;
+  tol.truncation_tol = -1.0;
+  expect_rejected_before_any_solve([&] { (void)input_correlated_tbr(sys, waveforms, tol); });
+  // A negative draw count is an error, not the blocked variant (0 draws).
+  InputCorrelatedOptions draws;
+  draws.draws_per_frequency = -3;
+  expect_rejected_before_any_solve([&] { (void)input_correlated_tbr(sys, waveforms, draws); });
+  InputCorrelatedOptions ok;
+  ok.fixed_order = 3;
+  EXPECT_EQ(input_correlated_tbr(sys, waveforms, ok).model.system.n(), 3);
+}
+
 TEST(ErrorContract, EmptyFrequencyGridThrows) {
   const auto sys = small_sys();
   EXPECT_THROW(transfer_series(sys, {}), std::invalid_argument);
@@ -107,7 +173,9 @@ TEST(ErrorContract, EmptyFrequencyGridThrows) {
 
 TEST(ErrorContract, EntryIndicesValidated) {
   const auto full = small_sys();
-  const auto red = pmtbr_frequency_selective(full, {Band{1e3, 1e9}});
+  PmtbrOptions opts;
+  opts.bands = {Band{1e3, 1e9}};
+  const auto red = pmtbr(full, opts);
   const std::vector<double> freqs{1e6};
   EXPECT_THROW(entry_error_series(full, red.model.system, freqs, full.num_outputs(), 0, false),
                std::invalid_argument);

@@ -1,6 +1,7 @@
-// DenseSystem / projection / error-metric layer tests.
+// DenseSystem / projection / deflating-basis / error-metric layer tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numbers>
 
 #include "circuit/generators.hpp"
@@ -88,6 +89,82 @@ TEST(SparseTimesDense, MatchesDense) {
   const MatD got = sparse_times_dense(sys.e(), v);
   const MatD expected = la::matmul(sys.e().to_dense(), v);
   EXPECT_LT(la::max_abs_diff(got, expected), 1e-12);
+}
+
+TEST(ExpansionPencil, DcKeepsThePatternOfA) {
+  const auto sys = circuit::make_rc_line({.segments = 6});
+  const sparse::CsrD dc = expansion_pencil(sys, 0.0);
+  ASSERT_EQ(dc.nnz(), sys.a().nnz());
+  for (std::size_t k = 0; k < dc.nnz(); ++k) EXPECT_EQ(dc.values()[k], -sys.a().values()[k]);
+
+  const double s0 = 1e9;
+  MatD expected = sys.e().to_dense();
+  expected *= s0;
+  const MatD a = sys.a().to_dense();
+  for (index i = 0; i < sys.n(); ++i)
+    for (index j = 0; j < sys.n(); ++j) expected(i, j) -= a(i, j);
+  EXPECT_LT(la::max_abs_diff(expansion_pencil(sys, s0).to_dense(), expected),
+            1e-15 * la::norm_fro(expected));
+}
+
+TEST(DeflatingBasis, DropsADependentColumnAndSkipsAZeroColumn) {
+  const index n = 40;
+  Rng rng(81);
+  MatD block = testing::random_matrix(n, 4, rng);
+  for (index i = 0; i < n; ++i) {
+    block(i, 2) = block(i, 0) - 2.0 * block(i, 1);  // depends on its own block
+    block(i, 3) = 0.0;
+  }
+  DeflatingBasis basis(n, 1e-10);
+  EXPECT_EQ(basis.extend(block), 2);
+  EXPECT_EQ(basis.rank(), 2);
+  // A later block inside the span adds nothing either.
+  MatD again(n, 1);
+  for (index i = 0; i < n; ++i) again(i, 0) = 3.0 * block(i, 0) + block(i, 1);
+  EXPECT_EQ(basis.extend(again), 0);
+  EXPECT_EQ(basis.rank(), 2);
+}
+
+TEST(DeflatingBasis, RankCapLandsMidBlock) {
+  const index n = 30;
+  Rng rng(82);
+  DeflatingBasis basis(n, 1e-10, 5);
+  EXPECT_EQ(basis.extend(testing::random_matrix(n, 3, rng)), 3);
+  EXPECT_FALSE(basis.full());
+  EXPECT_EQ(basis.extend(testing::random_matrix(n, 4, rng)), 2);  // 2 of 4 columns fit
+  EXPECT_TRUE(basis.full());
+  EXPECT_EQ(basis.extend(testing::random_matrix(n, 2, rng)), 0);
+  EXPECT_EQ(basis.rank(), 5);
+  EXPECT_EQ(basis.matrix().cols(), 5);
+}
+
+TEST(DeflatingBasis, ColumnsAreOrthonormal) {
+  const index n = 200;
+  Rng rng(83);
+  DeflatingBasis basis(n, 1e-10);
+  // Six blocks spanning six decades, each after the first padded with two
+  // columns inside the span already built (they must deflate).
+  for (int b = 0; b < 6; ++b) {
+    MatD block = testing::random_matrix(n, 7, rng, std::pow(10.0, b - 3));
+    if (basis.rank() > 0)
+      block = la::hcat(block,
+                       la::matmul(basis.matrix(), testing::random_matrix(basis.rank(), 2, rng)));
+    EXPECT_EQ(basis.extend(block), 7) << "block " << b;
+  }
+  const MatD q = basis.matrix();
+  ASSERT_EQ(q.rows(), n);
+  ASSERT_EQ(q.cols(), 42);
+  EXPECT_LE(testing::orthonormality_defect(q), 1e-14 * static_cast<double>(n));
+  EXPECT_EQ(la::max_abs_diff(basis.columns(35, 42), q.columns(35, 42)), 0.0);
+}
+
+TEST(DeflatingBasis, RejectsBadShapesAndTolerances) {
+  EXPECT_THROW(DeflatingBasis(0, 1e-10), std::invalid_argument);
+  EXPECT_THROW(DeflatingBasis(4, 0.0), std::invalid_argument);
+  DeflatingBasis basis(4, 1e-10);
+  EXPECT_THROW(basis.extend(MatD(5, 1, 1.0)), std::invalid_argument);
+  EXPECT_THROW((void)basis.columns(0, 1), std::invalid_argument);
+  EXPECT_THROW((void)basis.columns(1, 0), std::invalid_argument);
 }
 
 TEST(ErrorGrids, LinspaceEndpointsAndSpacing) {

@@ -77,7 +77,7 @@ TEST(Tbr, HsvInvariantUnderStateScaling) {
   const MatD a = testing::random_stable(8, rng);
   const MatD b = testing::random_matrix(8, 2, rng);
   const MatD c = testing::random_matrix(2, 8, rng);
-  const auto r1 = tbr_dense(a, b, c, {});
+  const auto r1 = tbr(from_dense(a, b, c));
 
   MatD t(8, 8);  // diagonal scaling
   for (index i = 0; i < 8; ++i) t(i, i) = std::pow(10.0, (i % 4) - 2);
@@ -86,7 +86,7 @@ TEST(Tbr, HsvInvariantUnderStateScaling) {
   const MatD a2 = la::matmul(t, la::matmul(a, tinv));
   const MatD b2 = la::matmul(t, b);
   const MatD c2 = la::matmul(c, tinv);
-  const auto r2 = tbr_dense(a2, b2, c2, {});
+  const auto r2 = tbr(from_dense(a2, b2, c2));
 
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_NEAR(r1.hsv[i] / r2.hsv[i], 1.0, 1e-6) << "hsv index " << i;

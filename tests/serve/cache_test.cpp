@@ -198,9 +198,9 @@ TEST_F(ReductionServiceCache, FactorCacheSharesNumericFactorsAcrossSystems) {
   const std::int64_t refactors_after_first =
       obs::counter_value(obs::Counter::kSparseLuRefactor);
   const la::MatC x2 = sys2.solve_shifted(shift, rhs);
-  // sys2 still builds its own symbolic analysis (a one-time full
-  // factorization), but the numeric factors replay from the shared cache:
-  // no new refactorization happens at the shift.
+  // sys2 still builds its own symbolic analysis (for an RC mesh, the
+  // pattern-only LDLᵀ analysis, no numeric work), but the numeric factors
+  // come from the shared cache: no new refactorization happens at the shift.
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors_after_first);
   EXPECT_GE(obs::counter_value(obs::Counter::kFactorCacheHit), 1);
 

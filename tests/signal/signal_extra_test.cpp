@@ -1,8 +1,6 @@
 // Additional signal-layer coverage: bank adapters, bulk-current
-// determinism, adjoint solves, and transient consistency properties.
+// determinism, and transient consistency properties.
 #include <gtest/gtest.h>
-
-#include <numbers>
 
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
@@ -14,7 +12,6 @@
 namespace pmtbr::signal {
 namespace {
 
-using la::cd;
 using la::index;
 
 TEST(BankInput, EvaluatesAllChannels) {
@@ -121,17 +118,6 @@ TEST(Transient, RejectsWrongInputWidth) {
   opts.steps = 10;
   EXPECT_THROW(simulate(sys, [](double) { return std::vector<double>{1.0, 2.0}; }, opts),
                std::invalid_argument);
-}
-
-TEST(DescriptorAdjoint, SolvesConjugateTransposedSystem) {
-  const auto sys = circuit::make_rc_line({.segments = 6});
-  const cd s(0.0, 2.0 * std::numbers::pi * 1e9);
-  la::MatC rhs(sys.n(), 1);
-  for (index i = 0; i < sys.n(); ++i) rhs(i, 0) = cd(1.0, static_cast<double>(i));
-  const la::MatC x = sys.solve_shifted_adjoint(s, rhs);
-  const la::MatC dense = sparse::shifted_pencil(s, sys.e(), sys.a()).to_dense();
-  const la::MatC back = la::matmul(la::adjoint(dense), x);
-  EXPECT_LT(la::max_abs_diff(back, rhs), 1e-9 * la::norm_fro(rhs));
 }
 
 }  // namespace

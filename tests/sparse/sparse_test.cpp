@@ -206,23 +206,6 @@ TEST(SparseLu, ComplexShiftedSystem) {
   }
 }
 
-TEST(SparseLu, AdjointSolve) {
-  const index n = 12;
-  const CsrD e = tridiag(n, 1.0, 0.2);
-  const CsrD a = tridiag(n, -3.0, 0.7);
-  const CsrC pencil = shifted_pencil(la::cd(0.0, 1.5), e, a);
-  const SparseLuC lu(pencil);
-  std::vector<la::cd> b(static_cast<std::size_t>(n), la::cd(1.0, -1.0));
-  const auto x = lu.solve_adjoint(b);
-  // Verify A^H x = b via dense adjoint.
-  const la::MatC dh = la::adjoint(pencil.to_dense());
-  const auto back = la::matvec(dh, x);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    EXPECT_NEAR(back[i].real(), b[i].real(), 1e-10);
-    EXPECT_NEAR(back[i].imag(), b[i].imag(), 1e-10);
-  }
-}
-
 TEST(SparseLu, SingularThrows) {
   Triplets<double> t(2, 2);
   t.add(0, 0, 1.0);

@@ -127,7 +127,6 @@ TEST(SpluContract, RefactorRejectsSameNnzDifferentLayout) {
   ASSERT_EQ(analyzed.nnz(), moved.nnz());
   const SymbolicLuD symbolic(analyzed);
   EXPECT_THROW((void)SparseLuD::refactor(symbolic, moved), std::invalid_argument);
-  EXPECT_THROW((void)SparseLuD::try_refactor(symbolic, moved), std::invalid_argument);
   EXPECT_TRUE(SparseLuD::refactor(symbolic, analyzed).is_ok());
 }
 
@@ -146,7 +145,7 @@ TEST(SpluStatus, FactorReportsSingularityWithDetail) {
 TEST(SpluStatus, RefactorRejectsDegenerateFrozenPivotWithDetail) {
   // Representative prefers the diagonal pivot in column 0; the replayed
   // values make that frozen pivot 16 orders below the column's best
-  // candidate — far under the default refactor_pivot_tol of 1e-10.
+  // candidate — far under the replay's pivot floor of 1e-10.
   const auto base = SparseLuD::factor(dense2x2(1.0, 2.0, 3.0, 4.0));
   ASSERT_TRUE(base.is_ok());
   const SymbolicLuD symbolic = base.value().symbolic();
@@ -157,30 +156,10 @@ TEST(SpluStatus, RefactorRejectsDegenerateFrozenPivotWithDetail) {
   EXPECT_EQ(replay.status().code(), util::ErrorCode::kDegeneratePivot);
   EXPECT_EQ(replay.status().detail_index(), 0);  // the degenerate pivot position
   EXPECT_NEAR(replay.status().detail_value(), 1e-16, 1e-18);
-  // The optional-based legacy entry point agrees.
-  EXPECT_FALSE(SparseLuD::try_refactor(symbolic, shaky).has_value());
-}
 
-TEST(SpluStatus, RefactorPivotTolIsAnHonestKnob) {
-  const auto base = SparseLuD::factor(dense2x2(1.0, 2.0, 3.0, 4.0));
-  ASSERT_TRUE(base.is_ok());
-  const SymbolicLuD symbolic = base.value().symbolic();
-
-  // tol = 0 accepts even the degenerate replay (caller opted out) and the
-  // factors still solve the system they were given.
-  const CsrD shaky = dense2x2(1e-16, 1.0, 1.0, 1.0);
-  SolveOptions accept_all;
-  accept_all.refactor_pivot_tol = 0.0;
-  const auto forced = SparseLuD::refactor(symbolic, shaky, accept_all);
-  ASSERT_TRUE(forced.is_ok());
-
-  // tol = 1 rejects a replay whose frozen pivot is merely 2x below the best
-  // candidate; the default accepts it.
-  const CsrD mild = dense2x2(0.5, 1.0, 1.0, 1.0);
-  SolveOptions strict;
-  strict.refactor_pivot_tol = 1.0;
-  EXPECT_FALSE(SparseLuD::refactor(symbolic, mild, strict).is_ok());
-  EXPECT_TRUE(SparseLuD::refactor(symbolic, mild).is_ok());
+  // A replay whose frozen pivot is merely 2x below the best candidate is
+  // accepted.
+  EXPECT_TRUE(SparseLuD::refactor(symbolic, dense2x2(0.5, 1.0, 1.0, 1.0)).is_ok());
 }
 
 TEST(SpluStatus, InjectionSitesFireDeterministically) {

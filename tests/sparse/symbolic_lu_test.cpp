@@ -50,8 +50,8 @@ TEST(SymbolicLu, OneAnalysisServesManyShifts) {
   const auto b = random_rhs(sys.n());
   for (const cd s : shifts) {
     const CsrC pencil = shifted_pencil(s, sys.e(), sys.a());
-    const auto lu = SparseLuC::try_refactor(symbolic, pencil);
-    ASSERT_TRUE(lu.has_value()) << "refactor rejected shift " << s.real() << "+" << s.imag() << "i";
+    const auto lu = SparseLuC::refactor(symbolic, pencil);
+    ASSERT_TRUE(lu.is_ok()) << "refactor rejected shift " << s.real() << "+" << s.imag() << "i";
     EXPECT_LT(relative_residual(pencil, lu->solve(b), b), 1e-10);
   }
 }
@@ -67,8 +67,8 @@ TEST(SymbolicLu, RefactorMatchesFullFactorization) {
   const cd s1(0.0, 7e10);
   const SymbolicLuC symbolic(shifted_pencil(s0, sys.e(), sys.a()), sys.ordering());
   const CsrC pencil = shifted_pencil(s1, sys.e(), sys.a());
-  const auto refac = SparseLuC::try_refactor(symbolic, pencil);
-  ASSERT_TRUE(refac.has_value());
+  const auto refac = SparseLuC::refactor(symbolic, pencil);
+  ASSERT_TRUE(refac.is_ok());
   const SparseLuC full(pencil, sys.ordering());
 
   const auto b = random_rhs(sys.n());
@@ -87,8 +87,8 @@ TEST(SymbolicLu, RefactorSupportsTransposeAndAdjointSolves) {
   const cd s1(0.0, 4e10);
   const SymbolicLuC symbolic(shifted_pencil(s0, sys.e(), sys.a()), sys.ordering());
   const CsrC pencil = shifted_pencil(s1, sys.e(), sys.a());
-  const auto lu = SparseLuC::try_refactor(symbolic, pencil);
-  ASSERT_TRUE(lu.has_value());
+  const auto lu = SparseLuC::refactor(symbolic, pencil);
+  ASSERT_TRUE(lu.is_ok());
 
   const la::MatC dense = pencil.to_dense();
   const auto b = random_rhs(sys.n());
@@ -99,13 +99,6 @@ TEST(SymbolicLu, RefactorSupportsTransposeAndAdjointSolves) {
   const auto xt_ref = dense_t.solve(b);
   for (std::size_t i = 0; i < xt.size(); ++i)
     EXPECT_LT(std::abs(xt[i] - xt_ref[i]), 1e-8 * (1.0 + std::abs(xt_ref[i])));
-
-  // A^H x = b via dense reference.
-  const la::LuC dense_h(la::adjoint(dense));
-  const auto xh = lu->solve_adjoint(b);
-  const auto xh_ref = dense_h.solve(b);
-  for (std::size_t i = 0; i < xh.size(); ++i)
-    EXPECT_LT(std::abs(xh[i] - xh_ref[i]), 1e-8 * (1.0 + std::abs(xh_ref[i])));
 }
 
 TEST(SymbolicLu, SymbolicHarvestedFromFullFactorization) {
@@ -120,8 +113,8 @@ TEST(SymbolicLu, SymbolicHarvestedFromFullFactorization) {
 
   const cd s1(0.0, 3e11);
   const CsrC pencil1 = shifted_pencil(s1, sys.e(), sys.a());
-  const auto lu = SparseLuC::try_refactor(symbolic, pencil1);
-  ASSERT_TRUE(lu.has_value());
+  const auto lu = SparseLuC::refactor(symbolic, pencil1);
+  ASSERT_TRUE(lu.is_ok());
   const auto b = random_rhs(sys.n());
   EXPECT_LT(relative_residual(pencil1, lu->solve(b), b), 1e-10);
 }
@@ -135,7 +128,8 @@ TEST(SymbolicLu, RejectsPatternMismatch) {
   circuit::RcLineParams p2;
   p2.segments = 12;  // different size
   const auto other = circuit::make_rc_line(p2);
-  EXPECT_THROW(SparseLuC::try_refactor(symbolic, shifted_pencil(cd(0.0, 1e9), other.e(), other.a())),
+  EXPECT_THROW((void)SparseLuC::refactor(symbolic,
+                                         shifted_pencil(cd(0.0, 1e9), other.e(), other.a())),
                std::invalid_argument);
 }
 
