@@ -1,7 +1,9 @@
 // Kernel-level perf records for the blocked dense layer: GEMM (blocked vs.
 // the seed scalar triple loop), blocked compact-WY QR vs. the unblocked
 // reference, the compressor's blocked block path vs. its per-column
-// reference mode, and the compressor's fold (la::svd_right vs. la::svd).
+// reference mode (on a synthetic 16-column stream and on the RC-mesh
+// sample streams of the perfbench workloads), and the compressor's fold
+// (la::svd_right vs. la::svd).
 //
 // All dense-kernel records are single-threaded so the numbers isolate the
 // kernel (register tiling, packing, ISA dispatch) from thread scaling,
@@ -17,11 +19,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "circuit/generators.hpp"
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "mor/compressor.hpp"
+#include "mor/pmtbr.hpp"
+#include "mor/sampling.hpp"
 #include "util/obs/counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -148,6 +153,45 @@ void compressor_records(std::vector<bench::TimingRecord>& records) {
               " s (" + std::to_string(t_ref / t_blk) + "x)");
 }
 
+void thin_compression_records(std::vector<bench::TimingRecord>& records) {
+  // The sample streams the perfbench mesh workloads absorb: the weighted,
+  // realified samples of a 40×40 one-port RC mesh (16 samples, 2-column
+  // blocks) and of a 20×20 two-port one (20 samples, 4-column blocks),
+  // uniform in 1e5–1e11 Hz. Each record times absorbing the whole stream
+  // into a fresh compressor, without queries.
+  struct Stream {
+    const char* name;
+    index side, ports, samples;
+  };
+  for (const Stream& st : {Stream{"mesh40x1", 40, 1, 16}, Stream{"mesh20x2", 20, 2, 20}}) {
+    circuit::RcMeshParams mp;
+    mp.rows = st.side;
+    mp.cols = st.side;
+    mp.num_ports = st.ports;
+    const DescriptorSystem sys = circuit::make_rc_mesh(mp);
+    const MatC rhs = la::to_complex(sys.b());
+    std::vector<MatD> blocks;
+    for (const auto& fs : mor::sample_band(mor::Band{1e5, 1e11}, st.samples,
+                                           mor::SamplingScheme::kUniform))
+      blocks.push_back(mor::weighted_sample(sys.solve_shifted(fs.s, rhs), fs));
+    const auto run = [&](mor::CompressorMode mode) {
+      mor::IncrementalCompressor comp(sys.n(), 1e-13, mode);
+      for (const auto& blk : blocks) comp.add_columns(blk);
+      return comp.rank();
+    };
+    const double t_ref = bench::best_seconds(15, [&] { run(mor::CompressorMode::kReference); });
+    const double t_blk = bench::best_seconds(15, [&] { run(mor::CompressorMode::kBlocked); });
+    const long cols = static_cast<long>(2 * st.ports * st.samples);
+    const std::string shape = st.name;
+    records.push_back({"compression_thin_reference_" + shape, t_ref, sys.n(), cols, 1});
+    records.push_back({"compression_thin_blocked_" + shape, t_blk, sys.n(), cols, 1});
+    bench::note("thin compression " + shape + " (rank " +
+                std::to_string(run(mor::CompressorMode::kBlocked)) + "): blocked " +
+                std::to_string(t_blk) + " s, reference " + std::to_string(t_ref) + " s (" +
+                std::to_string(t_ref / t_blk) + "x)");
+  }
+}
+
 void fold_records(std::vector<bench::TimingRecord>& records) {
   // The compressor folds pending R columns by factoring the tall
   // T = [diag(σ) ; Pᵀ·blkdiag(U, I)] for σ and V. fold_reference_<shape>
@@ -200,6 +244,7 @@ int main() {
   gemm_records(records);
   qr_records(records);
   compressor_records(records);
+  thin_compression_records(records);
   fold_records(records);
 
   const std::string json = pmtbr::bench::write_timing_json("kernels", records);

@@ -5,13 +5,157 @@
 
 #include "la/gemm_kernel.hpp"
 #include "la/ops.hpp"
-#include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "util/check.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 
 namespace pmtbr::mor {
+
+namespace {
+
+// Absorption kernels. They work on rows of length n, the layout of the
+// basis (one contiguous row per direction); a sample block is copied into
+// it transposed, one row per column.
+
+// Block rows per tile of project_rows; each tile pairs them with two basis
+// rows, so a tile accumulates 8 dot products.
+constexpr index kTileRows = 4;
+
+// Entries per strip of subtract_rows: a strip of k block rows (512·k bytes,
+// 8 KiB for the 16-column blocks of the widest caller) stays in L1 while
+// every basis row streams past it once.
+constexpr index kStrip = 64;
+
+// c[b·ldc + r] = <x_r, q_b> for R rows x_r = x + r·n and B rows
+// q_b = q + b·n. Each dot accumulates in eight partial sums, lane l taking
+// the entries i ≡ l (mod 8) and lane 0 the tail, summed pairwise at the
+// end (the order of la/svd.cpp's row_dot), so a dot's bits do not depend
+// on the tile it is computed in.
+template <index R, index B>
+inline void dot_tile(index n, const double* x, const double* q, double* c, index ldc) {
+  double s[R][B][8] = {};
+  index i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (index r = 0; r < R; ++r)
+      for (index b = 0; b < B; ++b)
+        for (index l = 0; l < 8; ++l) s[r][b][l] += x[r * n + i + l] * q[b * n + i + l];
+  for (; i < n; ++i)
+    for (index r = 0; r < R; ++r)
+      for (index b = 0; b < B; ++b) s[r][b][0] += x[r * n + i] * q[b * n + i];
+  for (index r = 0; r < R; ++r)
+    for (index b = 0; b < B; ++b) {
+      const double* t = s[r][b];
+      c[b * ldc + r] = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
+    }
+}
+
+inline double row_dot(index n, const double* x, const double* y) {
+  double d = 0;
+  dot_tile<1, 1>(n, x, y, &d, 1);
+  return d;
+}
+
+// One tile row of project_rows: the B basis rows at q against all k rows.
+template <index B>
+inline void project_tile_row(index n, const double* x, index k, const double* q, double* c) {
+  index j = 0;
+  for (; j + kTileRows <= k; j += kTileRows) dot_tile<kTileRows, B>(n, x + j * n, q, c + j, k);
+  for (; j + 2 <= k; j += 2) dot_tile<2, B>(n, x + j * n, q, c + j, k);
+  for (; j < k; ++j) dot_tile<1, B>(n, x + j * n, q, c + j, k);
+}
+
+// C = Q·Xᵀ: C(l, j) = <q_l, x_j> for the m basis rows q_l and the k block
+// rows x_j, C m×k row-major. Basis rows outermost, so each streams past
+// once while the block rows stay in cache. Multiversioned like the GEMM
+// macrokernel.
+PMTBR_KERNEL_CLONES
+static void project_rows(index n, const double* x, index k, const double* q, index m,
+                         double* c) {
+  index l = 0;
+  for (; l + 2 <= m; l += 2) project_tile_row<2>(n, x, k, q + l * n, c + l * k);
+  for (; l < m; ++l) project_tile_row<1>(n, x, k, q + l * n, c + l * k);
+}
+
+// X −= Cᵀ·Q: x_j −= Σ_l C(l, j)·q_l, one strip of kStrip entries at a time.
+// Each entry subtracts the terms in ascending l, two basis rows per load
+// and store of x.
+PMTBR_KERNEL_CLONES
+static void subtract_rows(index n, double* x, index k, const double* q, index m,
+                          const double* c) {
+  for (index i0 = 0; i0 < n; i0 += kStrip) {
+    const index len = std::min(kStrip, n - i0);
+    index l = 0;
+    for (; l + 2 <= m; l += 2) {
+      const double* q0 = q + l * n + i0;
+      const double* q1 = q0 + n;
+      for (index j = 0; j < k; ++j) {
+        const double c0 = c[l * k + j], c1 = c[(l + 1) * k + j];
+        double* xj = x + j * n + i0;
+        for (index i = 0; i < len; ++i) xj[i] = (xj[i] - c0 * q0[i]) - c1 * q1[i];
+      }
+    }
+    for (; l < m; ++l) {
+      const double* ql = q + l * n + i0;
+      for (index j = 0; j < k; ++j) {
+        const double cj = c[l * k + j];
+        double* xj = x + j * n + i0;
+        for (index i = 0; i < len; ++i) xj[i] -= cj * ql[i];
+      }
+    }
+  }
+}
+
+// Householder QR of the n×k matrix whose column j is row j of x. Reflector
+// j is built along row j and applied along the rows below it. On return,
+// for j < min(n, k): entries [0, j) of row j hold R(0:j, j), entries
+// [j, n) the reflector v_j (its head at entry j), rdiag[j] = R(j, j) and
+// beta[j] = 2/‖v_j‖², 0 where column j is zero from the diagonal down (no
+// reflector). The signs are la::qr's.
+PMTBR_KERNEL_CLONES
+static void householder_rows(index n, index k, double* x, double* beta, double* rdiag) {
+  const index kr = std::min(n, k);
+  for (index j = 0; j < kr; ++j) {
+    double* v = x + j * n + j;
+    const index len = n - j;
+    const double alpha = v[0];
+    const double below2 = row_dot(len - 1, v + 1, v + 1);
+    const double xnorm = std::sqrt(alpha * alpha + below2);
+    const double r = alpha >= 0 ? -xnorm : xnorm;
+    const double vhead = alpha - r;
+    const double vnorm2 = vhead * vhead + below2;
+    beta[j] = 0.0;
+    rdiag[j] = alpha;
+    if (vnorm2 > 0) {
+      beta[j] = 2.0 / vnorm2;
+      rdiag[j] = r;
+      v[0] = vhead;
+      for (index row = j + 1; row < k; ++row) {
+        double* y = x + row * n + j;
+        const double s = beta[j] * row_dot(len, v, y);
+        for (index i = 0; i < len; ++i) y[i] -= s * v[i];
+      }
+    }
+  }
+}
+
+// y ← H_0·H_1⋯H_{kr−1}·y for each of the `count` rows y of length n at
+// `rows`: the reflectors householder_rows left in x, applied in reverse.
+PMTBR_KERNEL_CLONES
+static void apply_reflectors(index n, index kr, const double* x, const double* beta,
+                             double* rows, index count) {
+  for (index j = kr - 1; j >= 0; --j) {
+    const double* v = x + j * n + j;
+    const index len = n - j;
+    for (index row = 0; row < count; ++row) {
+      double* y = rows + row * n + j;
+      const double s = beta[j] * row_dot(len, v, y);
+      for (index i = 0; i < len; ++i) y[i] -= s * v[i];
+    }
+  }
+}
+
+}  // namespace
 
 IncrementalCompressor::IncrementalCompressor(index n, double drop_tol, CompressorMode mode)
     : n_(n), drop_tol_(drop_tol), mode_(mode) {
@@ -35,65 +179,76 @@ double IncrementalCompressor::add_block(const MatD& block) {
   const index k = block.cols();
   const index br = rank_;
 
-  // Drop threshold reference: the largest original column norm.
-  double vmax = 0.0;
-  for (index j = 0; j < k; ++j) {
-    double s = 0.0;
-    for (index i = 0; i < n_; ++i) s += block(i, j) * block(i, j);
-    vmax = std::max(vmax, s);
-  }
-  vmax = std::sqrt(vmax);
-
-  // Two passes of block classical Gram–Schmidt against the existing basis:
-  //   C += Q·B,  B ← B − Qᵀ·C   (Q = basis rows, rank×n)
-  // The second pass mops up the O(ε·κ) re-projection error, matching the
-  // seed path's reorthogonalization.
-  ws_.resid.resize(n_, k);
+  // Row layout: row j of x is column j of the block. The drop threshold's
+  // reference, the largest original column norm, comes out of the same
+  // pass.
+  ws_.rows.resize(static_cast<std::size_t>(k * n_));
+  ws_.colsq.assign(static_cast<std::size_t>(k), 0.0);
+  double* x = ws_.rows.data();
   for (index i = 0; i < n_; ++i) {
     const double* src = block.row_ptr(i);
-    double* dst = ws_.resid.row_ptr(i);
-    for (index j = 0; j < k; ++j) dst[j] = src[j];
+    for (index j = 0; j < k; ++j) {
+      x[j * n_ + i] = src[j];
+      ws_.colsq[static_cast<std::size_t>(j)] += src[j] * src[j];
+    }
   }
+  const double vmax = std::sqrt(*std::max_element(ws_.colsq.begin(), ws_.colsq.end()));
+
+  // Two passes of block classical Gram–Schmidt against the existing basis:
+  //   C = Q·Xᵀ,  X ← X − Cᵀ·Q   (Q = basis rows, rank×n)
+  // The second pass mops up the O(ε·κ) re-projection error, matching the
+  // seed path's reorthogonalization.
+  const double* q = basis_t_.data();
   ws_.coeff.resize(std::max<index>(br, 1), k);
   if (br > 0) {
     ws_.proj.resize(br, k);
     for (int pass = 0; pass < 2; ++pass) {
-      la::detail::gemm<double, false>(br, k, n_, basis_t_.data(), n_, 1, ws_.resid.data(), k, 1,
-                                      ws_.proj.data(), k, la::detail::GemmAcc::kSet);
-      la::detail::gemm<double, false>(n_, k, br, basis_t_.data(), 1, n_, ws_.proj.data(), k, 1,
-                                      ws_.resid.data(), k, la::detail::GemmAcc::kSub);
+      project_rows(n_, x, k, q, br, ws_.proj.data());
+      subtract_rows(n_, x, k, q, br, ws_.proj.data());
       ws_.coeff += ws_.proj;
     }
   }
-  const double res = la::norm_fro(ws_.resid);
+  double res2 = 0.0;
+  for (index j = 0; j < k; ++j) res2 += row_dot(n_, x + j * n_, x + j * n_);
+  const double res = std::sqrt(res2);
 
-  // Householder QR of the residual block (one realified sample is only
-  // n × 2·ports), then an SVD of its small R factor: the
-  // residual's left singular directions above drop_tol become new basis
-  // rows, everything below is deflated. When the whole residual is already
-  // below the drop threshold no singular value can survive (σ_max ≤ ‖resid‖_F),
-  // so fully-deflated blocks — the common case late in a sampling sweep —
-  // skip the factorization outright.
+  // Householder QR of the residual rows in place, R read from the k×k
+  // triangle, then an SVD of R: the residual's left singular directions
+  // above drop_tol become new basis rows, everything below is deflated.
+  // When the whole residual is already below the drop threshold no
+  // singular value can survive (σ_max ≤ ‖resid‖_F), so fully-deflated
+  // blocks — the common case late in a sampling sweep — skip the
+  // factorization outright. The counters book the QR as la::qr books an
+  // n×k factorization.
   index kept = 0;
   la::SvdResult sub;
-  MatD qres;
+  const index kr = std::min(n_, k);
+  ws_.beta.resize(static_cast<std::size_t>(kr));
+  ws_.rdiag.resize(static_cast<std::size_t>(kr));
   const double thresh = drop_tol_ * std::max(vmax, 1e-300);
   if (br < n_ && res > thresh) {
-    auto f = la::qr(ws_.resid);
-    qres = std::move(f.q);
-    sub = la::svd(f.r);
+    householder_rows(n_, k, x, ws_.beta.data(), ws_.rdiag.data());
+    obs::counter_add(obs::Counter::kQrFactorizations);
+    obs::counter_add(obs::Counter::kQrFlops, 4 * n_ * k * kr);
+    ws_.r.resize(kr, k);
+    for (index j = 0; j < kr; ++j) {
+      ws_.r(j, j) = ws_.rdiag[static_cast<std::size_t>(j)];
+      for (index c = j + 1; c < k; ++c) ws_.r(j, c) = x[c * n_ + j];
+    }
+    sub = la::svd(ws_.r);
     const index max_new = std::min<index>(n_ - br, static_cast<index>(sub.s.size()));
     while (kept < max_new && sub.s[static_cast<std::size_t>(kept)] > thresh) ++kept;
   }
 
   if (kept > 0) {
-    // New directions, stored transposed: rows = (Q_res · U_kept)ᵀ = U_keptᵀ · Q_resᵀ.
-    const index kr = qres.cols();
+    // New direction l = Q_res·U(:, l), formed as H_0⋯H_{kr−1}·[U(:, l) ; 0]
+    // straight in its basis row: no explicit Q_res.
     const index old = static_cast<index>(basis_t_.size());
     basis_t_.resize(static_cast<std::size_t>(old + kept * n_));
     double* nd = basis_t_.data() + old;
-    la::detail::gemm<double, false>(kept, n_, kr, sub.u.data(), 1, sub.u.cols(), qres.data(), 1,
-                                    kr, nd, n_, la::detail::GemmAcc::kSet);
+    for (index l = 0; l < kept; ++l)
+      for (index i = 0; i < kr; ++i) nd[l * n_ + i] = sub.u(i, l);
+    apply_reflectors(n_, kr, x, ws_.beta.data(), nd, kept);
     // The block residual is only ε·‖resid‖-orthogonal to the basis, so a
     // kept direction with σ_i near drop_tol·vmax can overlap the old basis
     // by ε·‖resid‖/σ_i — far above ε. Re-orthogonalize the kept directions
@@ -101,12 +256,10 @@ double IncrementalCompressor::add_block(const MatD& block) {
     // Q stays orthonormal to machine precision; without this the R-based
     // singular-value tail is inflated by the double-counted components.
     if (br > 0) {
-      MatD c1(kept, br);
+      ws_.proj.resize(br, kept);
       for (int pass = 0; pass < 2; ++pass) {
-        la::detail::gemm<double, false>(kept, br, n_, nd, n_, 1, basis_t_.data(), 1, n_,
-                                        c1.data(), br, la::detail::GemmAcc::kSet);
-        la::detail::gemm<double, false>(kept, n_, br, c1.data(), br, 1, basis_t_.data(), n_, 1,
-                                        nd, n_, la::detail::GemmAcc::kSub);
+        project_rows(n_, nd, kept, basis_t_.data(), br, ws_.proj.data());
+        subtract_rows(n_, nd, kept, basis_t_.data(), br, ws_.proj.data());
       }
     }
     for (index l = 0; l < kept; ++l) {

@@ -2,7 +2,7 @@
 // (paper Sec. V-C).
 //
 // Maintains a growing factorization  Z_(i) W = Q R  with Q orthonormal
-// (n×rank), so absorbing a new sample block costs O(n·k·rank) GEMM flops
+// (n×rank), so absorbing a new sample block costs O(n·k·rank) flops
 // instead of a fresh SVD of everything. R (rank×m, m = columns absorbed) is
 // never stored. The compressor keeps a square-root SVD of it instead:
 //
@@ -34,16 +34,22 @@
 //
 // Two absorption paths, both pushing their R columns into the same P:
 //  - kBlocked (default): two passes of block classical Gram–Schmidt
-//    against the existing basis (two GEMMs per pass), then a Householder
-//    QR (la::qr) of the n×k residual block and an SVD of its small k×k R
-//    factor to decide which new directions survive drop_tol. One
-//    factorization per block instead of per column.
+//    against the existing basis, then a Householder QR of the n×k residual
+//    block and an SVD of its small R factor to decide which new directions
+//    survive drop_tol; the kept ones are re-orthogonalized (two more CGS
+//    passes, then MGS among themselves). One factorization per block
+//    instead of per column. The block never leaves the basis' row layout:
+//    it is copied transposed into k rows of length n, every CGS pass runs
+//    through two register-tiled row kernels (C = Q·Xᵀ, then X −= Cᵀ·Q), the
+//    QR builds each reflector along a row and applies it along the rows
+//    below, and each kept direction is formed by applying the reflectors
+//    in reverse to [U(:, l) ; 0] straight in its new basis row. No GEMM, no
+//    explicit Q, and no workspace allocation once the buffers have grown.
 //  - kReference: the seed per-column modified Gram–Schmidt loop, kept as
 //    the comparison oracle for tests and bench_kernels.
 //
-// Both paths are deterministic for any thread count: the blocked path's
-// GEMM and QR building blocks are bit-reproducible by construction, and
-// the fold runs serially.
+// Both paths are deterministic for any thread count: absorption runs
+// serially, and so does the fold.
 #pragma once
 
 #include <vector>
@@ -91,10 +97,14 @@ class IncrementalCompressor {
   index order_for_tolerance(double tol);
 
  private:
-  /// Per-block scratch reused across add_columns calls; Matrix::resize
-  /// keeps the allocations once they have grown to the working size.
+  /// Per-block workspace reused across add_columns calls; resize keeps the
+  /// allocations once they have grown to the working size.
   struct Workspace {
-    MatD resid;  // n×k working copy of the block (residual after projection)
+    std::vector<double> rows;   // the block transposed, k rows of n (residual after projection)
+    std::vector<double> colsq;  // the block's squared column norms
+    std::vector<double> beta;   // 2/‖v_j‖² of the residual QR's reflectors
+    std::vector<double> rdiag;  // diagonal of that QR's R
+    MatD r;                     // R of the residual QR
     MatD proj;   // rank×k Gram–Schmidt coefficients of one pass
     MatD coeff;  // rank×k accumulated coefficients over both passes
   };
@@ -120,7 +130,7 @@ class IncrementalCompressor {
   index rank_ = 0;  // basis directions kept
   // Basis stored TRANSPOSED: row l (contiguous, length n) is the l-th
   // orthonormal direction, so appending a direction appends n values and
-  // the GEMM projections read it without materializing a transpose.
+  // the absorption row kernels stream it one direction at a time.
   std::vector<double> basis_t_;
   // Square-root SVD of the folded part of R: R·Rᵀ = U·diag(σ)²·Uᵀ, with U
   // |σ|×|σ| and |σ| the rank at the last fold.

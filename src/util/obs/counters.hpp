@@ -39,7 +39,7 @@ enum class Counter : int {
   kQrFactorizations,
   kQrBlockedPanels,        // compact-WY panels factored by the blocked QR
   kTsqrFactorizations,     // no longer incremented; reads 0
-  kQrFlops,                // ~2*m*n*min(m,n) per factorization (estimate)
+  kQrFlops,                // 4*m*n*min(m,n) per factorization (R and thin Q, estimate)
   kSvdCalls,
   kSvdSweeps,              // one-sided Jacobi sweeps actually performed
   kSvdFlops,               // ~6*m*n(n-1)/2 per sweep (estimate)

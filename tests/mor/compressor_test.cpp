@@ -191,6 +191,167 @@ TEST(Compressor, FullyDeflatedBlockAddsNoRank) {
   EXPECT_EQ(comp.columns_absorbed(), 9);
 }
 
+// Columns with geometrically graded norms (σ falls about 3× per column), so
+// the dominant subspaces of every order are well separated.
+MatD graded_columns(la::index n, la::index cols, Rng& rng) {
+  MatD a = testing::random_matrix(n, cols, rng);
+  for (la::index j = 0; j < cols; ++j) {
+    const double scale = std::pow(3.0, -static_cast<double>(j));
+    for (la::index i = 0; i < n; ++i) a(i, j) *= scale;
+  }
+  return a;
+}
+
+// Absorbs `a` in consecutive blocks of `width` columns.
+void absorb_in_blocks(IncrementalCompressor& comp, const MatD& a, la::index width) {
+  for (la::index j = 0; j < a.cols(); j += width)
+    comp.add_columns(a.columns(j, std::min(j + width, a.cols())));
+}
+
+// σ and the rank of the compressor against one SVD of everything absorbed.
+void expect_matches_stacked(IncrementalCompressor& comp, const MatD& stacked,
+                            la::index expected_rank) {
+  EXPECT_EQ(comp.rank(), expected_rank);
+  const auto s = comp.singular_values();
+  const auto ref = la::singular_values(stacked);
+  ASSERT_EQ(static_cast<la::index>(s.size()), expected_rank);
+  for (std::size_t i = 0; i < s.size(); ++i)
+    EXPECT_NEAR(s[i], ref[i], 1e-12 * ref[0]) << "sigma_" << i;
+  EXPECT_LT(testing::orthonormality_defect(comp.basis(comp.rank())), 1e-13);
+}
+
+TEST(Compressor, ThinAndWideBlocksAgree) {
+  // The same 16 columns as one 16-column block, four 4-column blocks and
+  // sixteen 1-column blocks: four projection tiles per block, one, and
+  // only the 1-row tail.
+  Rng rng(69);
+  const la::index n = 90;
+  const MatD a = graded_columns(n, 16, rng);
+  IncrementalCompressor wide(n), quads(n), singles(n);
+  wide.add_columns(a);
+  absorb_in_blocks(quads, a, 4);
+  absorb_in_blocks(singles, a, 1);
+
+  const auto sw = wide.singular_values();
+  const MatD vw = wide.basis(6);
+  for (auto* comp : {&quads, &singles}) {
+    SCOPED_TRACE(comp == &quads ? "4-column blocks" : "1-column blocks");
+    EXPECT_EQ(comp->rank(), wide.rank());
+    EXPECT_EQ(comp->columns_absorbed(), 16);
+    const auto s = comp->singular_values();
+    ASSERT_EQ(s.size(), sw.size());
+    for (std::size_t i = 0; i < s.size(); ++i) EXPECT_NEAR(s[i], sw[i], 1e-10 * sw[0]);
+    const MatD v = comp->basis(6);
+    const auto cosines = la::singular_values(la::matmul_at(vw, v));
+    ASSERT_EQ(cosines.size(), 6u);
+    EXPECT_GT(cosines.back(), 1.0 - 1e-8);
+    EXPECT_LT(testing::orthonormality_defect(comp->basis(comp->rank())), 1e-13);
+  }
+  EXPECT_LT(testing::orthonormality_defect(wide.basis(wide.rank())), 1e-13);
+}
+
+TEST(Compressor, AbsorbsOneColumnBlocks) {
+  // A DC sample realifies to one column: first into an empty basis, then
+  // against a basis the first block built.
+  Rng rng(70);
+  const la::index n = 50;
+  const MatD a = graded_columns(n, 5, rng);
+  IncrementalCompressor comp(n);
+  comp.add_columns(a.columns(0, 1));
+  EXPECT_EQ(comp.rank(), 1);
+  comp.add_columns(a.columns(1, 4));
+  comp.add_columns(a.columns(4, 5));
+  expect_matches_stacked(comp, a, 5);
+}
+
+TEST(Compressor, BlockWithMoreColumnsThanRows) {
+  // n < k: the residual QR has min(n, k) = 3 reflectors and a 3×4 R.
+  Rng rng(71);
+  const MatD a = testing::random_matrix(3, 4, rng);
+  IncrementalCompressor comp(3);
+  comp.add_columns(a);
+  EXPECT_EQ(comp.columns_absorbed(), 4);
+  expect_matches_stacked(comp, a, 3);
+}
+
+TEST(Compressor, DropsAnInBlockDependence) {
+  // Column 2 = column 0 − 2·column 1 of the same block: rank 2 of 3, both
+  // into an empty basis and against an existing one.
+  Rng rng(72);
+  const la::index n = 40;
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "against a basis" : "into an empty basis");
+    const MatD first = testing::random_matrix(n, 2, rng);
+    MatD block = testing::random_matrix(n, 3, rng);
+    for (la::index i = 0; i < n; ++i) block(i, 2) = block(i, 0) - 2.0 * block(i, 1);
+    IncrementalCompressor comp(n);
+    MatD stacked = block;
+    if (warm) {
+      comp.add_columns(first);
+      stacked = la::hcat(first, block);
+    }
+    comp.add_columns(block);
+    expect_matches_stacked(comp, stacked, warm ? 4 : 2);
+  }
+}
+
+TEST(Compressor, ZeroBlockAddsNothing) {
+  Rng rng(73);
+  const la::index n = 30;
+  IncrementalCompressor comp(n);
+  EXPECT_EQ(comp.add_columns(MatD(n, 2)), 0.0);
+  EXPECT_EQ(comp.rank(), 0);
+  EXPECT_EQ(comp.columns_absorbed(), 2);
+  const MatD a = testing::random_matrix(n, 3, rng);
+  comp.add_columns(a);
+  EXPECT_EQ(comp.add_columns(MatD(n, 4)), 0.0);
+  EXPECT_EQ(comp.rank(), 3);
+  EXPECT_EQ(comp.columns_absorbed(), 9);
+  expect_matches_stacked(comp, a, 3);
+}
+
+TEST(Compressor, CallerBlockWidthsMatchStackedSvd) {
+  // The widths the library's callers absorb beyond the 2 and 4 of one- and
+  // two-port samples: 8 (bench_cost_scaling's 4 ports), 10 and 16 (the
+  // input-correlated substrate runs of Figs. 15-16), plus 9 for the
+  // projection tiles' 1-row tail. Each lands on a basis of 5 directions.
+  for (const la::index width : {la::index{8}, la::index{9}, la::index{10}, la::index{16}}) {
+    SCOPED_TRACE(::testing::Message() << width << "-column block");
+    Rng rng(74);
+    const la::index n = 70;
+    const MatD first = graded_columns(n, 5, rng);
+    const MatD block = graded_columns(n, width, rng);
+    IncrementalCompressor comp(n);
+    comp.add_columns(first);
+    comp.add_columns(block);
+    expect_matches_stacked(comp, la::hcat(first, block), 5 + width);
+  }
+}
+
+TEST(Compressor, NearlyParallelNoveltyKeepsBasisOrthonormal) {
+  // A block in the span of the first one plus novelty a + 1e-11·b_j along
+  // one common direction a: the residual's small singular values come from
+  // cancellation between its unit-size columns, so the matching new
+  // directions carry rounding along the old basis at ~1e-6 until they are
+  // re-orthogonalized against it. 4- and 12-column blocks.
+  for (const la::index width : {la::index{4}, la::index{12}}) {
+    SCOPED_TRACE(::testing::Message() << width << "-column block");
+    Rng rng(76);
+    const la::index n = 60;
+    const MatD first = testing::random_matrix(n, width, rng);
+    const MatD a = testing::random_matrix(n, 1, rng);
+    MatD block = testing::random_matrix(n, width, rng, 1e-11);
+    for (la::index j = 0; j < width; ++j)
+      for (la::index i = 0; i < n; ++i) block(i, j) += a(i, 0);
+    block += la::matmul(first, testing::random_matrix(width, width, rng));
+    IncrementalCompressor comp(n);
+    comp.add_columns(first);
+    comp.add_columns(block);
+    EXPECT_EQ(comp.rank(), 2 * width);
+    EXPECT_LT(testing::orthonormality_defect(comp.basis(comp.rank())), 1e-13);
+  }
+}
+
 // The smallest order whose trailing singular-value sum is within tol·σ1
 // (the rule order_for_tolerance implements), on an explicit list.
 la::index tail_order(const std::vector<double>& s, double tol) {

@@ -189,6 +189,15 @@ TEST(FiniteContract, CompressorRejectsNanSampleBlock) {
   MatD block(4, 2, 1.0);
   block(3, 1) = kNan;
   EXPECT_THROW(comp.add_columns(block), std::runtime_error);
+  EXPECT_EQ(comp.columns_absorbed(), 0);
+  // Against a basis, and wider than n: the throw still comes before any
+  // work, so neither the rank nor the column count moves.
+  comp.add_columns(MatD(4, 1, 1.0));
+  MatD wide(4, 12, 1.0);
+  wide(2, 7) = kNan;
+  EXPECT_THROW(comp.add_columns(wide), std::runtime_error);
+  EXPECT_EQ(comp.rank(), 1);
+  EXPECT_EQ(comp.columns_absorbed(), 1);
 }
 
 TEST(FiniteContract, DescriptorConstructorRejectsNanInput) {
