@@ -238,9 +238,10 @@ double ldlt_solve_seconds(const DescriptorSystem& sys, const std::vector<la::ind
 }
 
 // Both sides of DescriptorSystem::ordering()'s rule: the RC mesh (symmetric
-// pencil, AMD) and the RLC connector (RCM), each under RCM, under AMD and
-// under the selected ordering, plus the cost of each ordering itself per
-// mesh size.
+// pencil, AMD) and the RLC connectors (RCM; the default 18 pins × 6
+// sections and 32 × 12, where AMD fills far more), each under RCM, under
+// AMD and under the selected ordering, plus the cost of each ordering
+// itself per mesh size.
 std::vector<bench::TimingRecord> run_ordering_records() {
   std::vector<bench::TimingRecord> records;
   const auto pattern = [](const DescriptorSystem& sys) {
@@ -254,8 +255,13 @@ std::vector<bench::TimingRecord> run_ordering_records() {
     return circuit::make_rc_mesh(mp);
   };
 
+  circuit::ConnectorParams wide;
+  wide.pins = 32;
+  wide.sections = 12;
   const std::vector<std::pair<std::string, DescriptorSystem>> systems{
-      {"mesh40", mesh(40)}, {"connector", circuit::make_connector()}};
+      {"mesh40", mesh(40)},
+      {"connector", circuit::make_connector()},
+      {"connector32x12", circuit::make_connector(wide)}};
   for (const auto& [name, sys] : systems) {
     const auto rcm = sparse::rcm_ordering(pattern(sys));
     const double rcm_secs = refactor_solve_seconds(sys, rcm);

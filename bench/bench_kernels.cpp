@@ -1,9 +1,8 @@
-// Kernel-level perf records for the blocked dense layer: GEMM (blocked vs.
-// the seed scalar triple loop), blocked compact-WY QR vs. the unblocked
-// reference, the compressor's blocked block path vs. its per-column
-// reference mode (on a synthetic 16-column stream and on the RC-mesh
-// sample streams of the perfbench workloads), and the compressor's fold
-// (la::svd_right vs. la::svd).
+// Kernel-level perf records for the dense layer: GEMM (blocked vs. the
+// seed scalar triple loop), the compressor's blocked block path vs. its
+// per-column reference mode (on a synthetic 16-column stream and on the
+// RC-mesh sample streams of the perfbench workloads), and the compressor's
+// fold (la::svd_right vs. la::svd).
 //
 // All dense-kernel records are single-threaded so the numbers isolate the
 // kernel (register tiling, packing, ISA dispatch) from thread scaling,
@@ -22,7 +21,6 @@
 #include "circuit/generators.hpp"
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
-#include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "mor/compressor.hpp"
 #include "mor/pmtbr.hpp"
@@ -88,23 +86,6 @@ void gemm_records(std::vector<bench::TimingRecord>& records) {
                 std::to_string(cflops / tc_ref / 1e9) + " GF/s (" +
                 std::to_string(tc_ref / tc_blk) + "x)");
   }
-}
-
-void qr_records(std::vector<bench::TimingRecord>& records) {
-  Rng rng(11);
-  const index m = 768, n = 384;
-  const MatD a = random_mat(rng, m, n);
-  // Factorization-only flop count (2n^2(m - n/3)); thin-Q accumulation adds
-  // a comparable amount, so the GFLOP/s figures understate both paths
-  // equally and the ratio stays meaningful.
-  const double dm = static_cast<double>(m), dn = static_cast<double>(n);
-  const double flops = 2.0 * dn * dn * (dm - dn / 3.0);
-  const double t_ref = bench::best_seconds(2, [&] { la::qr_reference(a); });
-  const double t_blk = bench::best_seconds(3, [&] { la::qr(a); });
-  records.push_back({"qr_double_reference_768x384", t_ref, m, 0, 1, flops / t_ref / 1e9});
-  records.push_back({"qr_double_blocked_768x384", t_blk, m, 0, 1, flops / t_blk / 1e9});
-  bench::note("qr 768x384: blocked " + std::to_string(t_blk) + " s, reference " +
-              std::to_string(t_ref) + " s (" + std::to_string(t_ref / t_blk) + "x)");
 }
 
 void compressor_records(std::vector<bench::TimingRecord>& records) {
@@ -242,7 +223,6 @@ int main() {
 
   std::vector<pmtbr::bench::TimingRecord> records;
   gemm_records(records);
-  qr_records(records);
   compressor_records(records);
   thin_compression_records(records);
   fold_records(records);

@@ -232,6 +232,28 @@ MatC DescriptorSystem::solve_shifted_transpose(cd s, const MatC& rhs) const {
   return x;
 }
 
+sparse::SparseLuD DescriptorSystem::factor_real(double alpha, double beta) const {
+  PMTBR_TRACE_SCOPE("descriptor.factor_real");
+  sparse::CsrD pencil = alpha == 0.0 ? a_ : sparse::combine(alpha, e_, beta, a_);
+  if (alpha == 0.0)
+    for (auto& v : pencil.values()) v *= beta;
+  std::vector<index> perm;
+  bool symmetric = false;
+  {
+    Cache& cache = *cache_;
+    util::MutexLock lock(cache.mutex);
+    perm = ordering_locked(cache);
+    symmetric = cache.symmetric;
+  }
+  if (symmetric) {
+    auto sym = sparse::SymbolicLuD::symmetric(pencil, perm);
+    if (!sym.is_ok()) throw util::StatusError(sym.status());
+    auto ldlt = sparse::SparseLuD::refactor(sym.value(), pencil);
+    if (ldlt.is_ok()) return std::move(ldlt).value();
+  }
+  return sparse::SparseLuD(pencil, std::move(perm));
+}
+
 MatC DescriptorSystem::transfer(cd s) const {
   const MatC x = solve_shifted(s, la::to_complex(b_));
   return la::matmul(la::to_complex(c_), x);

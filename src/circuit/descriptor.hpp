@@ -60,6 +60,15 @@ class DescriptorSystem {
   /// Transfer function H(s) = C (sE - A)^{-1} B.
   la::MatC transfer(la::cd s) const;
 
+  /// Sparse factor of the real pencil αE + βA (βA alone, on A's pattern,
+  /// when α == 0): the expansion pencil s0·E − A of PRIMA and PVL, the
+  /// trapezoidal matrix E/h − A/2 of the transient integrator. The rule of
+  /// the complex shifts: under ordering(), an L·D·Lᵀ factor when E and A
+  /// are exactly symmetric, with a pivoting LU when a diagonal pivot is
+  /// rejected; a pivoting LU otherwise. Throws util::StatusError when the
+  /// pencil is singular.
+  sparse::SparseLuD factor_real(double alpha, double beta) const;
+
   /// Fill-reducing ordering of the union pattern of E and A, computed
   /// lazily and cached; safe to call concurrently. When E and A are both
   /// exactly symmetric (every RC network) it is sparse::amd_ordering: the

@@ -1,6 +1,5 @@
 // Register-tiled, cache-blocked GEMM core (the BLIS/GotoBLAS loop nest),
-// shared by la::matmul, the blocked QR trailing update, and the
-// compressor's block Gram–Schmidt projections.
+// shared by la::matmul and the compressor's fold and basis products.
 //
 // Layout of the nest, outermost first:
 //
@@ -16,7 +15,7 @@
 //
 // Packing reads A and B through arbitrary (row, col) strides, so transposed
 // and conjugate-transposed operands cost nothing extra — `matmul_at` and the
-// compressor's Qᵀ·B products never materialize a transpose. Edge tiles are
+// compressor's basisᵀ·U product never materialize a transpose. Edge tiles are
 // zero-padded in the packed buffers; the microkernel is unconditional and
 // only the C write-back is masked.
 //
@@ -34,6 +33,7 @@
 #include <complex>
 #include <vector>
 
+#include "la/kernel_clones.hpp"
 #include "la/matrix.hpp"
 #include "util/thread_pool.hpp"
 
@@ -161,24 +161,9 @@ void macro_kernel(index mb, index nb, index kb, const T* ap, const T* bp, T* c, 
   }
 }
 
-// Function multiversioning: the macrokernel is compiled once per x86-64
-// micro-architecture level (v4 = AVX-512, v3 = AVX2+FMA, baseline SSE2)
-// and glibc's ifunc machinery binds the widest clone the host supports at
-// load time — one portable binary, native-width kernels. `flatten` pulls
-// micro_kernel into each clone so the register tile is vectorized at that
-// clone's width. Builds that already target a wide ISA (-march=native via
-// PMTBR_NATIVE) skip the clones: the whole TU is compiled for the host.
-// TSan builds must also skip them: the ifunc resolver fires during
-// relocation, before the tsan runtime initializes its thread state, and
-// the instrumented dispatch segfaults inside libtsan (gcc 12, glibc 2.36).
-#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__AVX2__) && !defined(__SANITIZE_THREAD__)
-#define PMTBR_KERNEL_CLONES \
-  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default"), flatten, unused))
-#else
-#define PMTBR_KERNEL_CLONES __attribute__((unused))
-#endif
-
+// One macrokernel clone per ISA level (la/kernel_clones.hpp); `flatten`
+// pulls micro_kernel into each, so the register tile is vectorized at that
+// clone's width.
 PMTBR_KERNEL_CLONES
 static void macro_kernel_isa(index mb, index nb, index kb, const double* ap, const double* bp,
                              double* c, index ldc, GemmAcc mode, index strip) {

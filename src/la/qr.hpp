@@ -1,8 +1,8 @@
-// Householder QR factorization (real and complex), with optional column
-// pivoting for rank-revealing use.
-//
-// PMTBR's on-the-fly order control (paper Sec. V-C) uses the pivoted QR as
-// the cheap rank-revealing factorization in place of repeated SVDs.
+// Column-pivoted Householder QR for rank-revealing use: the cross-Gramian
+// variant compresses its stacked samples with it (mor/cross_gramian.cpp),
+// and orth() gives the orthonormal bases of signal/subspace.cpp. PMTBR's
+// order control (paper Sec. V-C) does not use it: the compressor keeps the
+// σ of its folded R instead (mor/compressor.hpp).
 #pragma once
 
 #include <vector>
@@ -11,36 +11,19 @@
 
 namespace pmtbr::la {
 
-template <typename T>
 struct QrResult {
-  Matrix<T> q;               // m×k with orthonormal columns (thin), k = min(m,n)
-  Matrix<T> r;               // k×n upper triangular (column-permuted if pivoted)
-  std::vector<index> perm;   // column permutation; r applies to A(:,perm)
-  index rank = 0;            // numerical rank estimate (pivoted only; else k)
+  MatD q;                   // m×k with orthonormal columns (thin), k = min(m,n)
+  MatD r;                   // k×n upper triangular; Q·R = A(:, perm)
+  std::vector<index> perm;  // column permutation
+  index rank = 0;           // numerical rank estimate
 };
 
-/// Thin QR of an m×n matrix (m >= n is typical; m < n allowed). Large
-/// factorizations take the blocked compact-WY path (panel Householder
-/// factorization + GEMM trailing updates); small ones the unblocked loop.
-template <typename T>
-QrResult<T> qr(const Matrix<T>& a);
-
-/// The seed unblocked Householder loop, kept as the comparison oracle for
-/// the blocked path's backward-error tests and bench_kernels records.
-template <typename T>
-QrResult<T> qr_reference(const Matrix<T>& a);
-
-/// Column-pivoted thin QR; `rank` counts diagonal entries of R above
-/// rel_tol * |R(0,0)|.
-template <typename T>
-QrResult<T> qr_pivoted(const Matrix<T>& a, double rel_tol = 1e-12);
+/// Column-pivoted thin QR of an m×n matrix (m < n allowed); `rank` counts
+/// diagonal entries of R above rel_tol * |R(0,0)|.
+QrResult qr_pivoted(const MatD& a, double rel_tol = 1e-12);
 
 /// Orthonormal basis of the column space of A: the first `rank` columns of
-/// the pivoted Q.
-template <typename T>
-Matrix<T> orth(const Matrix<T>& a, double rel_tol = 1e-12);
-
-using QrD = QrResult<double>;
-using QrC = QrResult<cd>;
+/// the pivoted Q (at least one).
+MatD orth(const MatD& a, double rel_tol = 1e-12);
 
 }  // namespace pmtbr::la

@@ -5,7 +5,7 @@
 #include <limits>
 #include <numeric>
 
-#include "la/gemm_kernel.hpp"
+#include "la/kernel_clones.hpp"
 #include "la/ops.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"

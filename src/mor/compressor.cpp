@@ -6,17 +6,18 @@
 #include "la/gemm_kernel.hpp"
 #include "la/ops.hpp"
 #include "la/svd.hpp"
+#include "mor/gram_schmidt.hpp"
 #include "util/check.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 
 namespace pmtbr::mor {
 
-namespace {
-
 // Absorption kernels. They work on rows of length n, the layout of the
 // basis (one contiguous row per direction); a sample block is copied into
 // it transposed, one row per column.
+
+namespace {
 
 // Block rows per tile of project_rows; each tile pairs them with two basis
 // rows, so a tile accumulates 8 dot products.
@@ -27,62 +28,33 @@ constexpr index kTileRows = 4;
 // every basis row streams past it once.
 constexpr index kStrip = 64;
 
-// c[b·ldc + r] = <x_r, q_b> for R rows x_r = x + r·n and B rows
-// q_b = q + b·n. Each dot accumulates in eight partial sums, lane l taking
-// the entries i ≡ l (mod 8) and lane 0 the tail, summed pairwise at the
-// end (the order of la/svd.cpp's row_dot), so a dot's bits do not depend
-// on the tile it is computed in.
-template <index R, index B>
-inline void dot_tile(index n, const double* x, const double* q, double* c, index ldc) {
-  double s[R][B][8] = {};
-  index i = 0;
-  for (; i + 8 <= n; i += 8)
-    for (index r = 0; r < R; ++r)
-      for (index b = 0; b < B; ++b)
-        for (index l = 0; l < 8; ++l) s[r][b][l] += x[r * n + i + l] * q[b * n + i + l];
-  for (; i < n; ++i)
-    for (index r = 0; r < R; ++r)
-      for (index b = 0; b < B; ++b) s[r][b][0] += x[r * n + i] * q[b * n + i];
-  for (index r = 0; r < R; ++r)
-    for (index b = 0; b < B; ++b) {
-      const double* t = s[r][b];
-      c[b * ldc + r] = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
-    }
-}
-
-inline double row_dot(index n, const double* x, const double* y) {
-  double d = 0;
-  dot_tile<1, 1>(n, x, y, &d, 1);
-  return d;
-}
-
 // One tile row of project_rows: the B basis rows at q against all k rows.
 template <index B>
 inline void project_tile_row(index n, const double* x, index k, const double* q, double* c) {
   index j = 0;
-  for (; j + kTileRows <= k; j += kTileRows) dot_tile<kTileRows, B>(n, x + j * n, q, c + j, k);
-  for (; j + 2 <= k; j += 2) dot_tile<2, B>(n, x + j * n, q, c + j, k);
-  for (; j < k; ++j) dot_tile<1, B>(n, x + j * n, q, c + j, k);
+  for (; j + kTileRows <= k; j += kTileRows)
+    detail::dot_tile<kTileRows, B>(n, x + j * n, q, c + j, k);
+  for (; j + 2 <= k; j += 2) detail::dot_tile<2, B>(n, x + j * n, q, c + j, k);
+  for (; j < k; ++j) detail::dot_tile<1, B>(n, x + j * n, q, c + j, k);
 }
 
-// C = Q·Xᵀ: C(l, j) = <q_l, x_j> for the m basis rows q_l and the k block
-// rows x_j, C m×k row-major. Basis rows outermost, so each streams past
-// once while the block rows stay in cache. Multiversioned like the GEMM
-// macrokernel.
+}  // namespace
+
+// Basis rows outermost, so each streams past once while the block rows
+// stay in cache.
 PMTBR_KERNEL_CLONES
-static void project_rows(index n, const double* x, index k, const double* q, index m,
-                         double* c) {
+void detail::project_rows(index n, const double* x, index k, const double* q, index m,
+                          double* c) {
   index l = 0;
   for (; l + 2 <= m; l += 2) project_tile_row<2>(n, x, k, q + l * n, c + l * k);
   for (; l < m; ++l) project_tile_row<1>(n, x, k, q + l * n, c + l * k);
 }
 
-// X −= Cᵀ·Q: x_j −= Σ_l C(l, j)·q_l, one strip of kStrip entries at a time.
-// Each entry subtracts the terms in ascending l, two basis rows per load
-// and store of x.
+// One strip of kStrip entries at a time, two basis rows per load and store
+// of x.
 PMTBR_KERNEL_CLONES
-static void subtract_rows(index n, double* x, index k, const double* q, index m,
-                          const double* c) {
+void detail::subtract_rows(index n, double* x, index k, const double* q, index m,
+                           const double* c) {
   for (index i0 = 0; i0 < n; i0 += kStrip) {
     const index len = std::min(kStrip, n - i0);
     index l = 0;
@@ -106,12 +78,18 @@ static void subtract_rows(index n, double* x, index k, const double* q, index m,
   }
 }
 
+namespace {
+
+using detail::project_rows;
+using detail::row_dot;
+using detail::subtract_rows;
+
 // Householder QR of the n×k matrix whose column j is row j of x. Reflector
 // j is built along row j and applied along the rows below it. On return,
 // for j < min(n, k): entries [0, j) of row j hold R(0:j, j), entries
 // [j, n) the reflector v_j (its head at entry j), rdiag[j] = R(j, j) and
 // beta[j] = 2/‖v_j‖², 0 where column j is zero from the diagonal down (no
-// reflector). The signs are la::qr's.
+// reflector). The signs are la::qr_pivoted's: R(j, j) = −sign(α)·‖x‖.
 PMTBR_KERNEL_CLONES
 static void householder_rows(index n, index k, double* x, double* beta, double* rdiag) {
   const index kr = std::min(n, k);
@@ -218,8 +196,8 @@ double IncrementalCompressor::add_block(const MatD& block) {
   // When the whole residual is already below the drop threshold no
   // singular value can survive (σ_max ≤ ‖resid‖_F), so fully-deflated
   // blocks — the common case late in a sampling sweep — skip the
-  // factorization outright. The counters book the QR as la::qr books an
-  // n×k factorization.
+  // factorization outright. The counters book the QR as la::qr_pivoted
+  // books an n×k factorization.
   index kept = 0;
   la::SvdResult sub;
   const index kr = std::min(n_, k);

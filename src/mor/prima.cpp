@@ -1,6 +1,5 @@
 #include "mor/prima.hpp"
 
-#include "sparse/splu.hpp"
 #include "util/logging.hpp"
 
 namespace pmtbr::mor {
@@ -11,10 +10,10 @@ PrimaResult prima(const DescriptorSystem& sys, const PrimaOptions& opts) {
   DeflatingBasis basis(sys.n(), opts.deflation_tol);
 
   // Factor (s0 E - A) once; the Krylov operator is (s0 E - A)^{-1} E.
-  const sparse::SparseLuD lu(expansion_pencil(sys, opts.s0), sys.ordering());
+  const auto lu = sys.factor_real(opts.s0, -1.0);
   MatD block = lu.solve(sys.b());  // R0 = (s0 E - A)^{-1} B
   for (index moment = 0;; ++moment) {
-    const index added = basis.extend(std::move(block));
+    const index added = basis.extend(block);
     // Stop after the last moment, or when the block fully deflated (Krylov
     // space exhausted); otherwise the next block is (s0 E - A)^{-1} E times
     // the directions this one added.

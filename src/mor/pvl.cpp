@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "la/ops.hpp"
-#include "sparse/splu.hpp"
 #include "util/logging.hpp"
 
 namespace pmtbr::mor {
@@ -18,13 +17,14 @@ namespace pmtbr::mor {
 //   C_r = c^T V.
 PvlResult pvl(const DescriptorSystem& sys, const PvlOptions& opts) {
   PMTBR_REQUIRE(sys.num_inputs() == 1 && sys.num_outputs() == 1, "pvl handles SISO systems");
+  PMTBR_REQUIRE(sys.n() > 0, "pvl needs a nonempty system");
   PMTBR_REQUIRE(opts.order >= 1, "order must be positive");
   PMTBR_REQUIRE(opts.breakdown_tol > 0, "breakdown_tol must be positive");
   PMTBR_CHECK_FINITE(sys.b(), "pvl input matrix B");
   PMTBR_CHECK_FINITE(sys.c(), "pvl output matrix C");
   const index n = sys.n();
 
-  const sparse::SparseLuD lu(expansion_pencil(sys, opts.s0), sys.ordering());
+  const auto lu = sys.factor_real(opts.s0, -1.0);
 
   const auto dotv = [n](const std::vector<double>& a, const std::vector<double>& b) {
     double s = 0;

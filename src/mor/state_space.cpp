@@ -2,10 +2,10 @@
 
 #include <cmath>
 
-#include "la/gemm_kernel.hpp"
 #include "la/lu.hpp"
 #include "la/ops.hpp"
 #include "la/schur.hpp"
+#include "mor/gram_schmidt.hpp"
 
 namespace pmtbr::mor {
 
@@ -76,39 +76,36 @@ DenseSystem project_congruence(const DescriptorSystem& sys, const MatD& v) {
   return project(sys, v, v);
 }
 
-sparse::CsrD expansion_pencil(const DescriptorSystem& sys, double s0) {
-  PMTBR_REQUIRE(sys.n() > 0, "the expansion pencil needs a nonempty system");
-  if (s0 == 0.0) {
-    sparse::CsrD neg_a = sys.a();
-    for (auto& v : neg_a.values()) v = -v;
-    return neg_a;
-  }
-  return sparse::combine(s0, sys.e(), -1.0, sys.a());
-}
-
 DeflatingBasis::DeflatingBasis(index n, double deflation_tol, index max_rank)
     : n_(n), deflation_tol_(deflation_tol), max_rank_(max_rank) {
   PMTBR_REQUIRE(n > 0, "the basis needs a positive state dimension");
   PMTBR_REQUIRE(deflation_tol > 0, "deflation_tol must be positive");
 }
 
-index DeflatingBasis::extend(MatD block) {
+index DeflatingBasis::extend(const MatD& block) {
   PMTBR_REQUIRE(block.rows() == n_, "block row count must equal the state dimension");
   const index n = n_;
   const index k = block.cols();
-  // Deflation thresholds come from the PRE-projection column norms.
+  // Row layout: row j of x is column j of the block. The deflation
+  // thresholds come from the PRE-projection column norms.
+  std::vector<double> x(static_cast<std::size_t>(k * n));
+  for (index i = 0; i < n; ++i) {
+    const double* src = block.row_ptr(i);
+    for (index j = 0; j < k; ++j) x[static_cast<std::size_t>(j * n + i)] = src[j];
+  }
   std::vector<double> vnorms(static_cast<std::size_t>(k));
-  for (index j = 0; j < k; ++j) vnorms[static_cast<std::size_t>(j)] = la::norm2(block.col(j));
+  for (index j = 0; j < k; ++j) {
+    const double* v = x.data() + j * n;
+    vnorms[static_cast<std::size_t>(j)] = std::sqrt(detail::row_dot(n, v, v));
+  }
 
   // Two passes of block classical Gram–Schmidt against the committed
-  // basis: proj = Q·B, B ← B − Qᵀ·proj.
+  // basis: C = Q·Xᵀ, X ← X − Cᵀ·Q.
   if (rank_ > 0) {
-    MatD proj(rank_, k);
+    std::vector<double> c(static_cast<std::size_t>(rank_ * k));
     for (int pass = 0; pass < 2; ++pass) {
-      la::detail::gemm<double, false>(rank_, k, n, basis_t_.data(), n, 1, block.data(), k, 1,
-                                      proj.data(), k, la::detail::GemmAcc::kSet);
-      la::detail::gemm<double, false>(n, k, rank_, basis_t_.data(), 1, n, proj.data(), k, 1,
-                                      block.data(), k, la::detail::GemmAcc::kSub);
+      detail::project_rows(n, x.data(), k, basis_t_.data(), rank_, c.data());
+      detail::subtract_rows(n, x.data(), k, basis_t_.data(), rank_, c.data());
     }
   }
 
@@ -117,20 +114,19 @@ index DeflatingBasis::extend(MatD block) {
     if (full()) break;
     const double vnorm = vnorms[static_cast<std::size_t>(j)];
     if (vnorm == 0) continue;
-    auto v = block.col(j);
+    double* v = x.data() + j * n;
     // Orthogonalize against the directions this same block introduced.
     for (int pass = 0; pass < 2; ++pass) {
       for (index l = block_start; l < rank_; ++l) {
-        const double* q = basis_t_.data() + static_cast<std::size_t>(l * n);
-        double d = 0;
-        for (index i = 0; i < n; ++i) d += q[i] * v[static_cast<std::size_t>(i)];
-        for (index i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] -= d * q[i];
+        const double* q = basis_t_.data() + l * n;
+        const double d = detail::row_dot(n, q, v);
+        for (index i = 0; i < n; ++i) v[i] -= d * q[i];
       }
     }
-    const double beta = la::norm2(v);
+    const double beta = std::sqrt(detail::row_dot(n, v, v));
     if (beta <= deflation_tol_ * vnorm) continue;  // deflated direction
-    for (auto& x : v) x /= beta;
-    basis_t_.insert(basis_t_.end(), v.begin(), v.end());
+    for (index i = 0; i < n; ++i) v[i] /= beta;
+    basis_t_.insert(basis_t_.end(), v, v + n);
     ++rank_;
   }
   return rank_ - block_start;

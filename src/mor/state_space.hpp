@@ -1,8 +1,8 @@
 // Dense state-space models (the output type of every reduction algorithm),
 // the projection operation that produces them from sparse descriptor
-// systems, and the two pieces the Krylov and multipoint bases share: the
-// deflating orthonormal basis (PRIMA, MPPROJ) and the expansion pencil
-// (PRIMA, PVL).
+// systems, and the deflating orthonormal basis that the Krylov and
+// multipoint bases share (PRIMA, MPPROJ). PRIMA and PVL factor their
+// expansion pencil s0·E − A through DescriptorSystem::factor_real.
 #pragma once
 
 #include <vector>
@@ -67,15 +67,13 @@ DenseSystem project_congruence(const DescriptorSystem& sys, const MatD& v);
 /// Sparse E*V / A*V products used by project(); exposed for reuse.
 MatD sparse_times_dense(const sparse::CsrD& m, const MatD& v);
 
-/// The pencil a moment-matching method factors at the real expansion point
-/// s0: s0·E − A, or −A alone (A's pattern, no 0·E terms) when s0 == 0.
-sparse::CsrD expansion_pencil(const DescriptorSystem& sys, double s0);
-
 /// Orthonormal basis grown block by block with deflation: PRIMA adds one
 /// Krylov block per moment, MPPROJ one realified sample per frequency.
-/// The basis is stored transposed (row l = l-th direction, contiguous). A
-/// block first gets two passes of block classical Gram–Schmidt against the
-/// whole basis (two GEMMs per pass), then each column two passes of
+/// The basis is stored transposed (row l = l-th direction, contiguous), and
+/// a block is copied into the same row layout, one row per column, as the
+/// compressor does. It first gets two passes of block classical
+/// Gram–Schmidt against the whole basis (mor/gram_schmidt.hpp's
+/// project_rows and subtract_rows), then each column two passes of
 /// modified Gram–Schmidt against the directions its own block added. A
 /// column is dropped when its remainder is <= deflation_tol times its norm
 /// before projection; an exactly zero column is skipped.
@@ -87,7 +85,7 @@ class DeflatingBasis {
 
   /// Appends the surviving directions of `block` (n×k), in column order,
   /// and returns how many it added.
-  index extend(MatD block);
+  index extend(const MatD& block);
 
   index rank() const { return rank_; }
   bool full() const { return max_rank_ > 0 && rank_ >= max_rank_; }

@@ -4,7 +4,6 @@
 
 #include "la/lu.hpp"
 #include "la/ops.hpp"
-#include "sparse/splu.hpp"
 
 namespace pmtbr::signal {
 
@@ -19,9 +18,8 @@ TransientResult simulate(const DescriptorSystem& sys, const InputFunction& u,
   const index n = sys.n();
   const double h = opts.t_end / static_cast<double>(opts.steps);
 
-  const sparse::CsrD lhs = sparse::combine(1.0 / h, sys.e(), -0.5, sys.a());
   const sparse::CsrD rhs_mat = sparse::combine(1.0 / h, sys.e(), 0.5, sys.a());
-  const sparse::SparseLuD lu(lhs, sys.ordering());
+  const auto lu = sys.factor_real(1.0 / h, -0.5);
 
   TransientResult out;
   out.times.resize(static_cast<std::size_t>(opts.steps) + 1);

@@ -19,7 +19,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kGemmCalls: return "gemm_calls";
     case Counter::kGemmBytes: return "gemm_bytes";
     case Counter::kQrFactorizations: return "qr_factorizations";
-    case Counter::kQrBlockedPanels: return "qr_blocked_panels";
     case Counter::kTsqrFactorizations: return "tsqr_factorizations";
     case Counter::kQrFlops: return "qr_flops";
     case Counter::kSvdCalls: return "svd_calls";

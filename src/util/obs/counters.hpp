@@ -37,7 +37,6 @@ enum class Counter : int {
   kGemmCalls,              // blocked-GEMM invocations (matmul/matmul_into/matmul_at)
   kGemmBytes,              // sizeof(T)*(m*k + k*n + m*n) per call (traffic lower bound)
   kQrFactorizations,
-  kQrBlockedPanels,        // compact-WY panels factored by the blocked QR
   kTsqrFactorizations,     // no longer incremented; reads 0
   kQrFlops,                // 4*m*n*min(m,n) per factorization (R and thin Q, estimate)
   kSvdCalls,

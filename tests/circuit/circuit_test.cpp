@@ -250,6 +250,44 @@ TEST(Descriptor, OrderingFollowsPencilSymmetry) {
   expect_kernels(make_connector(), false);
 }
 
+// Real pencils (PRIMA's and PVL's expansion pencil, the transient
+// integrator's trapezoidal matrix) follow the rule of the complex shifts:
+// under ordering(), LDLᵀ when E and A are exactly symmetric, with a
+// pivoting LU when a diagonal pivot is rejected; pivoting LU otherwise.
+TEST(Descriptor, RealPencilOfAnRcMeshFactorsAsLdlt) {
+  RcMeshParams mp;
+  mp.rows = 12;
+  mp.cols = 12;
+  mp.num_ports = 2;
+  const auto mesh = make_rc_mesh(mp);
+  for (const double s0 : {0.0, 1e9}) {
+    SCOPED_TRACE(::testing::Message() << "s0 = " << s0);
+    const sparse::SparseLuD f = mesh.factor_real(s0, -1.0);
+    EXPECT_EQ(f.symbolic().kind(), sparse::FactorKind::kLdlt);
+    const sparse::SparseLuD lu(sparse::combine(s0, mesh.e(), -1.0, mesh.a()), mesh.ordering());
+    const MatD want = lu.solve(mesh.b());
+    MatD diff = f.solve(mesh.b());
+    diff -= want;
+    EXPECT_LE(la::norm_fro(diff), 1e-12 * la::norm_fro(want));
+  }
+}
+
+TEST(Descriptor, RealPencilOfTheSpiralFactorsAsLu) {
+  const auto spiral = make_spiral();
+  EXPECT_EQ(spiral.factor_real(0.0, -1.0).symbolic().kind(), sparse::FactorKind::kLu);
+  EXPECT_EQ(spiral.factor_real(1e9, -1.0).symbolic().kind(), sparse::FactorKind::kLu);
+}
+
+TEST(Descriptor, RealPencilWithAZeroDiagonalFallsBackToLu) {
+  // E = I and A = [[0, 1], [1, 0]] are symmetric, but at s0 = 0 the pencil
+  // −A has no diagonal to pivot on: LDLᵀ rejects it, the pivoting LU solves.
+  const DescriptorSystem sys = from_dense(MatD{{0, 1}, {1, 0}}, MatD{{1}, {0}}, MatD{{1, 0}});
+  const sparse::SparseLuD f = sys.factor_real(0.0, -1.0);
+  EXPECT_EQ(f.symbolic().kind(), sparse::FactorKind::kLu);
+  const std::vector<double> x = f.solve(std::vector<double>{1.0, 2.0});
+  EXPECT_EQ(x, (std::vector<double>{-2.0, -1.0}));
+}
+
 TEST(Descriptor, DenseStandardMatchesTransfer) {
   Netlist nl;
   const auto n1 = nl.add_node();

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cmath>
+#include <vector>
 
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
@@ -47,6 +48,13 @@ inline MatD random_stable(index n, Rng& rng, double margin = 0.5) {
     a(i, i) -= margin;
   }
   return a;
+}
+
+/// A(:, perm): the column order a pivoted QR factors.
+inline MatD permute_columns(const MatD& a, const std::vector<index>& perm) {
+  MatD out(a.rows(), static_cast<index>(perm.size()));
+  for (index j = 0; j < out.cols(); ++j) out.set_col(j, a.col(perm[static_cast<std::size_t>(j)]));
+  return out;
 }
 
 /// Checks Q^T Q ≈ I.

@@ -51,18 +51,18 @@ TEST(Cholesky, RandomSpdReconstruction) {
 TEST(Qr, ThinReconstruction) {
   Rng rng(12);
   const MatD a = testing::random_matrix(10, 4, rng);
-  const auto f = qr(a);
+  const auto f = qr_pivoted(a);
   EXPECT_EQ(f.q.cols(), 4);
   EXPECT_LT(testing::orthonormality_defect(f.q), 1e-12);
-  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), a), 1e-11);
+  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), testing::permute_columns(a, f.perm)), 1e-11);
 }
 
 TEST(Qr, WideMatrix) {
   Rng rng(13);
   const MatD a = testing::random_matrix(3, 8, rng);
-  const auto f = qr(a);
+  const auto f = qr_pivoted(a);
   EXPECT_EQ(f.q.cols(), 3);
-  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), a), 1e-11);
+  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), testing::permute_columns(a, f.perm)), 1e-11);
 }
 
 TEST(Qr, PivotedDetectsRank) {
@@ -97,16 +97,6 @@ TEST(Qr, OrthBasisSpansColumnSpace) {
   const MatD q = orth(a);
   EXPECT_EQ(q.cols(), 2);
   EXPECT_LT(testing::orthonormality_defect(q), 1e-12);
-}
-
-TEST(Qr, ComplexThin) {
-  Rng rng(17);
-  const MatC a = testing::random_complex_matrix(7, 3, rng);
-  const auto f = qr(a);
-  const MatC prod = matmul(f.q, f.r);
-  EXPECT_LT(max_abs_diff(prod, a), 1e-11);
-  const MatC g = matmul(adjoint(f.q), f.q);
-  EXPECT_LT(max_abs_diff(g, MatC::identity(3)), 1e-12);
 }
 
 // --- SVD ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 // Contracts of the blocked dense-kernel layer: GEMM edge cases against the
-// scalar reference, blocked compact-WY QR backward error against the
-// unblocked reference (including the compressor's tall-skinny residual
-// shapes), and Matrix::resize.
+// scalar reference, and Matrix::resize.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +9,6 @@
 #include "helpers.hpp"
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
-#include "la/qr.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pmtbr {
@@ -21,7 +18,6 @@ using la::cd;
 using la::index;
 using la::MatC;
 using la::MatD;
-using testing::orthonormality_defect;
 using testing::random_complex_matrix;
 using testing::random_matrix;
 
@@ -119,46 +115,6 @@ TEST(Gemm, BitIdenticalAcrossThreadCounts) {
     four = la::matmul(a, b);
   }
   EXPECT_EQ(max_abs_diff(one, four), 0.0);
-}
-
-// --- blocked QR ------------------------------------------------------------
-
-TEST(BlockedQr, BackwardErrorAndOrthogonalityMatchReference) {
-  Rng rng(211);
-  const std::pair<index, index> shapes[] = {
-      {160, 96}, {96, 96}, {96, 160} /* wide: k = m < n */, {301, 67},
-      {3000, 24}, {1600, 2} /* tall-skinny: compressor residual blocks */};
-  for (const auto& shape : shapes) {
-    const index m = shape.first, n = shape.second;
-    const MatD a = random_matrix(m, n, rng);
-    const auto blocked = la::qr(a);
-    const auto ref = la::qr_reference(a);
-    ASSERT_EQ(blocked.q.rows(), ref.q.rows());
-    ASSERT_EQ(blocked.r.cols(), ref.r.cols());
-
-    const double anorm = la::norm_fro(a);
-    const double cn = static_cast<double>(std::max(m, n));
-    // ‖A − QR‖ ≤ c·n·ε·‖A‖ for both paths, with the same constant.
-    MatD residual = la::matmul(blocked.q, blocked.r);
-    residual -= a;
-    EXPECT_LT(la::norm_fro(residual), 64.0 * cn * kEps * anorm) << m << "x" << n;
-    MatD ref_residual = la::matmul(ref.q, ref.r);
-    ref_residual -= a;
-    EXPECT_LT(la::norm_fro(ref_residual), 64.0 * cn * kEps * anorm);
-
-    EXPECT_LT(orthonormality_defect(blocked.q), 64.0 * cn * kEps) << m << "x" << n;
-    // R factors agree (same Householder phase convention in both paths).
-    EXPECT_LT(max_abs_diff(blocked.r, ref.r), 1e4 * cn * kEps * anorm);
-  }
-}
-
-TEST(BlockedQr, ComplexBackwardError) {
-  Rng rng(223);
-  const MatC a = random_complex_matrix(150, 80, rng);
-  const auto f = la::qr(a);
-  MatC residual = la::matmul(f.q, f.r);
-  residual -= a;
-  EXPECT_LT(la::norm_fro(residual), 1e-12 * la::norm_fro(a));
 }
 
 // --- Matrix::resize --------------------------------------------------------

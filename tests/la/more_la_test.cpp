@@ -84,23 +84,15 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EigSymSizes, ::testing::Values(1, 2, 3, 8, 17, 3
 TEST(QrEdge, SingleColumnNormalizes) {
   MatD a(3, 1);
   a(1, 0) = -2.0;
-  const auto f = qr(a);
+  const auto f = qr_pivoted(a);
   EXPECT_NEAR(std::abs(f.r(0, 0)), 2.0, 1e-14);
   EXPECT_NEAR(std::abs(f.q(1, 0)), 1.0, 1e-14);
 }
 
-TEST(QrEdge, PivotedComplexRank) {
-  Rng rng(3001);
-  const MatC g = testing::random_complex_matrix(8, 2, rng);
-  const MatC a = matmul(g, adjoint(g));  // rank 2 Hermitian
-  const auto f = qr_pivoted(a);
-  EXPECT_EQ(f.rank, 2);
-}
-
 TEST(QrEdge, IdentityIsItsOwnQr) {
   const MatD i3 = MatD::identity(3);
-  const auto f = qr(i3);
-  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), i3), 1e-14);
+  const auto f = qr_pivoted(i3);
+  EXPECT_LT(max_abs_diff(matmul(f.q, f.r), testing::permute_columns(i3, f.perm)), 1e-14);
 }
 
 TEST(SchurEdge, DiagonalMatrixImmediate) {
@@ -135,7 +127,7 @@ TEST(SchurEdge, RepeatedEigenvaluesDeflate) {
   // The clustered-eigenvalue case: A = Q D Q^T with D having multiplicity 4.
   const index n = 12;
   Rng rng(3003);
-  const auto f = qr(testing::random_matrix(n, n, rng));
+  const auto f = qr_pivoted(testing::random_matrix(n, n, rng));
   MatD d(n, n);
   for (index i = 0; i < n; ++i) d(i, i) = -1.0 - static_cast<double>(i / 4);
   const MatD a = matmul(f.q, matmul(d, transpose(f.q)));

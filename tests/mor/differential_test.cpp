@@ -233,7 +233,7 @@ TEST(Differential, ColdFoldMatchesStackedSvdAtCostScalingSize) {
   // leading rows, taken as la::svd of their transpose (whose columns
   // converge much faster than R's), with left singular vectors Q·U_R;
   // compressor σ past that rank are compared with zero.
-  const la::QrD qr = la::qr_pivoted(stacked, 1e-15);
+  const la::QrResult qr = la::qr_pivoted(stacked, 1e-15);
   la::SvdResult ref = la::svd(la::transpose(qr.r).columns(0, qr.rank));
   ref.u = la::matmul(qr.q.columns(0, qr.rank), ref.v);
   const auto s = comp.singular_values();

@@ -3,11 +3,13 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "mor/error.hpp"
 #include "mor/state_space.hpp"
+#include "sparse/splu.hpp"
 #include "helpers.hpp"
 
 namespace pmtbr::mor {
@@ -92,19 +94,28 @@ TEST(SparseTimesDense, MatchesDense) {
 }
 
 TEST(ExpansionPencil, DcKeepsThePatternOfA) {
-  const auto sys = circuit::make_rc_line({.segments = 6});
-  const sparse::CsrD dc = expansion_pencil(sys, 0.0);
-  ASSERT_EQ(dc.nnz(), sys.a().nnz());
-  for (std::size_t k = 0; k < dc.nnz(); ++k) EXPECT_EQ(dc.values()[k], -sys.a().values()[k]);
+  // PRIMA and PVL factor s0·E − A through DescriptorSystem::factor_real. At
+  // s0 = 0 that is −A on A's own pattern, with no 0·E terms: on the RLC
+  // spiral it is the pivoting LU of −A alone, bit for bit.
+  const auto spiral = circuit::make_spiral();
+  sparse::CsrD neg_a = spiral.a();
+  for (auto& v : neg_a.values()) v = -v;
+  const sparse::SparseLuD dc = spiral.factor_real(0.0, -1.0);
+  const sparse::SparseLuD ref(neg_a, spiral.ordering());
+  EXPECT_EQ(dc.nnz_factors(), ref.nnz_factors());
+  EXPECT_EQ(la::max_abs_diff(dc.solve(spiral.b()), ref.solve(spiral.b())), 0.0);
 
+  const auto sys = circuit::make_rc_line({.segments = 6});
   const double s0 = 1e9;
-  MatD expected = sys.e().to_dense();
-  expected *= s0;
+  MatD pencil = sys.e().to_dense();
+  pencil *= s0;
   const MatD a = sys.a().to_dense();
   for (index i = 0; i < sys.n(); ++i)
-    for (index j = 0; j < sys.n(); ++j) expected(i, j) -= a(i, j);
-  EXPECT_LT(la::max_abs_diff(expansion_pencil(sys, s0).to_dense(), expected),
-            1e-15 * la::norm_fro(expected));
+    for (index j = 0; j < sys.n(); ++j) pencil(i, j) -= a(i, j);
+  const MatD x = sys.factor_real(s0, -1.0).solve(sys.b());
+  MatD residual = la::matmul(pencil, x);
+  residual -= sys.b();
+  EXPECT_LT(la::norm_fro(residual), 1e-13 * la::norm_fro(sys.b()));
 }
 
 TEST(DeflatingBasis, DropsADependentColumnAndSkipsAZeroColumn) {
@@ -139,23 +150,29 @@ TEST(DeflatingBasis, RankCapLandsMidBlock) {
 }
 
 TEST(DeflatingBasis, ColumnsAreOrthonormal) {
-  const index n = 200;
+  // PRIMA's 7-port blocks, and 1- and 2-column blocks at an n that is not a
+  // multiple of 8: the Gram–Schmidt kernels' narrow tiles and lane tails.
+  const std::pair<index, index> shapes[] = {{200, 7}, {203, 1}, {203, 2}};
   Rng rng(83);
-  DeflatingBasis basis(n, 1e-10);
-  // Six blocks spanning six decades, each after the first padded with two
-  // columns inside the span already built (they must deflate).
-  for (int b = 0; b < 6; ++b) {
-    MatD block = testing::random_matrix(n, 7, rng, std::pow(10.0, b - 3));
-    if (basis.rank() > 0)
-      block = la::hcat(block,
-                       la::matmul(basis.matrix(), testing::random_matrix(basis.rank(), 2, rng)));
-    EXPECT_EQ(basis.extend(block), 7) << "block " << b;
+  for (const auto& [n, width] : shapes) {
+    SCOPED_TRACE(::testing::Message() << "n = " << n << ", width = " << width);
+    DeflatingBasis basis(n, 1e-10);
+    // Six blocks spanning six decades, each after the first padded with two
+    // columns inside the span already built (they must deflate).
+    for (int b = 0; b < 6; ++b) {
+      MatD block = testing::random_matrix(n, width, rng, std::pow(10.0, b - 3));
+      if (basis.rank() > 0)
+        block = la::hcat(
+            block, la::matmul(basis.matrix(), testing::random_matrix(basis.rank(), 2, rng)));
+      EXPECT_EQ(basis.extend(block), width) << "block " << b;
+    }
+    const MatD q = basis.matrix();
+    ASSERT_EQ(q.rows(), n);
+    ASSERT_EQ(q.cols(), 6 * width);
+    EXPECT_LE(testing::orthonormality_defect(q), 1e-14 * static_cast<double>(n));
+    EXPECT_EQ(la::max_abs_diff(basis.columns(5 * width, 6 * width), q.columns(5 * width, 6 * width)),
+              0.0);
   }
-  const MatD q = basis.matrix();
-  ASSERT_EQ(q.rows(), n);
-  ASSERT_EQ(q.cols(), 42);
-  EXPECT_LE(testing::orthonormality_defect(q), 1e-14 * static_cast<double>(n));
-  EXPECT_EQ(la::max_abs_diff(basis.columns(35, 42), q.columns(35, 42)), 0.0);
 }
 
 TEST(DeflatingBasis, RejectsBadShapesAndTolerances) {
