@@ -214,8 +214,8 @@ util::Expected<MatC> DescriptorSystem::try_solve_shifted(cd s, const MatC& rhs,
   return lu.value()->solve(rhs);
 }
 
-util::Expected<MatC> DescriptorSystem::try_transfer(cd s, double diag_reg) const {
-  auto x = try_solve_shifted(s, la::to_complex(b_), diag_reg);
+util::Expected<MatC> DescriptorSystem::try_transfer(cd s) const {
+  auto x = try_solve_shifted(s, la::to_complex(b_));
   if (!x.is_ok()) return x.status();
   return la::matmul(la::to_complex(c_), x.value());
 }

@@ -85,12 +85,6 @@ class DescriptorSystem {
   // this shift, a degenerate frozen pivot, an injected test fault — travels
   // as a Status instead of an exception, so callers can retry, regularize,
   // or drop the sample.
-  //
-  // `diag_reg` is a RELATIVE diagonal regularization: when positive,
-  // δ = diag_reg · max|pencil entry| is added to the pencil's existing
-  // diagonal slots before factoring (pattern-preserving). It is the
-  // last-resort fallback for a shift landing exactly on a pole; the
-  // perturbation it introduces is O(diag_reg) relative, so keep it tiny.
 
   /// Ensures the cached symbolic factorization of the sE - A pencil exists,
   /// building it from the pencil at shift `s` if not (a symmetric pencil's
@@ -100,12 +94,17 @@ class DescriptorSystem {
   /// identical to a serial run.
   util::Status try_prepare_shifted(la::cd s) const;
 
-  /// X = (sE - A)^{-1} R, Status-carrying.
+  /// X = (sE - A)^{-1} R, Status-carrying. `diag_reg` is a RELATIVE
+  /// diagonal regularization: when positive, δ = diag_reg · max|pencil
+  /// entry| is added to the pencil's existing diagonal slots before
+  /// factoring (pattern-preserving). It is the last-resort fallback for a
+  /// shift landing exactly on a pole; the perturbation it introduces is
+  /// O(diag_reg) relative, so keep it tiny.
   util::Expected<la::MatC> try_solve_shifted(la::cd s, const la::MatC& rhs,
                                              double diag_reg = 0.0) const;
 
   /// H(s) = C (sE - A)^{-1} B, Status-carrying.
-  util::Expected<la::MatC> try_transfer(la::cd s, double diag_reg = 0.0) const;
+  util::Expected<la::MatC> try_transfer(la::cd s) const;
 
   /// Deterministic 128-bit hash of the system's content: the sparsity
   /// patterns AND values of E and A plus the dense B and C entries

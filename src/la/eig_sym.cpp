@@ -5,13 +5,11 @@
 #include <limits>
 #include <numeric>
 
-#include "util/faultinject.hpp"
-
 namespace pmtbr::la {
 
-namespace {
-
-EigSymResult eig_sym_impl(const MatD& a_in, bool* converged) {
+EigSymResult eig_sym(const MatD& a_in) {
+  PMTBR_REQUIRE(a_in.rows() == a_in.cols(), "eig_sym requires square matrix");
+  PMTBR_CHECK_FINITE(a_in, "eig_sym input matrix");
   const index n = a_in.rows();
   MatD a(n, n);
   for (index i = 0; i < n; ++i)
@@ -20,17 +18,13 @@ EigSymResult eig_sym_impl(const MatD& a_in, bool* converged) {
 
   const double eps = std::numeric_limits<double>::epsilon();
   constexpr int kMaxSweeps = 100;
-  if (converged) *converged = false;
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double off = 0;
     for (index i = 0; i < n; ++i)
       for (index j = i + 1; j < n; ++j) off += a(i, j) * a(i, j);
     double diag = 0;
     for (index i = 0; i < n; ++i) diag += a(i, i) * a(i, i);
-    if (off <= eps * eps * std::max(diag, 1e-300)) {
-      if (converged) *converged = true;
-      break;
-    }
+    if (off <= eps * eps * std::max(diag, 1e-300)) break;
 
     for (index p = 0; p < n - 1; ++p) {
       for (index q = p + 1; q < n; ++q) {
@@ -74,27 +68,6 @@ EigSymResult eig_sym_impl(const MatD& a_in, bool* converged) {
     out.values[static_cast<std::size_t>(j)] = a(src, src);
     for (index i = 0; i < n; ++i) out.vectors(i, j) = v(i, src);
   }
-  return out;
-}
-
-}  // namespace
-
-EigSymResult eig_sym(const MatD& a_in) {
-  PMTBR_REQUIRE(a_in.rows() == a_in.cols(), "eig_sym requires square matrix");
-  PMTBR_CHECK_FINITE(a_in, "eig_sym input matrix");
-  return eig_sym_impl(a_in, nullptr);
-}
-
-util::Expected<EigSymResult> try_eig_sym(const MatD& a_in) {
-  PMTBR_REQUIRE(a_in.rows() == a_in.cols(), "eig_sym requires square matrix");
-  PMTBR_CHECK_FINITE(a_in, "eig_sym input matrix");
-  if (util::fault::should_fail(util::fault::Site::kEigConverge))
-    return util::Status(util::ErrorCode::kInjectedFault, "eig.converge fault injected");
-  bool converged = false;
-  EigSymResult out = eig_sym_impl(a_in, &converged);
-  if (!converged)
-    return util::Status(util::ErrorCode::kNoConvergence,
-                        "cyclic Jacobi eigensolver exhausted its sweep budget");
   return out;
 }
 

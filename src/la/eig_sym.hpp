@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "la/matrix.hpp"
-#include "util/status.hpp"
 
 namespace pmtbr::la {
 
@@ -19,12 +18,6 @@ struct EigSymResult {
 /// Eigendecomposition of a symmetric matrix (symmetry enforced by averaging
 /// A and A^T, which also absorbs round-off asymmetry from upstream).
 EigSymResult eig_sym(const MatD& a);
-
-/// Status-carrying eigendecomposition: kNoConvergence if the cyclic Jacobi
-/// sweep budget is exhausted before the off-diagonal mass settles
-/// (eig_sym() silently returns the approximation instead), kInjectedFault
-/// under the eig.converge site.
-util::Expected<EigSymResult> try_eig_sym(const MatD& a);
 
 /// Factor of a symmetric PSD matrix: L with A ≈ L L^T, L = V_+ sqrt(Λ_+)
 /// keeping eigenvalues above rel_tol * λ_max. L has one column per retained

@@ -39,10 +39,8 @@ util::Status Lu<T>::factorize(Matrix<T> a) {
       }
     }
     piv_[static_cast<std::size_t>(k)] = p;
-    if (p != k) {
-      ++swaps_;
+    if (p != k)
       for (index j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(p, j));
-    }
     const T pivot = lu_(k, k);
     if (!(std::abs(cd(pivot)) > 0))
       return util::Status(util::ErrorCode::kSingularMatrix,

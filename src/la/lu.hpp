@@ -40,16 +40,12 @@ class Lu {
   /// log|det A| — used for determinant-based scaling in the sign iteration.
   double log_abs_det() const;
 
-  /// Number of row swaps performed (parity of the permutation).
-  int swap_count() const { return swaps_; }
-
  private:
   Lu() = default;
   util::Status factorize(Matrix<T> a);
 
   Matrix<T> lu_;
   std::vector<index> piv_;  // piv_[k] = row swapped with k at step k
-  int swaps_ = 0;
 };
 
 using LuD = Lu<double>;

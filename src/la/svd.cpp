@@ -7,7 +7,7 @@
 
 #include "la/kernel_clones.hpp"
 #include "la/ops.hpp"
-#include "util/faultinject.hpp"
+#include "la/row_dot.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 
@@ -18,9 +18,8 @@ namespace {
 constexpr int kMaxSweeps = 60;
 
 // One-sided Jacobi on a tall (m >= n) matrix g; v accumulates the right
-// rotations when non-null. Returns false when the sweep budget is
-// exhausted before the rotations settle.
-bool jacobi_onesided(MatD& g, MatD* v) {
+// rotations when non-null.
+void jacobi_onesided(MatD& g, MatD* v) {
   const index m = g.rows(), n = g.cols();
   const double eps = std::numeric_limits<double>::epsilon();
 
@@ -63,21 +62,19 @@ bool jacobi_onesided(MatD& g, MatD* v) {
         }
       }
     }
-    if (!rotated) return true;
+    if (!rotated) return;
   }
   // Non-convergence after kMaxSweeps sweeps is practically impossible for
   // Jacobi; if it happens the result is still a usable approximation.
-  return false;
 }
 
-SvdResult svd_tall(const MatD& a, bool want_vectors, bool* converged = nullptr) {
+SvdResult svd_tall(const MatD& a, bool want_vectors) {
   PMTBR_TRACE_SCOPE("la.svd");
   obs::counter_add(obs::Counter::kSvdCalls);
   const index m = a.rows(), n = a.cols();
   MatD g = a;
   MatD v = MatD::identity(n);
-  const bool ok = jacobi_onesided(g, want_vectors ? &v : nullptr);
-  if (converged) *converged = ok;
+  jacobi_onesided(g, want_vectors ? &v : nullptr);
 
   // Column norms are the singular values.
   std::vector<double> s(static_cast<std::size_t>(n));
@@ -108,18 +105,6 @@ SvdResult svd_tall(const MatD& a, bool want_vectors, bool* converged = nullptr) 
       for (index i = 0; i < n; ++i) out.v(i, j) = v(i, src);
   }
   return out;
-}
-
-// Dot product of two contiguous rows, accumulated in eight partial sums so
-// the loop vectorizes (two independent 4-wide accumulators under AVX2)
-// without reassociating a single running sum.
-inline double row_dot(index n, const double* x, const double* y) {
-  double s[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  index i = 0;
-  for (; i + 8 <= n; i += 8)
-    for (int l = 0; l < 8; ++l) s[l] += x[i + l] * y[i + l];
-  for (; i < n; ++i) s[0] += x[i] * y[i];
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
 // Applies the Householder reflector I − β·v·vᵀ to columns [c0, c0+nc) of the
@@ -192,14 +177,14 @@ MatD r_factor(MatD w) {
 PMTBR_KERNEL_CLONES
 static index jacobi_row_sweep(index n, double* r, double* nrm2) {
   const double eps = std::numeric_limits<double>::epsilon();
-  for (index i = 0; i < n; ++i) nrm2[i] = row_dot(n, r + i * n, r + i * n);
+  for (index i = 0; i < n; ++i) nrm2[i] = detail::row_dot(n, r + i * n, r + i * n);
   index rotations = 0;
   for (index p = 0; p < n - 1; ++p) {
     double* x = r + p * n;
     for (index q = p + 1; q < n; ++q) {
       double* y = r + q * n;
       const double app = nrm2[p], aqq = nrm2[q];
-      const double apq = row_dot(n, x, y);
+      const double apq = detail::row_dot(n, x, y);
       if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == 0.0) continue;
       ++rotations;
       const double tau = (aqq - app) / (2.0 * apq);
@@ -212,8 +197,8 @@ static index jacobi_row_sweep(index n, double* r, double* nrm2) {
         y[i] = s * xp + c * yq;
       }
       const double npp = app - t * apq, nqq = aqq + t * apq;
-      nrm2[p] = npp < 0.5 * app ? row_dot(n, x, x) : npp;
-      nrm2[q] = nqq < 0.5 * aqq ? row_dot(n, y, y) : nqq;
+      nrm2[p] = npp < 0.5 * app ? detail::row_dot(n, x, x) : npp;
+      nrm2[q] = nqq < 0.5 * aqq ? detail::row_dot(n, y, y) : nqq;
     }
   }
   return rotations;
@@ -231,27 +216,6 @@ SvdResult svd(const MatD& a) {
   out.u = std::move(t.v);
   out.v = std::move(t.u);
   out.s = std::move(t.s);
-  return out;
-}
-
-util::Expected<SvdResult> try_svd(const MatD& a) {
-  PMTBR_REQUIRE(!a.empty(), "svd of empty matrix");
-  PMTBR_CHECK_FINITE(a, "svd input matrix");
-  if (util::fault::should_fail(util::fault::Site::kSvdConverge))
-    return util::Status(util::ErrorCode::kInjectedFault, "svd.converge fault injected");
-  bool converged = false;
-  SvdResult out;
-  if (a.rows() >= a.cols()) {
-    out = svd_tall(a, true, &converged);
-  } else {
-    SvdResult t = svd_tall(transpose(a), true, &converged);
-    out.u = std::move(t.v);
-    out.v = std::move(t.u);
-    out.s = std::move(t.s);
-  }
-  if (!converged)
-    return util::Status(util::ErrorCode::kNoConvergence,
-                        "one-sided Jacobi SVD exhausted its sweep budget");
   return out;
 }
 
@@ -283,7 +247,7 @@ SvdRightResult svd_right(const MatD& a) {
   // Row i of the rotated R is σ_i·v_iᵀ.
   std::vector<double> s(static_cast<std::size_t>(n));
   for (index i = 0; i < n; ++i)
-    s[static_cast<std::size_t>(i)] = std::sqrt(row_dot(n, r.row_ptr(i), r.row_ptr(i)));
+    s[static_cast<std::size_t>(i)] = std::sqrt(detail::row_dot(n, r.row_ptr(i), r.row_ptr(i)));
   std::vector<index> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), index{0});
   std::sort(order.begin(), order.end(), [&](index i, index j) {

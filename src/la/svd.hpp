@@ -6,7 +6,7 @@
 // trailing singular values many orders of magnitude below the leading one.
 //
 // Two kernels share the rotation and its convergence test:
-//  - svd / try_svd / singular_values rotate the columns of A itself and
+//  - svd / singular_values rotate the columns of A itself and
 //    accumulate V rotation by rotation; they return U as well.
 //  - svd_right returns σ and V only, for callers that discard U (the
 //    compressor's fold). It factors A = Q·R with an R-only Householder QR,
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "la/matrix.hpp"
-#include "util/status.hpp"
 
 namespace pmtbr::la {
 
@@ -38,11 +37,6 @@ struct SvdResult {
 
 /// Thin SVD of an m×n real matrix (any shape), k = min(m, n).
 SvdResult svd(const MatD& a);
-
-/// Status-carrying SVD: kNoConvergence if the Jacobi sweep budget is
-/// exhausted (practically impossible; svd() silently returns the usable
-/// approximation instead), kInjectedFault under the svd.converge site.
-util::Expected<SvdResult> try_svd(const MatD& a);
 
 /// Singular values only (still O(mn^2) but skips accumulating V).
 std::vector<double> singular_values(const MatD& a);

@@ -10,18 +10,16 @@ namespace pmtbr::lyap {
 using la::index;
 using la::MatD;
 
-MatD solve_lyapunov(const MatD& a, const MatD& q, const LyapunovOptions& opts) {
+MatD solve_lyapunov(const MatD& a, const MatD& q) {
   PMTBR_REQUIRE(a.rows() == a.cols(), "A must be square");
   PMTBR_REQUIRE(q.rows() == a.rows() && q.cols() == a.cols(), "Q shape mismatch");
-  PMTBR_REQUIRE(opts.max_iterations > 0, "max_iterations must be positive");
-  PMTBR_REQUIRE(opts.tolerance > 0, "tolerance must be positive");
   PMTBR_CHECK_FINITE(a, "lyapunov A matrix");
   PMTBR_CHECK_FINITE(q, "lyapunov Q matrix");
   const index n = a.rows();
 
   MatD ak = a;
   MatD qk = q;
-  for (int it = 0; it < opts.max_iterations; ++it) {
+  for (int it = 0; it < kSignMaxIterations; ++it) {
     const la::LuD lu(ak);
     // Determinant scaling accelerates the sign iteration dramatically for
     // stiff circuit time constants.
@@ -44,7 +42,7 @@ MatD solve_lyapunov(const MatD& a, const MatD& q, const LyapunovOptions& opts) {
         scale += next * next;
         ak(i, j) = next;
       }
-    if (std::sqrt(delta) <= opts.tolerance * std::sqrt(std::max(scale, 1.0))) {
+    if (std::sqrt(delta) <= kSignTolerance * std::sqrt(std::max(scale, 1.0))) {
       MatD x = qk;
       x *= 0.5;
       // Symmetrize round-off.
@@ -63,14 +61,14 @@ MatD solve_lyapunov(const MatD& a, const MatD& q, const LyapunovOptions& opts) {
       "false", "sign iteration did not converge (is A Hurwitz-stable?)", __FILE__, __LINE__);
 }
 
-MatD controllability_gramian(const MatD& a, const MatD& b, const LyapunovOptions& opts) {
+MatD controllability_gramian(const MatD& a, const MatD& b) {
   PMTBR_REQUIRE(b.rows() == a.rows(), "B row count must match A");
-  return solve_lyapunov(a, la::matmul(b, la::transpose(b)), opts);
+  return solve_lyapunov(a, la::matmul(b, la::transpose(b)));
 }
 
-MatD observability_gramian(const MatD& a, const MatD& c, const LyapunovOptions& opts) {
+MatD observability_gramian(const MatD& a, const MatD& c) {
   PMTBR_REQUIRE(c.cols() == a.rows(), "C column count must match A");
-  return solve_lyapunov(la::transpose(a), la::matmul(la::transpose(c), c), opts);
+  return solve_lyapunov(la::transpose(a), la::matmul(la::transpose(c), c));
 }
 
 double lyapunov_residual(const MatD& a, const MatD& x, const MatD& q) {

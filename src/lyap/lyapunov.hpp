@@ -14,23 +14,21 @@
 
 namespace pmtbr::lyap {
 
-struct LyapunovOptions {
-  int max_iterations = 100;
-  double tolerance = 1e-12;  // relative ||A_k + I|| convergence threshold
-};
+/// Budget of every sign iteration here and in lyap/sylvester.hpp: it has
+/// converged when ||A_k + I||_F <= kSignTolerance·max(||A_k||_F, 1), and
+/// throws after kSignMaxIterations steps without converging.
+inline constexpr int kSignMaxIterations = 100;
+inline constexpr double kSignTolerance = 1e-12;
 
 /// Solves A X + X A^T + Q = 0 (continuous-time controllability form) for
 /// Hurwitz-stable A and symmetric PSD Q. Throws on non-convergence.
-la::MatD solve_lyapunov(const la::MatD& a, const la::MatD& q,
-                        const LyapunovOptions& opts = {});
+la::MatD solve_lyapunov(const la::MatD& a, const la::MatD& q);
 
 /// Controllability Gramian: A X + X A^T + B B^T = 0.
-la::MatD controllability_gramian(const la::MatD& a, const la::MatD& b,
-                                 const LyapunovOptions& opts = {});
+la::MatD controllability_gramian(const la::MatD& a, const la::MatD& b);
 
 /// Observability Gramian: A^T Y + Y A + C^T C = 0.
-la::MatD observability_gramian(const la::MatD& a, const la::MatD& c,
-                               const LyapunovOptions& opts = {});
+la::MatD observability_gramian(const la::MatD& a, const la::MatD& c);
 
 /// Residual ||A X + X A^T + Q||_F — used by tests and diagnostics.
 double lyapunov_residual(const la::MatD& a, const la::MatD& x, const la::MatD& q);

@@ -4,17 +4,16 @@
 
 #include "la/lu.hpp"
 #include "la/ops.hpp"
+#include "lyap/lyapunov.hpp"
 
 namespace pmtbr::lyap {
 
 using la::index;
 using la::MatD;
 
-MatD solve_sylvester(const MatD& a, const MatD& b, const MatD& c, const SylvesterOptions& opts) {
+MatD solve_sylvester(const MatD& a, const MatD& b, const MatD& c) {
   PMTBR_REQUIRE(a.rows() == a.cols() && b.rows() == b.cols(), "A, B must be square");
   PMTBR_REQUIRE(c.rows() == a.rows() && c.cols() == b.rows(), "C shape mismatch");
-  PMTBR_REQUIRE(opts.max_iterations > 0, "max_iterations must be positive");
-  PMTBR_REQUIRE(opts.tolerance > 0, "tolerance must be positive");
   PMTBR_CHECK_FINITE(a, "sylvester A matrix");
   PMTBR_CHECK_FINITE(b, "sylvester B matrix");
   PMTBR_CHECK_FINITE(c, "sylvester C matrix");
@@ -22,7 +21,7 @@ MatD solve_sylvester(const MatD& a, const MatD& b, const MatD& c, const Sylveste
 
   // Sign iteration on Z = [[A, C], [0, -B]]; sign(Z) = [[-I, 2X], [0, I]].
   MatD ak = a, bk = b, ck = c;
-  for (int it = 0; it < opts.max_iterations; ++it) {
+  for (int it = 0; it < kSignMaxIterations; ++it) {
     const la::LuD lua(ak);
     const la::LuD lub(bk);
     const double s = std::exp(-(lua.log_abs_det() + lub.log_abs_det()) /
@@ -51,7 +50,7 @@ MatD solve_sylvester(const MatD& a, const MatD& b, const MatD& c, const Sylveste
         scale += next * next;
         bk(i, j) = next;
       }
-    if (std::sqrt(delta) <= opts.tolerance * std::sqrt(std::max(scale, 1.0))) {
+    if (std::sqrt(delta) <= kSignTolerance * std::sqrt(std::max(scale, 1.0))) {
       MatD x = ck;
       x *= 0.5;
       return x;
@@ -63,9 +62,9 @@ MatD solve_sylvester(const MatD& a, const MatD& b, const MatD& c, const Sylveste
                              __LINE__);
 }
 
-MatD cross_gramian(const MatD& a, const MatD& b, const MatD& c, const SylvesterOptions& opts) {
+MatD cross_gramian(const MatD& a, const MatD& b, const MatD& c) {
   PMTBR_REQUIRE(b.cols() == c.rows(), "cross-Gramian needs #inputs == #outputs");
-  return solve_sylvester(a, a, la::matmul(b, c), opts);
+  return solve_sylvester(a, a, la::matmul(b, c));
 }
 
 double sylvester_residual(const MatD& a, const MatD& b, const MatD& c, const MatD& x) {

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "la/ops.hpp"
+#include "lyap/lyapunov.hpp"
 #include "mor/tbr.hpp"
 #include "util/logging.hpp"
 
@@ -14,8 +15,7 @@ namespace {
 
 // Controllability Gramian block of the cascade u -> W_i -> G:
 //   d/dt [x; xw] = [[A, B Cw], [0, Aw]] [x; xw] + [B Dw; Bw] u.
-MatD weighted_controllability(const MatD& a, const MatD& b, const DenseSystem& w,
-                              const lyap::LyapunovOptions& lopts) {
+MatD weighted_controllability(const MatD& a, const MatD& b, const DenseSystem& w) {
   const index n = a.rows(), nw = w.n();
   MatD a_aug(n + nw, n + nw);
   for (index i = 0; i < n; ++i)
@@ -31,7 +31,7 @@ MatD weighted_controllability(const MatD& a, const MatD& b, const DenseSystem& w
   for (index i = 0; i < nw; ++i)
     for (index j = 0; j < w.num_inputs(); ++j) b_aug(n + i, j) = w.b()(i, j);
 
-  const MatD p_aug = lyap::controllability_gramian(a_aug, b_aug, lopts);
+  const MatD p_aug = lyap::controllability_gramian(a_aug, b_aug);
   MatD p(n, n);
   for (index i = 0; i < n; ++i)
     for (index j = 0; j < n; ++j) p(i, j) = p_aug(i, j);
@@ -40,8 +40,7 @@ MatD weighted_controllability(const MatD& a, const MatD& b, const DenseSystem& w
 
 // Observability Gramian block of the cascade G -> W_o:
 //   states [x; xo], d/dt xo = Ao xo + Bo C x, z = Do C x + Co xo.
-MatD weighted_observability(const MatD& a, const MatD& c, const DenseSystem& w,
-                            const lyap::LyapunovOptions& lopts) {
+MatD weighted_observability(const MatD& a, const MatD& c, const DenseSystem& w) {
   const index n = a.rows(), nw = w.n();
   MatD a_aug(n + nw, n + nw);
   for (index i = 0; i < n; ++i)
@@ -56,7 +55,7 @@ MatD weighted_observability(const MatD& a, const MatD& c, const DenseSystem& w,
   for (index i = 0; i < w.num_outputs(); ++i)
     for (index j = 0; j < nw; ++j) c_aug(i, n + j) = w.c()(i, j);
 
-  const MatD q_aug = lyap::observability_gramian(a_aug, c_aug, lopts);
+  const MatD q_aug = lyap::observability_gramian(a_aug, c_aug);
   MatD q(n, n);
   for (index i = 0; i < n; ++i)
     for (index j = 0; j < n; ++j) q(i, j) = q_aug(i, j);
@@ -87,12 +86,10 @@ FwbtResult fwbt(const DescriptorSystem& sys, const std::optional<DenseSystem>& i
                   "weights must be in standard form (E = I)");
   }
 
-  const MatD p = input_weight
-                     ? weighted_controllability(d.a, d.b, *input_weight, opts.lyapunov)
-                     : lyap::controllability_gramian(d.a, d.b, opts.lyapunov);
-  const MatD q = output_weight
-                     ? weighted_observability(d.a, d.c, *output_weight, opts.lyapunov)
-                     : lyap::observability_gramian(d.a, d.c, opts.lyapunov);
+  const MatD p = input_weight ? weighted_controllability(d.a, d.b, *input_weight)
+                              : lyap::controllability_gramian(d.a, d.b);
+  const MatD q = output_weight ? weighted_observability(d.a, d.c, *output_weight)
+                               : lyap::observability_gramian(d.a, d.c);
 
   FwbtResult out;
   out.model = balanced_truncation(d, p, q, opts.fixed_order, opts.error_tol);

@@ -14,7 +14,6 @@
 
 #include <optional>
 
-#include "lyap/lyapunov.hpp"
 #include "mor/state_space.hpp"
 
 namespace pmtbr::mor {
@@ -22,7 +21,6 @@ namespace pmtbr::mor {
 struct FwbtOptions {
   index fixed_order = -1;
   double error_tol = 0.0;  // on the weighted singular-value tail
-  lyap::LyapunovOptions lyapunov{};
 };
 
 struct FwbtResult {

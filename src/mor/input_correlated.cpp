@@ -26,7 +26,7 @@ InputCorrelatedResult input_correlated_tbr(const DescriptorSystem& sys, const Ma
   index r = 0;
   const double s1 = f.s.empty() ? 0.0 : f.s.front();
   for (const double s : f.s)
-    if (s > opts.input_rank_tol * s1) ++r;
+    if (s > kInputRankTol * s1) ++r;
   r = std::max<index>(r, 1);
   out.input_rank = r;
 

@@ -30,14 +30,14 @@ struct InputCorrelatedOptions {
   index draws_per_frequency = 2;
   std::uint64_t seed = 1234;
 
-  /// Input directions with singular value below this (relative to the
-  /// largest) are dropped from V_K.
-  double input_rank_tol = 1e-6;
-
   index fixed_order = -1;
   double truncation_tol = 1e-3;  // the paper's Fig. 13 setting
   index max_order = -1;
 };
+
+/// Input directions whose singular value is at or below this fraction of
+/// the largest are dropped from V_K.
+inline constexpr double kInputRankTol = 1e-6;
 
 struct InputCorrelatedResult {
   ReducedModel model;

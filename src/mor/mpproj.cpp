@@ -10,7 +10,7 @@ MpprojResult mpproj(const DescriptorSystem& sys, const std::vector<FrequencySamp
                     const MpprojOptions& opts) {
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
   PMTBR_CHECK_FINITE(sys.b(), "mpproj input matrix B");
-  DeflatingBasis basis(sys.n(), opts.deflation_tol, opts.max_order);
+  DeflatingBasis basis(sys.n(), opts.max_order);
   for (const auto& fs : samples) {
     if (basis.full()) break;
     const la::MatC z = sys.solve_shifted(fs.s, la::to_complex(sys.b()));

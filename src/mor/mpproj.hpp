@@ -13,8 +13,7 @@
 namespace pmtbr::mor {
 
 struct MpprojOptions {
-  index max_order = -1;        // stop after this many basis columns (< 0: no cap)
-  double deflation_tol = 1e-10;
+  index max_order = -1;  // stop after this many basis columns (< 0: no cap)
 };
 
 struct MpprojResult {

@@ -34,18 +34,16 @@ struct SampleOutcome {
   bool regularized = false;
 };
 
-SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySample& fs,
-                               const ResilienceOptions& res) {
+SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySample& fs) {
   PMTBR_TRACE_SCOPE("pmtbr.sample_block");
   util::fault::KeyScope key(util::fault::shift_key(fs.s.real(), fs.s.imag()));
   SampleOutcome out;
-  for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kSampleRetries; ++attempt) {
     cd s = fs.s;
     if (attempt > 0) {
-      const double scale = 1.0 + res.retry_shift_eps * static_cast<double>(attempt);
+      const double scale = 1.0 + kRetryShiftEps * static_cast<double>(attempt);
       // A DC sample has nothing to scale; nudge it off the origin instead.
-      s = (s == cd(0.0)) ? cd(res.retry_shift_eps * static_cast<double>(attempt), 0.0)
-                         : s * scale;
+      s = (s == cd(0.0)) ? cd(kRetryShiftEps * static_cast<double>(attempt), 0.0) : s * scale;
       ++out.retries;
       obs::counter_add(obs::Counter::kPmtbrSampleRetries);
     }
@@ -57,17 +55,15 @@ SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySampl
     }
     out.status = z.status();
   }
-  if (res.diag_reg > 0.0) {
-    auto z = sys.try_solve_shifted(fs.s, la::to_complex(sys.b()), res.diag_reg);
-    if (z.is_ok()) {
-      out.block = weighted_sample(z.value(), fs);
-      out.status = util::Status::ok();
-      out.regularized = true;
-      obs::counter_add(obs::Counter::kPmtbrSamplesRegularized);
-      return out;
-    }
-    out.status = z.status();
+  auto z = sys.try_solve_shifted(fs.s, la::to_complex(sys.b()), kSampleDiagReg);
+  if (z.is_ok()) {
+    out.block = weighted_sample(z.value(), fs);
+    out.status = util::Status::ok();
+    out.regularized = true;
+    obs::counter_add(obs::Counter::kPmtbrSamplesRegularized);
+    return out;
   }
+  out.status = z.status();
   return out;
 }
 
@@ -136,13 +132,13 @@ std::vector<index> degrade_window(std::span<util::Expected<SampleOutcome>> outco
 
 // Coverage floor: the run is only allowed to degrade so far. Throws when
 // every sample was lost or the surviving quadrature weight dropped below
-// the configured fraction of what was attempted.
-void enforce_coverage_floor(DegradeState& st, const ResilienceOptions& res) {
+// kMinCoverage of what was attempted.
+void enforce_coverage_floor(DegradeState& st) {
   auto& r = st.report;
   r.coverage = st.attempted_w > 0.0 ? st.surviving_w / st.attempted_w : 1.0;
-  if (r.samples_ok == 0 || r.coverage < res.min_coverage) {
+  if (r.samples_ok == 0 || r.coverage < kMinCoverage) {
     std::ostringstream msg;
-    msg << "surviving sample coverage " << r.coverage << " below floor " << res.min_coverage
+    msg << "surviving sample coverage " << r.coverage << " below floor " << kMinCoverage
         << " (" << r.samples_dropped << " of " << r.samples_attempted << " samples dropped)";
     throw util::StatusError(util::Status(util::ErrorCode::kCoverageFloor, msg.str()));
   }
@@ -217,10 +213,7 @@ class SamplingEngine {
       const index count = std::min(batch, total - base);
       auto outcomes = util::parallel_try_map<SampleOutcome>(
           count,
-          [&](index i) {
-            return try_sample_block(sys_, eff_[static_cast<std::size_t>(base + i)],
-                                    opts_.resilience);
-          },
+          [&](index i) { return try_sample_block(sys_, eff_[static_cast<std::size_t>(base + i)]); },
           opts_.cancel);
       opts_.cancel.throw_if_cancelled();
       for (index start = base; start < base + count; start += window) {
@@ -245,7 +238,7 @@ class SamplingEngine {
   // compressor's last fold included, runs in the pmtbr.project scope.
   PmtbrResult finalize(index fixed_order, index max_order) {
     PMTBR_REQUIRE(!eff_.empty(), "frequency weighting suppresses every sample");
-    enforce_coverage_floor(st_, opts_.resilience);
+    enforce_coverage_floor(st_);
     // Cancellation checkpoint before the projection: the compressor's first
     // settle is a full SVD of the sample span and often the run's costliest
     // serial step, so a cancel or deadline that lands during absorption

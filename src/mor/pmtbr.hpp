@@ -24,23 +24,19 @@
 
 namespace pmtbr::mor {
 
-/// Per-sample degradation policy (docs/ROBUSTNESS.md). PMTBR's statistical
+/// Per-sample degradation ladder (docs/ROBUSTNESS.md). PMTBR's statistical
 /// interpretation tolerates losing individual quadrature samples, so a
-/// failed shifted solve is retried, regularized, and finally dropped with
-/// its weight redistributed — the run only fails when surviving coverage
-/// falls below `min_coverage`.
-struct ResilienceOptions {
-  /// Retries per failed sample at relatively perturbed shifts s·(1+εk).
-  int max_retries = 2;
-  /// Relative shift perturbation ε per retry step.
-  double retry_shift_eps = 1e-6;
-  /// Relative diagonal regularization for the last-resort fallback solve at
-  /// the original shift (0 disables the fallback).
-  double diag_reg = 1e-8;
-  /// Minimum surviving fraction of attempted quadrature weight; below this
-  /// the run throws util::StatusError(kCoverageFloor).
-  double min_coverage = 0.5;
-};
+/// failed shifted solve is retried kSampleRetries times at relatively
+/// perturbed shifts s·(1 + kRetryShiftEps·k), then solved once more at the
+/// original shift with relative diagonal regularization kSampleDiagReg,
+/// and finally dropped with its weight redistributed over its window's
+/// survivors. The run throws util::StatusError(kCoverageFloor) when the
+/// surviving fraction of attempted quadrature weight falls below
+/// kMinCoverage.
+inline constexpr int kSampleRetries = 2;
+inline constexpr double kRetryShiftEps = 1e-6;
+inline constexpr double kSampleDiagReg = 1e-8;
+inline constexpr double kMinCoverage = 0.5;
 
 /// What graceful degradation actually did during a run — mirrored into the
 /// pmtbr-manifest/1 "degradation" extra (degradation_extra()).
@@ -92,9 +88,6 @@ struct PmtbrOptions {
   /// identity weighting reproduces the finite-bandwidth Gramian.
   std::function<double(double f_hz)> weight_fn;
 
-  /// Per-sample failure handling (retry / regularize / drop / floor).
-  ResilienceOptions resilience;
-
   /// Sample-matrix absorption path (kBlocked default; kReference is the
   /// per-column oracle). Both yield the same subspace; the differential
   /// suite asserts end-to-end agreement through the service path.
@@ -133,9 +126,9 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
 /// `novelty_tol` (relative to the largest sample norm seen) or the budget
 /// is exhausted. Weights follow the local sampling density. Of `opts`, the
 /// order choice (fixed_order, truncation_tol, max_order) and the weight_fn /
-/// resilience / compressor / cancel fields apply as in pmtbr_with_samples;
-/// bands, num_samples, scheme and adaptive stopping are ignored (the points
-/// come from `aopts`). A sample that weight_fn suppresses or that is dropped
+/// compressor / cancel fields apply as in pmtbr_with_samples; bands,
+/// num_samples, scheme and adaptive stopping are ignored (the points come
+/// from `aopts`). A sample that weight_fn suppresses or that is dropped
 /// scores zero novelty, so its interval is never refined.
 struct AdaptiveOptions {
   Band band{};  // 0 <= f_lo < f_hi, as for sample_band
@@ -150,10 +143,9 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
 /// per requested order (clamped to the available rank). Far cheaper than
 /// calling pmtbr_with_samples per order in benches and studies. Each entry
 /// equals pmtbr_with_samples with `fixed_order` set to that order: the
-/// weight_fn / resilience / compressor / cancel fields of `opts` apply as
-/// there, while fixed_order, truncation_tol, max_order and adaptive
-/// stopping are ignored (the orders come from `orders`; every sample is
-/// used).
+/// weight_fn / compressor / cancel fields of `opts` apply as there, while
+/// fixed_order, truncation_tol, max_order and adaptive stopping are ignored
+/// (the orders come from `orders`; every sample is used).
 std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
                                            const std::vector<FrequencySample>& samples,
                                            const std::vector<index>& orders,

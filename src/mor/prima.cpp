@@ -7,7 +7,7 @@ namespace pmtbr::mor {
 PrimaResult prima(const DescriptorSystem& sys, const PrimaOptions& opts) {
   PMTBR_REQUIRE(opts.num_moments >= 1, "need at least one block moment");
   PMTBR_CHECK_FINITE(sys.b(), "prima input matrix B");
-  DeflatingBasis basis(sys.n(), opts.deflation_tol);
+  DeflatingBasis basis(sys.n());
 
   // Factor (s0 E - A) once; the Krylov operator is (s0 E - A)^{-1} E.
   const auto lu = sys.factor_real(opts.s0, -1.0);

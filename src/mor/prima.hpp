@@ -15,7 +15,6 @@ namespace pmtbr::mor {
 struct PrimaOptions {
   index num_moments = 2;   // block Krylov iterations
   double s0 = 0.0;         // real expansion point (rad/s)
-  double deflation_tol = 1e-10;
 };
 
 struct PrimaResult {

@@ -19,7 +19,6 @@ PvlResult pvl(const DescriptorSystem& sys, const PvlOptions& opts) {
   PMTBR_REQUIRE(sys.num_inputs() == 1 && sys.num_outputs() == 1, "pvl handles SISO systems");
   PMTBR_REQUIRE(sys.n() > 0, "pvl needs a nonempty system");
   PMTBR_REQUIRE(opts.order >= 1, "order must be positive");
-  PMTBR_REQUIRE(opts.breakdown_tol > 0, "breakdown_tol must be positive");
   PMTBR_CHECK_FINITE(sys.b(), "pvl input matrix B");
   PMTBR_CHECK_FINITE(sys.c(), "pvl output matrix C");
   const index n = sys.n();
@@ -52,7 +51,7 @@ PvlResult pvl(const DescriptorSystem& sys, const PvlOptions& opts) {
   while (static_cast<index>(vs.size()) <= opts.order) {
     const std::size_t k = vs.size() - 1;
     const double delta = dotv(ws[k], vs[k]);
-    if (std::abs(delta) < opts.breakdown_tol) {
+    if (std::abs(delta) < kPvlBreakdownTol) {
       log_debug("pvl: serious breakdown at step ", k);
       vs.pop_back();
       ws.pop_back();
@@ -76,7 +75,7 @@ PvlResult pvl(const DescriptorSystem& sys, const PvlOptions& opts) {
     }
     const double nv = la::norm2(kv);
     const double nw = la::norm2(kw);
-    if (nv < opts.breakdown_tol || nw < opts.breakdown_tol) {
+    if (nv < kPvlBreakdownTol || nw < kPvlBreakdownTol) {
       log_debug("pvl: Krylov space exhausted after ", vs.size(), " steps");
       break;
     }

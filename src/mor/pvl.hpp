@@ -16,8 +16,12 @@ namespace pmtbr::mor {
 struct PvlOptions {
   index order = 10;          // Lanczos steps == model order
   double s0 = 0.0;           // real expansion point (rad/s)
-  double breakdown_tol = 1e-13;
 };
+
+/// The Lanczos iteration stops at a serious breakdown, |w_kᵀ v_k| below
+/// this, and when a new direction's norm falls below it (Krylov space
+/// exhausted).
+inline constexpr double kPvlBreakdownTol = 1e-13;
 
 struct PvlResult {
   ReducedModel model;

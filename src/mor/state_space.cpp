@@ -76,10 +76,8 @@ DenseSystem project_congruence(const DescriptorSystem& sys, const MatD& v) {
   return project(sys, v, v);
 }
 
-DeflatingBasis::DeflatingBasis(index n, double deflation_tol, index max_rank)
-    : n_(n), deflation_tol_(deflation_tol), max_rank_(max_rank) {
+DeflatingBasis::DeflatingBasis(index n, index max_rank) : n_(n), max_rank_(max_rank) {
   PMTBR_REQUIRE(n > 0, "the basis needs a positive state dimension");
-  PMTBR_REQUIRE(deflation_tol > 0, "deflation_tol must be positive");
 }
 
 index DeflatingBasis::extend(const MatD& block) {
@@ -124,7 +122,7 @@ index DeflatingBasis::extend(const MatD& block) {
       }
     }
     const double beta = std::sqrt(detail::row_dot(n, v, v));
-    if (beta <= deflation_tol_ * vnorm) continue;  // deflated direction
+    if (beta <= kDeflationTol * vnorm) continue;  // deflated direction
     for (index i = 0; i < n; ++i) v[i] /= beta;
     basis_t_.insert(basis_t_.end(), v, v + n);
     ++rank_;

@@ -75,13 +75,15 @@ MatD sparse_times_dense(const sparse::CsrD& m, const MatD& v);
 /// Gram–Schmidt against the whole basis (mor/gram_schmidt.hpp's
 /// project_rows and subtract_rows), then each column two passes of
 /// modified Gram–Schmidt against the directions its own block added. A
-/// column is dropped when its remainder is <= deflation_tol times its norm
+/// column is dropped when its remainder is <= kDeflationTol times its norm
 /// before projection; an exactly zero column is skipped.
 class DeflatingBasis {
  public:
+  static constexpr double kDeflationTol = 1e-10;
+
   /// `n` is the state dimension; `max_rank` > 0 caps the basis size (the
   /// cap may land in the middle of a block), < 0 leaves it uncapped.
-  DeflatingBasis(index n, double deflation_tol, index max_rank = -1);
+  explicit DeflatingBasis(index n, index max_rank = -1);
 
   /// Appends the surviving directions of `block` (n×k), in column order,
   /// and returns how many it added.
@@ -97,7 +99,6 @@ class DeflatingBasis {
 
  private:
   index n_;
-  double deflation_tol_;
   index max_rank_;
   index rank_ = 0;
   std::vector<double> basis_t_;

@@ -9,8 +9,8 @@
 namespace pmtbr::mor {
 
 PoleResidue pole_residue(const DenseSystem& sys, index out_idx, index in_idx) {
-  PMTBR_REQUIRE(out_idx < sys.num_outputs() && in_idx < sys.num_inputs(),
-                "transfer entry out of range");
+  PMTBR_REQUIRE(0 <= out_idx && out_idx < sys.num_outputs(), "output index out of range");
+  PMTBR_REQUIRE(0 <= in_idx && in_idx < sys.num_inputs(), "input index out of range");
   const index n = sys.n();
   // Standard form: Ad = E^{-1} A, bd = E^{-1} b.
   const la::LuD lue(sys.e());
@@ -62,7 +62,7 @@ cd evaluate(const PoleResidue& pr, cd s) {
   return acc;
 }
 
-circuit::Netlist synthesize_foster_rc(const PoleResidue& pr, const FosterOptions& opts) {
+circuit::Netlist synthesize_foster_rc(const PoleResidue& pr) {
   PMTBR_REQUIRE(!pr.poles.empty(), "no poles to synthesize");
   double rmax = 0;
   for (const auto& r : pr.residues) rmax = std::max(rmax, std::abs(r));
@@ -74,12 +74,12 @@ circuit::Netlist synthesize_foster_rc(const PoleResidue& pr, const FosterOptions
   for (std::size_t i = 0; i < pr.poles.size(); ++i) {
     const cd lam = pr.poles[i];
     const cd res = pr.residues[i];
-    if (std::abs(res) <= opts.residue_tol * std::max(rmax, 1e-300)) continue;  // negligible
-    if (std::abs(lam.imag()) > opts.imag_tol * std::abs(lam))
+    if (std::abs(res) <= kFosterResidueTol * std::max(rmax, 1e-300)) continue;  // negligible
+    if (std::abs(lam.imag()) > kFosterImagTol * std::abs(lam))
       throw std::invalid_argument("complex pole: not an RC driving-point impedance");
     if (lam.real() >= 0)
       throw std::invalid_argument("unstable or integrating pole in RC synthesis");
-    if (res.real() <= 0 || std::abs(res.imag()) > opts.imag_tol * std::abs(res))
+    if (res.real() <= 0 || std::abs(res.imag()) > kFosterImagTol * std::abs(res))
       throw std::invalid_argument("non-positive residue: not an RC driving-point impedance");
     terms.push_back({-lam.real(), res.real()});
   }

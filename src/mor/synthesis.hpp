@@ -26,16 +26,17 @@ PoleResidue pole_residue(const DenseSystem& sys, index out_idx = 0, index in_idx
 /// Evaluates a pole/residue model at s (for validation).
 cd evaluate(const PoleResidue& pr, cd s);
 
-struct FosterOptions {
-  double imag_tol = 1e-6;      // |Im λ| <= tol*|λ| counts as a real pole
-  double residue_tol = 1e-12;  // drop residues below tol * max residue
-};
+/// Foster synthesis treats λ as a real pole when |Im λ| <= kFosterImagTol·|λ|
+/// (and a residue as real likewise), and drops residues at or below
+/// kFosterResidueTol times the largest.
+inline constexpr double kFosterImagTol = 1e-6;
+inline constexpr double kFosterResidueTol = 1e-12;
 
 /// Synthesizes a series chain of parallel-RC blocks realizing the
 /// driving-point impedance Σ r_i/(s + p_i): each term maps to
 /// C = 1/r, R = r/p (p = -λ > 0, r > 0). Throws std::invalid_argument if
 /// any retained pole is complex, unstable, or has a non-positive residue —
 /// i.e. if the function is not an RC driving-point impedance.
-circuit::Netlist synthesize_foster_rc(const PoleResidue& pr, const FosterOptions& opts = {});
+circuit::Netlist synthesize_foster_rc(const PoleResidue& pr);
 
 }  // namespace pmtbr::mor

@@ -6,6 +6,7 @@
 #include "la/eig_sym.hpp"
 #include "la/ops.hpp"
 #include "la/svd.hpp"
+#include "lyap/lyapunov.hpp"
 #include "util/logging.hpp"
 
 namespace pmtbr::mor {
@@ -85,8 +86,8 @@ ReducedModel balanced_truncation(const DenseStandard& d, const MatD& x, const Ma
 TbrResult tbr(const DescriptorSystem& sys, const TbrOptions& opts) {
   PMTBR_REQUIRE(opts.error_tol >= 0, "error_tol must be nonnegative");
   const DenseStandard d = to_dense_standard(sys);
-  const MatD x = lyap::controllability_gramian(d.a, d.b, opts.lyapunov);
-  const MatD y = lyap::observability_gramian(d.a, d.c, opts.lyapunov);
+  const MatD x = lyap::controllability_gramian(d.a, d.b);
+  const MatD y = lyap::observability_gramian(d.a, d.c);
   TbrResult out;
   out.model = balanced_truncation(d, x, y, opts.fixed_order, opts.error_tol);
   out.hsv = out.model.singular_values;
@@ -107,11 +108,10 @@ TbrResult tbr_truncate(const DescriptorSystem& sys, const TbrResult& full, index
   return out;
 }
 
-std::vector<double> hankel_singular_values(const DescriptorSystem& sys,
-                                           const lyap::LyapunovOptions& opts) {
+std::vector<double> hankel_singular_values(const DescriptorSystem& sys) {
   const DenseStandard d = to_dense_standard(sys);
-  const MatD x = lyap::controllability_gramian(d.a, d.b, opts);
-  const MatD y = lyap::observability_gramian(d.a, d.c, opts);
+  const MatD x = lyap::controllability_gramian(d.a, d.b);
+  const MatD y = lyap::observability_gramian(d.a, d.c);
   const MatD lx = la::psd_factor(x);
   const MatD ly = la::psd_factor(y);
   auto s = la::singular_values(la::matmul_at(ly, lx));

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "lyap/lyapunov.hpp"
 #include "mor/state_space.hpp"
 
 namespace pmtbr::mor {
@@ -20,7 +19,6 @@ namespace pmtbr::mor {
 struct TbrOptions {
   index fixed_order = -1;   // if > 0, wins over error_tol
   double error_tol = 0.0;   // pick smallest order with 2·Σ_{i>q} σ_i <= error_tol·(2·Σσ)
-  lyap::LyapunovOptions lyapunov{};
 };
 
 struct TbrResult {
@@ -49,8 +47,7 @@ ReducedModel balanced_truncation(const DenseStandard& d, const MatD& x, const Ma
 TbrResult tbr_truncate(const DescriptorSystem& sys, const TbrResult& full, index order);
 
 /// Hankel singular values only.
-std::vector<double> hankel_singular_values(const DescriptorSystem& sys,
-                                           const lyap::LyapunovOptions& opts = {});
+std::vector<double> hankel_singular_values(const DescriptorSystem& sys);
 
 /// Glover bound 2·Σ_{i>order} σ_i.
 double tbr_error_bound(const std::vector<double>& hsv, index order);

@@ -24,10 +24,6 @@ void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts) {
   h.mix_i64(static_cast<std::int64_t>(opts.max_order));
   h.mix_double(opts.adaptive_excess);
   h.mix_i64(static_cast<std::int64_t>(opts.min_samples));
-  h.mix_i64(opts.resilience.max_retries);
-  h.mix_double(opts.resilience.retry_shift_eps);
-  h.mix_double(opts.resilience.diag_reg);
-  h.mix_double(opts.resilience.min_coverage);
   h.mix_i64(static_cast<std::int64_t>(opts.compressor));
 }
 

@@ -68,11 +68,9 @@ std::pair<std::string, std::string> serve_extra(const ServiceStats& stats) {
 ReductionService::ReductionService(ServiceOptions opts) : opts_(opts) {
   PMTBR_REQUIRE(opts_.runners >= 1, "service needs at least one runner thread");
   PMTBR_REQUIRE(opts_.max_queue >= 1, "admission queue must hold at least one job");
-  if (opts_.model_cache) {
-    auto cache = std::make_unique<ModelCache>();
-    // A byte budget resolving to 0 (PMTBR_CACHE_BYTES=0) disables caching.
-    if (cache->enabled()) cache_ = std::move(cache);
-  }
+  auto cache = std::make_unique<ModelCache>();
+  // A byte budget resolving to 0 (PMTBR_CACHE_BYTES=0) disables caching.
+  if (cache->enabled()) cache_ = std::move(cache);
   runners_.reserve(static_cast<std::size_t>(opts_.runners));
   for (int t = 0; t < opts_.runners; ++t)
     runners_.emplace_back([this] { runner_loop(); });

@@ -51,11 +51,6 @@ struct ServiceOptions {
   /// Bounded admission queue: submissions beyond this many queued (not yet
   /// started) jobs are rejected with kOverloaded.
   index max_queue = 64;
-  /// Memoize completed reductions by job fingerprint and coalesce
-  /// concurrent identical jobs (docs/SERVING.md). Suspended automatically
-  /// while fault injection is armed, so injected failures stay exactly
-  /// reproducible.
-  bool model_cache = true;
 };
 
 /// Monotonic service totals. The outcome fields partition every terminal

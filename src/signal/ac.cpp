@@ -4,6 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "mor/pmtbr.hpp"
 #include "util/faultinject.hpp"
 #include "util/logging.hpp"
 #include "util/obs/counters.hpp"
@@ -15,12 +16,6 @@ namespace pmtbr::signal {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-// Per-point degradation policy: a failed transfer evaluation is retried at
-// relatively perturbed frequencies f·(1+εk) before the point is dropped
-// from the sweep (docs/ROBUSTNESS.md).
-constexpr int kAcMaxRetries = 2;
-constexpr double kAcRetryEps = 1e-6;
 
 // Hook for warming per-system caches before the parallel fan-out: sparse
 // descriptor systems freeze their shifted-pencil pivot order here so every
@@ -51,19 +46,22 @@ util::Expected<la::cd> eval(const mor::DenseSystem& sys, la::cd s, la::index out
   }
 }
 
-// One grid point with its retry ladder. All attempts run under a fault key
-// derived from the ORIGINAL frequency, so injected decisions condemn the
-// point deterministically while genuine pole hits recover via the
-// perturbed re-evaluations.
+// One grid point with its retry ladder: a failed transfer evaluation is
+// retried mor::kSampleRetries times at relatively perturbed frequencies
+// f·(1 + mor::kRetryShiftEps·k) before the point is dropped from the sweep
+// (docs/ROBUSTNESS.md). All attempts run under a fault key derived from
+// the ORIGINAL frequency, so injected decisions condemn the point
+// deterministically while genuine pole hits recover via the perturbed
+// re-evaluations.
 template <typename System>
 util::Expected<AcPoint> try_ac_point(const System& sys, double f, la::index out_idx,
                                      la::index in_idx) {
   util::fault::KeyScope key(util::fault::shift_key(0.0, kTwoPi * f));
   util::Status last;
-  for (int attempt = 0; attempt <= kAcMaxRetries; ++attempt) {
+  for (int attempt = 0; attempt <= mor::kSampleRetries; ++attempt) {
     double fk = f;
     if (attempt > 0) {
-      const double eps = kAcRetryEps * static_cast<double>(attempt);
+      const double eps = mor::kRetryShiftEps * static_cast<double>(attempt);
       fk = (f == 0.0) ? eps : f * (1.0 + eps);
       obs::counter_add(obs::Counter::kAcPointRetries);
     }
@@ -77,8 +75,8 @@ util::Expected<AcPoint> try_ac_point(const System& sys, double f, la::index out_
 template <typename System>
 std::vector<AcPoint> sweep_impl(const System& sys, const std::vector<double>& freqs,
                                 la::index out_idx, la::index in_idx) {
-  PMTBR_REQUIRE(out_idx < sys.num_outputs() && in_idx < sys.num_inputs(),
-                "transfer entry out of range");
+  PMTBR_REQUIRE(0 <= out_idx && out_idx < sys.num_outputs(), "output index out of range");
+  PMTBR_REQUIRE(0 <= in_idx && in_idx < sys.num_inputs(), "input index out of range");
   if (freqs.empty()) return {};
   PMTBR_TRACE_SCOPE("ac.sweep");
   obs::counter_add(obs::Counter::kAcSweepPoints, static_cast<std::int64_t>(freqs.size()));

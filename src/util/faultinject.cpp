@@ -125,8 +125,6 @@ const char* site_name(Site s) noexcept {
   switch (s) {
     case Site::kSpluPivot: return "splu.pivot";
     case Site::kSpluRefactor: return "splu.refactor";
-    case Site::kSvdConverge: return "svd.converge";
-    case Site::kEigConverge: return "eig.converge";
     case Site::kPoolTask: return "pool.task";
     case Site::kCount: break;
   }

@@ -4,7 +4,7 @@
 // armed costs one relaxed atomic load (a global "anything armed?" flag), so
 // production runs pay nothing. Arming happens two ways:
 //
-//  - environment: PMTBR_FAULTS="splu.pivot:p=0.05:seed=7,svd.converge:p=1"
+//  - environment: PMTBR_FAULTS="splu.pivot:p=0.05:seed=7,pool.task:p=1"
 //    parsed once on first query (comma-separated sites; p in [0,1],
 //    seed any u64; both optional — p defaults to 1, seed to 0);
 //  - programmatic: util::fault::ScopedFault guard(Site::kSpluPivot, 0.25, 7)
@@ -35,8 +35,6 @@ namespace pmtbr::util::fault {
 enum class Site : int {
   kSpluPivot = 0,   // "splu.pivot"    full-factor pivot selection fails
   kSpluRefactor,    // "splu.refactor" frozen-pattern replay rejected
-  kSvdConverge,     // "svd.converge"  Jacobi SVD reports no convergence
-  kEigConverge,     // "eig.converge"  symmetric eigensolver reports no convergence
   kPoolTask,        // "pool.task"     parallel_try_map task fails before running
   kCount            // sentinel; keep last
 };

@@ -19,12 +19,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return d(engine_);
 }
 
-std::vector<double> Rng::uniform_vec(std::size_t n, double lo, double hi) {
-  std::vector<double> v(n);
-  for (auto& x : v) x = uniform(lo, hi);
-  return v;
-}
-
 std::vector<double> Rng::normal_vec(std::size_t n, double mean, double stddev) {
   std::vector<double> v(n);
   for (auto& x : v) x = normal(mean, stddev);

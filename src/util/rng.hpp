@@ -25,9 +25,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Vector of n independent uniform draws in [lo, hi).
-  std::vector<double> uniform_vec(std::size_t n, double lo = 0.0, double hi = 1.0);
-
   /// Vector of n independent normal draws.
   std::vector<double> normal_vec(std::size_t n, double mean = 0.0, double stddev = 1.0);
 

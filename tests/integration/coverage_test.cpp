@@ -8,7 +8,6 @@
 #include "circuit/parser.hpp"
 #include "circuit/writer.hpp"
 #include "la/ops.hpp"
-#include "lyap/lyapunov.hpp"
 #include "mor/cross_gramian.hpp"
 #include "mor/error.hpp"
 #include "mor/input_correlated.hpp"
@@ -109,14 +108,6 @@ TEST(Coverage, InputCorrelatedMaxOrderAndTolInteraction) {
   const auto res = mor::input_correlated_tbr(sys, samples, opts);
   EXPECT_LE(res.model.system.n(), 4);
   EXPECT_GE(res.input_rank, 1);
-}
-
-TEST(Coverage, LyapunovOptionsRespectIterationCap) {
-  lyap::LyapunovOptions opts;
-  opts.max_iterations = 1;  // cannot converge in one step for this system
-  la::MatD a{{-1.0, 100.0}, {0.0, -2.0}};
-  la::MatD q{{1.0, 0.0}, {0.0, 1.0}};
-  EXPECT_THROW(lyap::solve_lyapunov(a, q, opts), std::runtime_error);
 }
 
 TEST(Coverage, TbrErrorBoundEdgeOrders) {

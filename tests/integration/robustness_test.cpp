@@ -132,8 +132,7 @@ void run_mesh_fault_sweep(std::size_t want_drops) {
     EXPECT_EQ(static_cast<std::size_t>(degraded.degradation.failures[i].sample), condemned[i]);
     EXPECT_EQ(degraded.degradation.failures[i].status.code(), util::ErrorCode::kInjectedFault);
   }
-  EXPECT_EQ(degraded.degradation.retries,
-            static_cast<index>(want_drops) * opts.resilience.max_retries);
+  EXPECT_EQ(degraded.degradation.retries, static_cast<index>(want_drops) * mor::kSampleRetries);
   EXPECT_EQ(degraded.degradation.reweights, 1);  // single window, reweighted once
   EXPECT_EQ(degraded.samples_used.size(), samples.size() - want_drops);
   EXPECT_GT(degraded.degradation.coverage, 0.5);
@@ -209,7 +208,7 @@ TEST_F(Robustness, LcPoleHitRecoversViaRetry) {
 
   // The clean reference samples at exactly the shift the retry ladder lands
   // on, so the two ROM transfer functions must agree tightly.
-  const double w_retry = w0 * (1.0 + opts.resilience.retry_shift_eps);
+  const double w_retry = w0 * (1.0 + mor::kRetryShiftEps);
   const std::vector<mor::FrequencySample> off_pole = {pole_hit[0], mk(w_retry), pole_hit[2]};
   const auto ref = mor::pmtbr_with_samples(sys, off_pole, opts);
   EXPECT_FALSE(ref.degradation.degraded());
@@ -244,23 +243,36 @@ TEST_F(Robustness, CoverageFloorThrowsStatusError) {
     }
   }
 
-  // A single drop violates a min_coverage of 1.
-  std::vector<std::size_t> condemned;
-  const std::uint64_t seed = seed_with_drops(samples, 0.1, 1, condemned);
-  mor::PmtbrOptions strict;
-  strict.resilience.min_coverage = 1.0;
+  // The top log-spaced sample carries more than 1 − kMinCoverage of the
+  // quadrature weight (about 58%), the bottom one far less: losing the top
+  // sample alone breaks the floor, losing the bottom one alone does not.
+  double total = 0.0;
+  for (const auto& fs : samples) total += fs.weight;
+  ASSERT_GT(samples.back().weight, (1.0 - mor::kMinCoverage) * total);
+  ASSERT_LT(samples.front().weight, (1.0 - mor::kMinCoverage) * total);
+  const auto seed_dropping_only = [&](std::size_t idx) {
+    for (std::uint64_t seed = 1; seed < 500; ++seed)
+      if (condemned_set(samples, 0.1, seed) == std::vector<std::size_t>{idx}) return seed;
+    ADD_FAILURE() << "no seed under 500 condemns only sample " << idx;
+    return std::uint64_t{0};
+  };
   {
     fault::ScopedFault replays(fault::Site::kSpluRefactor, 1.0);
-    fault::ScopedFault pivots(fault::Site::kSpluPivot, 0.1, seed);
-    EXPECT_THROW(mor::pmtbr_with_samples(sys, samples, strict), util::StatusError);
+    fault::ScopedFault pivots(fault::Site::kSpluPivot, 0.1,
+                              seed_dropping_only(samples.size() - 1));
+    try {
+      mor::pmtbr_with_samples(sys, samples, {});
+      FAIL() << "expected StatusError";
+    } catch (const util::StatusError& e) {
+      EXPECT_EQ(e.status().code(), util::ErrorCode::kCoverageFloor);
+    }
   }
-
-  // Same config with the default floor completes.
   {
     fault::ScopedFault replays(fault::Site::kSpluRefactor, 1.0);
-    fault::ScopedFault pivots(fault::Site::kSpluPivot, 0.1, seed);
+    fault::ScopedFault pivots(fault::Site::kSpluPivot, 0.1, seed_dropping_only(0));
     const auto res = mor::pmtbr_with_samples(sys, samples, {});
     EXPECT_EQ(res.degradation.samples_dropped, 1);
+    EXPECT_GE(res.degradation.coverage, mor::kMinCoverage);
   }
 }
 
@@ -336,7 +348,7 @@ TEST_F(Robustness, AdaptiveDropsCondemnedSampleAndReweightsItsWindow) {
   EXPECT_EQ(static_cast<std::size_t>(r.failures[0].sample), condemned[0]);
   EXPECT_EQ(r.failures[0].status.code(), util::ErrorCode::kInjectedFault);
   EXPECT_EQ(r.samples_dropped, 1);
-  EXPECT_EQ(r.retries, mor::ResilienceOptions{}.max_retries);
+  EXPECT_EQ(r.retries, mor::kSampleRetries);
   EXPECT_EQ(r.reweights, 1);  // the initial grid, once
   EXPECT_LT(r.coverage, 1.0);
   EXPECT_GT(r.coverage, 0.5);

@@ -46,6 +46,15 @@ TEST(PoleResidue, DescriptorFormHandled) {
   EXPECT_NEAR(pr.residues[0].real(), 0.5, 1e-12);
 }
 
+TEST(PoleResidue, RejectsOutOfRangeTransferEntries) {
+  MatD a{{-2.0}}, b{{3.0}}, c{{2.0}};
+  const auto sys = DenseSystem::standard(a, b, c);
+  EXPECT_THROW(pole_residue(sys, -1, 0), std::invalid_argument);
+  EXPECT_THROW(pole_residue(sys, 0, -1), std::invalid_argument);
+  EXPECT_THROW(pole_residue(sys, 1, 0), std::invalid_argument);
+  EXPECT_THROW(pole_residue(sys, 0, 1), std::invalid_argument);
+}
+
 TEST(Foster, SingleTermIsParallelRc) {
   PoleResidue pr;
   pr.poles = {cd(-1e9, 0.0)};

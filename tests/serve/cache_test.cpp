@@ -5,7 +5,10 @@
 // prefix so the TSan CI preset picks the concurrency tests up.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -74,12 +77,42 @@ TEST_F(ReductionServiceFingerprint, StableAcrossReparseSensitiveToValues) {
   ASSERT_TRUE(fp3.has_value());
   EXPECT_NE(*fp1, *fp3);
 
-  // So must any option that feeds the reduction.
-  JobRequest other = first.value();
-  other.options.num_samples += 1;
-  const auto fp4 = job_fingerprint(other);
-  ASSERT_TRUE(fp4.has_value());
-  EXPECT_NE(*fp1, *fp4);
+  // So must every option that feeds the reduction, and under kPmtbrAdaptive
+  // every field of the adaptive options.
+  using Perturb = std::function<void(JobRequest&)>;
+  const auto expect_new_key = [](const JobRequest& base, const char* field, const Perturb& f) {
+    JobRequest other = base;
+    f(other);
+    const auto fp = job_fingerprint(other);
+    ASSERT_TRUE(fp.has_value()) << field;
+    EXPECT_NE(*job_fingerprint(base), *fp) << field;
+  };
+  const std::vector<std::pair<const char*, Perturb>> options = {
+      {"num_samples", [](JobRequest& r) { r.options.num_samples += 1; }},
+      {"bands", [](JobRequest& r) { r.options.bands.push_back(mor::Band{2e9, 3e9}); }},
+      {"bands.f_lo", [](JobRequest& r) { r.options.bands[0].f_lo = 1e3; }},
+      {"bands.f_hi", [](JobRequest& r) { r.options.bands[0].f_hi *= 2.0; }},
+      {"scheme", [](JobRequest& r) { r.options.scheme = mor::SamplingScheme::kLogarithmic; }},
+      {"fixed_order", [](JobRequest& r) { r.options.fixed_order = 3; }},
+      {"truncation_tol", [](JobRequest& r) { r.options.truncation_tol *= 10.0; }},
+      {"max_order", [](JobRequest& r) { r.options.max_order = 5; }},
+      {"adaptive_excess", [](JobRequest& r) { r.options.adaptive_excess = 2.0; }},
+      {"min_samples", [](JobRequest& r) { r.options.min_samples += 1; }},
+      {"compressor",
+       [](JobRequest& r) { r.options.compressor = mor::CompressorMode::kReference; }},
+      {"method", [](JobRequest& r) { r.method = Method::kPmtbrAdaptive; }},
+  };
+  for (const auto& [field, f] : options) expect_new_key(first.value(), field, f);
+  JobRequest adaptive = first.value();
+  adaptive.method = Method::kPmtbrAdaptive;
+  const std::vector<std::pair<const char*, Perturb>> adaptive_options = {
+      {"adaptive.band.f_lo", [](JobRequest& r) { r.adaptive.band.f_lo = 1e3; }},
+      {"adaptive.band.f_hi", [](JobRequest& r) { r.adaptive.band.f_hi *= 2.0; }},
+      {"adaptive.initial_samples", [](JobRequest& r) { r.adaptive.initial_samples += 1; }},
+      {"adaptive.max_samples", [](JobRequest& r) { r.adaptive.max_samples += 1; }},
+      {"adaptive.novelty_tol", [](JobRequest& r) { r.adaptive.novelty_tol *= 10.0; }},
+  };
+  for (const auto& [field, f] : adaptive_options) expect_new_key(adaptive, field, f);
 
   // Scheduling metadata affects when a job runs, never what it computes.
   JobRequest renamed = first.value();
@@ -170,7 +203,17 @@ TEST_F(ReductionServiceCache, SingleFlightCollapsesConcurrentIdenticalJobs) {
 }
 
 TEST_F(ReductionServiceCache, DisabledCacheRunsEveryJob) {
-  ReductionService svc({.runners = 1, .max_queue = 4, .model_cache = false});
+  // PMTBR_CACHE_BYTES=0 turns the model cache off. The service reads it
+  // when it builds its cache, so it is restored right after.
+  const char* prev = std::getenv("PMTBR_CACHE_BYTES");
+  const bool had = prev != nullptr;
+  const std::string saved = had ? prev : "";
+  setenv("PMTBR_CACHE_BYTES", "0", 1);
+  ReductionService svc({.runners = 1, .max_queue = 4});
+  if (had)
+    setenv("PMTBR_CACHE_BYTES", saved.c_str(), 1);
+  else
+    unsetenv("PMTBR_CACHE_BYTES");
   for (int i = 0; i < 2; ++i) {
     auto id = svc.submit(mesh_job("nocache"));
     ASSERT_TRUE(id.is_ok());

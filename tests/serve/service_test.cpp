@@ -235,14 +235,12 @@ TEST(ReductionService, CancelUnknownIdReturnsFalse) {
 }
 
 TEST(ReductionService, FailingJobIsOrdinaryFailedResult) {
-  // Arm every solve to fail with no regularization rescue: coverage hits
-  // zero, the run throws kCoverageFloor, and the service records kFailed
-  // without disturbing anything else.
+  // Arm every solve to fail, the regularized rescue included: coverage
+  // hits zero, the run throws kCoverageFloor, and the service records
+  // kFailed without disturbing anything else.
   util::fault::ScopedFault guard(util::fault::Site::kSpluPivot, 1.0, 7);
   ReductionService svc({.runners = 1, .max_queue = 4});
-  JobRequest req = quick_job("doomed");
-  req.options.resilience.diag_reg = 0.0;
-  auto id = svc.submit(std::move(req));
+  auto id = svc.submit(quick_job("doomed"));
   ASSERT_TRUE(id.is_ok());
   const JobResult res = svc.wait(id.value());
   EXPECT_EQ(res.outcome, JobOutcome::kFailed);

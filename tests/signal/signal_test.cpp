@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "circuit/netlist.hpp"
 #include "mor/error.hpp"
@@ -177,6 +178,20 @@ TEST(Ac, SweepMatchesAnalyticRc) {
   const double expected = r / std::sqrt(1.0 + w * w * r * r * c * c);
   EXPECT_NEAR(pts[0].magnitude, expected, 1e-9 * expected);
   EXPECT_LT(pts[0].phase_rad, 0.0);  // capacitive lag
+}
+
+TEST(Ac, RejectsOutOfRangeTransferEntries) {
+  circuit::Netlist nl;
+  const auto n1 = nl.add_node();
+  nl.add_resistor(n1, 0, 100.0);
+  nl.add_capacitor(n1, 0, 1e-12);
+  nl.add_port(n1);
+  const auto sys = circuit::assemble_mna(nl);
+  const mor::DenseSystem dense(sys.e().to_dense(), sys.a().to_dense(), sys.b(), sys.c());
+  for (const auto& [out_idx, in_idx] : {std::pair<index, index>{-1, 0}, {0, -1}, {1, 0}, {0, 1}}) {
+    EXPECT_THROW(ac_sweep(sys, {1e6, 1e8}, out_idx, in_idx), std::invalid_argument);
+    EXPECT_THROW(ac_sweep(dense, {1e6, 1e8}, out_idx, in_idx), std::invalid_argument);
+  }
 }
 
 TEST(Subspace, IdenticalSubspacesZeroAngle) {

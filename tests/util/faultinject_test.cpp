@@ -72,7 +72,7 @@ class FaultInjectTest : public ::testing::Test {
 TEST_F(FaultInjectTest, DisabledByDefault) {
   EXPECT_FALSE(fault::enabled());
   EXPECT_FALSE(fault::should_fail(fault::Site::kSpluPivot, 123));
-  EXPECT_FALSE(fault::should_fail(fault::Site::kSvdConverge));
+  EXPECT_FALSE(fault::should_fail(fault::Site::kPoolTask));
 }
 
 TEST_F(FaultInjectTest, ScopedFaultArmsAndRestores) {
@@ -81,7 +81,7 @@ TEST_F(FaultInjectTest, ScopedFaultArmsAndRestores) {
     EXPECT_TRUE(fault::enabled());
     EXPECT_TRUE(fault::should_fail(fault::Site::kSpluPivot, 1));
     // Other sites stay dark.
-    EXPECT_FALSE(fault::should_fail(fault::Site::kSvdConverge, 1));
+    EXPECT_FALSE(fault::should_fail(fault::Site::kPoolTask, 1));
   }
   EXPECT_FALSE(fault::enabled());
   EXPECT_FALSE(fault::should_fail(fault::Site::kSpluPivot, 1));
@@ -119,7 +119,7 @@ TEST_F(FaultInjectTest, KeyScopeDrivesKeylessQueries) {
   std::uint64_t hot = 0, cold = 0;
   bool have_hot = false, have_cold = false;
   for (std::uint64_t k = 0; k < 64 && !(have_hot && have_cold); ++k) {
-    if (fault::decide(kP, kSeed, fault::Site::kEigConverge, k)) {
+    if (fault::decide(kP, kSeed, fault::Site::kSpluRefactor, k)) {
       hot = k;
       have_hot = true;
     } else {
@@ -129,19 +129,19 @@ TEST_F(FaultInjectTest, KeyScopeDrivesKeylessQueries) {
   }
   ASSERT_TRUE(have_hot && have_cold);
 
-  fault::ScopedFault guard(fault::Site::kEigConverge, kP, kSeed);
+  fault::ScopedFault guard(fault::Site::kSpluRefactor, kP, kSeed);
   {
     fault::KeyScope scope(hot);
-    EXPECT_TRUE(fault::should_fail(fault::Site::kEigConverge));
+    EXPECT_TRUE(fault::should_fail(fault::Site::kSpluRefactor));
   }
   {
     fault::KeyScope scope(cold);
-    EXPECT_FALSE(fault::should_fail(fault::Site::kEigConverge));
+    EXPECT_FALSE(fault::should_fail(fault::Site::kSpluRefactor));
     {  // nested scopes stack and restore
       fault::KeyScope inner(hot);
-      EXPECT_TRUE(fault::should_fail(fault::Site::kEigConverge));
+      EXPECT_TRUE(fault::should_fail(fault::Site::kSpluRefactor));
     }
-    EXPECT_FALSE(fault::should_fail(fault::Site::kEigConverge));
+    EXPECT_FALSE(fault::should_fail(fault::Site::kSpluRefactor));
   }
 }
 
@@ -155,16 +155,19 @@ TEST_F(FaultInjectTest, ShiftKeyDistinguishesShifts) {
 }
 
 TEST_F(FaultInjectTest, ConfigureParsesSpecsAndRejectsGarbage) {
-  EXPECT_EQ(fault::configure("splu.pivot:p=0.25:seed=7,svd.converge"), "");
+  EXPECT_EQ(fault::configure("splu.pivot:p=0.25:seed=7,pool.task"), "");
   EXPECT_TRUE(fault::enabled());
-  // svd.converge defaults to p=1: every key fires.
-  EXPECT_TRUE(fault::should_fail(fault::Site::kSvdConverge, 5));
+  // pool.task defaults to p=1: every key fires.
+  EXPECT_TRUE(fault::should_fail(fault::Site::kPoolTask, 5));
   EXPECT_EQ(fault::should_fail(fault::Site::kSpluPivot, 5),
             fault::decide(0.25, 7, fault::Site::kSpluPivot, 5));
 
   EXPECT_NE(fault::configure("not.a.site:p=1"), "");
   EXPECT_NE(fault::configure("splu.pivot:p=nope"), "");
   EXPECT_NE(fault::configure("splu.pivot:p=2.0"), "");
+  // No solver reports non-convergence through a fault site.
+  EXPECT_NE(fault::configure("svd.converge"), "");
+  EXPECT_NE(fault::configure("eig.converge"), "");
 
   fault::clear();
   EXPECT_FALSE(fault::enabled());

@@ -14,6 +14,7 @@ from analyze.checks import (  # noqa: F401
     lock_outside_api,
     missing_guard,
     narrowing_index,
+    one_sided_index,
     raw_chrono,
     raw_data_access,
 )

@@ -341,6 +341,32 @@ class DiscardedStatusTest(unittest.TestCase):
             self.assertEqual(run_check(repo, "discarded-status"), [])
 
 
+class OneSidedIndexTest(unittest.TestCase):
+    def test_upper_bound_only_flagged(self):
+        code = ("void f(index out_idx, index in_idx) {\n"
+                "  PMTBR_REQUIRE(out_idx < sys.num_outputs() && in_idx < sys.num_inputs(),\n"
+                "                \"transfer entry out of range\");\n"
+                "  PMTBR_REQUIRE(m.cols() > col_idx, \"column out of range\");\n"
+                "}\n")
+        with tempfile.TemporaryDirectory() as d:
+            repo = make_repo(Path(d), {"src/mor/bad.cpp": code})
+            found = run_check(repo, "one-sided-index")
+            self.assertEqual([(f.token, f.line_no) for f in found],
+                             [("out_idx", 2), ("in_idx", 2), ("col_idx", 4)])
+
+    def test_two_sided_and_unrelated_clean(self):
+        code = ("void f(index out_idx, index in_idx, index i) {\n"
+                "  PMTBR_REQUIRE(0 <= out_idx && out_idx < sys.num_outputs(), \"x < n\");\n"
+                "  PMTBR_REQUIRE(in_idx >= 0 && in_idx < sys.num_inputs(), \"in\");\n"
+                "  PMTBR_REQUIRE(i < n, \"not an _idx name\");\n"
+                "  PMTBR_REQUIRE(a.col_idx() == b.col_idx(), \"accessor calls\");\n"
+                "  // PMTBR_REQUIRE(out_idx < n, \"commented out\");\n"
+                "}\n")
+        with tempfile.TemporaryDirectory() as d:
+            repo = make_repo(Path(d), {"src/signal/ok.cpp": code})
+            self.assertEqual(run_check(repo, "one-sided-index"), [])
+
+
 class RegistryTest(unittest.TestCase):
     def test_all_checks_registered(self):
         names = set(registry.all_checks())
@@ -348,6 +374,7 @@ class RegistryTest(unittest.TestCase):
             "raw-data-access", "float-eq", "missing-guard", "abs-squared",
             "raw-chrono", "lock-outside-api", "alloc-in-parallel",
             "counter-discipline", "narrowing-index", "discarded-status",
+            "one-sided-index",
         })
 
 
