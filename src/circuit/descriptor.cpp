@@ -1,6 +1,8 @@
 #include "circuit/descriptor.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "la/cholesky.hpp"
@@ -13,7 +15,6 @@
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pmtbr {
 
@@ -167,36 +168,12 @@ util::Expected<sparse::SparseLuC> DescriptorSystem::numeric_factor(
   return sparse::SparseLuC::factor(pencil, ordering());
 }
 
-util::Expected<std::shared_ptr<const sparse::SparseLuC>> DescriptorSystem::try_shared_factor(
-    cd s, double diag_reg) const {
+sparse::SparseLuC DescriptorSystem::factor_shifted(cd s) const {
   auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) return sym.status();
-  sparse::FactorCache& cache = sparse::FactorCache::global();
-  // Regularized factors are one-off rescues; injected faults are keyed per
-  // solve attempt, so serving cached factors under an armed injector would
-  // skip failure sites the robustness suite accounts for exactly.
-  const bool cacheable = !(diag_reg > 0.0) && cache.enabled() && !util::fault::enabled();
-  if (!cacheable) {
-    auto lu = numeric_factor(*sym.value(), s, diag_reg);
-    if (!lu.is_ok()) return lu.status();
-    return std::make_shared<const sparse::SparseLuC>(std::move(lu).value());
-  }
-  util::FingerprintHasher h;
-  const util::Fingerprint content = content_fingerprint();
-  const util::Fingerprint structure = sym.value()->fingerprint();
-  h.mix(content.hi);
-  h.mix(content.lo);
-  h.mix(structure.hi);
-  h.mix(structure.lo);
-  h.mix_double(s.real());
-  h.mix_double(s.imag());
-  const util::Fingerprint key = h.digest();
-  if (auto hit = cache.lookup(key)) return hit;
-  auto lu = numeric_factor(*sym.value(), s, diag_reg);
-  if (!lu.is_ok()) return lu.status();
-  auto shared = std::make_shared<const sparse::SparseLuC>(std::move(lu).value());
-  cache.insert(key, shared);
-  return shared;
+  if (!sym.is_ok()) throw util::StatusError(sym.status());
+  auto lu = numeric_factor(*sym.value(), s, 0.0);
+  if (!lu.is_ok()) throw util::StatusError(lu.status());
+  return std::move(lu).value();
 }
 
 MatC DescriptorSystem::solve_shifted(cd s, const MatC& rhs) const {
@@ -205,31 +182,65 @@ MatC DescriptorSystem::solve_shifted(cd s, const MatC& rhs) const {
   return std::move(x).value();
 }
 
+namespace {
+
+// rhs is to_complex(b), bit for bit: B's entries as real parts, +0.0 as
+// every imaginary part.
+bool is_complex_copy(const MatC& rhs, const MatD& b) {
+  if (rhs.rows() != b.rows() || rhs.cols() != b.cols()) return false;
+  const cd* x = rhs.data();
+  const double* y = b.data();
+  for (std::size_t k = 0; k < b.size(); ++k)
+    if (std::bit_cast<std::uint64_t>(x[k].real()) != std::bit_cast<std::uint64_t>(y[k]) ||
+        std::bit_cast<std::uint64_t>(x[k].imag()) != 0)
+      return false;
+  return true;
+}
+
+}  // namespace
+
 util::Expected<MatC> DescriptorSystem::try_solve_shifted(cd s, const MatC& rhs,
                                                          double diag_reg) const {
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted");
   obs::counter_add(obs::Counter::kShiftedSolve);
-  auto lu = try_shared_factor(s, diag_reg);
-  if (!lu.is_ok()) return lu.status();
-  return lu.value()->solve(rhs);
+  auto sym = try_symbolic_for(s);
+  if (!sym.is_ok()) return sym.status();
+  sparse::FactorCache& cache = sparse::FactorCache::global();
+  // Only the system's own B is cached, and B is part of the content
+  // fingerprint, so the key never digests the right-hand side. Regularized
+  // solves are one-off rescues; injected faults are keyed per solve attempt,
+  // so serving cached solves under an armed injector would skip failure
+  // sites the robustness suite accounts for exactly.
+  const bool cacheable = !(diag_reg > 0.0) && cache.enabled() && !util::fault::enabled() &&
+                         is_complex_copy(rhs, b_);
+  util::Fingerprint key;
+  if (cacheable) {
+    util::FingerprintHasher h;
+    const util::Fingerprint content = content_fingerprint();
+    const util::Fingerprint structure = sym.value()->fingerprint();
+    h.mix(content.hi);
+    h.mix(content.lo);
+    h.mix(structure.hi);
+    h.mix(structure.lo);
+    h.mix_double(s.real());
+    h.mix_double(s.imag());
+    key = h.digest();
+    if (auto hit = cache.lookup(key)) return MatC(*hit);
+  }
+  MatC x;
+  {
+    auto lu = numeric_factor(*sym.value(), s, diag_reg);
+    if (!lu.is_ok()) return lu.status();
+    x = lu.value().solve(rhs);
+  }  // the factor dies with its solve; only X is kept
+  if (cacheable) cache.insert(key, std::make_shared<const MatC>(x));
+  return x;
 }
 
 util::Expected<MatC> DescriptorSystem::try_transfer(cd s) const {
   auto x = try_solve_shifted(s, la::to_complex(b_));
   if (!x.is_ok()) return x.status();
   return la::matmul(la::to_complex(c_), x.value());
-}
-
-MatC DescriptorSystem::solve_shifted_transpose(cd s, const MatC& rhs) const {
-  PMTBR_TRACE_SCOPE("descriptor.solve_shifted_transpose");
-  obs::counter_add(obs::Counter::kShiftedSolve);
-  auto shared = try_shared_factor(s, 0.0);
-  if (!shared.is_ok()) throw util::StatusError(shared.status());
-  const sparse::SparseLuC& lu = *shared.value();
-  MatC x(rhs.rows(), rhs.cols());
-  util::parallel_for(0, rhs.cols(),
-                     [&](index j) { x.set_col(j, lu.solve_transpose(rhs.col(j))); });
-  return x;
 }
 
 sparse::SparseLuD DescriptorSystem::factor_real(double alpha, double beta) const {

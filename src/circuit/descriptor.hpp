@@ -54,8 +54,13 @@ class DescriptorSystem {
   /// X = (sE - A)^{-1} R for a dense complex right-hand side.
   la::MatC solve_shifted(la::cd s, const la::MatC& rhs) const;
 
-  /// X = (sE - A)^{-T} R (plain transpose solve; cross-Gramian samples).
-  la::MatC solve_shifted_transpose(la::cd s, const la::MatC& rhs) const;
+  /// Sparse factor of the complex pencil sE − A, the complex twin of
+  /// factor_real: a numeric factor against the cached analysis (L·D·Lᵀ for
+  /// a symmetric pencil, the frozen-pivot LU replay otherwise), with a
+  /// pivoting LU when a pivot is rejected. Never cached. For callers that
+  /// solve more than one right-hand side at one shift (the cross-Gramian's
+  /// B and Cᵀ). Throws util::StatusError when the pencil is singular at s.
+  sparse::SparseLuC factor_shifted(la::cd s) const;
 
   /// Transfer function H(s) = C (sE - A)^{-1} B.
   la::MatC transfer(la::cd s) const;
@@ -100,6 +105,11 @@ class DescriptorSystem {
   /// factoring (pattern-preserving). It is the last-resort fallback for a
   /// shift landing exactly on a pole; the perturbation it introduces is
   /// O(diag_reg) relative, so keep it tiny.
+  /// When R is the system's own B (compared bit for bit), diag_reg == 0 and
+  /// no fault site is armed, X is served from and kept in the process-wide
+  /// solve cache (sparse/factor_cache) under (content_fingerprint(), the
+  /// analysis' fingerprint, s). Either way the numeric factor lives only
+  /// for this one solve.
   util::Expected<la::MatC> try_solve_shifted(la::cd s, const la::MatC& rhs,
                                              double diag_reg = 0.0) const;
 
@@ -112,7 +122,7 @@ class DescriptorSystem {
   /// business). Computed lazily and cached alongside the symbolic
   /// analysis, so copies of a system share it. Equal fingerprints mean
   /// bit-identical matrices — the keying ground truth for the cross-job
-  /// model and factor caches (docs/SERVING.md).
+  /// model and solve caches (docs/SERVING.md).
   util::Fingerprint content_fingerprint() const;
 
  private:
@@ -140,12 +150,6 @@ class DescriptorSystem {
   /// LU replay, full-factor fallback on a degenerate pivot).
   util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC& symbolic,
                                                    la::cd s, double diag_reg) const;
-  /// Factorization for solves, consulting the process-wide factor cache
-  /// (sparse/factor_cache) when eligible: diag_reg == 0, cache enabled,
-  /// fault injection disarmed. Exactly one try_symbolic_for lookup either
-  /// way, so the symbolic hit/miss counters are unaffected by caching.
-  util::Expected<std::shared_ptr<const sparse::SparseLuC>> try_shared_factor(
-      la::cd s, double diag_reg) const;
 
   sparse::CsrD e_, a_;
   la::MatD b_, c_;

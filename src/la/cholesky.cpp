@@ -43,10 +43,9 @@ MatD cholesky(const MatD& a) {
   return cholesky_impl(a, /*strict=*/true, 1e-300);
 }
 
-MatD cholesky_psd(const MatD& a, double rel_tol) {
-  PMTBR_REQUIRE(rel_tol >= 0, "cholesky_psd tolerance must be nonnegative");
+MatD cholesky_psd(const MatD& a) {
   PMTBR_CHECK_FINITE(a, "cholesky_psd input matrix");
-  return cholesky_impl(a, /*strict=*/false, rel_tol);
+  return cholesky_impl(a, /*strict=*/false, kCholeskyPsdTol);
 }
 
 }  // namespace pmtbr::la

@@ -13,10 +13,13 @@ namespace pmtbr::la {
 /// Strict Cholesky A = L L^T; throws if A is not numerically SPD.
 MatD cholesky(const MatD& a);
 
+/// cholesky_psd's pivot floor, relative to the largest diagonal entry.
+inline constexpr double kCholeskyPsdTol = 1e-13;
+
 /// Semidefinite-tolerant factorization A ≈ L L^T for symmetric PSD A with
 /// round-off-level negative eigenvalues. Columns with pivot below
-/// rel_tol * max_diag are zeroed. Returns a full n×n lower-triangular L
-/// (possibly with zero columns).
-MatD cholesky_psd(const MatD& a, double rel_tol = 1e-13);
+/// kCholeskyPsdTol * max_diag are zeroed. Returns a full n×n
+/// lower-triangular L (possibly with zero columns).
+MatD cholesky_psd(const MatD& a);
 
 }  // namespace pmtbr::la

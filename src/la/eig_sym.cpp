@@ -71,13 +71,13 @@ EigSymResult eig_sym(const MatD& a_in) {
   return out;
 }
 
-MatD psd_factor(const MatD& a, double rel_tol) {
+MatD psd_factor(const MatD& a) {
   const auto eig = eig_sym(a);
   const index n = a.rows();
   const double lmax = eig.values.empty() ? 0.0 : std::max(eig.values.front(), 0.0);
   index r = 0;
   for (index j = 0; j < n; ++j)
-    if (eig.values[static_cast<std::size_t>(j)] > rel_tol * std::max(lmax, 1e-300)) ++r;
+    if (eig.values[static_cast<std::size_t>(j)] > kPsdFactorTol * std::max(lmax, 1e-300)) ++r;
   r = std::max<index>(r, 1);
   MatD l(n, r);
   for (index j = 0; j < r; ++j) {

@@ -19,9 +19,12 @@ struct EigSymResult {
 /// A and A^T, which also absorbs round-off asymmetry from upstream).
 EigSymResult eig_sym(const MatD& a);
 
+/// psd_factor's eigenvalue floor, relative to λ_max.
+inline constexpr double kPsdFactorTol = 1e-14;
+
 /// Factor of a symmetric PSD matrix: L with A ≈ L L^T, L = V_+ sqrt(Λ_+)
-/// keeping eigenvalues above rel_tol * λ_max. L has one column per retained
-/// eigenvalue (possibly fewer than n).
-MatD psd_factor(const MatD& a, double rel_tol = 1e-14);
+/// keeping eigenvalues above kPsdFactorTol * λ_max. L has one column per
+/// retained eigenvalue (possibly fewer than n).
+MatD psd_factor(const MatD& a);
 
 }  // namespace pmtbr::la

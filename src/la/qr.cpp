@@ -136,8 +136,8 @@ QrResult qr_pivoted(const MatD& input, double rel_tol) {
   return out;
 }
 
-MatD orth(const MatD& a, double rel_tol) {
-  auto f = qr_pivoted(a, rel_tol);
+MatD orth(const MatD& a) {
+  auto f = qr_pivoted(a, kOrthRankTol);
   return f.q.columns(0, std::max<index>(f.rank, 1));
 }
 

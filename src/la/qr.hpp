@@ -22,8 +22,11 @@ struct QrResult {
 /// diagonal entries of R above rel_tol * |R(0,0)|.
 QrResult qr_pivoted(const MatD& a, double rel_tol = 1e-12);
 
+/// orth's rank threshold, relative to |R(0,0)|.
+inline constexpr double kOrthRankTol = 1e-12;
+
 /// Orthonormal basis of the column space of A: the first `rank` columns of
-/// the pivoted Q (at least one).
-MatD orth(const MatD& a, double rel_tol = 1e-12);
+/// the pivoted Q at kOrthRankTol (at least one).
+MatD orth(const MatD& a);
 
 }  // namespace pmtbr::la

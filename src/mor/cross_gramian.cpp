@@ -56,8 +56,10 @@ CrossGramianResult cross_gramian_pmtbr(const DescriptorSystem& sys,
   const la::MatC ct = la::to_complex(la::transpose(sys.c()));
   for (const auto& fs : samples) {
     const double scale = sample_scale(fs);
-    la::MatC r = sys.solve_shifted(fs.s, bc);
-    la::MatC l = sys.solve_shifted_transpose(fs.s, ct);
+    // One factor per sample serves both sides.
+    const sparse::SparseLuC lu = sys.factor_shifted(fs.s);
+    la::MatC r = lu.solve(bc);
+    la::MatC l = lu.solve_transpose(ct);
     MatD rb = realify_bilinear(r, false);
     MatD lb = realify_bilinear(l, true);
     rb *= scale;
@@ -67,7 +69,7 @@ CrossGramianResult cross_gramian_pmtbr(const DescriptorSystem& sys,
   }
 
   // Joint orthonormal basis Q of [Z^R | Z^L]; compress the eigenproblem.
-  const MatD q = la::orth(la::hcat(zr, zl), 1e-12);
+  const MatD q = la::orth(la::hcat(zr, zl));
   const MatD rr = la::matmul_at(q, zr);
   const MatD rl = la::matmul_at(q, zl);
   const MatD m = la::matmul(rr, la::transpose(rl));  // k×k, nonsymmetric

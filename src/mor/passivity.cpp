@@ -47,8 +47,8 @@ PassivityReport check_passivity(const DenseSystem& sys, const std::vector<double
   return rep;
 }
 
-bool is_structurally_passive(const DescriptorSystem& sys, double tol) {
-  PMTBR_REQUIRE(tol >= 0, "tolerance must be nonnegative");
+bool is_structurally_passive(const DescriptorSystem& sys) {
+  constexpr double tol = kPassivityTol;
   const la::MatD e = sys.e().to_dense();
   if (la::max_abs_diff(e, la::transpose(e)) > tol * (1.0 + la::norm_inf(e))) return false;
   const auto eig_e = la::eig_sym(e);

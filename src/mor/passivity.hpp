@@ -24,10 +24,15 @@ struct PassivityReport {
 /// voltages or vice versa): passivity requires H(jω) + H(jω)^H ⪰ 0.
 PassivityReport check_passivity(const DenseSystem& sys, const std::vector<double>& grid_hz);
 
+/// is_structurally_passive's tolerance on symmetry, definiteness and
+/// B = C^T, relative to the matrices' scale.
+inline constexpr double kPassivityTol = 1e-9;
+
 /// Structural passivity of a descriptor system: E = E^T ⪰ 0 and
 /// A + A^T ⪯ 0 with B = C^T (the PRIMA-form sufficient condition that
-/// congruence projection preserves). Evaluated via dense symmetric
-/// eigenvalues — intended for reduced or test-sized systems.
-bool is_structurally_passive(const DescriptorSystem& sys, double tol = 1e-9);
+/// congruence projection preserves), each up to kPassivityTol. Evaluated
+/// via dense symmetric eigenvalues — intended for reduced or test-sized
+/// systems.
+bool is_structurally_passive(const DescriptorSystem& sys);
 
 }  // namespace pmtbr::mor

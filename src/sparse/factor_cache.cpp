@@ -8,10 +8,6 @@ namespace {
 constexpr std::size_t kDefaultFactorCacheBytes = std::size_t{256} << 20;  // 256 MiB
 }  // namespace
 
-std::size_t factor_cache_bytes(const SparseLuC& lu) {
-  return lu.stored_values() * sizeof(la::cd);
-}
-
 FactorCache::FactorCache(std::size_t byte_budget) : lru_(byte_budget) {}
 
 FactorCache& FactorCache::global() {
@@ -19,7 +15,7 @@ FactorCache& FactorCache::global() {
   return cache;
 }
 
-std::shared_ptr<const SparseLuC> FactorCache::lookup(const util::Fingerprint& key) {
+std::shared_ptr<const la::MatC> FactorCache::lookup(const util::Fingerprint& key) {
   auto hit = lru_.get(key);
   if (hit.has_value()) {
     obs::counter_add(obs::Counter::kFactorCacheHit);
@@ -29,9 +25,9 @@ std::shared_ptr<const SparseLuC> FactorCache::lookup(const util::Fingerprint& ke
   return nullptr;
 }
 
-void FactorCache::insert(const util::Fingerprint& key, std::shared_ptr<const SparseLuC> lu) {
-  const std::size_t bytes = factor_cache_bytes(*lu);
-  const util::EvictionReport ev = lru_.put(key, std::move(lu), bytes);
+void FactorCache::insert(const util::Fingerprint& key, std::shared_ptr<const la::MatC> x) {
+  const std::size_t bytes = x->size() * sizeof(la::cd);
+  const util::EvictionReport ev = lru_.put(key, std::move(x), bytes);
   if (!ev.inserted) return;
   obs::counter_add(obs::Counter::kFactorCacheBytes,
                    static_cast<std::int64_t>(bytes) - ev.bytes - ev.replaced_bytes);

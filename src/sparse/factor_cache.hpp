@@ -1,43 +1,40 @@
-// Process-wide LRU of *numeric* sparse LU factors, shared across jobs
+// Process-wide LRU of shifted *solves*, shared across jobs
 // (docs/SERVING.md).
 //
-// The per-system symbolic cache (circuit/descriptor) already amortizes
-// the elimination analysis across shifts of one DescriptorSystem
-// instance; this cache extends the idea one level down and across
-// instances: two jobs that factor the same pencil content at the same
-// shift share the numeric factors themselves, no matter which
-// DescriptorSystem object (or which service job) asked first.
+// PMTBR's unit of work is the sample z_k = (s_k E − A)⁻¹B, and that solve
+// is all that two jobs over the same system can reuse: a reorder job (same
+// system, other order or options) draws the same samples again. The cache
+// keeps X = (sE − A)⁻¹B itself, not the numeric factor that computed it —
+// on a 40×40 RC mesh the LDLᵀ factor holds 13× the scalars of its solve —
+// so every factor lives only for its own solve and a hit skips the factor
+// and the solve.
 //
 // Keying: callers digest (system content fingerprint, symbolic-structure
-// fingerprint, shift) into one Fingerprint. Including the symbolic
-// fingerprint is what keeps cache hits bit-identical — numeric factors
-// depend on the frozen pivot order, and two content-identical systems
-// whose analyses were built at different representative shifts may carry
-// different (each individually valid) pivot orders.
+// fingerprint, shift) into one Fingerprint. B is part of the content
+// fingerprint, so the right-hand side is never hashed. Including the
+// symbolic fingerprint is what keeps cache hits bit-identical — a numeric
+// factor depends on the frozen pivot order, and two content-identical
+// systems whose analyses were built at different representative shifts may
+// carry different (each individually valid) pivot orders.
 //
-// Values are shared_ptr<const SparseLuC>: immutable after construction,
-// so handing the same factorization to concurrent solvers is race-free,
-// and a handle obtained before eviction stays valid.
+// Values are shared_ptr<const la::MatC>: immutable after construction, so
+// handing the same solve to concurrent readers is race-free, and a handle
+// obtained before eviction stays valid.
 //
 // The byte budget comes from PMTBR_CACHE_BYTES (k/m/g suffixes; 0
 // disables the cache) and defaults to 256 MiB. Callers must not consult
 // the cache while fault injection is armed — injected factor failures are
-// keyed per solve attempt, and serving cached factors would skip
-// injection sites the robustness tests account for exactly.
+// keyed per solve attempt, and serving cached solves would skip injection
+// sites the robustness tests account for exactly.
 #pragma once
 
 #include <memory>
 
-#include "sparse/splu.hpp"
+#include "la/matrix.hpp"
 #include "util/fingerprint.hpp"
 #include "util/lru.hpp"
 
 namespace pmtbr::sparse {
-
-/// Estimated resident size of one cached factorization: the scalars it
-/// stores, L, U and U's diagonal or L and D (the shared symbolic pattern is
-/// not charged — it lives on regardless via the per-system cache).
-std::size_t factor_cache_bytes(const SparseLuC& lu);
 
 class FactorCache {
  public:
@@ -47,25 +44,25 @@ class FactorCache {
 
   bool enabled() const { return lru_.enabled(); }
 
-  /// Returns the cached factorization or nullptr; bumps the
-  /// factor_cache_hit/miss counters.
-  std::shared_ptr<const SparseLuC> lookup(const util::Fingerprint& key);
+  /// Returns the cached solve or nullptr; bumps the factor_cache_hit/miss
+  /// counters.
+  std::shared_ptr<const la::MatC> lookup(const util::Fingerprint& key);
 
-  /// Inserts `lu` under `key`, evicting LRU entries past the byte budget;
-  /// mirrors eviction and resident-bytes counters.
-  void insert(const util::Fingerprint& key, std::shared_ptr<const SparseLuC> lu);
+  /// Inserts `x` under `key` at rows·cols·sizeof(cd) bytes, evicting LRU
+  /// entries past the byte budget; mirrors eviction and resident-bytes
+  /// counters.
+  void insert(const util::Fingerprint& key, std::shared_ptr<const la::MatC> x);
 
   util::CacheStats stats() const { return lru_.stats(); }
 
-  /// Drops every cached factor (tests and benches isolating counter
+  /// Drops every cached solve (tests and benches isolating counter
   /// assertions from earlier work in the same process).
   void clear();
 
  private:
   explicit FactorCache(std::size_t byte_budget);
 
-  util::LruCache<util::Fingerprint, std::shared_ptr<const SparseLuC>, util::FingerprintHash>
-      lru_;
+  util::LruCache<util::Fingerprint, std::shared_ptr<const la::MatC>, util::FingerprintHash> lru_;
 };
 
 }  // namespace pmtbr::sparse

@@ -110,10 +110,19 @@ util::Expected<SparseLu<T>> SparseLu<T>::factor(const Csr<T>& a, std::vector<ind
 }
 
 template <typename T>
-SymbolicLu<T>::SymbolicLu(const Csr<T>& representative, std::vector<index> perm) {
-  const SparseLu<T> lu(representative, std::move(perm));
-  pattern_ = lu.pattern_;
+SymbolicLu<T>::SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern)
+    : pattern_(std::move(pattern)) {
+  util::FingerprintHasher h;
+  h.mix_i64(static_cast<std::int64_t>(pattern_->kind));
+  h.mix_i64(static_cast<std::int64_t>(pattern_->n));
+  h.mix_ints(pattern_->q);
+  h.mix_ints(pattern_->pinv);
+  fingerprint_ = h.digest();
 }
+
+template <typename T>
+SymbolicLu<T>::SymbolicLu(const Csr<T>& representative, std::vector<index> perm)
+    : SymbolicLu(SparseLu<T>(representative, std::move(perm)).pattern_) {}
 
 template <typename T>
 util::Expected<SymbolicLu<T>> SymbolicLu<T>::symmetric(const Csr<T>& a, std::vector<index> perm) {
@@ -229,8 +238,7 @@ util::Expected<SymbolicLu<T>> SymbolicLu<T>::symmetric(const Csr<T>& a, std::vec
 
 template <typename T>
 SymbolicLu<T> SparseLu<T>::symbolic() const {
-  SymbolicLu<T> s(pattern_);
-  return s;
+  return SymbolicLu<T>(pattern_);
 }
 
 template <typename T>
@@ -632,6 +640,14 @@ la::Matrix<T> SparseLu<T>::solve(const la::Matrix<T>& b) const {
   PMTBR_REQUIRE(b.rows() == pattern_->n, "rhs row mismatch");
   la::Matrix<T> x(b.rows(), b.cols());
   util::parallel_for(0, b.cols(), [&](index j) { x.set_col(j, solve(b.col(j))); });
+  return x;
+}
+
+template <typename T>
+la::Matrix<T> SparseLu<T>::solve_transpose(const la::Matrix<T>& b) const {
+  PMTBR_REQUIRE(b.rows() == pattern_->n, "rhs row mismatch");
+  la::Matrix<T> x(b.rows(), b.cols());
+  util::parallel_for(0, b.cols(), [&](index j) { x.set_col(j, solve_transpose(b.col(j))); });
   return x;
 }
 

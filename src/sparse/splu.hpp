@@ -106,27 +106,21 @@ class SymbolicLu {
            static_cast<std::size_t>(pattern_->n);
   }
 
-  /// Content hash of the frozen elimination structure: factor kind,
-  /// pre-permutation and pivot order. Together with the source matrix's own
-  /// content these determine the entire fill pattern, so replays from two
-  /// analyses with equal fingerprints (over the same matrix) produce
-  /// bit-identical factors — the property the cross-job factor cache keys
-  /// on (sparse/factor_cache.hpp).
-  util::Fingerprint fingerprint() const {
-    util::FingerprintHasher h;
-    h.mix_i64(static_cast<std::int64_t>(pattern_->kind));
-    h.mix_i64(static_cast<std::int64_t>(pattern_->n));
-    h.mix_ints(pattern_->q);
-    h.mix_ints(pattern_->pinv);
-    return h.digest();
-  }
+  /// Content hash of the frozen elimination structure: factor kind, n,
+  /// pre-permutation and pivot order, digested once when the analysis is
+  /// built. Together with the source matrix's own content these determine
+  /// the entire fill pattern, so replays from two analyses with equal
+  /// fingerprints (over the same matrix) produce bit-identical factors —
+  /// the property the cross-job solve cache keys on
+  /// (sparse/factor_cache.hpp).
+  util::Fingerprint fingerprint() const { return fingerprint_; }
 
  private:
   friend class SparseLu<T>;
-  explicit SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern)
-      : pattern_(std::move(pattern)) {}
+  explicit SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern);
 
   std::shared_ptr<const detail::LuPattern<T>> pattern_;
+  util::Fingerprint fingerprint_;
 };
 
 template <typename T>
@@ -180,6 +174,9 @@ class SparseLu {
   /// Column-wise solve A X = B for a dense right-hand side; columns are
   /// independent and fan out across the shared thread pool.
   la::Matrix<T> solve(const la::Matrix<T>& b) const;
+
+  /// Column-wise solve A^T X = B, fanned out like solve(const Matrix&).
+  la::Matrix<T> solve_transpose(const la::Matrix<T>& b) const;
 
  private:
   friend class SymbolicLu<T>;

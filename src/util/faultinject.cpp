@@ -43,6 +43,18 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+// FNV-1a over a site's stable name. Decisions key on the spelling
+// PMTBR_FAULTS uses rather than the Site's position in the enum, so adding,
+// removing or reordering a site leaves every other site's decisions alone.
+std::uint64_t name_hash(const char* name) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (; *name != '\0'; ++name) {
+    h ^= static_cast<unsigned char>(*name);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 thread_local std::uint64_t tl_key = 0;
 thread_local bool tl_has_key = false;
 
@@ -139,8 +151,7 @@ bool enabled() noexcept {
 bool decide(double probability, std::uint64_t seed, Site site, std::uint64_t key) noexcept {
   if (probability <= 0.0) return false;
   if (probability >= 1.0) return true;
-  const std::uint64_t h =
-      mix(seed ^ mix(static_cast<std::uint64_t>(site) + 1) ^ mix(key));
+  const std::uint64_t h = mix(seed ^ mix(name_hash(site_name(site))) ^ mix(key));
   // Top 53 bits -> uniform double in [0, 1).
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < probability;

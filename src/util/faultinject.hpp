@@ -13,7 +13,7 @@
 //    same site).
 //
 // Decisions are deterministic and thread-schedule independent whenever the
-// query carries a key: fire iff hash(seed, site, key) < p. The sampling
+// query carries a key: fire iff hash(seed, site name, key) < p. The sampling
 // pipeline keys every solve by the originating quadrature shift
 // (KeyScope), so "which samples fail" is a pure function of (seed, p,
 // sample set) — identical across thread counts and reruns, and computable

@@ -31,7 +31,7 @@ enum class Counter : int {
   // shifted-pencil cache (src/circuit/descriptor.cpp)
   kSymbolicCacheHit,       // solve found the frozen symbolic analysis ready
   kSymbolicCacheMiss,      // solve had to build the symbolic analysis
-  kShiftedSolve,           // (sE-A)^{-1} style solves (incl. transpose)
+  kShiftedSolve,           // DescriptorSystem::solve_shifted calls, cache hits included
   // dense kernels (src/la)
   kGemmFlops,              // 2*m*k*n per matmul call (estimate)
   kGemmCalls,              // blocked-GEMM invocations (matmul/matmul_into/matmul_at)
@@ -83,10 +83,10 @@ enum class Counter : int {
   kModelCacheEvict,         // reduced models evicted under the byte budget
   kModelCacheCoalesced,     // jobs served by joining an in-flight identical job
   kModelCacheBytes,         // resident reduced-model payload bytes (gauge)
-  kFactorCacheHit,          // shifted solves served from the shared factor LRU
-  kFactorCacheMiss,         // factor-cache lookups that found nothing
-  kFactorCacheEvict,        // numeric factors evicted under the byte budget
-  kFactorCacheBytes,        // resident factor payload bytes (gauge)
+  kFactorCacheHit,          // solves of B served from the shared solve LRU
+  kFactorCacheMiss,         // solve-cache lookups that found nothing
+  kFactorCacheEvict,        // cached solves evicted under the byte budget
+  kFactorCacheBytes,        // resident solve payload bytes, rows·cols·16 each (gauge)
 
   kCount  // sentinel; keep last
 };

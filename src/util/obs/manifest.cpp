@@ -1,8 +1,12 @@
 #include "util/obs/manifest.hpp"
 
+#include <sys/resource.h>
+
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/obs/counters.hpp"
 #include "util/obs/json.hpp"
@@ -30,6 +34,40 @@ void env_entry(JsonWriter& w, const char* name) {
   }
 }
 
+double seconds(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+}
+
+// Peak resident set of this process image in MiB, from VmHWM in
+// /proc/self/status; NaN (written as null) where that is unavailable. Not
+// ru_maxrss: Linux carries into it the peak of the image replaced at exec,
+// so a bench started from a Python launcher would read the launcher's RSS.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+  return std::nan("");
+}
+
+// The process' own resource usage so far: where its system time and page
+// faults went, which no trace scope or counter sees.
+void process_entry(JsonWriter& w) {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  w.key("process");
+  w.begin_object();
+  w.key("user_cpu_s");
+  w.value(seconds(ru.ru_utime));
+  w.key("sys_cpu_s");
+  w.value(seconds(ru.ru_stime));
+  w.key("minor_faults");
+  w.value(static_cast<std::int64_t>(ru.ru_minflt));
+  w.key("max_rss_mb");
+  w.value(peak_rss_mb());
+  w.end_object();
+}
+
 }  // namespace
 
 std::string manifest_json(const std::string& name, const ManifestExtras& extra) {
@@ -53,6 +91,7 @@ std::string manifest_json(const std::string& name, const ManifestExtras& extra) 
   w.end_object();
   w.key("trace_enabled");
   w.value(trace_enabled());
+  process_entry(w);
 
   w.key("extra");
   w.begin_object();

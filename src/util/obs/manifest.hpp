@@ -1,7 +1,8 @@
 // Per-run manifest: one machine-readable JSON blob capturing everything
 // needed to compare two runs of the same workload across commits — build
-// identity (git describe), thread configuration, every observability
-// counter, and the aggregated trace-scope timings.
+// identity (git describe), thread configuration, the process' resource
+// usage so far (getrusage, VmHWM), every observability counter, and the
+// aggregated trace-scope timings.
 //
 // Schema "pmtbr-manifest/1" (see docs/OBSERVABILITY.md):
 // {
@@ -12,6 +13,8 @@
 //   "threads": <resolved pool parallelism>,
 //   "env": {"PMTBR_NUM_THREADS": "<raw|unset>", "PMTBR_TRACE": "<raw|unset>"},
 //   "trace_enabled": true|false,
+//   "process": {"user_cpu_s": <float>, "sys_cpu_s": <float>,
+//               "minor_faults": <int>, "max_rss_mb": <float|null>},
 //   "extra": { ...caller-supplied key -> JSON fragment... },
 //   "counters": {"<counter>": <int>, ...},
 //   "trace": [{"path": "...", "count": <int>, "seconds": <float>}, ...]

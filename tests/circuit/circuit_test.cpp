@@ -2,6 +2,7 @@
 // structure, and descriptor-system plumbing.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "sparse/amd.hpp"
 #include "sparse/factor_cache.hpp"
 #include "sparse/rcm.hpp"
+#include "util/faultinject.hpp"
+#include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 #include "helpers.hpp"
 
@@ -321,15 +324,107 @@ TEST(Descriptor, TransposeSolveConsistent) {
   nl.add_port(n1);
   const DescriptorSystem sys = assemble_mna(nl);
   const cd s(0.0, 1e9);
-  // (sE-A)^{-T} rhs  ==  transpose path check via dense.
+  // (sE-A)^{-T} rhs from the shift's factor  ==  transpose path check via dense.
   la::MatC rhs(2, 1);
   rhs(0, 0) = cd(1.0, 0.5);
   rhs(1, 0) = cd(-2.0, 1.0);
-  const la::MatC xt = sys.solve_shifted_transpose(s, rhs);
+  const la::MatC xt = sys.factor_shifted(s).solve_transpose(rhs);
   const la::MatC dense = sparse::shifted_pencil(s, sys.e(), sys.a()).to_dense();
   const la::MatC back = la::matmul(la::transpose(dense), xt);
   EXPECT_NEAR(std::abs(back(0, 0) - rhs(0, 0)), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(back(1, 0) - rhs(1, 0)), 0.0, 1e-12);
+}
+
+// The process-wide solve cache (sparse/factor_cache) starts empty, and no
+// ambient fault site keeps it out of the solve path.
+class SolveCache : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    util::fault::clear();
+    sparse::FactorCache::global().clear();
+  }
+  void TearDown() override { sparse::FactorCache::global().clear(); }
+};
+
+std::int64_t numeric_factors() {
+  return obs::counter_value(obs::Counter::kSparseLuRefactor) +
+         obs::counter_value(obs::Counter::kSparseLuFullFactor);
+}
+
+bool same_bits(const la::MatC& x, const la::MatC& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(cd)) == 0;
+}
+
+// A miss factors, solves and keeps X; the hit that follows skips the factor
+// and returns X bit for bit, which is also what a fresh factor computes.
+void expect_hit_is_fresh_solve(const DescriptorSystem& sys, cd s) {
+  const la::MatC b = la::to_complex(sys.b());
+  const la::MatC miss = sys.solve_shifted(s, b);
+  const std::int64_t factors = numeric_factors();
+  const std::int64_t hits = obs::counter_value(obs::Counter::kFactorCacheHit);
+  const la::MatC hit = sys.solve_shifted(s, b);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheHit), hits + 1);
+  EXPECT_EQ(numeric_factors(), factors);
+  EXPECT_TRUE(same_bits(hit, miss));
+  EXPECT_TRUE(same_bits(hit, sys.factor_shifted(s).solve(b)));
+  EXPECT_EQ(numeric_factors(), factors + 1);  // factor_shifted is never cached
+}
+
+TEST_F(SolveCache, HitIsBitIdenticalToAFreshSolveOnAnLdltPencil) {
+  const DescriptorSystem sys = make_rc_mesh({.rows = 6, .cols = 6, .num_ports = 2});
+  ASSERT_TRUE(sparse::is_symmetric(sys.e()) && sparse::is_symmetric(sys.a()));
+  expect_hit_is_fresh_solve(sys, cd(0.0, 2e9));
+}
+
+TEST_F(SolveCache, HitIsBitIdenticalToAFreshSolveOnAnLuPencil) {
+  ConnectorParams cp;
+  cp.pins = 3;
+  cp.sections = 3;
+  const DescriptorSystem sys = make_connector(cp);
+  ASSERT_FALSE(sparse::is_symmetric(sys.a()));
+  expect_hit_is_fresh_solve(sys, cd(0.0, 2e9));
+}
+
+TEST_F(SolveCache, OtherRightHandSidesAreSolvedButNotKept) {
+  const DescriptorSystem sys = make_rc_mesh({.rows = 5, .cols = 5, .num_ports = 2});
+  const cd s(0.0, 1e9);
+  const la::MatC b = la::to_complex(sys.b());
+  la::MatC twice = b;
+  twice *= cd(2.0, 0.0);
+  la::MatC signed_zero = b;
+  signed_zero(0, 0) = cd(signed_zero(0, 0).real(), -0.0);
+  const la::MatC first_port = la::to_complex(sys.b().columns(0, 1));
+  la::MatC swapped(b.rows(), 2);
+  swapped.set_col(0, b.col(1));
+  swapped.set_col(1, b.col(0));
+  const std::int64_t misses = obs::counter_value(obs::Counter::kFactorCacheMiss);
+  for (const la::MatC* rhs :
+       std::vector<const la::MatC*>{&twice, &signed_zero, &first_port, &swapped}) {
+    const std::int64_t factors = numeric_factors();
+    (void)sys.solve_shifted(s, *rhs);
+    EXPECT_EQ(numeric_factors(), factors + 1);
+  }
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheMiss), misses);  // never looked up
+  EXPECT_EQ(sparse::FactorCache::global().stats().entries, 0);
+  (void)sys.solve_shifted(s, b);
+  EXPECT_EQ(sparse::FactorCache::global().stats().entries, 1);
+}
+
+TEST_F(SolveCache, BytesGaugeChargesEachSolveItsScalars) {
+  const DescriptorSystem sys = make_rc_mesh({.rows = 5, .cols = 5, .num_ports = 3});
+  const la::MatC b = la::to_complex(sys.b());
+  const auto entry_bytes =
+      static_cast<std::int64_t>(sys.n() * sys.num_inputs()) * static_cast<std::int64_t>(16);
+  const std::int64_t gauge = obs::counter_value(obs::Counter::kFactorCacheBytes);
+  for (int k = 1; k <= 3; ++k) (void)sys.solve_shifted(cd(0.0, 1e9 * k), b);
+  (void)sys.solve_shifted(cd(0.0, 1e9), b);  // a hit adds nothing
+  const util::CacheStats st = sparse::FactorCache::global().stats();
+  EXPECT_EQ(st.entries, 3);
+  EXPECT_EQ(st.bytes, 3 * entry_bytes);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheBytes), gauge + 3 * entry_bytes);
+  sparse::FactorCache::global().clear();
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheBytes), gauge);
 }
 
 }  // namespace

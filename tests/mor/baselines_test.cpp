@@ -15,6 +15,7 @@
 #include "signal/correlation.hpp"
 #include "signal/transient.hpp"
 #include "signal/waveform.hpp"
+#include "util/obs/counters.hpp"
 
 namespace pmtbr::mor {
 namespace {
@@ -149,6 +150,31 @@ TEST(CrossGramian, EigenvalueEstimatesDescending) {
   for (std::size_t i = 1; i < res.eigenvalue_estimates.size(); ++i)
     EXPECT_GE(std::abs(res.eigenvalue_estimates[i - 1]),
               std::abs(res.eigenvalue_estimates[i]) - 1e-18);
+}
+
+TEST(CrossGramian, OneNumericFactorPerSample) {
+  // The B and Cᵀ solves of a sample share its factor, on an LDLᵀ pencil (RC
+  // line) and an LU pencil (connector) alike.
+  circuit::ConnectorParams cp;
+  cp.pins = 3;
+  cp.sections = 3;
+  cp.cavity_branches = false;
+  for (const auto& sys : {circuit::make_rc_line({.segments = 20}), circuit::make_connector(cp)}) {
+    CrossGramianOptions opts;
+    opts.bands = {Band{0.0, 5e9}};
+    opts.num_samples = 10;
+    opts.fixed_order = 4;
+    const auto samples = sample_bands(opts.bands, opts.num_samples, opts.scheme);
+    // The LU analysis is itself a full factor; build it before counting.
+    ASSERT_TRUE(sys.try_prepare_shifted(samples.front().s).is_ok());
+    const auto factors = [] {
+      return obs::counter_value(obs::Counter::kSparseLuRefactor) +
+             obs::counter_value(obs::Counter::kSparseLuFullFactor);
+    };
+    const std::int64_t before = factors();
+    (void)cross_gramian_pmtbr(sys, opts);
+    EXPECT_EQ(factors() - before, static_cast<std::int64_t>(samples.size()));
+  }
 }
 
 class InputCorrelatedFixture : public ::testing::Test {

@@ -4,21 +4,31 @@
 // committing sample blocks in sample order.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "mor/pmtbr.hpp"
 #include "mor/sampling.hpp"
 #include "signal/ac.hpp"
+#include "sparse/factor_cache.hpp"
 #include "util/faultinject.hpp"
+#include "util/obs/counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pmtbr::mor {
 namespace {
 
-// Restores the default pool size even if a test fails mid-way.
+// Restores the default pool size even if a test fails mid-way. Empties the
+// process-wide solve cache on entry: it is keyed by system content, not by
+// object, so without this a run on a freshly built but equal system would
+// be served the previous run's samples and solve nothing on this pool.
 class ScopedThreads {
  public:
-  explicit ScopedThreads(int n) { util::set_global_threads(n); }
+  explicit ScopedThreads(int n) {
+    util::set_global_threads(n);
+    sparse::FactorCache::global().clear();
+  }
   ~ScopedThreads() { util::set_global_threads(util::resolve_num_threads(nullptr)); }
 };
 
@@ -40,7 +50,7 @@ void expect_bit_identical(const MatD& a, const MatD& b) {
 
 PmtbrResult run_pmtbr(int threads, bool adaptive_stop, la::index side = 10) {
   ScopedThreads guard(threads);
-  const auto sys = mesh_system(side);  // fresh system: no caches shared across runs
+  const auto sys = mesh_system(side);
   PmtbrOptions opts;
   opts.bands = {Band{1e5, 5e10}};
   opts.num_samples = 16;
@@ -51,7 +61,11 @@ PmtbrResult run_pmtbr(int threads, bool adaptive_stop, la::index side = 10) {
     opts.fixed_order = -1;
     opts.truncation_tol = 1e-6;
   }
-  return pmtbr(sys, opts);
+  const std::int64_t hits = obs::counter_value(obs::Counter::kFactorCacheHit);
+  auto result = pmtbr(sys, opts);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheHit), hits)
+      << "samples served from the solve cache were not solved at " << threads << " threads";
+  return result;
 }
 
 TEST(ParallelDeterminism, PmtbrMatchesSerialBitForBit) {
@@ -183,9 +197,10 @@ TEST(ParallelDeterminism, ConcurrentShiftedSolvesOnOneSystemAreSafe) {
   const auto results = util::parallel_map<la::MatC>(16, [&](la::index i) {
     return sys.solve_shifted(la::cd(0.0, 1e7 * static_cast<double>(i + 1)), b);
   });
-  // Spot-check against fresh serial solves.
+  // Spot-check against fresh serial solves (factor_shifted bypasses the
+  // solve cache the parallel solves just filled).
   for (la::index i : {la::index{0}, la::index{7}, la::index{15}}) {
-    const auto ref = sys.solve_shifted(la::cd(0.0, 1e7 * static_cast<double>(i + 1)), b);
+    const auto ref = sys.factor_shifted(la::cd(0.0, 1e7 * static_cast<double>(i + 1))).solve(b);
     EXPECT_LT(la::max_abs_diff(results[static_cast<std::size_t>(i)], ref), 1e-12);
   }
 }

@@ -227,10 +227,10 @@ TEST_F(ReductionServiceCache, DisabledCacheRunsEveryJob) {
   EXPECT_EQ(cs.entries, 0);
 }
 
-TEST_F(ReductionServiceCache, FactorCacheSharesNumericFactorsAcrossSystems) {
+TEST_F(ReductionServiceCache, FactorCacheSharesSolvesAcrossSystems) {
   // Two independently built but bit-identical systems share content and
-  // symbolic fingerprints, so the second one's solves replay the first
-  // one's numeric factors instead of refactoring.
+  // symbolic fingerprints, so the second one's solve of B is the first
+  // one's, served from the shared solve cache instead of refactoring.
   const auto sys1 = circuit::make_rc_mesh({.rows = 6, .cols = 6});
   const auto sys2 = circuit::make_rc_mesh({.rows = 6, .cols = 6});
   EXPECT_EQ(sys1.content_fingerprint(), sys2.content_fingerprint());
@@ -242,8 +242,8 @@ TEST_F(ReductionServiceCache, FactorCacheSharesNumericFactorsAcrossSystems) {
       obs::counter_value(obs::Counter::kSparseLuRefactor);
   const la::MatC x2 = sys2.solve_shifted(shift, rhs);
   // sys2 still builds its own symbolic analysis (for an RC mesh, the
-  // pattern-only LDLᵀ analysis, no numeric work), but the numeric factors
-  // come from the shared cache: no new refactorization happens at the shift.
+  // pattern-only LDLᵀ analysis, no numeric work), but the solve comes from
+  // the shared cache: no refactorization happens at the shift.
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors_after_first);
   EXPECT_GE(obs::counter_value(obs::Counter::kFactorCacheHit), 1);
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/obs/counters.hpp"
 #include "util/status.hpp"
@@ -110,6 +111,21 @@ TEST_F(FaultInjectTest, KeyedDecisionsMatchThePureDecideFunction) {
   for (std::uint64_t k = 0; k < 20; ++k)
     EXPECT_EQ(fault::decide(kP, kSeed, fault::Site::kSpluPivot, k),
               fault::decide(kP, kSeed, fault::Site::kSpluPivot, k));
+}
+
+TEST_F(FaultInjectTest, DecisionsArePinnedPerSiteName) {
+  // A site's decisions hash its name, not its place in the enum: these
+  // masks (bit k = key k fires at p = 0.5, seed 23) may only change when
+  // the hash itself does, never when a site is added, removed or moved.
+  const std::pair<fault::Site, std::uint32_t> golden[] = {
+      {fault::Site::kSpluPivot, 0xea5d7b77u},
+      {fault::Site::kSpluRefactor, 0x41d75221u},
+      {fault::Site::kPoolTask, 0x19b052ceu},
+  };
+  for (const auto& [site, mask] : golden)
+    for (std::uint64_t k = 0; k < 32; ++k)
+      EXPECT_EQ(fault::decide(0.5, 23, site, k), ((mask >> k) & 1u) != 0)
+          << fault::site_name(site) << " key " << k;
 }
 
 TEST_F(FaultInjectTest, KeyScopeDrivesKeylessQueries) {

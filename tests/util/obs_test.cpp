@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
@@ -225,6 +227,22 @@ TEST_F(ObsManifest, ContainsSchemaCountersAndExtras) {
             std::count(json.begin(), json.end(), '}'));
 }
 
+// The manifest without its "process" object, the one part that moves
+// between two calls in one process.
+std::string without_process(std::string json) {
+  const std::size_t begin = json.find("\"process\": {");
+  if (begin == std::string::npos) return json;
+  json.erase(begin, json.find('}', begin) + 1 - begin);
+  return json;
+}
+
+// The number after `"key": ` in a manifest.
+double manifest_number(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\": ");
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(json.c_str() + at + key.size() + 4, nullptr);
+}
+
 TEST_F(ObsManifest, WriteManifestProducesReadableFile) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pmtbr_obs_manifest_test.json").string();
@@ -233,8 +251,24 @@ TEST_F(ObsManifest, WriteManifestProducesReadableFile) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), manifest_json("file_test"));
+  EXPECT_EQ(without_process(buf.str()), without_process(manifest_json("file_test")));
   std::remove(path.c_str());
+}
+
+TEST_F(ObsManifest, ProcessUsageIsPresentAndNeverRunsBackwards) {
+  const std::string first = manifest_json("first");
+  {
+    // Touch fresh pages between the two manifests.
+    std::vector<double> pages(std::size_t{1} << 20, 1.0);
+    EXPECT_EQ(std::count(pages.begin(), pages.end(), 1.0), 1 << 20);
+  }
+  const std::string second = manifest_json("second");
+  for (const char* key : {"user_cpu_s", "sys_cpu_s", "minor_faults", "max_rss_mb"}) {
+    EXPECT_GE(manifest_number(first, key), 0.0) << key;
+    EXPECT_GE(manifest_number(second, key), 0.0) << key;
+  }
+  EXPECT_GE(manifest_number(second, "minor_faults"), manifest_number(first, "minor_faults"));
+  EXPECT_GT(manifest_number(second, "max_rss_mb"), 0.0);
 }
 
 TEST_F(ObsSymbolicCache, HitsEqualShiftCountMinusOne) {

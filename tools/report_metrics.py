@@ -37,10 +37,31 @@ MANIFEST_REQUIRED = {
     "threads": int,
     "env": dict,
     "trace_enabled": bool,
+    "process": dict,
     "extra": dict,
     "counters": dict,
     "trace": list,
 }
+
+# The process' resource usage at manifest time: CPU seconds in user and
+# system mode and minor page faults (getrusage(RUSAGE_SELF)), peak RSS
+# (VmHWM; null where /proc/self/status is unavailable).
+PROCESS_FIELDS = {"user_cpu_s": (int, float), "sys_cpu_s": (int, float),
+                  "minor_faults": int, "max_rss_mb": (int, float)}
+
+
+def validate_process(proc: dict) -> list[str]:
+    errors = []
+    for key, typ in PROCESS_FIELDS.items():
+        value = proc.get(key)
+        if key == "max_rss_mb" and key in proc and value is None:
+            continue
+        if not isinstance(value, typ) or isinstance(value, bool):
+            errors.append(f"process.{key} missing or not a number")
+        elif value < 0:
+            errors.append(f"process.{key} is negative")
+    return errors
+
 
 # Optional "degradation" extra (mor::degradation_extra, docs/ROBUSTNESS.md):
 # per-run graceful-degradation stats. When present it must carry the full
@@ -216,6 +237,8 @@ def validate_manifest(path: Path, data: dict) -> list[str]:
         elif not isinstance(data[key], typ):
             errors.append(f"key {key!r} has type {type(data[key]).__name__}, "
                           f"expected {typ.__name__}")
+    if isinstance(data.get("process"), dict):
+        errors.extend(validate_process(data["process"]))
     for name, value in data.get("counters", {}).items():
         if not isinstance(value, int):
             errors.append(f"counter {name!r} is not an integer")
@@ -265,6 +288,9 @@ def show_manifest(data: dict) -> None:
           f"build: {data['build_type']}   threads: {data['threads']}")
     env = ", ".join(f"{k}={v}" for k, v in data["env"].items() if v is not None) or "(default)"
     print(f"env: {env}   trace_enabled: {data['trace_enabled']}")
+    proc = data.get("process")
+    if isinstance(proc, dict):
+        print("process: " + "  ".join(f"{k}={proc.get(k)}" for k in PROCESS_FIELDS))
     if data["extra"]:
         print("extra: " + ", ".join(f"{k}={v}" for k, v in data["extra"].items()
                                     if k != "cache"))
