@@ -1,8 +1,8 @@
 // Sec. III-C reproduction (the paper's cost comparison): wall-clock scaling
 // of TBR (O(n^3)), PRIMA, and PMTBR on RC lines of growing size, via
 // google-benchmark. The JSON records also time the shifted refactor + solve
-// under each fill-reducing ordering, the symmetric pencil's LDLᵀ, and the
-// orderings themselves.
+// under each fill-reducing ordering, the symmetric pencil's LDLᵀ one shift
+// at a time and in lane groups, and the orderings themselves.
 //
 // Paper shape: TBR's cubic cost limits it to small/medium problems; PRIMA
 // and PMTBR scale with the sparse-solve cost (PMTBR pays one factorization
@@ -165,7 +165,10 @@ std::vector<bench::TimingRecord> run_parallel_sweep() {
     // Phase attribution from the trace table. Sampling is measured across
     // worker threads, so with T threads it can exceed the wall-clock share.
     const auto snap = obs::trace_snapshot();
-    const double sampling = phase_seconds(snap, "pmtbr.sample_block");
+    // Sampling is each sample's ladder plus the lane groups that solved the
+    // first attempts.
+    const double sampling =
+        phase_seconds(snap, "pmtbr.sample_block") + phase_seconds(snap, "pmtbr.sample_lanes");
     const double compression = phase_seconds(snap, "compressor.add_columns");
     const double projection = phase_seconds(snap, "pmtbr.project");
     records.push_back({base + "_phase=sampling", sampling, mesh.n(), samples, threads});
@@ -254,6 +257,29 @@ double ldlt_solve_seconds(const DescriptorSystem& sys, const std::vector<la::ind
   });
 }
 
+// The same as ldlt_solve_seconds through the lane-batched entry point: the
+// analysis, then the 20 shifts factored and solved in lane groups (8 + 8 +
+// 4), a rejected lane falling back to a full LU as DescriptorSystem does.
+double ldlt_lanes_solve_seconds(const DescriptorSystem& sys, const std::vector<la::index>& perm) {
+  const std::vector<la::cd> shifts = refactor_shifts();
+  const la::MatC b = la::to_complex(sys.b());
+  return bench::best_seconds(3, [&] {
+    const auto symbolic = sparse::SymbolicLuC::symmetric(
+        sparse::shifted_pencil(shifts.front(), sys.e(), sys.a()), perm);
+    const sparse::ShiftedPencil pencil(sys.e(), sys.a());
+    const auto xs = sparse::solve_lanes(symbolic.value(), pencil, shifts, b);
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      if (xs[k].is_ok()) {
+        benchmark::DoNotOptimize(xs[k].value().rows());
+        continue;
+      }
+      const auto lu =
+          sparse::SparseLuC::factor(sparse::shifted_pencil(shifts[k], sys.e(), sys.a()), perm);
+      benchmark::DoNotOptimize(lu.value().solve(b).rows());
+    }
+  });
+}
+
 // Both sides of DescriptorSystem::ordering()'s rule: the RC mesh (symmetric
 // pencil, AMD) and the RLC connectors (RCM; the default 18 pins × 6
 // sections and 32 × 12, where AMD fills far more), each under RCM, under
@@ -292,12 +318,21 @@ std::vector<bench::TimingRecord> run_ordering_records() {
                 " s, selected (" + (sys.ordering() == rcm ? "rcm" : "amd") +
                 ")=" + std::to_string(selected_secs) + " s");
   }
-  // The RC mesh's pencil is symmetric: its LDLᵀ under AMD, analysis included.
-  const DescriptorSystem& mesh40 = systems.front().second;
-  const double ldlt_secs = ldlt_solve_seconds(mesh40, mesh40.ordering());
-  records.push_back({"refactor_solve_mesh40_ldlt", ldlt_secs, mesh40.n(), 20, 1});
-  bench::note("20-shift LDLT analysis+factor+solve mesh40 n=" + std::to_string(mesh40.n()) +
-              ": " + std::to_string(ldlt_secs) + " s");
+  // The RC mesh's pencil is symmetric: its LDLᵀ under AMD, analysis
+  // included, one shift at a time and in lane groups, at the benchmark's
+  // 40×40 and at 100×100.
+  const auto ldlt_records = [&](const std::string& name, const DescriptorSystem& sys) {
+    const double ldlt_secs = ldlt_solve_seconds(sys, sys.ordering());
+    const double lanes_secs = ldlt_lanes_solve_seconds(sys, sys.ordering());
+    records.push_back({"refactor_solve_" + name + "_ldlt", ldlt_secs, sys.n(), 20, 1});
+    records.push_back({"refactor_solve_" + name + "_ldlt_lanes", lanes_secs, sys.n(), 20, 1});
+    bench::note("20-shift LDLT analysis+factor+solve " + name + " n=" + std::to_string(sys.n()) +
+                ": one shift at a time " + std::to_string(ldlt_secs) + " s, lane groups " +
+                std::to_string(lanes_secs) + " s (" + std::to_string(ldlt_secs / lanes_secs) +
+                "x)");
+  };
+  ldlt_records("mesh40", systems.front().second);
+  ldlt_records("mesh100", mesh(100));
 
   for (const la::index k : {14, 40, 100}) {
     const sparse::CsrD p = pattern(mesh(k));

@@ -199,42 +199,98 @@ bool is_complex_copy(const MatC& rhs, const MatD& b) {
 
 }  // namespace
 
+util::Fingerprint DescriptorSystem::solve_key(const sparse::SymbolicLuC& symbolic, cd s) const {
+  util::FingerprintHasher h;
+  const util::Fingerprint content = content_fingerprint();
+  const util::Fingerprint structure = symbolic.fingerprint();
+  h.mix(content.hi);
+  h.mix(content.lo);
+  h.mix(structure.hi);
+  h.mix(structure.lo);
+  h.mix_double(s.real());
+  h.mix_double(s.imag());
+  return h.digest();
+}
+
 util::Expected<MatC> DescriptorSystem::try_solve_shifted(cd s, const MatC& rhs,
                                                          double diag_reg) const {
+  return std::move(try_solve_shifted(std::span<const cd>(&s, 1), rhs, diag_reg).front());
+}
+
+std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
+    std::span<const cd> shifts, const MatC& rhs, double diag_reg) const {
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted");
-  obs::counter_add(obs::Counter::kShiftedSolve);
-  auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) return sym.status();
+  const std::size_t count = shifts.size();
+  obs::counter_add(obs::Counter::kShiftedSolve, static_cast<std::int64_t>(count));
+  std::vector<util::Expected<MatC>> out(count);
+  if (count == 0) return out;
+  auto sym = try_symbolic_for(shifts.front());
+  if (!sym.is_ok()) {
+    for (auto& x : out) x = sym.status();
+    return out;
+  }
+  // Every shift after the first found the analysis the first one resolved.
+  obs::counter_add(obs::Counter::kSymbolicCacheHit, static_cast<std::int64_t>(count - 1));
+  const sparse::SymbolicLuC& symbolic = *sym.value();
   sparse::FactorCache& cache = sparse::FactorCache::global();
   // Only the system's own B is cached, and B is part of the content
   // fingerprint, so the key never digests the right-hand side. Regularized
   // solves are one-off rescues; injected faults are keyed per solve attempt,
-  // so serving cached solves under an armed injector would skip failure
-  // sites the robustness suite accounts for exactly.
-  const bool cacheable = !(diag_reg > 0.0) && cache.enabled() && !util::fault::enabled() &&
-                         is_complex_copy(rhs, b_);
-  util::Fingerprint key;
-  if (cacheable) {
-    util::FingerprintHasher h;
-    const util::Fingerprint content = content_fingerprint();
-    const util::Fingerprint structure = sym.value()->fingerprint();
-    h.mix(content.hi);
-    h.mix(content.lo);
-    h.mix(structure.hi);
-    h.mix(structure.lo);
-    h.mix_double(s.real());
-    h.mix_double(s.imag());
-    key = h.digest();
-    if (auto hit = cache.lookup(key)) return MatC(*hit);
+  // so serving cached solves — or factoring a lane group — under an armed
+  // injector would skip failure sites the robustness suite accounts for
+  // exactly.
+  const bool armed = util::fault::enabled();
+  const bool cacheable =
+      !(diag_reg > 0.0) && cache.enabled() && !armed && is_complex_copy(rhs, b_);
+  std::vector<util::Fingerprint> keys(cacheable ? count : 0);
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (cacheable) {
+      keys[i] = solve_key(symbolic, shifts[i]);
+      if (auto hit = cache.lookup(keys[i])) {
+        out[i] = MatC(*hit);
+        continue;
+      }
+    }
+    misses.push_back(i);
   }
-  MatC x;
-  {
-    auto lu = numeric_factor(*sym.value(), s, diag_reg);
-    if (!lu.is_ok()) return lu.status();
-    x = lu.value().solve(rhs);
-  }  // the factor dies with its solve; only X is kept
-  if (cacheable) cache.insert(key, std::make_shared<const MatC>(x));
-  return x;
+  // Each factor dies with its solve; only X is kept.
+  const bool lanes = !misses.empty() && symbolic.kind() == sparse::FactorKind::kLdlt && !armed &&
+                     !(diag_reg > 0.0);
+  if (lanes) {
+    std::vector<cd> miss_shifts;
+    miss_shifts.reserve(misses.size());
+    for (const std::size_t i : misses) miss_shifts.push_back(shifts[i]);
+    const sparse::ShiftedPencil pencil(e_, a_);
+    auto xs = sparse::solve_lanes(symbolic, pencil, miss_shifts, rhs);
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      util::Expected<MatC>& x = out[misses[k]];
+      if (xs[k].is_ok()) {
+        x = std::move(xs[k]);
+        continue;
+      }
+      // A rejected diagonal pivot: numeric_factor's fallback, a full LU
+      // with fresh pivoting, for this shift alone.
+      auto lu =
+          sparse::SparseLuC::factor(sparse::shifted_pencil(miss_shifts[k], e_, a_), ordering());
+      if (lu.is_ok())
+        x = lu.value().solve(rhs);
+      else
+        x = lu.status();
+    }
+  } else {
+    for (const std::size_t i : misses) {
+      auto lu = numeric_factor(symbolic, shifts[i], diag_reg);
+      if (lu.is_ok())
+        out[i] = lu.value().solve(rhs);
+      else
+        out[i] = lu.status();
+    }
+  }
+  if (cacheable)
+    for (const std::size_t i : misses)
+      if (out[i].is_ok()) cache.insert(keys[i], std::make_shared<const MatC>(out[i].value()));
+  return out;
 }
 
 util::Expected<MatC> DescriptorSystem::try_transfer(cd s) const {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -113,6 +114,20 @@ class DescriptorSystem {
   util::Expected<la::MatC> try_solve_shifted(la::cd s, const la::MatC& rhs,
                                              double diag_reg = 0.0) const;
 
+  /// X_k = (s_k E - A)^{-1} R for each shift, each bit for bit what
+  /// try_solve_shifted(s_k, R, diag_reg) returns, which is this call with
+  /// one shift. Each shift is looked up in and kept in the solve cache
+  /// under its own key, as above. A symmetric pencil's misses are factored
+  /// and solved as lane groups (sparse::solve_lanes), no pencil and no
+  /// factor object built for any lane; a lane whose diagonal pivot is
+  /// rejected falls back to the pivoting LU for that shift alone. An
+  /// unsymmetric pencil's shifts, regularized ones, and every shift while a
+  /// fault site is armed are factored one at a time, so injected decisions
+  /// stay keyed per solve.
+  std::vector<util::Expected<la::MatC>> try_solve_shifted(std::span<const la::cd> shifts,
+                                                          const la::MatC& rhs,
+                                                          double diag_reg = 0.0) const;
+
   /// H(s) = C (sE - A)^{-1} B, Status-carrying.
   util::Expected<la::MatC> try_transfer(la::cd s) const;
 
@@ -146,6 +161,9 @@ class DescriptorSystem {
   const std::vector<la::index>& ordering_locked(Cache& cache) const
       PMTBR_REQUIRES(cache.mutex);
   util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> try_symbolic_for(la::cd s) const;
+  /// The solve-cache key of B's solve at s: the content fingerprint, the
+  /// analysis' fingerprint and s.
+  util::Fingerprint solve_key(const sparse::SymbolicLuC& symbolic, la::cd s) const;
   /// Numeric phase against an already-resolved symbolic analysis (LDLᵀ or
   /// LU replay, full-factor fallback on a degenerate pivot).
   util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC& symbolic,

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <span>
 #include <sstream>
 
 #include "la/ops.hpp"
 #include "mor/compressor.hpp"
+#include "sparse/splu.hpp"
 #include "util/faultinject.hpp"
 #include "util/logging.hpp"
 #include "util/obs/counters.hpp"
@@ -34,7 +36,11 @@ struct SampleOutcome {
   bool regularized = false;
 };
 
-SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySample& fs) {
+// `first`, when set, is the sample's attempt 0, already solved in a lane
+// group (SamplingEngine::solve_first_attempts); the ladder starts from its
+// outcome.
+SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySample& fs,
+                               std::optional<util::Expected<MatC>>& first) {
   PMTBR_TRACE_SCOPE("pmtbr.sample_block");
   util::fault::KeyScope key(util::fault::shift_key(fs.s.real(), fs.s.imag()));
   SampleOutcome out;
@@ -47,7 +53,8 @@ SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySampl
       ++out.retries;
       obs::counter_add(obs::Counter::kPmtbrSampleRetries);
     }
-    auto z = sys.try_solve_shifted(s, la::to_complex(sys.b()));
+    auto z = attempt == 0 && first ? std::move(*first)
+                                   : sys.try_solve_shifted(s, la::to_complex(sys.b()));
     if (z.is_ok()) {
       out.block = weighted_sample(z.value(), fs);
       out.status = util::Status::ok();
@@ -211,9 +218,13 @@ class SamplingEngine {
       // then bit-identical to a serial run regardless of scheduling.
       if (base == 0) prepare_resilient(sys_, eff_);
       const index count = std::min(batch, total - base);
+      auto attempt0 = solve_first_attempts(base, count);
       auto outcomes = util::parallel_try_map<SampleOutcome>(
           count,
-          [&](index i) { return try_sample_block(sys_, eff_[static_cast<std::size_t>(base + i)]); },
+          [&](index i) {
+            return try_sample_block(sys_, eff_[static_cast<std::size_t>(base + i)],
+                                    attempt0[static_cast<std::size_t>(i)]);
+          },
           opts_.cancel);
       opts_.cancel.throw_if_cancelled();
       for (index start = base; start < base + count; start += window) {
@@ -230,6 +241,42 @@ class SamplingEngine {
         }
       }
     }
+  }
+
+  // Attempt 0 of the samples eff_[base, base + count): their shifts are
+  // factored and solved as lane groups (DescriptorSystem::try_solve_shifted
+  // over a span), min(kMaxLdltLanes, ⌈count / pool size⌉) shifts each, so
+  // every worker gets a group. A slot left empty — a fault site armed, the
+  // run cancelled before its group started, or a group that threw — makes
+  // its sample run attempt 0 on its own, so one bad pencil cannot fail its
+  // neighbours.
+  std::vector<std::optional<util::Expected<MatC>>> solve_first_attempts(index base,
+                                                                        index count) {
+    std::vector<std::optional<util::Expected<MatC>>> first(static_cast<std::size_t>(count));
+    if (util::fault::enabled()) return first;  // injected decisions stay keyed per attempt
+    std::vector<cd> shifts(static_cast<std::size_t>(count));
+    for (index i = 0; i < count; ++i)
+      shifts[static_cast<std::size_t>(i)] = eff_[static_cast<std::size_t>(base + i)].s;
+    const la::MatC b = la::to_complex(sys_.b());
+    const index threads = util::global_pool().size();
+    const index width = std::min<index>(sparse::kMaxLdltLanes, (count + threads - 1) / threads);
+    util::parallel_for(0, (count + width - 1) / width, [&](index g) {
+      if (opts_.cancel.cancelled()) return;
+      PMTBR_TRACE_SCOPE("pmtbr.sample_lanes");
+      const index lo = g * width;
+      const index hi = std::min(count, lo + width);
+      try {
+        auto xs = sys_.try_solve_shifted(
+            std::span<const cd>(shifts).subspan(static_cast<std::size_t>(lo),
+                                                static_cast<std::size_t>(hi - lo)),
+            b);
+        for (index i = lo; i < hi; ++i)
+          first[static_cast<std::size_t>(i)] = std::move(xs[static_cast<std::size_t>(i - lo)]);
+      } catch (const std::exception&) {
+        // Its samples run attempt 0 on their own.
+      }
+    });
+    return first;
   }
 
   // Order choice (fixed_order > 0 wins, else the truncation tolerance, then

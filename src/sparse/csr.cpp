@@ -152,8 +152,12 @@ Csr<T> combine(T alpha, const Csr<T>& a, T beta, const Csr<T>& b) {
 }
 
 CsrC shifted_pencil(cd s, const CsrD& e, const CsrD& a) {
-  return merge_rows<double, double, cd>(e, a, [&](double x, double y) { return s * x - y; });
+  return merge_rows<double, double, cd>(e, a,
+                                        [&](double x, double y) { return pencil_value(s, x, y); });
 }
+
+ShiftedPencil::ShiftedPencil(const CsrD& e, const CsrD& a)
+    : terms_(merge_rows<double, double, cd>(e, a, [](double x, double y) { return cd(x, y); })) {}
 
 CsrC to_complex(const CsrD& a) {
   std::vector<cd> v(a.values().begin(), a.values().end());

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 
+#include "la/kernel_clones.hpp"
 #include "sparse/rcm.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
@@ -77,11 +80,409 @@ std::vector<index> pre_permutation(index n, std::vector<index> perm) {
   return q;
 }
 
-// a·b written out on real and imaginary parts: at -O2, std::complex's
-// operator* keeps a NaN-recovery branch to __muldc3 in every inner loop.
-inline double mul(double a, double b) { return a * b; }
-inline cd mul(const cd& a, const cd& b) {
-  return {a.real() * b.real() - a.imag() * b.imag(), a.real() * b.imag() + a.imag() * b.real()};
+// ---- The LDLᵀ numeric phase over lanes ------------------------------------
+//
+// One walk of the frozen pattern factors, then solves, W matrices of one
+// analysis: each index is loaded once and every operation runs on all W
+// lanes as one GCC vector. Storage is lane-minor: entry e of a W-lane array
+// holds S = P·W doubles, the W real parts and then, for complex T (P = 2),
+// the W imaginary parts. At W = 1 that is std::vector<T>'s own layout, so a
+// SparseLu's l_val_ and diag_ are one-lane arrays and refactor() is the
+// one-lane case.
+//
+// Each lane performs exactly the IEEE operations of a one-lane factor, so
+// the grouping cannot change a bit: this file is built with
+// -ffp-contract=off (no clone fuses a multiply-add), complex products are
+// written out on real and imaginary parts in one fixed order, every
+// division runs per lane through T itself (std::complex's division, as
+// cd{1} / d and y / d), and the forward solve's skip of an exactly zero
+// multiplier is a per-lane mask.
+
+template <typename T>
+inline constexpr int kParts = 1;
+template <>
+inline constexpr int kParts<cd> = 2;
+
+// W doubles as one vector; one lane is a plain double.
+template <int W>
+struct LaneVec {
+  typedef double type __attribute__((vector_size(W * sizeof(double))));
+};
+template <>
+struct LaneVec<1> {
+  using type = double;
+};
+
+// By reference: a vector passed or returned by value would take another
+// calling convention in each clone (-Wpsabi).
+template <typename V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof(V));
+}
+template <typename V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// Whether any lane of a comparison result is set.
+template <typename M>
+[[gnu::always_inline]] inline bool any_lane(const M& m) {
+  if constexpr (std::is_arithmetic_v<M>) {
+    return m != 0;
+  } else {
+    std::int64_t lanes[sizeof(M) / sizeof(std::int64_t)];
+    std::memcpy(lanes, &m, sizeof(M));
+    std::int64_t acc = 0;
+    for (const std::int64_t v : lanes) acc |= v;
+    return acc != 0;
+  }
+}
+
+template <int W>
+struct Lanes {};
+
+// Per lane, the column whose diagonal pivot was rejected (-1: accepted)
+// and that pivot's magnitude.
+struct LaneRejects {
+  index col[kMaxLdltLanes];
+  double mag[kMaxLdltLanes];
+};
+
+// Left-looking L·D·Lᵀ of W matrices against the pattern-only analysis. `av`
+// holds each lane's lower triangle in the analysis' scatter order; `x` is
+// the n-entry workspace, zero on entry and on return. Column j gathers A's
+// lower column j, then subtracts L(j:n, k)·(L(j,k)·d_k) for each k in row j
+// of L — only the rows ≥ j of each contributing column. d_j faces the LU
+// replay's pivot test, on squared magnitudes. A lane whose pivot is
+// rejected is recorded and carried along with a zero reciprocal; the walk
+// stops once every lane is rejected.
+template <typename T, int W>
+[[gnu::always_inline]] inline void ldlt_factor(const detail::LuPattern<T>& pat, const double* av,
+                                               double* lv, double* dv, double* x,
+                                               LaneRejects& rej) {
+  using V = typename LaneVec<W>::type;
+  constexpr bool kComplex = kParts<T> == 2;
+  constexpr std::size_t S = static_cast<std::size_t>(kParts<T> * W);
+  const double tol2 = kRefactorPivotTol * kRefactorPivotTol;
+  const index* a_ptr = pat.a_ptr.data();
+  const index* a_pos = pat.a_pos.data();
+  const index* l_ptr = pat.l_ptr.data();
+  const index* l_row = pat.l_row.data();
+  const index* u_ptr = pat.u_ptr.data();
+  const index* u_row = pat.u_row.data();
+  const index* u_lpos = pat.u_lpos.data();
+  const auto at = [](index i) { return static_cast<std::size_t>(i) * S; };
+  int live = W;
+  for (int l = 0; l < W; ++l) rej.col[l] = -1;
+
+  for (index j = 0; j < pat.n; ++j) {
+    for (index t = a_ptr[j]; t < a_ptr[j + 1]; ++t)
+      std::memcpy(x + at(a_pos[t]), av + at(t), S * sizeof(double));
+    for (index t = u_ptr[j]; t < u_ptr[j + 1]; ++t) {
+      const index k = u_row[t];
+      const index p0 = u_lpos[t];
+      const index pe = l_ptr[k + 1];
+      V lr, dr;
+      load(lr, lv + at(p0));
+      load(dr, dv + at(k));
+      if constexpr (kComplex) {
+        V li, di;
+        load(li, lv + at(p0) + W);
+        load(di, dv + at(k) + W);
+        const V wr = lr * dr - li * di;
+        const V wi = lr * di + li * dr;
+        for (index p = p0; p < pe; ++p) {
+          double* xp = x + at(l_row[p]);
+          V a, b, xr, xi;
+          load(a, lv + at(p));
+          load(b, lv + at(p) + W);
+          load(xr, xp);
+          load(xi, xp + W);
+          xr = xr - (a * wr - b * wi);
+          xi = xi - (a * wi + b * wr);
+          store(xp, xr);
+          store(xp + W, xi);
+        }
+      } else {
+        const V w = lr * dr;
+        for (index p = p0; p < pe; ++p) {
+          double* xp = x + at(l_row[p]);
+          V a, xr;
+          load(a, lv + at(p));
+          load(xr, xp);
+          xr = xr - a * w;
+          store(xp, xr);
+        }
+      }
+    }
+
+    const index lb = l_ptr[j];
+    const index le = l_ptr[j + 1];
+    double* xj = x + at(j);
+    V d2, dre;
+    load(dre, xj);
+    if constexpr (kComplex) {
+      V dim;
+      load(dim, xj + W);
+      d2 = dre * dre + dim * dim;
+    } else {
+      d2 = dre * dre;
+    }
+    V best2 = d2;
+    for (index p = lb; p < le; ++p) {
+      const double* xp = x + at(l_row[p]);
+      V a, m2;
+      load(a, xp);
+      if constexpr (kComplex) {
+        V b;
+        load(b, xp + W);
+        m2 = a * a + b * b;
+      } else {
+        m2 = a * a;
+      }
+      best2 = best2 < m2 ? m2 : best2;
+    }
+    std::memcpy(dv + at(j), xj, S * sizeof(double));
+    double d2l[W], best2l[W], inv_re[W], inv_im[W];
+    store(d2l, d2);
+    store(best2l, best2);
+    for (int l = 0; l < W; ++l) {
+      inv_re[l] = 0.0;
+      inv_im[l] = 0.0;
+      if (rej.col[l] >= 0) continue;
+      if (!(d2l[l] > 0) || d2l[l] < tol2 * best2l[l]) {
+        rej.col[l] = j;
+        rej.mag[l] = std::sqrt(d2l[l]);
+        --live;
+        continue;
+      }
+      if constexpr (kComplex) {
+        const cd inv = cd{1} / cd(xj[l], xj[W + l]);
+        inv_re[l] = inv.real();
+        inv_im[l] = inv.imag();
+      } else {
+        inv_re[l] = 1.0 / xj[l];
+      }
+    }
+    V ir, ii;
+    load(ir, inv_re);
+    load(ii, inv_im);
+    for (index p = lb; p < le; ++p) {
+      double* xp = x + at(l_row[p]);
+      double* lp = lv + at(p);
+      V a;
+      load(a, xp);
+      if constexpr (kComplex) {
+        V b;
+        load(b, xp + W);
+        const V re = a * ir - b * ii;
+        const V im = a * ii + b * ir;
+        store(lp, re);
+        store(lp + W, im);
+      } else {
+        const V re = a * ir;
+        store(lp, re);
+      }
+      std::memset(xp, 0, S * sizeof(double));
+    }
+    std::memset(xj, 0, S * sizeof(double));
+    if (live == 0) return;
+  }
+}
+
+// Solves L·D·Lᵀ y = b in place for every lane, b permuted into `y` (n
+// lane-minor entries). Lanes with live[l] false (a rejected factor) skip
+// the division and end with meaningless values.
+template <typename T, int W>
+[[gnu::always_inline]] inline void ldlt_solve(const detail::LuPattern<T>& pat, const double* lv,
+                                              const double* dv, double* y, const bool* live) {
+  using V = typename LaneVec<W>::type;
+  constexpr bool kComplex = kParts<T> == 2;
+  constexpr std::size_t S = static_cast<std::size_t>(kParts<T> * W);
+  const index* l_ptr = pat.l_ptr.data();
+  const index* l_row = pat.l_row.data();
+  const auto at = [](index i) { return static_cast<std::size_t>(i) * S; };
+  const index n = pat.n;
+  // L forward (unit diagonal). A lane whose multiplier is exactly zero is
+  // left untouched, and a column with none to apply is skipped.
+  for (index k = 0; k < n; ++k) {
+    V tr, ti;
+    load(tr, y + at(k));
+    if constexpr (kComplex) {
+      load(ti, y + at(k) + W);
+      const auto apply = (tr != 0.0) | (ti != 0.0);
+      if (!any_lane(apply)) continue;
+      for (index p = l_ptr[k]; p < l_ptr[k + 1]; ++p) {
+        double* yp = y + at(l_row[p]);
+        V a, b, yr, yi;
+        load(a, lv + at(p));
+        load(b, lv + at(p) + W);
+        load(yr, yp);
+        load(yi, yp + W);
+        const V nr = yr - (a * tr - b * ti);
+        const V ni = yi - (a * ti + b * tr);
+        yr = apply ? nr : yr;
+        yi = apply ? ni : yi;
+        store(yp, yr);
+        store(yp + W, yi);
+      }
+    } else {
+      const auto apply = tr != 0.0;
+      if (!any_lane(apply)) continue;
+      for (index p = l_ptr[k]; p < l_ptr[k + 1]; ++p) {
+        double* yp = y + at(l_row[p]);
+        V a, yr;
+        load(a, lv + at(p));
+        load(yr, yp);
+        const V nr = yr - a * tr;
+        yr = apply ? nr : yr;
+        store(yp, yr);
+      }
+    }
+  }
+  // D, then Lᵀ backward.
+  for (index k = n - 1; k >= 0; --k) {
+    double* yk = y + at(k);
+    const double* dk = dv + at(k);
+    double q_re[W], q_im[W];
+    for (int l = 0; l < W; ++l) {
+      q_re[l] = 0.0;
+      q_im[l] = 0.0;
+      if (!live[l]) continue;
+      if constexpr (kComplex) {
+        const cd q = cd(yk[l], yk[W + l]) / cd(dk[l], dk[W + l]);
+        q_re[l] = q.real();
+        q_im[l] = q.imag();
+      } else {
+        q_re[l] = yk[l] / dk[l];
+      }
+    }
+    V accr, acci;
+    load(accr, q_re);
+    load(acci, q_im);
+    for (index p = l_ptr[k]; p < l_ptr[k + 1]; ++p) {
+      const double* yp = y + at(l_row[p]);
+      V a, yr;
+      load(a, lv + at(p));
+      load(yr, yp);
+      if constexpr (kComplex) {
+        V b, yi;
+        load(b, lv + at(p) + W);
+        load(yi, yp + W);
+        accr = accr - (a * yr - b * yi);
+        acci = acci - (a * yi + b * yr);
+      } else {
+        accr = accr - a * yr;
+      }
+    }
+    store(yk, accr);
+    if constexpr (kComplex) store(yk + W, acci);
+  }
+}
+
+// One multiversioned entry per lane count (la/kernel_clones.hpp): `flatten`
+// inlines the kernel into each clone, so its lane vectors take that
+// clone's register width. Real matrices (factor_real's pencils) are only
+// ever factored one at a time.
+#define PMTBR_LDLT_LANE_KERNELS(T, W)                                                          \
+  PMTBR_KERNEL_CLONES                                                                          \
+  void lane_factor(Lanes<W>, const detail::LuPattern<T>& pat, const double* av, double* lv,   \
+                   double* dv, double* x, LaneRejects& rej) {                                  \
+    ldlt_factor<T, W>(pat, av, lv, dv, x, rej);                                                \
+  }                                                                                            \
+  PMTBR_KERNEL_CLONES                                                                          \
+  void lane_solve(Lanes<W>, const detail::LuPattern<T>& pat, const double* lv,                \
+                  const double* dv, double* y, const bool* live) {                             \
+    ldlt_solve<T, W>(pat, lv, dv, y, live);                                                    \
+  }
+PMTBR_LDLT_LANE_KERNELS(double, 1)
+PMTBR_LDLT_LANE_KERNELS(cd, 1)
+PMTBR_LDLT_LANE_KERNELS(cd, 2)
+PMTBR_LDLT_LANE_KERNELS(cd, 4)
+PMTBR_LDLT_LANE_KERNELS(cd, 8)
+#undef PMTBR_LDLT_LANE_KERNELS
+
+// Lane `lane` of entry k of a W-lane array.
+inline void put_lane(double* v, index k, int w, int lane, double x) {
+  v[static_cast<std::size_t>(k) * static_cast<std::size_t>(w) + static_cast<std::size_t>(lane)] = x;
+}
+inline void put_lane(double* v, index k, int w, int lane, const cd& x) {
+  double* e = v + static_cast<std::size_t>(k) * 2 * static_cast<std::size_t>(w);
+  e[lane] = x.real();
+  e[w + lane] = x.imag();
+}
+template <typename T>
+T get_lane(const double* v, index k, int w, int lane) {
+  const double* e = v + static_cast<std::size_t>(k) * kParts<T> * static_cast<std::size_t>(w);
+  if constexpr (kParts<T> == 2)
+    return T(e[lane], e[w + lane]);
+  else
+    return e[lane];
+}
+
+inline double* as_doubles(double* p) { return p; }
+inline double* as_doubles(cd* p) { return reinterpret_cast<double*>(p); }
+inline const double* as_doubles(const double* p) { return p; }
+inline const double* as_doubles(const cd* p) { return reinterpret_cast<const double*>(p); }
+
+// Copies A's lower triangle, in the analysis' scatter order, into lane
+// `lane` of the w-lane array `av`.
+template <typename T>
+void pack_lane(const detail::LuPattern<T>& pat, const Csr<T>& a, double* av, int w, int lane) {
+  for (std::size_t t = 0; t < pat.a_pos.size(); ++t)
+    put_lane(av, static_cast<index>(t), w, lane,
+             a.values()[static_cast<std::size_t>(pat.a_slot[t])]);
+}
+
+template <typename T>
+void check_refactor_input(const detail::LuPattern<T>& pat, const Csr<T>& a) {
+  PMTBR_REQUIRE(a.rows() == a.cols() && a.rows() == pat.n, "refactor matrix size mismatch");
+  PMTBR_REQUIRE(a.row_ptr() == pat.a_row_ptr && a.col_idx() == pat.a_col_idx,
+                "refactor matrix pattern mismatch");
+  PMTBR_CHECK_FINITE(a, "sparse LU refactor input matrix");
+}
+
+// An LDLᵀ analysis factors only exactly symmetric values: each lower
+// entry equals its transposed twin.
+template <typename T>
+void check_symmetric_values(const detail::LuPattern<T>& pat, const Csr<T>& a) {
+  const auto& vals = a.values();
+  for (std::size_t t = 0; t < pat.a_pos.size(); ++t)
+    PMTBR_REQUIRE(vals[static_cast<std::size_t>(pat.a_slot[t])] ==
+                      vals[static_cast<std::size_t>(pat.a_mirror[t])],
+                  "LDLT refactor requires exactly symmetric values");
+}
+
+util::Status degenerate_pivot(const LaneRejects& rej, int lane) {
+  return util::Status(util::ErrorCode::kDegeneratePivot,
+                      "diagonal pivot numerically inadequate for these values")
+      .with_detail(rej.col[lane], rej.mag[lane]);
+}
+
+// One group's lane storage may take at most this many bytes: A's lower
+// triangle, L, D and the workspace, for every lane. Wider groups of large
+// factors would only trade cache for memory traffic; a 300×300 RC mesh
+// (about 46 MB of L per lane) is factored one shift at a time.
+constexpr std::size_t kLaneGroupBytes = std::size_t{32} << 20;
+
+// Lanes per group for an analysis: kMaxLdltLanes, halved until the group
+// fits kLaneGroupBytes, at least one.
+std::size_t lane_cap(const detail::LuPattern<cd>& pat) {
+  const std::size_t per_lane =
+      (pat.a_pos.size() + pat.l_row.size() + 2 * static_cast<std::size_t>(pat.n)) * sizeof(cd);
+  std::size_t cap = kMaxLdltLanes;
+  while (cap > 1 && cap * per_lane > kLaneGroupBytes) cap /= 2;
+  return cap;
+}
+
+// The batched entry point's lane storage, one set per thread, grown to the
+// largest group the thread has served and reused by every later call.
+struct LaneBuffers {
+  std::vector<double> a, l, d, x;
+};
+LaneBuffers& lane_buffers() {
+  thread_local LaneBuffers buffers;
+  return buffers;
 }
 
 }  // namespace
@@ -244,10 +645,7 @@ SymbolicLu<T> SparseLu<T>::symbolic() const {
 template <typename T>
 util::Expected<SparseLu<T>> SparseLu<T>::refactor(const SymbolicLu<T>& symbolic, const Csr<T>& a) {
   const detail::LuPattern<T>& pat = *symbolic.pattern_;
-  PMTBR_REQUIRE(a.rows() == a.cols() && a.rows() == pat.n, "refactor matrix size mismatch");
-  PMTBR_REQUIRE(a.row_ptr() == pat.a_row_ptr && a.col_idx() == pat.a_col_idx,
-                "refactor matrix pattern mismatch");
-  PMTBR_CHECK_FINITE(a, "sparse LU refactor input matrix");
+  check_refactor_input(pat, a);
   SparseLu<T> lu;
   lu.pattern_ = symbolic.pattern_;
   util::Status st =
@@ -466,63 +864,23 @@ util::Status SparseLu<T>::refactor(const Csr<T>& a) {
   return {};
 }
 
-// Left-looking L·D·Lᵀ against the pattern-only analysis. Column j gathers
-// A's lower column j, then subtracts L(j:n, k)·(L(j,k)·d_k) for each k in
-// row j of L — only the rows ≥ j of each contributing column. d_j faces the
-// LU replay's pivot test, on squared magnitudes.
 template <typename T>
 util::Status SparseLu<T>::refactor_ldlt(const Csr<T>& a) {
   PMTBR_TRACE_SCOPE("splu.ldlt");
   if (util::fault::should_fail(util::fault::Site::kSpluRefactor))
     return util::Status(util::ErrorCode::kInjectedFault, "splu.refactor fault injected");
   const auto& pat = *pattern_;
-  const index n = pat.n;
-  const auto& vals = a.values();
-  const double tol2 = kRefactorPivotTol * kRefactorPivotTol;
-
+  constexpr std::size_t S = kParts<T>;
+  check_symmetric_values(pat, a);
+  std::vector<double> av(pat.a_pos.size() * S);
+  pack_lane(pat, a, av.data(), 1, 0);
   l_val_.resize(pat.l_row.size());
-  diag_.resize(static_cast<std::size_t>(n));
-  std::vector<T> x(static_cast<std::size_t>(n), T{});  // zero between columns
-
-  for (index j = 0; j < n; ++j) {
-    for (index t = pat.a_ptr[static_cast<std::size_t>(j)];
-         t < pat.a_ptr[static_cast<std::size_t>(j) + 1]; ++t) {
-      const T v = vals[static_cast<std::size_t>(pat.a_slot[static_cast<std::size_t>(t)])];
-      PMTBR_REQUIRE(v == vals[static_cast<std::size_t>(pat.a_mirror[static_cast<std::size_t>(t)])],
-                    "LDLT refactor requires exactly symmetric values");
-      x[static_cast<std::size_t>(pat.a_pos[static_cast<std::size_t>(t)])] = v;
-    }
-    for (index t = pat.u_ptr[static_cast<std::size_t>(j)];
-         t < pat.u_ptr[static_cast<std::size_t>(j) + 1]; ++t) {
-      const index k = pat.u_row[static_cast<std::size_t>(t)];
-      const index p0 = pat.u_lpos[static_cast<std::size_t>(t)];
-      const T w = mul(l_val_[static_cast<std::size_t>(p0)], diag_[static_cast<std::size_t>(k)]);
-      for (index p = p0; p < pat.l_ptr[static_cast<std::size_t>(k) + 1]; ++p)
-        x[static_cast<std::size_t>(pat.l_row[static_cast<std::size_t>(p)])] -=
-            mul(l_val_[static_cast<std::size_t>(p)], w);
-    }
-
-    const index lb = pat.l_ptr[static_cast<std::size_t>(j)];
-    const index le = pat.l_ptr[static_cast<std::size_t>(j) + 1];
-    const T d = x[static_cast<std::size_t>(j)];
-    const double d2 = std::norm(d);
-    double best2 = d2;
-    for (index p = lb; p < le; ++p)
-      best2 = std::max(
-          best2, std::norm(x[static_cast<std::size_t>(pat.l_row[static_cast<std::size_t>(p)])]));
-    if (!(d2 > 0) || d2 < tol2 * best2)
-      return util::Status(util::ErrorCode::kDegeneratePivot,
-                          "diagonal pivot numerically inadequate for these values")
-          .with_detail(j, std::sqrt(d2));
-    diag_[static_cast<std::size_t>(j)] = d;
-    const T inv = T{1} / d;
-    for (index p = lb; p < le; ++p) {
-      T& xr = x[static_cast<std::size_t>(pat.l_row[static_cast<std::size_t>(p)])];
-      l_val_[static_cast<std::size_t>(p)] = mul(xr, inv);
-      xr = T{};
-    }
-    x[static_cast<std::size_t>(j)] = T{};
-  }
+  diag_.resize(static_cast<std::size_t>(pat.n));
+  std::vector<double> x(static_cast<std::size_t>(pat.n) * S, 0.0);
+  LaneRejects rej;
+  lane_factor(Lanes<1>{}, pat, av.data(), as_doubles(l_val_.data()), as_doubles(diag_.data()),
+               x.data(), rej);
+  if (rej.col[0] >= 0) return degenerate_pivot(rej, 0);
   return {};
 }
 
@@ -530,32 +888,124 @@ template <typename T>
 std::vector<T> SparseLu<T>::solve_ldlt(const std::vector<T>& b) const {
   const auto& pat = *pattern_;
   const index n = pat.n;
-  std::vector<T> y(static_cast<std::size_t>(n));
+  std::vector<double> y(static_cast<std::size_t>(n) * kParts<T>);
   for (index k = 0; k < n; ++k)
-    y[static_cast<std::size_t>(k)] =
-        b[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])];
-  // L forward (unit diagonal).
-  for (index k = 0; k < n; ++k) {
-    const T t = y[static_cast<std::size_t>(k)];
-    if (t == T{}) continue;
-    for (index p = pat.l_ptr[static_cast<std::size_t>(k)];
-         p < pat.l_ptr[static_cast<std::size_t>(k) + 1]; ++p)
-      y[static_cast<std::size_t>(pat.l_row[static_cast<std::size_t>(p)])] -=
-          mul(l_val_[static_cast<std::size_t>(p)], t);
-  }
-  // D, then Lᵀ backward.
-  for (index k = n - 1; k >= 0; --k) {
-    T acc = y[static_cast<std::size_t>(k)] / diag_[static_cast<std::size_t>(k)];
-    for (index p = pat.l_ptr[static_cast<std::size_t>(k)];
-         p < pat.l_ptr[static_cast<std::size_t>(k) + 1]; ++p)
-      acc -= mul(l_val_[static_cast<std::size_t>(p)],
-                 y[static_cast<std::size_t>(pat.l_row[static_cast<std::size_t>(p)])]);
-    y[static_cast<std::size_t>(k)] = acc;
-  }
+    put_lane(y.data(), k, 1, 0, b[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])]);
+  const bool live[1] = {true};
+  lane_solve(Lanes<1>{}, pat, as_doubles(l_val_.data()), as_doubles(diag_.data()), y.data(), live);
   std::vector<T> out(static_cast<std::size_t>(n));
   for (index k = 0; k < n; ++k)
     out[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])] =
-        y[static_cast<std::size_t>(k)];
+        get_lane<T>(y.data(), k, 1, 0);
+  return out;
+}
+
+namespace {
+
+// One group of solve_lanes at lane width W: factors s·E − A at each shift
+// of `shifts` (at most W; lanes past them repeat the first) in the
+// thread's lane buffers, counts each factor as refactor() would, and
+// appends each X_k or its rejection to `out`.
+template <int W>
+void solve_group(const detail::LuPattern<cd>& pat, const ShiftedPencil& pencil,
+                 std::span<const cd> shifts, const la::MatC& rhs,
+                 std::vector<util::Expected<la::MatC>>& out) {
+  constexpr std::size_t S = 2 * W;
+  const index n = pat.n;
+  const auto nn = static_cast<std::size_t>(n);
+  const auto group = static_cast<index>(shifts.size());
+  LaneBuffers& buf = lane_buffers();
+  const auto fit = [](std::vector<double>& v, std::size_t size) {
+    if (v.size() < size) v.resize(size);
+    return v.data();
+  };
+  double* av = fit(buf.a, pat.a_pos.size() * S);
+  double* lv = fit(buf.l, pat.l_row.size() * S);
+  double* dv = fit(buf.d, nn * S);
+  double* x = fit(buf.x, nn * S);
+  std::fill(x, x + nn * S, 0.0);
+  const auto& terms = pencil.terms().values();
+  for (std::size_t t = 0; t < pat.a_pos.size(); ++t) {
+    const cd ea = terms[static_cast<std::size_t>(pat.a_slot[t])];
+    for (int l = 0; l < W; ++l)
+      put_lane(av, static_cast<index>(t), W, l,
+               pencil_value(shifts[static_cast<std::size_t>(l < group ? l : 0)], ea.real(),
+                            ea.imag()));
+  }
+
+  LaneRejects rej;
+  {
+    PMTBR_TRACE_SCOPE("splu.ldlt");
+    lane_factor(Lanes<W>{}, pat, av, lv, dv, x, rej);
+  }
+  obs::counter_add(obs::Counter::kSparseLdltLaneGroups);
+  obs::counter_add(obs::Counter::kSparseLdltLanes, group);
+  bool live[W];
+  std::vector<la::MatC> xs;
+  for (int l = 0; l < W; ++l) {
+    live[l] = rej.col[l] < 0;
+    if (l >= group) continue;
+    if (!live[l]) {
+      obs::counter_add(obs::Counter::kSparseLuRefactorReject);
+      continue;
+    }
+    obs::counter_add(obs::Counter::kSparseLuRefactor);
+    obs::counter_add(obs::Counter::kSparseLuFactorEntries,
+                     static_cast<std::int64_t>(2 * pat.l_row.size() + nn));
+    xs.emplace_back(n, rhs.cols());
+  }
+
+  // The workspace is zero again after the factor; it now holds y, one
+  // right-hand-side column at a time, for every lane.
+  for (index c = 0; c < rhs.cols(); ++c) {
+    for (index k = 0; k < n; ++k) {
+      const cd v = rhs(pat.q[static_cast<std::size_t>(k)], c);
+      for (int l = 0; l < W; ++l) put_lane(x, k, W, l, v);
+    }
+    lane_solve(Lanes<W>{}, pat, lv, dv, x, live);
+    std::size_t next = 0;
+    for (int l = 0; l < group; ++l) {
+      if (!live[l]) continue;
+      la::MatC& xl = xs[next++];
+      for (index k = 0; k < n; ++k)
+        xl(pat.q[static_cast<std::size_t>(k)], c) = get_lane<cd>(x, k, W, l);
+    }
+  }
+  std::size_t next = 0;
+  for (int l = 0; l < group; ++l) {
+    if (live[l])
+      out.emplace_back(std::move(xs[next++]));
+    else
+      out.emplace_back(degenerate_pivot(rej, l));
+  }
+}
+
+}  // namespace
+
+std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLuC& symbolic,
+                                                  const ShiftedPencil& pencil,
+                                                  std::span<const cd> shifts,
+                                                  const la::MatC& rhs) {
+  const detail::LuPattern<cd>& pat = *symbolic.pattern_;
+  PMTBR_REQUIRE(pat.kind == FactorKind::kLdlt, "lane-batched factors need an LDLT analysis");
+  PMTBR_REQUIRE(rhs.rows() == pat.n, "rhs row mismatch");
+  check_refactor_input(pat, pencil.terms());
+  // s·e − a is symmetric at every s exactly when E and A are.
+  check_symmetric_values(pat, pencil.terms());
+  std::vector<util::Expected<la::MatC>> out;
+  out.reserve(shifts.size());
+  const std::size_t cap = lane_cap(pat);
+  for (std::size_t base = 0; base < shifts.size(); base += cap) {
+    const auto group = shifts.subspan(base, std::min(cap, shifts.size() - base));
+    if (group.size() == 1)
+      solve_group<1>(pat, pencil, group, rhs, out);
+    else if (group.size() == 2)
+      solve_group<2>(pat, pencil, group, rhs, out);
+    else if (group.size() <= 4)
+      solve_group<4>(pat, pencil, group, rhs, out);
+    else
+      solve_group<8>(pat, pencil, group, rhs, out);
+  }
   return out;
 }
 

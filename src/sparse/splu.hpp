@@ -21,10 +21,19 @@
 // when each pivot (LU's frozen one, LDLᵀ's diagonal one) is at least 1e-10
 // times the best candidate a fresh factorization could have picked for its
 // column; a rejection means "full LU factor with fresh pivoting instead".
+//
+// The LDLᵀ numeric phase, factor and solve, has a lane dimension: one walk
+// of the frozen pattern factors up to kMaxLdltLanes matrices of one
+// analysis, each index loaded once and every operation applied to all
+// lanes' values as one SIMD vector (solve_lanes; the lanes are the shifts
+// of one PMTBR batch). A single refactor() is the one-lane case of the same
+// kernel. Each lane performs exactly the IEEE operations of a one-lane
+// factor, so the lane grouping never changes a bit of any result.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -39,6 +48,10 @@ enum class FactorKind : std::uint8_t {
   kLu,    // P·A(q,q) = L·U, pivot order frozen by a Gilbert–Peierls factor
   kLdlt,  // A(q,q) = L·D·Lᵀ, diagonal pivots, for exactly symmetric A
 };
+
+/// Most matrices one lane-batched LDLᵀ pass factors together: eight
+/// doubles, one AVX-512 register per real or imaginary part.
+inline constexpr int kMaxLdltLanes = 8;
 
 namespace detail {
 
@@ -75,6 +88,26 @@ struct LuPattern {
 
 template <typename T>
 class SparseLu;
+template <typename T>
+class SymbolicLu;
+
+/// Lane-batched factor and solve of shifted pencils against the LDLᵀ
+/// analysis of their pattern: X_k = (s_k·E − A)⁻¹·rhs for each shift, or
+/// kDegeneratePivot (detail as SparseLu::refactor) for a shift whose
+/// diagonal pivot is rejected — the caller then falls back to a full
+/// factorization of that pencil alone. The pencils are read straight from
+/// E and A, none is built, and factored in groups of up to kMaxLdltLanes,
+/// fewer when one group's lane storage would exceed a fixed byte budget.
+/// Each X_k is bit for bit SparseLu::refactor(symbolic,
+/// shifted_pencil(s_k, E, A)).solve(rhs), whatever the group. No SparseLu is built
+/// for any lane: the factors live in per-thread lane buffers, reused by
+/// later calls, only until their solves are done. Layout and symmetry
+/// contracts as refactor(), checked once on E and A; counters as refactor()
+/// per shift; no injection site.
+std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLu<cd>& symbolic,
+                                                  const ShiftedPencil& pencil,
+                                                  std::span<const cd> shifts,
+                                                  const la::MatC& rhs);
 
 /// Reusable symbolic factorization, safe to share (const) across threads;
 /// numeric factorizations for any matrix with the SAME CSR layout are then
@@ -117,6 +150,10 @@ class SymbolicLu {
 
  private:
   friend class SparseLu<T>;
+  friend std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLu<cd>&,
+                                                           const ShiftedPencil&,
+                                                           std::span<const cd>,
+                                                           const la::MatC&);
   explicit SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern);
 
   std::shared_ptr<const detail::LuPattern<T>> pattern_;

@@ -105,15 +105,4 @@ class FingerprintHasher {
   std::uint64_t count_ = 0;
 };
 
-/// Digest of two fingerprints plus a tag — the factor-cache key combiner
-/// (system content, symbolic structure, shift folded in by the caller).
-inline Fingerprint fingerprint_combine(const Fingerprint& a, const Fingerprint& b) noexcept {
-  FingerprintHasher h;
-  h.mix(a.hi);
-  h.mix(a.lo);
-  h.mix(b.hi);
-  h.mix(b.lo);
-  return h.digest();
-}
-
 }  // namespace pmtbr::util

@@ -28,6 +28,8 @@ enum class Counter : int {
   kSparseLuRefactor,       // numeric-only replays that succeeded
   kSparseLuRefactorReject, // replays rejected for a degenerate frozen pivot
   kSparseLuFactorEntries,  // nnz(L+U) summed over successful full factors and refactors
+  kSparseLdltLaneGroups,   // lane groups factored by the batched LDLᵀ entry point
+  kSparseLdltLanes,        // matrices in those groups (lanes per group = lanes / groups)
   // shifted-pencil cache (src/circuit/descriptor.cpp)
   kSymbolicCacheHit,       // solve found the frozen symbolic analysis ready
   kSymbolicCacheMiss,      // solve had to build the symbolic analysis

@@ -2,8 +2,10 @@
 // structure, and descriptor-system plumbing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <numbers>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -425,6 +427,118 @@ TEST_F(SolveCache, BytesGaugeChargesEachSolveItsScalars) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheBytes), gauge + 3 * entry_bytes);
   sparse::FactorCache::global().clear();
   EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheBytes), gauge);
+}
+
+// The span solve against one-shift solves: every X bit for bit, hits and
+// misses alike, with the counters of as many one-shift calls.
+TEST_F(SolveCache, ShiftSpanMatchesOneShiftSolves) {
+  struct Case {
+    const char* name;
+    DescriptorSystem sys;
+    bool dc;  // sample s = 0 first
+  };
+  const std::vector<Case> cases{
+      {"mesh20", make_rc_mesh({.rows = 20, .cols = 20, .num_ports = 1}), false},
+      {"mesh40", make_rc_mesh({.rows = 40, .cols = 40, .num_ports = 1}), false},
+      {"mesh14x4", make_rc_mesh({.rows = 14, .cols = 14, .num_ports = 4}), false},
+      {"line_dc", make_rc_line({.segments = 80}), true},
+      {"connector", make_connector({.pins = 3, .sections = 3}), false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<cd> shifts;
+    for (int k = 0; k < 17; ++k)
+      shifts.emplace_back(0.0, 2.0 * std::numbers::pi * 1e5 * std::pow(10.0, 0.375 * k));
+    if (c.dc) shifts.front() = cd(0.0, 0.0);
+    const la::MatC b = la::to_complex(c.sys.b());
+    std::vector<la::MatC> single;
+    for (const cd s : shifts) {
+      sparse::FactorCache::global().clear();
+      single.push_back(c.sys.solve_shifted(s, b));
+    }
+    sparse::FactorCache::global().clear();
+    (void)c.sys.solve_shifted(shifts[5], b);  // one hit among the misses
+    for (const std::size_t count : {3, 8, 9, 17}) {
+      SCOPED_TRACE(count);
+      const std::int64_t solves = obs::counter_value(obs::Counter::kShiftedSolve);
+      const std::int64_t hits = obs::counter_value(obs::Counter::kSymbolicCacheHit);
+      const auto xs = c.sys.try_solve_shifted(std::span(shifts).subspan(0, count), b);
+      EXPECT_EQ(obs::counter_value(obs::Counter::kShiftedSolve),
+                solves + static_cast<std::int64_t>(count));
+      EXPECT_EQ(obs::counter_value(obs::Counter::kSymbolicCacheHit),
+                hits + static_cast<std::int64_t>(count));
+      ASSERT_EQ(xs.size(), count);
+      for (std::size_t k = 0; k < count; ++k) {
+        ASSERT_TRUE(xs[k].is_ok()) << xs[k].status().to_string();
+        EXPECT_TRUE(same_bits(xs[k].value(), single[k])) << "shift " << k;
+      }
+      sparse::FactorCache::global().clear();
+    }
+  }
+}
+
+TEST_F(SolveCache, RejectedLaneFallsBackToLuAlone) {
+  // The 3×3 pencil of Ldlt.VanishingDiagonalPivotFallsBackToLu, whose
+  // diagonal pivot vanishes at s = 0, as the middle of five shifts: that
+  // lane is rejected and solved exactly by a full LU, the others keep
+  // their one-shift bits, and the counters move by one reject, one full
+  // factor and four refactors in one lane group.
+  sparse::Triplets<double> te(3, 3), ta(3, 3);
+  for (la::index i = 0; i < 3; ++i) te.add(i, i, 1.0);
+  ta.add(0, 1, -1.0);
+  ta.add(1, 0, -1.0);
+  ta.add(2, 2, -2.0);
+  MatD b(3, 1), c(1, 3);
+  b(0, 0) = 1.0;
+  c(0, 0) = 1.0;
+  const DescriptorSystem sys(sparse::CsrD(te), sparse::CsrD(ta), b, c);
+  la::MatC rhs(3, 1);
+  rhs(0, 0) = cd(1.0, 2.0);
+  rhs(1, 0) = cd(3.0, -1.0);
+  rhs(2, 0) = cd(4.0, 0.0);
+  const std::vector<cd> shifts{cd(0.5, 1.0), cd(0.0, 2.0), cd(0.0, 0.0), cd(3.0, 0.0),
+                               cd(1.0, -1.0)};
+  ASSERT_TRUE(sys.try_prepare_shifted(shifts[0]).is_ok());
+  std::vector<la::MatC> single;
+  for (const cd s : shifts) single.push_back(sys.solve_shifted(s, rhs));
+  const std::int64_t refactors = obs::counter_value(obs::Counter::kSparseLuRefactor);
+  const std::int64_t rejects = obs::counter_value(obs::Counter::kSparseLuRefactorReject);
+  const std::int64_t full = obs::counter_value(obs::Counter::kSparseLuFullFactor);
+  const std::int64_t groups = obs::counter_value(obs::Counter::kSparseLdltLaneGroups);
+  const std::int64_t lanes = obs::counter_value(obs::Counter::kSparseLdltLanes);
+  const auto xs = sys.try_solve_shifted(shifts, rhs);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 4);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactorReject), rejects + 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuFullFactor), full + 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLaneGroups), groups + 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLanes), lanes + 5);
+  ASSERT_EQ(xs.size(), shifts.size());
+  for (std::size_t k = 0; k < shifts.size(); ++k) {
+    ASSERT_TRUE(xs[k].is_ok()) << xs[k].status().to_string();
+    EXPECT_TRUE(same_bits(xs[k].value(), single[k])) << "shift " << k;
+  }
+  EXPECT_EQ(xs[2].value()(0, 0), rhs(1, 0));
+  EXPECT_EQ(xs[2].value()(1, 0), rhs(0, 0));
+  EXPECT_EQ(xs[2].value()(2, 0), cd(2.0, 0.0));
+}
+
+// While a fault site is armed the span solve neither batches nor caches:
+// each shift is one SparseLu::refactor, so injected decisions stay keyed
+// per solve.
+TEST_F(SolveCache, ArmedFaultSiteSolvesEachShiftAlone) {
+  const DescriptorSystem sys = make_rc_mesh({.rows = 6, .cols = 6, .num_ports = 1});
+  const std::vector<cd> shifts{cd(0.0, 1e8), cd(0.0, 1e9), cd(0.0, 1e10)};
+  const la::MatC b = la::to_complex(sys.b());
+  ASSERT_TRUE(sys.try_prepare_shifted(shifts[0]).is_ok());
+  const std::int64_t groups = obs::counter_value(obs::Counter::kSparseLdltLaneGroups);
+  const std::int64_t refactors = obs::counter_value(obs::Counter::kSparseLuRefactor);
+  {
+    util::fault::ScopedFault guard(util::fault::Site::kPoolTask, 0.0);
+    ASSERT_TRUE(util::fault::enabled());
+    for (const auto& x : sys.try_solve_shifted(shifts, b)) EXPECT_TRUE(x.is_ok());
+  }
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLaneGroups), groups);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 3);
+  EXPECT_EQ(sparse::FactorCache::global().stats().entries, 0);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Pivot-free LDLᵀ for symmetric pencils: the pattern-only analysis and the
 // numeric factor must agree with the pivoting LU on every RC generator, fall
 // back to LU when a diagonal pivot vanishes, and keep the LU's counters,
-// injection sites and layout contract.
+// injection sites and layout contract. The lane-batched factor must give
+// every shift the bits of its one-lane factor, whatever the grouping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 #include <string>
@@ -275,6 +277,151 @@ TEST_F(Ldlt, RejectsForeignLayoutAndAsymmetricInput) {
   t.add(1, 1, 1.0);
   EXPECT_THROW((void)SymbolicLuD::symmetric(CsrD(t)), std::invalid_argument);
   EXPECT_THROW((void)SymbolicLuD::symmetric(CsrD(2, 3, {0, 0, 0}, {}, {})), std::invalid_argument);
+}
+
+bool same_bits(const la::MatC& x, const la::MatC& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(cd)) == 0;
+}
+
+// Seventeen shifts across 1e5–1e11 Hz, starting at DC when `dc`.
+std::vector<cd> lane_shifts(bool dc) {
+  std::vector<cd> shifts;
+  for (int k = 0; k < 17; ++k)
+    shifts.emplace_back(0.0, 2.0 * std::numbers::pi * 1e5 * std::pow(10.0, 0.375 * k));
+  if (dc) shifts.front() = cd(0.0, 0.0);
+  return shifts;
+}
+
+// B's columns, then a dense complex column that exercises every lane's
+// imaginary parts from the first forward-substitution step on.
+la::MatC lane_rhs(const DescriptorSystem& sys) {
+  la::MatC rhs(sys.n(), sys.num_inputs() + 1);
+  const std::vector<cd> dense = rhs_vector(sys.n());
+  for (index i = 0; i < sys.n(); ++i) {
+    for (index j = 0; j < sys.num_inputs(); ++j) rhs(i, j) = sys.b()(i, j);
+    rhs(i, sys.num_inputs()) = dense[static_cast<std::size_t>(i)];
+  }
+  return rhs;
+}
+
+TEST_F(Ldlt, LanesMatchOneLaneFactorsBitForBit) {
+  // Every group width (1–8) and ragged counts that split into several
+  // groups (9 = 8 + 1, 17 = 8 + 8 + 1, 3 padded to 4), on meshes of both
+  // benchmark sizes, a 4-port mesh and an RC line sampled at DC. Each X
+  // must equal the one-lane factor's solve of the same pencil bit for bit.
+  struct Case {
+    std::string name;
+    DescriptorSystem sys;
+    bool dc;
+  };
+  std::vector<Case> cases;
+  const auto mesh = [](index side, index ports) {
+    return circuit::make_rc_mesh({.rows = side, .cols = side, .num_ports = ports});
+  };
+  cases.push_back({"mesh20", mesh(20, 1), false});
+  cases.push_back({"mesh40", mesh(40, 1), false});
+  cases.push_back({"mesh14x4", mesh(14, 4), false});
+  cases.push_back({"line_dc", circuit::make_rc_line({.segments = 80}), true});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<cd> shifts = lane_shifts(c.dc);
+    const auto pencil_at = [&](cd s) { return shifted_pencil(s, c.sys.e(), c.sys.a()); };
+    const auto analysis = SymbolicLuC::symmetric(pencil_at(shifts.back()), c.sys.ordering());
+    ASSERT_TRUE(analysis.is_ok());
+    const la::MatC rhs = lane_rhs(c.sys);
+    std::vector<la::MatC> one_lane;
+    for (const cd s : shifts) {
+      const auto lu = SparseLuC::refactor(analysis.value(), pencil_at(s));
+      ASSERT_TRUE(lu.is_ok()) << lu.status().to_string();
+      one_lane.push_back(lu.value().solve(rhs));
+    }
+    const ShiftedPencil pencil(c.sys.e(), c.sys.a());
+    for (const std::size_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17}) {
+      SCOPED_TRACE(count);
+      const auto xs =
+          solve_lanes(analysis.value(), pencil, std::span(shifts).subspan(0, count), rhs);
+      ASSERT_EQ(xs.size(), count);
+      for (std::size_t k = 0; k < count; ++k) {
+        ASSERT_TRUE(xs[k].is_ok()) << xs[k].status().to_string();
+        EXPECT_TRUE(same_bits(xs[k].value(), one_lane[k])) << "shift " << k;
+      }
+    }
+  }
+}
+
+TEST_F(Ldlt, LaneWithVanishingPivotIsRejectedAlone) {
+  // The pencil of VanishingDiagonalPivotFallsBackToLu has no usable
+  // diagonal pivot at s = 0. As the middle lane of a group it alone is
+  // rejected, with refactor()'s detail; its neighbours keep their one-lane
+  // bits, and the counters see two refactors and one reject.
+  Triplets<double> te(3, 3), ta(3, 3);
+  for (index i = 0; i < 3; ++i) te.add(i, i, 1.0);
+  ta.add(0, 1, -1.0);
+  ta.add(1, 0, -1.0);
+  ta.add(2, 2, -2.0);
+  const CsrD e(te), a(ta);
+  const std::vector<cd> shifts{cd(0.5, 1.0), cd(0.0, 0.0), cd(2.0, -3.0)};
+  const auto analysis = SymbolicLuC::symmetric(shifted_pencil(shifts[0], e, a));
+  ASSERT_TRUE(analysis.is_ok());
+  la::MatC rhs(3, 1);
+  rhs(0, 0) = cd(1.0, 2.0);
+  rhs(1, 0) = cd(3.0, -1.0);
+  rhs(2, 0) = cd(4.0, 0.0);
+  const auto refactors = obs::counter_value(obs::Counter::kSparseLuRefactor);
+  const auto rejects = obs::counter_value(obs::Counter::kSparseLuRefactorReject);
+  const auto groups = obs::counter_value(obs::Counter::kSparseLdltLaneGroups);
+  const auto lanes = obs::counter_value(obs::Counter::kSparseLdltLanes);
+  const auto xs = solve_lanes(analysis.value(), ShiftedPencil(e, a), shifts, rhs);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 2);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactorReject), rejects + 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLaneGroups), groups + 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLanes), lanes + 3);
+  ASSERT_EQ(xs.size(), 3u);
+  ASSERT_FALSE(xs[1].is_ok());
+  EXPECT_EQ(xs[1].status().code(), util::ErrorCode::kDegeneratePivot);
+  EXPECT_EQ(xs[1].status().detail_value(), 0.0);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+    ASSERT_TRUE(xs[k].is_ok());
+    const auto lu = SparseLuC::refactor(analysis.value(), shifted_pencil(shifts[k], e, a));
+    ASSERT_TRUE(lu.is_ok());
+    EXPECT_TRUE(same_bits(xs[k].value(), lu.value().solve(rhs))) << "shift " << k;
+  }
+}
+
+TEST_F(Ldlt, LanesRejectForeignLayoutAndAsymmetricInput) {
+  // RejectsForeignLayoutAndAsymmetricInput for the lane-batched entry
+  // point: E and A are checked once, on the layout they share.
+  const auto build = [](index off, double upper) {
+    Triplets<double> t(3, 3);
+    for (index i = 0; i < 3; ++i) t.add(i, i, 4.0);
+    t.add(0, off, upper);
+    t.add(off, 0, 1.0);
+    return CsrD(t);
+  };
+  const CsrD eye = [] {
+    Triplets<double> t(3, 3);
+    for (index i = 0; i < 3; ++i) t.add(i, i, 1.0);
+    return CsrD(t);
+  }();
+  const std::vector<cd> shifts{cd(0.0, 1.0), cd(0.0, 2.0), cd(0.0, 3.0)};
+  const auto analysis = SymbolicLuC::symmetric(shifted_pencil(shifts[0], eye, build(1, 1.0)));
+  ASSERT_TRUE(analysis.is_ok());
+  const la::MatC rhs(3, 1);
+  const auto xs = solve_lanes(analysis.value(), ShiftedPencil(eye, build(1, 1.0)), shifts, rhs);
+  for (const auto& x : xs) EXPECT_TRUE(x.is_ok());
+  // Same nnz, another layout.
+  EXPECT_THROW((void)solve_lanes(analysis.value(), ShiftedPencil(eye, build(2, 1.0)), shifts, rhs),
+               std::invalid_argument);
+  // Same layout, values that are not symmetric: in A, then in E.
+  EXPECT_THROW((void)solve_lanes(analysis.value(), ShiftedPencil(eye, build(1, 2.0)), shifts, rhs),
+               std::invalid_argument);
+  EXPECT_THROW((void)solve_lanes(analysis.value(), ShiftedPencil(build(1, 2.0), eye), shifts, rhs),
+               std::invalid_argument);
+  // An LU analysis has no lanes.
+  const SymbolicLuC lu_analysis(shifted_pencil(shifts[0], eye, build(1, 1.0)));
+  EXPECT_THROW((void)solve_lanes(lu_analysis, ShiftedPencil(eye, build(1, 1.0)), shifts, rhs),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -62,13 +62,6 @@ TEST(Fingerprint, HexIs32LowercaseDigits) {
   EXPECT_EQ(Fingerprint{}.hex(), std::string(32, '0'));
 }
 
-TEST(Fingerprint, CombineIsOrderSensitive) {
-  const Fingerprint a{1, 2};
-  const Fingerprint b{3, 4};
-  EXPECT_NE(fingerprint_combine(a, b), fingerprint_combine(b, a));
-  EXPECT_EQ(fingerprint_combine(a, b), fingerprint_combine(a, b));
-}
-
 // Saves/restores PMTBR_CACHE_BYTES so the budget tests cannot leak into
 // other tests (or inherit CI's ambient value).
 class CacheByteBudget : public ::testing::Test {
