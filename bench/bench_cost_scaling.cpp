@@ -253,7 +253,7 @@ double ldlt_solve_seconds(const DescriptorSystem& sys, const std::vector<la::ind
   return bench::best_seconds(3, [&] {
     const auto symbolic = sparse::SymbolicLuC::symmetric(
         sparse::shifted_pencil(refactor_shifts().front(), sys.e(), sys.a()), perm);
-    refactor_and_solve(sys, perm, symbolic.value());
+    refactor_and_solve(sys, perm, symbolic);
   });
 }
 
@@ -267,7 +267,7 @@ double ldlt_lanes_solve_seconds(const DescriptorSystem& sys, const std::vector<l
     const auto symbolic = sparse::SymbolicLuC::symmetric(
         sparse::shifted_pencil(shifts.front(), sys.e(), sys.a()), perm);
     const sparse::ShiftedPencil pencil(sys.e(), sys.a());
-    const auto xs = sparse::solve_lanes(symbolic.value(), pencil, shifts, b);
+    const auto xs = sparse::solve_lanes(symbolic, pencil, shifts, b);
     for (std::size_t k = 0; k < xs.size(); ++k) {
       if (xs[k].is_ok()) {
         benchmark::DoNotOptimize(xs[k].value().rows());

@@ -56,48 +56,67 @@ DescriptorSystem DescriptorSystem::with_ports(const std::vector<index>& cols,
   return DescriptorSystem(e_, a_, std::move(b), std::move(c));
 }
 
-const std::vector<index>& DescriptorSystem::ordering() const {
+const std::vector<index>& DescriptorSystem::ordering() const { return merged().ordering; }
+
+const DescriptorSystem::Merged& DescriptorSystem::merged() const {
   Cache& cache = *cache_;
   util::MutexLock lock(cache.mutex);
-  return ordering_locked(cache);
+  return merged_locked(cache);
 }
 
-const std::vector<index>& DescriptorSystem::ordering_locked(Cache& cache) const {
-  if (!cache.ordering) {
+const DescriptorSystem::Merged& DescriptorSystem::merged_locked(Cache& cache) const {
+  if (!cache.merged) {
     PMTBR_TRACE_SCOPE("descriptor.ordering");
-    const sparse::CsrD pattern = sparse::combine(1.0, e_, 1.0, a_);
-    cache.symmetric = sparse::is_symmetric(e_) && sparse::is_symmetric(a_);
-    cache.ordering = std::make_shared<const std::vector<index>>(
-        cache.symmetric ? sparse::amd_ordering(pattern) : sparse::rcm_ordering(pattern));
+    Merged m{sparse::ShiftedPencil(e_, a_),
+             sparse::is_symmetric(e_) && sparse::is_symmetric(a_),
+             {}};
+    // The orderings read only the pattern.
+    const sparse::CsrC& terms = m.pencil.terms();
+    const sparse::CsrD pattern(terms.rows(), terms.cols(), terms.row_ptr(), terms.col_idx(),
+                               std::vector<double>(terms.nnz()));
+    m.ordering = m.symmetric ? sparse::amd_ordering(pattern) : sparse::rcm_ordering(pattern);
+    cache.merged = std::make_shared<const Merged>(std::move(m));
   }
-  return *cache.ordering;
+  return *cache.merged;
 }
 
-util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> DescriptorSystem::try_symbolic_for(
-    cd s) const {
+namespace {
+
+// The shift an unsymmetric pencil's LU analysis freezes its pivot order at:
+// s_c = ω₀(1 + j), ω₀ = max|A_ij| / max|E_ij|, 1 when either has no
+// nonzero. Re s_c > 0, where no stable pencil is singular.
+cd analysis_shift(const sparse::ShiftedPencil& pencil) {
+  double e_max = 0.0;
+  double a_max = 0.0;
+  for (const cd& t : pencil.terms().values()) {
+    e_max = std::max(e_max, std::abs(t.real()));
+    a_max = std::max(a_max, std::abs(t.imag()));
+  }
+  const double w0 = e_max > 0.0 && a_max > 0.0 ? a_max / e_max : 1.0;
+  return {w0, w0};
+}
+
+}  // namespace
+
+const sparse::SymbolicLuC* DescriptorSystem::analysis() const {
   Cache& cache = *cache_;
   util::MutexLock lock(cache.mutex);
-  if (!cache.symbolic) {
-    // Build from the pencil at this shift; concurrent first callers
-    // serialize here so exactly one symbolic analysis is ever built. A
-    // symmetric pencil gets the pattern-only LDLᵀ analysis; any other one
-    // freezes the pivot order of a full LU factorization at this shift.
+  if (!cache.analyzed) {
+    // Concurrent first callers serialize here, so exactly one analysis is
+    // ever built, and it is the same whichever thread builds it.
     obs::counter_add(obs::Counter::kSymbolicCacheMiss);
-    std::vector<index> perm = ordering_locked(cache);
-    const sparse::CsrC pencil = sparse::shifted_pencil(s, e_, a_);
-    if (cache.symmetric) {
-      auto sym = sparse::SymbolicLuC::symmetric(pencil, std::move(perm));
-      if (!sym.is_ok()) return sym.status();
-      cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(std::move(sym).value());
+    const Merged& m = merged_locked(cache);
+    if (m.symmetric) {
+      cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(
+          sparse::SymbolicLuC::symmetric(m.pencil.terms(), m.ordering));
     } else {
-      auto lu = sparse::SparseLuC::factor(pencil, std::move(perm));
-      if (!lu.is_ok()) return lu.status();
-      cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(lu.value().symbolic());
+      auto lu = sparse::SymbolicLuC::lu(m.pencil.at(analysis_shift(m.pencil)), m.ordering);
+      if (lu.is_ok())
+        cache.symbolic = std::make_shared<const sparse::SymbolicLuC>(std::move(lu).value());
     }
-  } else {
-    obs::counter_add(obs::Counter::kSymbolicCacheHit);
+    cache.analyzed = true;
   }
-  return cache.symbolic;
+  return cache.symbolic.get();
 }
 
 namespace {
@@ -132,9 +151,8 @@ util::Fingerprint DescriptorSystem::content_fingerprint() const {
   return *cache.fingerprint;
 }
 
-util::Status DescriptorSystem::try_prepare_shifted(cd s) const {
-  auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) return sym.status();
+util::Status DescriptorSystem::try_prepare_shifted(cd) const {
+  (void)analysis();
   return {};
 }
 
@@ -156,22 +174,23 @@ void regularize_diagonal(sparse::CsrC& m, double rel) {
 }  // namespace
 
 util::Expected<sparse::SparseLuC> DescriptorSystem::numeric_factor(
-    const sparse::SymbolicLuC& symbolic, cd s, double diag_reg) const {
+    const sparse::SymbolicLuC* symbolic, cd s, double diag_reg) const {
   PMTBR_TRACE_SCOPE("descriptor.factor_shifted");
-  sparse::CsrC pencil = sparse::shifted_pencil(s, e_, a_);
+  const Merged& m = merged();
+  sparse::CsrC pencil = m.pencil.at(s);
   if (diag_reg > 0.0) regularize_diagonal(pencil, diag_reg);
-  auto lu = sparse::SparseLuC::refactor(symbolic, pencil);
-  if (lu.is_ok()) return lu;
+  if (symbolic) {
+    auto lu = sparse::SparseLuC::refactor(*symbolic, pencil);
+    if (lu.is_ok()) return lu;
+  }
   // Frozen pivot order (or LDLᵀ's diagonal pivot) degenerate at this shift:
   // full LU factorization with fresh pivoting (deterministic — depends only
   // on the pencil values).
-  return sparse::SparseLuC::factor(pencil, ordering());
+  return sparse::SparseLuC::factor(pencil, m.ordering);
 }
 
 sparse::SparseLuC DescriptorSystem::factor_shifted(cd s) const {
-  auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) throw util::StatusError(sym.status());
-  auto lu = numeric_factor(*sym.value(), s, 0.0);
+  auto lu = numeric_factor(analysis(), s, 0.0);
   if (!lu.is_ok()) throw util::StatusError(lu.status());
   return std::move(lu).value();
 }
@@ -199,14 +218,11 @@ bool is_complex_copy(const MatC& rhs, const MatD& b) {
 
 }  // namespace
 
-util::Fingerprint DescriptorSystem::solve_key(const sparse::SymbolicLuC& symbolic, cd s) const {
+util::Fingerprint DescriptorSystem::solve_key(cd s) const {
   util::FingerprintHasher h;
   const util::Fingerprint content = content_fingerprint();
-  const util::Fingerprint structure = symbolic.fingerprint();
   h.mix(content.hi);
   h.mix(content.lo);
-  h.mix(structure.hi);
-  h.mix(structure.lo);
   h.mix_double(s.real());
   h.mix_double(s.imag());
   return h.digest();
@@ -223,15 +239,6 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
   const std::size_t count = shifts.size();
   obs::counter_add(obs::Counter::kShiftedSolve, static_cast<std::int64_t>(count));
   std::vector<util::Expected<MatC>> out(count);
-  if (count == 0) return out;
-  auto sym = try_symbolic_for(shifts.front());
-  if (!sym.is_ok()) {
-    for (auto& x : out) x = sym.status();
-    return out;
-  }
-  // Every shift after the first found the analysis the first one resolved.
-  obs::counter_add(obs::Counter::kSymbolicCacheHit, static_cast<std::int64_t>(count - 1));
-  const sparse::SymbolicLuC& symbolic = *sym.value();
   sparse::FactorCache& cache = sparse::FactorCache::global();
   // Only the system's own B is cached, and B is part of the content
   // fingerprint, so the key never digests the right-hand side. Regularized
@@ -246,7 +253,7 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < count; ++i) {
     if (cacheable) {
-      keys[i] = solve_key(symbolic, shifts[i]);
+      keys[i] = solve_key(shifts[i]);
       if (auto hit = cache.lookup(keys[i])) {
         out[i] = MatC(*hit);
         continue;
@@ -254,15 +261,17 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
     }
     misses.push_back(i);
   }
+  if (misses.empty()) return out;
   // Each factor dies with its solve; only X is kept.
-  const bool lanes = !misses.empty() && symbolic.kind() == sparse::FactorKind::kLdlt && !armed &&
+  const sparse::SymbolicLuC* symbolic = analysis();
+  const bool lanes = symbolic && symbolic->kind() == sparse::FactorKind::kLdlt && !armed &&
                      !(diag_reg > 0.0);
   if (lanes) {
     std::vector<cd> miss_shifts;
     miss_shifts.reserve(misses.size());
     for (const std::size_t i : misses) miss_shifts.push_back(shifts[i]);
-    const sparse::ShiftedPencil pencil(e_, a_);
-    auto xs = sparse::solve_lanes(symbolic, pencil, miss_shifts, rhs);
+    const Merged& m = merged();
+    auto xs = sparse::solve_lanes(*symbolic, m.pencil, miss_shifts, rhs);
     for (std::size_t k = 0; k < misses.size(); ++k) {
       util::Expected<MatC>& x = out[misses[k]];
       if (xs[k].is_ok()) {
@@ -271,8 +280,7 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
       }
       // A rejected diagonal pivot: numeric_factor's fallback, a full LU
       // with fresh pivoting, for this shift alone.
-      auto lu =
-          sparse::SparseLuC::factor(sparse::shifted_pencil(miss_shifts[k], e_, a_), ordering());
+      auto lu = sparse::SparseLuC::factor(m.pencil.at(miss_shifts[k]), m.ordering);
       if (lu.is_ok())
         x = lu.value().solve(rhs);
       else
@@ -304,21 +312,13 @@ sparse::SparseLuD DescriptorSystem::factor_real(double alpha, double beta) const
   sparse::CsrD pencil = alpha == 0.0 ? a_ : sparse::combine(alpha, e_, beta, a_);
   if (alpha == 0.0)
     for (auto& v : pencil.values()) v *= beta;
-  std::vector<index> perm;
-  bool symmetric = false;
-  {
-    Cache& cache = *cache_;
-    util::MutexLock lock(cache.mutex);
-    perm = ordering_locked(cache);
-    symmetric = cache.symmetric;
-  }
-  if (symmetric) {
-    auto sym = sparse::SymbolicLuD::symmetric(pencil, perm);
-    if (!sym.is_ok()) throw util::StatusError(sym.status());
-    auto ldlt = sparse::SparseLuD::refactor(sym.value(), pencil);
+  const Merged& m = merged();
+  if (m.symmetric) {
+    auto ldlt =
+        sparse::SparseLuD::refactor(sparse::SymbolicLuD::symmetric(pencil, m.ordering), pencil);
     if (ldlt.is_ok()) return std::move(ldlt).value();
   }
-  return sparse::SparseLuD(pencil, std::move(perm));
+  return sparse::SparseLuD(pencil, m.ordering);
 }
 
 MatC DescriptorSystem::transfer(cd s) const {

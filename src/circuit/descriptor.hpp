@@ -3,18 +3,23 @@
 //
 // E is allowed to be singular (standard for MNA); everything PMTBR needs is
 // the shifted solve (sE - A)^{-1}, which stays well-posed as long as the
-// pencil is regular. Because shifted_pencil() emits the union pattern of E
-// and A for every shift, one symbolic analysis serves all shifts and every
-// shift is a cheap numeric-only factorization against it. When E and A are
-// both exactly symmetric (every RC network) sE - A is complex symmetric at
-// every s: the analysis is pattern-only and each shift is factored as
-// L·D·Lᵀ with diagonal pivots. Otherwise (RLC) the first solve performs a
-// full Gilbert–Peierls LU to freeze the pivot order and each shift replays
-// it. A pivot the numeric factor rejects falls back to a full pivoting LU
-// at that shift. The fill-reducing ordering (approximate minimum degree
-// for symmetric pencils, RCM otherwise; see ordering()) and the symbolic
-// analysis are cached behind a mutex, so concurrent solve_shifted calls
-// from the thread pool are safe.
+// pencil is regular. E and A are merged once per system onto their union
+// pattern (sparse::ShiftedPencil), the pattern of sE - A at every shift, so
+// one symbolic analysis serves all shifts and every shift is a cheap
+// numeric-only factorization against it. The analysis reads only E and A:
+// when both are exactly symmetric (every RC network) sE - A is complex
+// symmetric at every s, the analysis is pattern-only and each shift is
+// factored as L·D·Lᵀ with diagonal pivots. Otherwise (RLC) a full
+// Gilbert–Peierls LU at the fixed shift s_c = ω₀(1 + j), ω₀ = max|A_ij| /
+// max|E_ij| (1 when either has no nonzero), freezes the pivot order and
+// each shift replays it; Re s_c > 0, where no stable pencil is singular.
+// A pivot the numeric factor rejects falls back to a full pivoting LU at
+// that shift, and so does every shift of a pencil singular at s_c. So a
+// solve depends only on E, A, the shift and the right-hand side, never on
+// what was solved before. The merge, the fill-reducing ordering
+// (approximate minimum degree for symmetric pencils, RCM otherwise; see
+// ordering()) and the analysis are cached behind a mutex, so concurrent
+// solve_shifted calls from the thread pool are safe.
 #pragma once
 
 #include <memory>
@@ -92,12 +97,10 @@ class DescriptorSystem {
   // as a Status instead of an exception, so callers can retry, regularize,
   // or drop the sample.
 
-  /// Ensures the cached symbolic factorization of the sE - A pencil exists,
-  /// building it from the pencil at shift `s` if not (a symmetric pencil's
-  /// analysis reads only the pattern). Parallel drivers call this with
-  /// their first shift before fanning out, so the frozen pivot order — and
-  /// therefore every result — is independent of thread scheduling and
-  /// identical to a serial run.
+  /// Builds the pencil's analysis now rather than in the first solve that
+  /// needs it; `s` is ignored, as the analysis reads only E and A. Always
+  /// OK: a pencil singular at s_c is factored with fresh pivoting at every
+  /// shift instead.
   util::Status try_prepare_shifted(la::cd s) const;
 
   /// X = (sE - A)^{-1} R, Status-carrying. `diag_reg` is a RELATIVE
@@ -108,9 +111,8 @@ class DescriptorSystem {
   /// O(diag_reg) relative, so keep it tiny.
   /// When R is the system's own B (compared bit for bit), diag_reg == 0 and
   /// no fault site is armed, X is served from and kept in the process-wide
-  /// solve cache (sparse/factor_cache) under (content_fingerprint(), the
-  /// analysis' fingerprint, s). Either way the numeric factor lives only
-  /// for this one solve.
+  /// solve cache (sparse/factor_cache) under (content_fingerprint(), s).
+  /// Either way the numeric factor lives only for this one solve.
   util::Expected<la::MatC> try_solve_shifted(la::cd s, const la::MatC& rhs,
                                              double diag_reg = 0.0) const;
 
@@ -141,6 +143,15 @@ class DescriptorSystem {
   util::Fingerprint content_fingerprint() const;
 
  private:
+  /// E and A merged onto their union pattern, with what the merge decides:
+  /// whether both are exactly symmetric, and the ordering by the rule of
+  /// ordering(). Built once per system.
+  struct Merged {
+    sparse::ShiftedPencil pencil;
+    bool symmetric = false;
+    std::vector<la::index> ordering;
+  };
+
   /// Shared lazily-computed state. Held behind one shared_ptr so copies of
   /// a system (which share the same E/A) also share the caches, and so the
   /// class stays copyable despite owning a mutex. The cached fields are
@@ -149,24 +160,28 @@ class DescriptorSystem {
   /// after unlock stay valid and race-free.
   struct Cache {
     util::Mutex mutex;
-    std::shared_ptr<const std::vector<la::index>> ordering PMTBR_GUARDED_BY(mutex);
-    bool symmetric PMTBR_GUARDED_BY(mutex) = false;  // E and A exactly symmetric; set with ordering
+    std::shared_ptr<const Merged> merged PMTBR_GUARDED_BY(mutex);
+    bool analyzed PMTBR_GUARDED_BY(mutex) = false;
+    // Null once analyzed only when the LU analysis found the pencil
+    // singular at s_c.
     std::shared_ptr<const sparse::SymbolicLuC> symbolic PMTBR_GUARDED_BY(mutex);
     std::shared_ptr<const util::Fingerprint> fingerprint PMTBR_GUARDED_BY(mutex);
   };
 
   /// Builds (first call, under the descriptor.ordering trace scope) or reads
-  /// the cached ordering chosen by the rule of ordering(). The caller must
-  /// hold `cache.mutex` — enforced at compile time under -Wthread-safety.
-  const std::vector<la::index>& ordering_locked(Cache& cache) const
-      PMTBR_REQUIRES(cache.mutex);
-  util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> try_symbolic_for(la::cd s) const;
-  /// The solve-cache key of B's solve at s: the content fingerprint, the
-  /// analysis' fingerprint and s.
-  util::Fingerprint solve_key(const sparse::SymbolicLuC& symbolic, la::cd s) const;
-  /// Numeric phase against an already-resolved symbolic analysis (LDLᵀ or
-  /// LU replay, full-factor fallback on a degenerate pivot).
-  util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC& symbolic,
+  /// the merge. The caller must hold `cache.mutex` — enforced at compile
+  /// time under -Wthread-safety.
+  const Merged& merged_locked(Cache& cache) const PMTBR_REQUIRES(cache.mutex);
+  const Merged& merged() const;
+  /// Builds (first call) or reads the complex pencil's analysis: LDLᵀ for
+  /// a symmetric pencil, the LU frozen at s_c otherwise; nullptr when that
+  /// LU found the pencil singular.
+  const sparse::SymbolicLuC* analysis() const;
+  /// The solve-cache key of B's solve at s: the content fingerprint and s.
+  util::Fingerprint solve_key(la::cd s) const;
+  /// Numeric phase against the analysis (LDLᵀ or LU replay), with a full
+  /// pivoting LU when a pivot is rejected or there is no analysis.
+  util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC* symbolic,
                                                    la::cd s, double diag_reg) const;
 
   sparse::CsrD e_, a_;

@@ -151,22 +151,6 @@ void enforce_coverage_floor(DegradeState& st) {
   }
 }
 
-// Freezes the pencil's pivot order from the first sample whose pencil
-// actually factors, skipping shifts that sit on a pole (or are condemned
-// by fault injection). Throws kCoverageFloor when no sample works at all.
-void prepare_resilient(const DescriptorSystem& sys, const std::vector<FrequencySample>& eff) {
-  util::Status last;
-  for (const FrequencySample& fs : eff) {
-    util::fault::KeyScope key(util::fault::shift_key(fs.s.real(), fs.s.imag()));
-    util::Status st = sys.try_prepare_shifted(fs.s);
-    if (st.is_ok()) return;
-    last = std::move(st);
-  }
-  throw util::StatusError(util::Status(
-      util::ErrorCode::kCoverageFloor,
-      "no sample shift yields a factorable pencil: " + last.to_string()));
-}
-
 // The one sampling loop behind pmtbr_with_samples, pmtbr_adaptive and
 // pmtbr_order_sweep (Algorithm 1 and its Sec. V-B / V-C variants): weight
 // the samples, solve them on the pool, commit them window by window
@@ -213,10 +197,6 @@ class SamplingEngine {
       // before any degradation bookkeeping or absorption happens — a
       // cancelled run produces no result and no partial report.
       opts_.cancel.throw_if_cancelled();
-      // Freeze the pencil's pivot order before the first fan-out so every
-      // thread refactors against the same symbolic analysis — results are
-      // then bit-identical to a serial run regardless of scheduling.
-      if (base == 0) prepare_resilient(sys_, eff_);
       const index count = std::min(batch, total - base);
       auto attempt0 = solve_first_attempts(base, count);
       auto outcomes = util::parallel_try_map<SampleOutcome>(

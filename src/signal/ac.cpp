@@ -17,19 +17,6 @@ namespace pmtbr::signal {
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-// Hook for warming per-system caches before the parallel fan-out: sparse
-// descriptor systems freeze their shifted-pencil pivot order here so every
-// pool thread refactors deterministically; dense models need nothing. The
-// first preparable grid point seeds the ordering — if none works the
-// per-point evaluations fail individually and the sweep degrades to empty.
-void warm(const DescriptorSystem& sys, const std::vector<double>& freqs) {
-  for (const double f : freqs) {
-    util::fault::KeyScope key(util::fault::shift_key(0.0, kTwoPi * f));
-    if (sys.try_prepare_shifted(la::cd(0.0, kTwoPi * f)).is_ok()) return;
-  }
-}
-void warm(const mor::DenseSystem&, const std::vector<double>&) {}
-
 util::Expected<la::cd> eval(const DescriptorSystem& sys, la::cd s, la::index out_idx,
                             la::index in_idx) {
   auto h = sys.try_transfer(s);
@@ -80,7 +67,6 @@ std::vector<AcPoint> sweep_impl(const System& sys, const std::vector<double>& fr
   if (freqs.empty()) return {};
   PMTBR_TRACE_SCOPE("ac.sweep");
   obs::counter_add(obs::Counter::kAcSweepPoints, static_cast<std::int64_t>(freqs.size()));
-  warm(sys, freqs);
   // Every grid point is an independent shifted solve; fan them out into
   // per-point outcome slots so one failed point cannot poison the rest,
   // then keep the survivors in grid order.

@@ -151,13 +151,17 @@ Csr<T> combine(T alpha, const Csr<T>& a, T beta, const Csr<T>& b) {
   return merge_rows<T, T, T>(a, b, [&](T x, T y) { return alpha * x + beta * y; });
 }
 
-CsrC shifted_pencil(cd s, const CsrD& e, const CsrD& a) {
-  return merge_rows<double, double, cd>(e, a,
-                                        [&](double x, double y) { return pencil_value(s, x, y); });
-}
+CsrC shifted_pencil(cd s, const CsrD& e, const CsrD& a) { return ShiftedPencil(e, a).at(s); }
 
 ShiftedPencil::ShiftedPencil(const CsrD& e, const CsrD& a)
     : terms_(merge_rows<double, double, cd>(e, a, [](double x, double y) { return cd(x, y); })) {}
+
+CsrC ShiftedPencil::at(cd s) const {
+  std::vector<cd> val(terms_.nnz());
+  for (std::size_t k = 0; k < val.size(); ++k)
+    val[k] = pencil_value(s, terms_.values()[k].real(), terms_.values()[k].imag());
+  return CsrC(terms_.rows(), terms_.cols(), terms_.row_ptr(), terms_.col_idx(), std::move(val));
+}
 
 CsrC to_complex(const CsrD& a) {
   std::vector<cd> v(a.values().begin(), a.values().end());

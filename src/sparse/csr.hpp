@@ -99,20 +99,24 @@ Csr<T> combine(T alpha, const Csr<T>& a, T beta, const Csr<T>& b);
 /// std::complex's s * e - a.
 inline cd pencil_value(cd s, double e, double a) { return {s.real() * e - a, s.imag() * e}; }
 
-/// Complex pencil s*E - A from two real matrices — the PMTBR shifted system.
+/// Complex pencil s*E - A from two real matrices — the PMTBR shifted
+/// system, on the union pattern of E and A: ShiftedPencil(e, a).at(s).
 CsrC shifted_pencil(cd s, const CsrD& e, const CsrD& a);
 
-/// s·E − A for every s at once: E and A merged onto the union pattern that
-/// shifted_pencil emits, with E's value at each slot as the real part and
-/// A's as the imaginary part (0.0 where one has no entry). The pencil's
-/// value at slot k is then pencil_value(s, e_k, a_k), which a lane-batched
-/// factor reads for every shift of a group without building any pencil.
+/// s·E − A for every s at once: E and A merged onto their union pattern,
+/// with E's value at each slot as the real part and A's as the imaginary
+/// part (0.0 where one has no entry). The pencil's value at slot k is then
+/// pencil_value(s, e_k, a_k), which a lane-batched factor reads for every
+/// shift of a group without building any pencil.
 class ShiftedPencil {
  public:
   ShiftedPencil(const CsrD& e, const CsrD& a);
 
   /// (e_k, a_k) at each slot of the union pattern.
   const CsrC& terms() const { return terms_; }
+
+  /// The pencil at one shift: pencil_value at every slot.
+  CsrC at(cd s) const;
 
  private:
   CsrC terms_;

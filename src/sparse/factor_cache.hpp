@@ -9,13 +9,12 @@
 // so every factor lives only for its own solve and a hit skips the factor
 // and the solve.
 //
-// Keying: callers digest (system content fingerprint, symbolic-structure
-// fingerprint, shift) into one Fingerprint. B is part of the content
-// fingerprint, so the right-hand side is never hashed. Including the
-// symbolic fingerprint is what keeps cache hits bit-identical — a numeric
-// factor depends on the frozen pivot order, and two content-identical
-// systems whose analyses were built at different representative shifts may
-// carry different (each individually valid) pivot orders.
+// Keying: callers digest (system content fingerprint, shift) into one
+// Fingerprint. B is part of the content fingerprint, so the right-hand side
+// is never hashed. That is enough to keep cache hits bit-identical: a
+// system's analysis, pivot order included, is a function of E and A alone
+// (circuit/descriptor.hpp), so content-identical systems factor every shift
+// identically.
 //
 // Values are shared_ptr<const la::MatC>: immutable after construction, so
 // handing the same solve to concurrent readers is race-free, and a handle

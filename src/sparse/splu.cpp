@@ -496,6 +496,14 @@ SparseLu<T>::SparseLu(const Csr<T>& a, std::vector<index> perm) {
 
 template <typename T>
 util::Expected<SparseLu<T>> SparseLu<T>::factor(const Csr<T>& a, std::vector<index> perm) {
+  if (util::fault::should_fail(util::fault::Site::kSpluPivot))
+    return util::Status(util::ErrorCode::kInjectedFault, "splu.pivot fault injected");
+  return pivoting_factor(a, std::move(perm));
+}
+
+template <typename T>
+util::Expected<SparseLu<T>> SparseLu<T>::pivoting_factor(const Csr<T>& a,
+                                                         std::vector<index> perm) {
   PMTBR_REQUIRE(a.rows() == a.cols(), "sparse LU requires a square matrix");
   PMTBR_CHECK_FINITE(a, "sparse LU input matrix");
   auto pattern = std::make_shared<detail::LuPattern<T>>();
@@ -511,22 +519,19 @@ util::Expected<SparseLu<T>> SparseLu<T>::factor(const Csr<T>& a, std::vector<ind
 }
 
 template <typename T>
-SymbolicLu<T>::SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern)
-    : pattern_(std::move(pattern)) {
-  util::FingerprintHasher h;
-  h.mix_i64(static_cast<std::int64_t>(pattern_->kind));
-  h.mix_i64(static_cast<std::int64_t>(pattern_->n));
-  h.mix_ints(pattern_->q);
-  h.mix_ints(pattern_->pinv);
-  fingerprint_ = h.digest();
+util::Expected<SymbolicLu<T>> SymbolicLu<T>::lu(const Csr<T>& representative,
+                                                std::vector<index> perm) {
+  auto full = SparseLu<T>::pivoting_factor(representative, std::move(perm));
+  if (!full.is_ok()) return full.status();
+  return SymbolicLu<T>(full.value().pattern_);
 }
 
 template <typename T>
 SymbolicLu<T>::SymbolicLu(const Csr<T>& representative, std::vector<index> perm)
-    : SymbolicLu(SparseLu<T>(representative, std::move(perm)).pattern_) {}
+    : SymbolicLu(lu(representative, std::move(perm)).value()) {}
 
 template <typename T>
-util::Expected<SymbolicLu<T>> SymbolicLu<T>::symmetric(const Csr<T>& a, std::vector<index> perm) {
+SymbolicLu<T> SymbolicLu<T>::symmetric(const Csr<T>& a, std::vector<index> perm) {
   PMTBR_REQUIRE(a.rows() == a.cols(), "LDLT analysis requires a square matrix");
   PMTBR_TRACE_SCOPE("splu.analyze");
   const index n = a.rows();
@@ -537,8 +542,6 @@ util::Expected<SymbolicLu<T>> SymbolicLu<T>::symmetric(const Csr<T>& a, std::vec
   pat.n = n;
   pat.q = pre_permutation(n, std::move(perm));
   const std::vector<index> qinv = invert_permutation(pat.q);  // rejects a non-permutation
-  if (util::fault::should_fail(util::fault::Site::kSpluPivot))
-    return util::Status(util::ErrorCode::kInjectedFault, "splu.pivot fault injected");
   const auto& ptr = a.row_ptr();
   const auto& col = a.col_idx();
 
@@ -664,8 +667,6 @@ util::Status SparseLu<T>::factor(const Csr<T>& a, detail::LuPattern<T>& pat,
                                  const std::vector<index>& qinv) {
   PMTBR_TRACE_SCOPE("splu.full_factor");
   obs::counter_add(obs::Counter::kSparseLuFullFactor);
-  if (util::fault::should_fail(util::fault::Site::kSpluPivot))
-    return util::Status(util::ErrorCode::kInjectedFault, "splu.pivot fault injected");
   const Csc<T> ap = to_permuted_csc(a, qinv);
   const index n = pat.n;
 

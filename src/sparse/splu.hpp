@@ -34,11 +34,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "la/matrix.hpp"
 #include "sparse/csr.hpp"
-#include "util/fingerprint.hpp"
 #include "util/status.hpp"
 
 namespace pmtbr::sparse {
@@ -111,13 +111,18 @@ std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLu<cd>& symbolic
 
 /// Reusable symbolic factorization, safe to share (const) across threads;
 /// numeric factorizations for any matrix with the SAME CSR layout are then
-/// obtained via SparseLu::refactor.
+/// obtained via SparseLu::refactor. Neither analysis consults an injection
+/// site.
 template <typename T>
 class SymbolicLu {
  public:
   /// LU analysis: runs one full Gilbert–Peierls factorization of
   /// `representative` (square) and freezes its pivot order and fill.
-  /// `perm` as in SparseLu.
+  /// `perm` as in SparseLu. kSingularMatrix as SparseLu::factor.
+  static util::Expected<SymbolicLu> lu(const Csr<T>& representative,
+                                       std::vector<index> perm = {});
+
+  /// lu(), throwing util::StatusError on a singular representative.
   explicit SymbolicLu(const Csr<T>& representative, std::vector<index> perm = {});
 
   /// Pattern-only LDLᵀ analysis of a square, structurally symmetric matrix
@@ -125,10 +130,7 @@ class SymbolicLu {
   /// otherwise): the elimination tree of A(perm, perm) and the row and
   /// column structure of L, no numeric work. Every matrix refactored
   /// against it must hold exactly symmetric values.
-  /// kInjectedFault under the splu.pivot injection site, which this
-  /// analysis answers in place of the LU analysis' full factorization.
-  static util::Expected<SymbolicLu> symmetric(const Csr<T>& pattern,
-                                              std::vector<index> perm = {});
+  static SymbolicLu symmetric(const Csr<T>& pattern, std::vector<index> perm = {});
 
   FactorKind kind() const { return pattern_->kind; }
   index n() const { return pattern_->n; }
@@ -139,25 +141,16 @@ class SymbolicLu {
            static_cast<std::size_t>(pattern_->n);
   }
 
-  /// Content hash of the frozen elimination structure: factor kind, n,
-  /// pre-permutation and pivot order, digested once when the analysis is
-  /// built. Together with the source matrix's own content these determine
-  /// the entire fill pattern, so replays from two analyses with equal
-  /// fingerprints (over the same matrix) produce bit-identical factors —
-  /// the property the cross-job solve cache keys on
-  /// (sparse/factor_cache.hpp).
-  util::Fingerprint fingerprint() const { return fingerprint_; }
-
  private:
   friend class SparseLu<T>;
   friend std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLu<cd>&,
                                                            const ShiftedPencil&,
                                                            std::span<const cd>,
                                                            const la::MatC&);
-  explicit SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern);
+  explicit SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern)
+      : pattern_(std::move(pattern)) {}
 
   std::shared_ptr<const detail::LuPattern<T>> pattern_;
-  util::Fingerprint fingerprint_;
 };
 
 template <typename T>
@@ -218,6 +211,8 @@ class SparseLu {
  private:
   friend class SymbolicLu<T>;
   SparseLu() = default;
+  /// factor() without its injection site; an LU analysis' factor.
+  static util::Expected<SparseLu> pivoting_factor(const Csr<T>& a, std::vector<index> perm);
   util::Status factor(const Csr<T>& a, detail::LuPattern<T>& pat, const std::vector<index>& qinv);
   /// nnz(L+U) with U's diagonal, the sparse_lu_factor_entries increment.
   std::int64_t factor_entries() const {

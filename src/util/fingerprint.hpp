@@ -3,8 +3,7 @@
 //
 // A Fingerprint is a stable hash of "everything that determines the
 // result": the caching layers key reduced models by (system content,
-// canonicalized options) and numeric LU factors by (system content,
-// frozen pivot order, shift). Two requirements drive the design:
+// canonicalized options) and shifted solves by (system content, shift). Two requirements drive the design:
 //
 //  - determinism across processes and thread schedules: the digest is a
 //    pure function of the mixed values and their order, built on the

@@ -1,7 +1,7 @@
 // Minimal leveled logger writing to stderr.
 //
-// The library itself logs sparingly (iteration counts, convergence notes at
-// Debug); benches and examples use Info for narrative output.
+// The library itself logs sparingly: progress notes (dropped samples,
+// Krylov breakdowns) at Debug, caveats about a result at Warn.
 #pragma once
 
 #include <sstream>
@@ -32,16 +32,8 @@ void log_debug(Args&&... args) {
   detail::log_fmt(LogLevel::kDebug, std::forward<Args>(args)...);
 }
 template <typename... Args>
-void log_info(Args&&... args) {
-  detail::log_fmt(LogLevel::kInfo, std::forward<Args>(args)...);
-}
-template <typename... Args>
 void log_warn(Args&&... args) {
   detail::log_fmt(LogLevel::kWarn, std::forward<Args>(args)...);
-}
-template <typename... Args>
-void log_error(Args&&... args) {
-  detail::log_fmt(LogLevel::kError, std::forward<Args>(args)...);
 }
 
 }  // namespace pmtbr

@@ -14,7 +14,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kSparseLuFactorEntries: return "sparse_lu_factor_entries";
     case Counter::kSparseLdltLaneGroups: return "sparse_ldlt_lane_groups";
     case Counter::kSparseLdltLanes: return "sparse_ldlt_lanes";
-    case Counter::kSymbolicCacheHit: return "symbolic_cache_hit";
     case Counter::kSymbolicCacheMiss: return "symbolic_cache_miss";
     case Counter::kShiftedSolve: return "shifted_solve";
     case Counter::kGemmFlops: return "gemm_flops";

@@ -31,8 +31,7 @@ enum class Counter : int {
   kSparseLdltLaneGroups,   // lane groups factored by the batched LDLᵀ entry point
   kSparseLdltLanes,        // matrices in those groups (lanes per group = lanes / groups)
   // shifted-pencil cache (src/circuit/descriptor.cpp)
-  kSymbolicCacheHit,       // solve found the frozen symbolic analysis ready
-  kSymbolicCacheMiss,      // solve had to build the symbolic analysis
+  kSymbolicCacheMiss,      // symbolic analyses built, one per system
   kShiftedSolve,           // DescriptorSystem::solve_shifted calls, cache hits included
   // dense kernels (src/la)
   kGemmFlops,              // 2*m*k*n per matmul call (estimate)

@@ -1,10 +1,11 @@
-// Shared fixed-size thread pool plus parallel_for / parallel_map helpers —
-// the execution layer behind the parallel sampling pipeline.
+// Shared fixed-size thread pool plus parallel_for / parallel_try_map
+// helpers — the execution layer behind the parallel sampling pipeline.
 //
 // Design constraints (see docs/PERFORMANCE.md):
 //  - Deterministic results: parallel_for chunks an index range dynamically,
 //    but every index runs exactly the same computation it would serially and
-//    parallel_map stores results by index, so outputs are order-independent.
+//    parallel_try_map stores results by index, so outputs are
+//    order-independent.
 //  - Nested-safe: a parallel_for issued from inside a pool worker runs
 //    inline (serially) on that worker instead of deadlocking on the queue.
 //  - Exception-safe: the first exception thrown by any chunk is captured,
@@ -80,21 +81,12 @@ inline void parallel_for(index begin, index end, const std::function<void(index)
   global_pool().parallel_for(begin, end, fn);
 }
 
-/// Maps fn over [0, n) on the global pool; results land at their own index,
-/// so the output is identical to the serial map regardless of scheduling.
-/// R must be default-constructible and movable.
-template <typename R, typename F>
-std::vector<R> parallel_map(index n, F&& fn) {
-  std::vector<R> out(static_cast<std::size_t>(n));
-  global_pool().parallel_for(0, n,
-                             [&](index i) { out[static_cast<std::size_t>(i)] = fn(i); });
-  return out;
-}
-
-/// Fault-isolating map: like parallel_map, but each task's outcome lands in
-/// its own Expected slot, so one failing task cannot poison its siblings —
-/// every index still runs (contrast with parallel_for's abort-on-first-
-/// exception semantics, kept for the legacy all-or-nothing path).
+/// Fault-isolating map over [0, n) on the global pool: each task's outcome
+/// lands in its own Expected slot at its own index, so the output is
+/// identical to the serial map regardless of scheduling and one failing
+/// task cannot poison its siblings — every index still runs (contrast with
+/// parallel_for's abort-on-first-exception semantics, kept for the legacy
+/// all-or-nothing path).
 ///
 /// fn may return R or Expected<R>. A StatusError escaping fn becomes that
 /// task's Status; any other exception becomes kUnhandledException. The

@@ -460,12 +460,9 @@ TEST_F(SolveCache, ShiftSpanMatchesOneShiftSolves) {
     for (const std::size_t count : {3, 8, 9, 17}) {
       SCOPED_TRACE(count);
       const std::int64_t solves = obs::counter_value(obs::Counter::kShiftedSolve);
-      const std::int64_t hits = obs::counter_value(obs::Counter::kSymbolicCacheHit);
       const auto xs = c.sys.try_solve_shifted(std::span(shifts).subspan(0, count), b);
       EXPECT_EQ(obs::counter_value(obs::Counter::kShiftedSolve),
                 solves + static_cast<std::int64_t>(count));
-      EXPECT_EQ(obs::counter_value(obs::Counter::kSymbolicCacheHit),
-                hits + static_cast<std::int64_t>(count));
       ASSERT_EQ(xs.size(), count);
       for (std::size_t k = 0; k < count; ++k) {
         ASSERT_TRUE(xs[k].is_ok()) << xs[k].status().to_string();
@@ -539,6 +536,30 @@ TEST_F(SolveCache, ArmedFaultSiteSolvesEachShiftAlone) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLaneGroups), groups);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 3);
   EXPECT_EQ(sparse::FactorCache::global().stats().entries, 0);
+}
+
+// A system builds its analysis once, in whichever solve asks first, so the
+// analysis answers no injection site: with splu.pivot condemning every
+// full factor, an RC mesh's LDLᵀ analysis and the connector's LU analysis
+// are still built.
+TEST(PencilAnalysis, PreparesWithThePivotSiteArmed) {
+  util::fault::clear();
+  for (const DescriptorSystem& sys :
+       {make_rc_mesh({.rows = 6, .cols = 6, .num_ports = 1}), make_connector()}) {
+    const std::int64_t analyses = obs::counter_value(obs::Counter::kSymbolicCacheMiss);
+    const std::int64_t full = obs::counter_value(obs::Counter::kSparseLuFullFactor);
+    {
+      util::fault::ScopedFault pivots(util::fault::Site::kSpluPivot, 1.0);
+      EXPECT_TRUE(sys.try_prepare_shifted(cd(0.0, 1e9)).is_ok());
+    }
+    EXPECT_EQ(obs::counter_value(obs::Counter::kSymbolicCacheMiss), analyses + 1);
+    // The LU analysis is one full factor, the LDLᵀ analysis none.
+    const bool lu = !sparse::is_symmetric(sys.a());
+    EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuFullFactor), full + (lu ? 1 : 0));
+    // A second request finds it built.
+    EXPECT_TRUE(sys.try_prepare_shifted(cd(0.0, 2e9)).is_ok());
+    EXPECT_EQ(obs::counter_value(obs::Counter::kSymbolicCacheMiss), analyses + 1);
+  }
 }
 
 }  // namespace

@@ -231,9 +231,10 @@ TEST_F(Robustness, CoverageFloorThrowsStatusError) {
   const auto sys = circuit::make_rc_mesh(mp);
   const auto samples = mor::sample_bands({mor::Band{1e6, 1e9}}, 8, mor::SamplingScheme::kLogarithmic);
 
-  // Every pencil factorization condemned: no sample can even seed the
-  // symbolic analysis.
+  // Every numeric factor condemned, the full-factor fallback and the
+  // regularized rescue included: no sample survives.
   {
+    fault::ScopedFault replays(fault::Site::kSpluRefactor, 1.0);
     fault::ScopedFault pivots(fault::Site::kSpluPivot, 1.0);
     try {
       mor::pmtbr_with_samples(sys, samples, {});

@@ -1,13 +1,20 @@
 // Determinism of the parallel sampling pipeline: PMTBR at 4 threads must
 // produce bit-identical reduced models to PMTBR at 1 thread. The pipeline
-// guarantees this by freezing the symbolic pivot order before fan-out and
-// committing sample blocks in sample order.
+// guarantees this because a system's symbolic analysis, pivot order
+// included, is a function of E and A alone, and because sample blocks are
+// committed in sample order.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <numbers>
+#include <utility>
+#include <vector>
 
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
+#include "mor/mpproj.hpp"
 #include "mor/pmtbr.hpp"
 #include "mor/sampling.hpp"
 #include "signal/ac.hpp"
@@ -190,18 +197,78 @@ TEST(ParallelDeterminism, AcSweepMatchesSerial) {
 TEST(ParallelDeterminism, ConcurrentShiftedSolvesOnOneSystemAreSafe) {
   // Hammer one DescriptorSystem's lazy caches from many pool tasks at once
   // (exactly what the sampling pipeline does); under TSan this doubles as
-  // the race check for ordering()/symbolic caching.
-  const auto sys = mesh_system();
-  ScopedThreads guard(4);
-  const la::MatC b = la::to_complex(sys.b());
-  const auto results = util::parallel_map<la::MatC>(16, [&](la::index i) {
-    return sys.solve_shifted(la::cd(0.0, 1e7 * static_cast<double>(i + 1)), b);
-  });
-  // Spot-check against fresh serial solves (factor_shifted bypasses the
-  // solve cache the parallel solves just filled).
-  for (la::index i : {la::index{0}, la::index{7}, la::index{15}}) {
-    const auto ref = sys.factor_shifted(la::cd(0.0, 1e7 * static_cast<double>(i + 1))).solve(b);
-    EXPECT_LT(la::max_abs_diff(results[static_cast<std::size_t>(i)], ref), 1e-12);
+  // the race check for the merge and analysis caches. Whichever task builds
+  // the analysis, each solve must equal, bit for bit, a serial solve in
+  // reverse order on a freshly built copy: on an LDLᵀ pencil (RC mesh) and
+  // an LU pencil (connector) alike.
+  constexpr la::index kSolves = 16;  // 1 MHz to 5.6 GHz, four per decade
+  const auto shift = [](la::index i) {
+    const double f = 1e6 * std::pow(10.0, 0.25 * static_cast<double>(i));
+    return la::cd(0.0, 2.0 * std::numbers::pi * f);
+  };
+  const auto check = [&](DescriptorSystem (*build)()) {
+    ScopedThreads guard(4);
+    const DescriptorSystem sys = build();
+    const la::MatC b = la::to_complex(sys.b());
+    std::vector<la::MatC> results(static_cast<std::size_t>(kSolves));
+    util::parallel_for(0, kSolves, [&](la::index i) {
+      results[static_cast<std::size_t>(i)] = sys.solve_shifted(shift(i), b);
+    });
+    // The copy must factor its own solves, not read these from the cache.
+    sparse::FactorCache::global().clear();
+    const DescriptorSystem fresh = build();
+    for (la::index i = kSolves - 1; i >= 0; --i) {
+      SCOPED_TRACE(i);
+      const la::MatC ref = fresh.solve_shifted(shift(i), b);
+      const la::MatC& x = results[static_cast<std::size_t>(i)];
+      ASSERT_EQ(x.size(), ref.size());
+      EXPECT_EQ(std::memcmp(x.data(), ref.data(), x.size() * sizeof(la::cd)), 0);
+    }
+  };
+  {
+    SCOPED_TRACE("mesh");
+    check([] { return mesh_system(); });
+  }
+  {
+    SCOPED_TRACE("connector");
+    check([] { return circuit::make_connector(); });
+  }
+}
+
+// An RLC pencil's analysis reads only E and A, so what was solved on a
+// system before cannot move its models: a connector that first evaluated
+// H(j·2π·1 MHz) reduces to the bits of a freshly built one.
+TEST(PencilAnalysis, ModelsDependOnlyOnTheMatrices) {
+  PmtbrOptions opts;
+  opts.bands = {Band{0.0, 8e9}};
+  opts.num_samples = 16;
+  opts.fixed_order = 20;
+  const auto samples = sample_bands(opts.bands, opts.num_samples, opts.scheme);
+  const auto reduce = [&](bool primed) {
+    sparse::FactorCache::global().clear();
+    const DescriptorSystem sys = circuit::make_connector();
+    if (primed) {
+      (void)sys.transfer(la::cd(0.0, 2.0 * std::numbers::pi * 1e6));
+      sparse::FactorCache::global().clear();
+    }
+    return std::pair{pmtbr(sys, opts).model, mpproj(sys, samples).model};
+  };
+  const auto expect_same = [](const ReducedModel& a, const ReducedModel& b) {
+    expect_bit_identical(a.v, b.v);
+    expect_bit_identical(a.system.e(), b.system.e());
+    expect_bit_identical(a.system.a(), b.system.a());
+    expect_bit_identical(a.system.b(), b.system.b());
+    expect_bit_identical(a.system.c(), b.system.c());
+  };
+  const auto fresh = reduce(false);
+  const auto primed = reduce(true);
+  {
+    SCOPED_TRACE("pmtbr");
+    expect_same(fresh.first, primed.first);
+  }
+  {
+    SCOPED_TRACE("mpproj");
+    expect_same(fresh.second, primed.second);
   }
 }
 

@@ -238,6 +238,7 @@ TEST(ReductionService, FailingJobIsOrdinaryFailedResult) {
   // Arm every solve to fail, the regularized rescue included: coverage
   // hits zero, the run throws kCoverageFloor, and the service records
   // kFailed without disturbing anything else.
+  util::fault::ScopedFault replays(util::fault::Site::kSpluRefactor, 1.0, 7);
   util::fault::ScopedFault guard(util::fault::Site::kSpluPivot, 1.0, 7);
   ReductionService svc({.runners = 1, .max_queue = 4});
   auto id = svc.submit(quick_job("doomed"));

@@ -138,17 +138,16 @@ TEST_F(Ldlt, MatchesPivotingLuOnRcGenerators) {
                                  cd(0.0, kTwoPi * 1e8), cd(0.0, kTwoPi * 1e10)};
     const CsrC pattern = shifted_pencil(shifts.back(), sys.e(), sys.a());
     const auto analysis = SymbolicLuC::symmetric(pattern, sys.ordering());
-    ASSERT_TRUE(analysis.is_ok());
-    EXPECT_EQ(analysis.value().kind(), FactorKind::kLdlt);
+    EXPECT_EQ(analysis.kind(), FactorKind::kLdlt);
     const SymbolicLuC lu_analysis(pattern, sys.ordering());
     EXPECT_EQ(lu_analysis.kind(), FactorKind::kLu);
-    EXPECT_EQ(analysis.value().nnz_factors(), lu_analysis.nnz_factors());
+    EXPECT_EQ(analysis.nnz_factors(), lu_analysis.nnz_factors());
 
     const std::vector<cd> b = rhs_vector(sys.n());
     for (const cd s : shifts) {
       SCOPED_TRACE(s.imag());
       const CsrC pencil = shifted_pencil(s, sys.e(), sys.a());
-      const auto ldlt = SparseLuC::refactor(analysis.value(), pencil);
+      const auto ldlt = SparseLuC::refactor(analysis, pencil);
       ASSERT_TRUE(ldlt.is_ok()) << ldlt.status().to_string();
       EXPECT_EQ(ldlt.value().symbolic().kind(), FactorKind::kLdlt);
       const auto lu = SparseLuC::factor(pencil, sys.ordering());
@@ -197,8 +196,7 @@ TEST_F(Ldlt, VanishingDiagonalPivotFallsBackToLu) {
   // The same pencil's analysis, used directly, reports the degenerate pivot.
   const CsrC pencil = shifted_pencil(cd(0.0, 0.0), sys.e(), sys.a());
   const auto analysis = SymbolicLuC::symmetric(pencil, sys.ordering());
-  ASSERT_TRUE(analysis.is_ok());
-  const auto ldlt = SparseLuC::refactor(analysis.value(), pencil);
+  const auto ldlt = SparseLuC::refactor(analysis, pencil);
   ASSERT_FALSE(ldlt.is_ok());
   EXPECT_EQ(ldlt.status().code(), util::ErrorCode::kDegeneratePivot);
   EXPECT_EQ(ldlt.status().detail_value(), 0.0);
@@ -208,18 +206,17 @@ TEST_F(Ldlt, CountersKeepTheirLuMeaning) {
   const DescriptorSystem sys = circuit::make_rc_mesh({.rows = 6, .cols = 6, .num_ports = 1});
   const CsrC pencil = shifted_pencil(cd(0.0, 1e9), sys.e(), sys.a());
   const auto analysis = SymbolicLuC::symmetric(pencil, sys.ordering());
-  ASSERT_TRUE(analysis.is_ok());
   const auto full = obs::counter_value(obs::Counter::kSparseLuFullFactor);
   const auto refactors = obs::counter_value(obs::Counter::kSparseLuRefactor);
   const auto entries = obs::counter_value(obs::Counter::kSparseLuFactorEntries);
-  const auto ldlt = SparseLuC::refactor(analysis.value(), pencil);
+  const auto ldlt = SparseLuC::refactor(analysis, pencil);
   ASSERT_TRUE(ldlt.is_ok());
   // A numeric factor against a frozen analysis: a refactor, not a full
   // factor, adding nnz(L+U) of the equivalent LU, 2·nnz(L) + n.
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuFullFactor), full);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 1);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuFactorEntries),
-            entries + static_cast<std::int64_t>(analysis.value().nnz_factors()));
+            entries + static_cast<std::int64_t>(analysis.nnz_factors()));
   // It stores L and D only: half the off-diagonal scalars of the LU.
   const std::size_t l_entries = ldlt.value().nnz_factors() / 2;
   EXPECT_EQ(ldlt.value().stored_values(), l_entries + static_cast<std::size_t>(sys.n()));
@@ -227,32 +224,28 @@ TEST_F(Ldlt, CountersKeepTheirLuMeaning) {
   ASSERT_TRUE(lu.is_ok());
   EXPECT_EQ(lu.value().nnz_factors(), ldlt.value().nnz_factors());
   EXPECT_EQ(lu.value().stored_values(), 2 * l_entries + static_cast<std::size_t>(sys.n()));
-  // The two kinds never share a solve-cache key.
-  EXPECT_NE(analysis.value().fingerprint(), lu.value().symbolic().fingerprint());
 }
 
 TEST_F(Ldlt, InjectionSitesMatchTheLuAnalysisAndReplay) {
   const DescriptorSystem sys = circuit::make_rc_line({.segments = 10});
   const CsrC pencil = shifted_pencil(cd(0.0, 1e9), sys.e(), sys.a());
   {
-    // The pattern-only analysis stands where the LU analysis' full factor
-    // stood, so it answers splu.pivot.
+    // Neither analysis answers a site: a system builds its analysis once,
+    // in whichever solve asks first, where no keyed decision belongs.
     util::fault::ScopedFault guard(util::fault::Site::kSpluPivot, 1.0);
-    const auto analysis = SymbolicLuC::symmetric(pencil, sys.ordering());
-    ASSERT_FALSE(analysis.is_ok());
-    EXPECT_EQ(analysis.status().code(), util::ErrorCode::kInjectedFault);
+    EXPECT_EQ(SymbolicLuC::symmetric(pencil, sys.ordering()).kind(), FactorKind::kLdlt);
+    EXPECT_TRUE(SymbolicLuC::lu(pencil, sys.ordering()).is_ok());
   }
   const auto analysis = SymbolicLuC::symmetric(pencil, sys.ordering());
-  ASSERT_TRUE(analysis.is_ok());
   {
     util::fault::ScopedFault guard(util::fault::Site::kSpluRefactor, 1.0);
     const auto rejects = obs::counter_value(obs::Counter::kSparseLuRefactorReject);
-    const auto ldlt = SparseLuC::refactor(analysis.value(), pencil);
+    const auto ldlt = SparseLuC::refactor(analysis, pencil);
     ASSERT_FALSE(ldlt.is_ok());
     EXPECT_EQ(ldlt.status().code(), util::ErrorCode::kInjectedFault);
     EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactorReject), rejects + 1);
   }
-  EXPECT_TRUE(SparseLuC::refactor(analysis.value(), pencil).is_ok());
+  EXPECT_TRUE(SparseLuC::refactor(analysis, pencil).is_ok());
 }
 
 TEST_F(Ldlt, RejectsForeignLayoutAndAsymmetricInput) {
@@ -264,12 +257,11 @@ TEST_F(Ldlt, RejectsForeignLayoutAndAsymmetricInput) {
     return CsrD(t);
   };
   const auto analysis = SymbolicLuD::symmetric(build(1, 1.0));
-  ASSERT_TRUE(analysis.is_ok());
-  EXPECT_TRUE(SparseLuD::refactor(analysis.value(), build(1, 1.0)).is_ok());
+  EXPECT_TRUE(SparseLuD::refactor(analysis, build(1, 1.0)).is_ok());
   // Same nnz, another layout.
-  EXPECT_THROW((void)SparseLuD::refactor(analysis.value(), build(2, 1.0)), std::invalid_argument);
+  EXPECT_THROW((void)SparseLuD::refactor(analysis, build(2, 1.0)), std::invalid_argument);
   // Same layout, values that are not symmetric.
-  EXPECT_THROW((void)SparseLuD::refactor(analysis.value(), build(1, 2.0)), std::invalid_argument);
+  EXPECT_THROW((void)SparseLuD::refactor(analysis, build(1, 2.0)), std::invalid_argument);
   // A structurally unsymmetric pattern has no LDLᵀ analysis.
   Triplets<double> t(2, 2);
   t.add(0, 0, 1.0);
@@ -328,19 +320,17 @@ TEST_F(Ldlt, LanesMatchOneLaneFactorsBitForBit) {
     const std::vector<cd> shifts = lane_shifts(c.dc);
     const auto pencil_at = [&](cd s) { return shifted_pencil(s, c.sys.e(), c.sys.a()); };
     const auto analysis = SymbolicLuC::symmetric(pencil_at(shifts.back()), c.sys.ordering());
-    ASSERT_TRUE(analysis.is_ok());
     const la::MatC rhs = lane_rhs(c.sys);
     std::vector<la::MatC> one_lane;
     for (const cd s : shifts) {
-      const auto lu = SparseLuC::refactor(analysis.value(), pencil_at(s));
+      const auto lu = SparseLuC::refactor(analysis, pencil_at(s));
       ASSERT_TRUE(lu.is_ok()) << lu.status().to_string();
       one_lane.push_back(lu.value().solve(rhs));
     }
     const ShiftedPencil pencil(c.sys.e(), c.sys.a());
     for (const std::size_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17}) {
       SCOPED_TRACE(count);
-      const auto xs =
-          solve_lanes(analysis.value(), pencil, std::span(shifts).subspan(0, count), rhs);
+      const auto xs = solve_lanes(analysis, pencil, std::span(shifts).subspan(0, count), rhs);
       ASSERT_EQ(xs.size(), count);
       for (std::size_t k = 0; k < count; ++k) {
         ASSERT_TRUE(xs[k].is_ok()) << xs[k].status().to_string();
@@ -363,7 +353,6 @@ TEST_F(Ldlt, LaneWithVanishingPivotIsRejectedAlone) {
   const CsrD e(te), a(ta);
   const std::vector<cd> shifts{cd(0.5, 1.0), cd(0.0, 0.0), cd(2.0, -3.0)};
   const auto analysis = SymbolicLuC::symmetric(shifted_pencil(shifts[0], e, a));
-  ASSERT_TRUE(analysis.is_ok());
   la::MatC rhs(3, 1);
   rhs(0, 0) = cd(1.0, 2.0);
   rhs(1, 0) = cd(3.0, -1.0);
@@ -372,7 +361,7 @@ TEST_F(Ldlt, LaneWithVanishingPivotIsRejectedAlone) {
   const auto rejects = obs::counter_value(obs::Counter::kSparseLuRefactorReject);
   const auto groups = obs::counter_value(obs::Counter::kSparseLdltLaneGroups);
   const auto lanes = obs::counter_value(obs::Counter::kSparseLdltLanes);
-  const auto xs = solve_lanes(analysis.value(), ShiftedPencil(e, a), shifts, rhs);
+  const auto xs = solve_lanes(analysis, ShiftedPencil(e, a), shifts, rhs);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 2);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactorReject), rejects + 1);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLaneGroups), groups + 1);
@@ -383,7 +372,7 @@ TEST_F(Ldlt, LaneWithVanishingPivotIsRejectedAlone) {
   EXPECT_EQ(xs[1].status().detail_value(), 0.0);
   for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
     ASSERT_TRUE(xs[k].is_ok());
-    const auto lu = SparseLuC::refactor(analysis.value(), shifted_pencil(shifts[k], e, a));
+    const auto lu = SparseLuC::refactor(analysis, shifted_pencil(shifts[k], e, a));
     ASSERT_TRUE(lu.is_ok());
     EXPECT_TRUE(same_bits(xs[k].value(), lu.value().solve(rhs))) << "shift " << k;
   }
@@ -406,17 +395,16 @@ TEST_F(Ldlt, LanesRejectForeignLayoutAndAsymmetricInput) {
   }();
   const std::vector<cd> shifts{cd(0.0, 1.0), cd(0.0, 2.0), cd(0.0, 3.0)};
   const auto analysis = SymbolicLuC::symmetric(shifted_pencil(shifts[0], eye, build(1, 1.0)));
-  ASSERT_TRUE(analysis.is_ok());
   const la::MatC rhs(3, 1);
-  const auto xs = solve_lanes(analysis.value(), ShiftedPencil(eye, build(1, 1.0)), shifts, rhs);
+  const auto xs = solve_lanes(analysis, ShiftedPencil(eye, build(1, 1.0)), shifts, rhs);
   for (const auto& x : xs) EXPECT_TRUE(x.is_ok());
   // Same nnz, another layout.
-  EXPECT_THROW((void)solve_lanes(analysis.value(), ShiftedPencil(eye, build(2, 1.0)), shifts, rhs),
+  EXPECT_THROW((void)solve_lanes(analysis, ShiftedPencil(eye, build(2, 1.0)), shifts, rhs),
                std::invalid_argument);
   // Same layout, values that are not symmetric: in A, then in E.
-  EXPECT_THROW((void)solve_lanes(analysis.value(), ShiftedPencil(eye, build(1, 2.0)), shifts, rhs),
+  EXPECT_THROW((void)solve_lanes(analysis, ShiftedPencil(eye, build(1, 2.0)), shifts, rhs),
                std::invalid_argument);
-  EXPECT_THROW((void)solve_lanes(analysis.value(), ShiftedPencil(build(1, 2.0), eye), shifts, rhs),
+  EXPECT_THROW((void)solve_lanes(analysis, ShiftedPencil(build(1, 2.0), eye), shifts, rhs),
                std::invalid_argument);
   // An LU analysis has no lanes.
   const SymbolicLuC lu_analysis(shifted_pencil(shifts[0], eye, build(1, 1.0)));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <complex>
-#include <cstdint>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -11,7 +10,6 @@
 #include "la/ops.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/splu.hpp"
-#include "util/fingerprint.hpp"
 
 namespace pmtbr::sparse {
 namespace {
@@ -119,46 +117,6 @@ TEST(SymbolicLu, SymbolicHarvestedFromFullFactorization) {
   ASSERT_TRUE(lu.is_ok());
   const auto b = random_rhs(sys.n());
   EXPECT_LT(relative_residual(pencil1, lu->solve(b), b), 1e-10);
-}
-
-// The digest fingerprint() has always returned, recomputed from the fields
-// an analysis freezes: kind, n, pre-permutation q and pivot order pinv.
-util::Fingerprint fresh_digest(FactorKind kind, index n, const std::vector<index>& q,
-                               const std::vector<index>& pinv) {
-  util::FingerprintHasher h;
-  h.mix_i64(static_cast<std::int64_t>(kind));
-  h.mix_i64(static_cast<std::int64_t>(n));
-  h.mix_ints(q);
-  h.mix_ints(pinv);
-  return h.digest();
-}
-
-TEST(SymbolicLu, StoredFingerprintIsTheDigestOfTheFrozenFields) {
-  // LDLᵀ: q is the ordering and there is no pivot order.
-  const auto mesh = circuit::make_rc_mesh({.rows = 6, .cols = 6});
-  const CsrC pencil = shifted_pencil(cd(0.0, 1e9), mesh.e(), mesh.a());
-  const auto ldlt = SymbolicLuC::symmetric(pencil, mesh.ordering());
-  ASSERT_TRUE(ldlt.is_ok());
-  EXPECT_EQ(ldlt.value().fingerprint(),
-            fresh_digest(FactorKind::kLdlt, mesh.n(), mesh.ordering(), {}));
-
-  // LU: B = A(q, q) with q = {2, 0, 1} is [[2, 0, 1], [0, 1e-6, 1], [1, 1, 1]].
-  // Column 0 keeps its diagonal pivot; column 1's diagonal 1e-6 is below
-  // 1e-3 of the 1 in row 2, so rows 1 and 2 swap: pinv = {0, 2, 1}.
-  Triplets<cd> t(3, 3);
-  t.add(0, 0, cd(1e-6, 0.0));
-  t.add(0, 1, cd(1.0, 0.0));
-  t.add(1, 0, cd(1.0, 0.0));
-  t.add(1, 1, cd(1.0, 0.0));
-  t.add(1, 2, cd(1.0, 0.0));
-  t.add(2, 1, cd(1.0, 0.0));
-  t.add(2, 2, cd(2.0, 0.0));
-  const std::vector<index> q{2, 0, 1};
-  const SymbolicLuC lu(CsrC(t), q);
-  EXPECT_EQ(lu.kind(), FactorKind::kLu);
-  EXPECT_EQ(lu.fingerprint(), fresh_digest(FactorKind::kLu, 3, q, {0, 2, 1}));
-  // The analysis harvested from a full factor digests to the same value.
-  EXPECT_EQ(SparseLuC(CsrC(t), q).symbolic().fingerprint(), lu.fingerprint());
 }
 
 TEST(SymbolicLu, RejectsPatternMismatch) {

@@ -1,6 +1,6 @@
-// Thread-pool unit tests: coverage of the index range, deterministic
-// parallel_map placement, exception propagation, empty ranges, nested
-// usage, and the PMTBR_NUM_THREADS resolution rules.
+// Thread-pool unit tests: coverage of the index range, exception
+// propagation, empty ranges, nested usage, parallel_try_map's slots, and
+// the PMTBR_NUM_THREADS resolution rules.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -72,14 +72,6 @@ TEST(ThreadPool, NestedParallelForCompletesSerially) {
                       [&](index i) { ++hits[static_cast<std::size_t>(o * kInner + i)]; });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelMapPlacesResultsByIndex) {
-  set_global_threads(4);
-  const auto out = parallel_map<index>(64, [](index i) { return i * i; });
-  ASSERT_EQ(out.size(), 64u);
-  for (index i = 0; i < 64; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i);
-  set_global_threads(resolve_num_threads(nullptr));
 }
 
 TEST(ThreadPool, SetGlobalThreadsControlsPoolSize) {
