@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "la/aligned.hpp"
 #include "la/kernel_clones.hpp"
 #include "la/ops.hpp"
 #include "la/row_dot.hpp"
@@ -130,11 +131,13 @@ static void reflect_rows(index c0, index nc, double* head, double vhead, double*
 }
 
 // n×n upper-triangular R of the tall m×n matrix w = Q·R (Householder, Q
-// discarded). Reflector j is applied only to the pivot row and to the rows
-// with a nonzero in column j below it; the reflector is zero on every other
-// row, which it therefore leaves untouched. On a fold's T = [diag(σ) ; D]
-// each step touches one diagonal row plus the rows of D.
-MatD r_factor(MatD w) {
+// discarded), returned as n rows at stride ld in cache-line-aligned
+// storage (la/aligned.hpp), the padding zero. Reflector j is applied only
+// to the pivot row and to the rows with a nonzero in column j below it; the
+// reflector is zero on every other row, which it therefore leaves
+// untouched. On a fold's T = [diag(σ) ; D] each step touches one diagonal
+// row plus the rows of D.
+AlignedVector<double> r_factor(MatD w, index ld) {
   const index m = w.rows(), n = w.cols();
   std::vector<double*> rows;
   std::vector<double> v, s(static_cast<std::size_t>(n));
@@ -163,26 +166,27 @@ MatD r_factor(MatD w) {
     flops += 4.0 * static_cast<double>((count + 1) * (n - j - 1));
   }
   obs::counter_add(obs::Counter::kSvdFlops, static_cast<std::int64_t>(flops));
-  MatD r(n, n);
-  for (index i = 0; i < n; ++i) std::copy(w.row_ptr(i) + i, w.row_ptr(i) + n, r.row_ptr(i) + i);
+  AlignedVector<double> r(static_cast<std::size_t>(n * ld));
+  for (index i = 0; i < n; ++i)
+    std::copy(w.row_ptr(i) + i, w.row_ptr(i) + n, r.data() + i * ld + i);
   return r;
 }
 
-// One sweep of one-sided Jacobi over the rows of the n×n row-major matrix r,
-// with jacobi_onesided's rotation and convergence test. nrm2 carries each
-// row's squared norm: recomputed at the start of the sweep, updated on every
-// rotation (a_pp ← a_pp − t·a_pq, a_qq ← a_qq + t·a_pq), and recomputed
-// from the row when that update cancels more than half of it (LAPACK
-// dgesvj's rule). Returns the number of rotations applied.
+// One sweep of one-sided Jacobi over the n rows of length n at stride ld
+// of r, with jacobi_onesided's rotation and convergence test. nrm2 carries
+// each row's squared norm: recomputed at the start of the sweep, updated on
+// every rotation (a_pp ← a_pp − t·a_pq, a_qq ← a_qq + t·a_pq), and
+// recomputed from the row when that update cancels more than half of it
+// (LAPACK dgesvj's rule). Returns the number of rotations applied.
 PMTBR_KERNEL_CLONES
-static index jacobi_row_sweep(index n, double* r, double* nrm2) {
+static index jacobi_row_sweep(index n, index ld, double* r, double* nrm2) {
   const double eps = std::numeric_limits<double>::epsilon();
-  for (index i = 0; i < n; ++i) nrm2[i] = detail::row_dot(n, r + i * n, r + i * n);
+  for (index i = 0; i < n; ++i) nrm2[i] = detail::row_dot(n, r + i * ld, r + i * ld);
   index rotations = 0;
   for (index p = 0; p < n - 1; ++p) {
-    double* x = r + p * n;
+    double* x = r + p * ld;
     for (index q = p + 1; q < n; ++q) {
-      double* y = r + q * n;
+      double* y = r + q * ld;
       const double app = nrm2[p], aqq = nrm2[q];
       const double apq = detail::row_dot(n, x, y);
       if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == 0.0) continue;
@@ -233,12 +237,17 @@ SvdRightResult svd_right(const MatD& a) {
   PMTBR_TRACE_SCOPE("la.svd");
   obs::counter_add(obs::Counter::kSvdCalls);
   const index n = a.cols();
-  MatD r = r_factor(a);
+  // Each row of R starts a cache line: the stride is n rounded up to the
+  // eight doubles of one.
+  constexpr auto kLine = static_cast<index>(kCacheLineBytes / sizeof(double));
+  const index ld = (n + kLine - 1) / kLine * kLine;
+  AlignedVector<double> r = r_factor(a, ld);
+  PMTBR_DEBUG_ASSERT(is_cache_aligned(r.data()), "Jacobi rows off their cache line");
 
   std::vector<double> nrm2(static_cast<std::size_t>(n));
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     obs::counter_add(obs::Counter::kSvdSweeps);
-    const index rotations = jacobi_row_sweep(n, r.data(), nrm2.data());
+    const index rotations = jacobi_row_sweep(n, ld, r.data(), nrm2.data());
     // 2n² for the norms, 2n per pair's dot product, 6n per rotation.
     obs::counter_add(obs::Counter::kSvdFlops, n * (n * (n + 1) + 6 * rotations));
     if (rotations == 0) break;
@@ -246,8 +255,10 @@ SvdRightResult svd_right(const MatD& a) {
 
   // Row i of the rotated R is σ_i·v_iᵀ.
   std::vector<double> s(static_cast<std::size_t>(n));
-  for (index i = 0; i < n; ++i)
-    s[static_cast<std::size_t>(i)] = std::sqrt(detail::row_dot(n, r.row_ptr(i), r.row_ptr(i)));
+  for (index i = 0; i < n; ++i) {
+    const double* row = r.data() + i * ld;
+    s[static_cast<std::size_t>(i)] = std::sqrt(detail::row_dot(n, row, row));
+  }
   std::vector<index> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), index{0});
   std::sort(order.begin(), order.end(), [&](index i, index j) {
@@ -262,7 +273,7 @@ SvdRightResult svd_right(const MatD& a) {
     const double sj = s[static_cast<std::size_t>(src)];
     out.s[static_cast<std::size_t>(j)] = sj;
     const double inv = sj > 0 ? 1.0 / sj : 0.0;
-    const double* row = r.row_ptr(src);
+    const double* row = r.data() + src * ld;
     for (index i = 0; i < n; ++i) out.v(i, j) = row[i] * inv;
   }
   return out;

@@ -163,6 +163,7 @@ double IncrementalCompressor::add_block(const MatD& block) {
   ws_.rows.resize(static_cast<std::size_t>(k * n_));
   ws_.colsq.assign(static_cast<std::size_t>(k), 0.0);
   double* x = ws_.rows.data();
+  PMTBR_DEBUG_ASSERT(la::is_cache_aligned(x), "block rows off their cache line");
   for (index i = 0; i < n_; ++i) {
     const double* src = block.row_ptr(i);
     for (index j = 0; j < k; ++j) {
@@ -179,6 +180,7 @@ double IncrementalCompressor::add_block(const MatD& block) {
   const double* q = basis_t_.data();
   ws_.coeff.resize(std::max<index>(br, 1), k);
   if (br > 0) {
+    PMTBR_DEBUG_ASSERT(la::is_cache_aligned(q), "basis off its cache line");
     ws_.proj.resize(br, k);
     for (int pass = 0; pass < 2; ++pass) {
       project_rows(n_, x, k, q, br, ws_.proj.data());

@@ -54,6 +54,7 @@
 
 #include <vector>
 
+#include "la/aligned.hpp"
 #include "la/matrix.hpp"
 
 namespace pmtbr::mor {
@@ -100,7 +101,7 @@ class IncrementalCompressor {
   /// Per-block workspace reused across add_columns calls; resize keeps the
   /// allocations once they have grown to the working size.
   struct Workspace {
-    std::vector<double> rows;   // the block transposed, k rows of n (residual after projection)
+    la::AlignedVector<double> rows;  // the block transposed, k rows of n (residual, projected)
     std::vector<double> colsq;  // the block's squared column norms
     std::vector<double> beta;   // 2/‖v_j‖² of the residual QR's reflectors
     std::vector<double> rdiag;  // diagonal of that QR's R
@@ -130,8 +131,9 @@ class IncrementalCompressor {
   index rank_ = 0;  // basis directions kept
   // Basis stored TRANSPOSED: row l (contiguous, length n) is the l-th
   // orthonormal direction, so appending a direction appends n values and
-  // the absorption row kernels stream it one direction at a time.
-  std::vector<double> basis_t_;
+  // the absorption row kernels stream it one direction at a time. Like the
+  // block rows, it starts on a cache line (la/aligned.hpp).
+  la::AlignedVector<double> basis_t_;
   // Square-root SVD of the folded part of R: R·Rᵀ = U·diag(σ)²·Uᵀ, with U
   // |σ|×|σ| and |σ| the rank at the last fold.
   MatD u_;

@@ -86,7 +86,7 @@ index DeflatingBasis::extend(const MatD& block) {
   const index k = block.cols();
   // Row layout: row j of x is column j of the block. The deflation
   // thresholds come from the PRE-projection column norms.
-  std::vector<double> x(static_cast<std::size_t>(k * n));
+  la::AlignedVector<double> x(static_cast<std::size_t>(k * n));
   for (index i = 0; i < n; ++i) {
     const double* src = block.row_ptr(i);
     for (index j = 0; j < k; ++j) x[static_cast<std::size_t>(j * n + i)] = src[j];
@@ -100,6 +100,8 @@ index DeflatingBasis::extend(const MatD& block) {
   // Two passes of block classical Gram–Schmidt against the committed
   // basis: C = Q·Xᵀ, X ← X − Cᵀ·Q.
   if (rank_ > 0) {
+    PMTBR_DEBUG_ASSERT(la::is_cache_aligned(x.data()) && la::is_cache_aligned(basis_t_.data()),
+                       "block rows or basis off their cache line");
     std::vector<double> c(static_cast<std::size_t>(rank_ * k));
     for (int pass = 0; pass < 2; ++pass) {
       detail::project_rows(n, x.data(), k, basis_t_.data(), rank_, c.data());

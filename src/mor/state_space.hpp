@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "circuit/descriptor.hpp"
+#include "la/aligned.hpp"
 #include "la/matrix.hpp"
 
 namespace pmtbr::mor {
@@ -101,7 +102,7 @@ class DeflatingBasis {
   index n_;
   index max_rank_;
   index rank_ = 0;
-  std::vector<double> basis_t_;
+  la::AlignedVector<double> basis_t_;  // one row of n per direction (la/aligned.hpp)
 };
 
 }  // namespace pmtbr::mor

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <type_traits>
 
+#include "la/aligned.hpp"
 #include "la/kernel_clones.hpp"
 #include "sparse/rcm.hpp"
 #include "util/faultinject.hpp"
@@ -476,9 +477,11 @@ std::size_t lane_cap(const detail::LuPattern<cd>& pat) {
 }
 
 // The batched entry point's lane storage, one set per thread, grown to the
-// largest group the thread has served and reused by every later call.
+// largest group the thread has served and reused by every later call. Each
+// buffer starts on a cache line (la/aligned.hpp), so no load or store of
+// four or eight lanes straddles two.
 struct LaneBuffers {
-  std::vector<double> a, l, d, x;
+  la::AlignedVector<double> a, l, d, x;
 };
 LaneBuffers& lane_buffers() {
   thread_local LaneBuffers buffers;
@@ -916,8 +919,9 @@ void solve_group(const detail::LuPattern<cd>& pat, const ShiftedPencil& pencil,
   const auto nn = static_cast<std::size_t>(n);
   const auto group = static_cast<index>(shifts.size());
   LaneBuffers& buf = lane_buffers();
-  const auto fit = [](std::vector<double>& v, std::size_t size) {
+  const auto fit = [](la::AlignedVector<double>& v, std::size_t size) {
     if (v.size() < size) v.resize(size);
+    PMTBR_DEBUG_ASSERT(la::is_cache_aligned(v.data()), "lane buffer off its cache line");
     return v.data();
   };
   double* av = fit(buf.a, pat.a_pos.size() * S);

@@ -188,13 +188,22 @@ TEST(ReductionService, DeadlineExpiresWhileQueued) {
 
 TEST(ReductionService, DeadlineExpiresMidRun) {
   ReductionService svc({.runners = 1, .max_queue = 4});
-  JobRequest req = blocker_job("deadline-mid-run");
+  JobRequest req = quick_job("deadline-mid-run");
   req.deadline = std::chrono::milliseconds(60);  // starts, then trips mid-run
+  // The run evaluates weight_fn before its first cancellation checkpoint.
+  // Holding the first call past the deadline makes the trip independent of
+  // how fast the sample solves are.
+  req.options.weight_fn = [held = false](double) mutable {
+    if (!held) std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    held = true;
+    return 1.0;
+  };
   auto id = svc.submit(std::move(req));
   ASSERT_TRUE(id.is_ok());
   const JobResult res = svc.wait(id.value());
   EXPECT_EQ(res.outcome, JobOutcome::kExpired);
   EXPECT_EQ(res.status.code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_GT(res.start_sequence, 0u);  // it did start
 }
 
 TEST(ReductionService, CancelQueuedJobNeverRuns) {

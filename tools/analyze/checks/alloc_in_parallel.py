@@ -1,14 +1,14 @@
-"""alloc-in-parallel: heap allocation inside parallel_for/parallel_map
+"""alloc-in-parallel: heap allocation inside parallel_for/parallel_try_map
 lambda bodies.
 
 The sampling pipeline's scaling is dominated by what each worker does per
 index; a heap allocation (or container growth) inside the body serializes
 workers on the allocator lock and poisons the thread sweep. Per-index
 temporaries belong outside the lambda (hoisted, or per-thread), and
-results land in pre-sized storage — which is exactly how parallel_map is
-built. Sanctioned exceptions are allowlisted with a justification.
+results land in pre-sized storage — which is exactly how parallel_try_map
+is built. Sanctioned exceptions are allowlisted with a justification.
 
-The check finds each ``parallel_for(...)`` / ``parallel_map<...>(...)`` /
+The check finds each ``parallel_for(...)`` /
 ``parallel_try_map<...>(...)`` call in src/, brace-matches the lambda
 argument's body, and flags allocation expressions inside it — including
 ``Matrix`` declarations, whose storage is a heap-backed vector (the GEMM
@@ -21,7 +21,7 @@ import re
 
 from analyze import lexer, registry
 
-CALL_RE = re.compile(r"\bparallel_(?:for|map|try_map)\b")
+CALL_RE = re.compile(r"\bparallel_(?:for|try_map)\b")
 
 ALLOC_RES = [
     (re.compile(r"\bnew\b(?!\s*\()"), "new"),
@@ -50,7 +50,7 @@ OWNER_FILES = {"src/util/thread_pool.hpp", "src/util/thread_pool.cpp"}
 
 def _lambda_bodies(clean: str) -> list[tuple[int, int]]:
     """(start, end) offsets of every lambda body passed to a parallel_for
-    or parallel_map call in comment-stripped text."""
+    or parallel_try_map call in comment-stripped text."""
     bodies = []
     for m in CALL_RE.finditer(clean):
         # Opening paren of the call (skips template args like <MatD>).
@@ -88,7 +88,7 @@ def _lambda_bodies(clean: str) -> list[tuple[int, int]]:
 
 @registry.register(
     "alloc-in-parallel",
-    "heap allocation / container growth inside parallel_for|map bodies")
+    "heap allocation / container growth inside parallel_for|try_map bodies")
 def run(ctx):
     out = []
     for path in ctx.cpp_files(under="src"):
@@ -104,7 +104,7 @@ def run(ctx):
                     line = lexer.line_of(clean, start + m.start())
                     out.append(ctx.finding(
                         "alloc-in-parallel", path, line, token,
-                        f"`{token}` inside a parallel_for/parallel_map "
+                        f"`{token}` inside a parallel_for/parallel_try_map "
                         "body — per-index heap traffic serializes workers "
                         "on the allocator; hoist the allocation or "
                         "allowlist with a justification"))

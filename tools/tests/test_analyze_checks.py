@@ -201,7 +201,7 @@ class AllocInParallelTest(unittest.TestCase):
         code = (
             "void f() {\n"
             "  auto buf = std::make_shared<Buf>();  // hoisted: fine\n"
-            "  util::parallel_map<MatD>(n, [&](index i) {\n"
+            "  auto blocks = util::parallel_try_map<MatD>(n, [&](index i) {\n"
             "    return sample_block(sys, s[i]);\n"
             "  });\n"
             "}\n")
