@@ -52,16 +52,24 @@ MatC random_cmat(Rng& rng, index m, index n) {
   return a;
 }
 
+// The blocked GEMM records take the best of enough calls (about half a
+// second of double GEMM per size on a 4-vCPU VM) that runs of the same
+// code agree within a few percent; best of 5, 3 and 2 spread 0.87-1.07x
+// over fifteen runs. The scalar reference keeps its few calls: it is
+// several times slower and only bounds the blocked records from above.
+int blocked_gemm_reps(index n) { return n <= 128 ? 400 : (n <= 256 ? 64 : 16); }
+
 void gemm_records(std::vector<bench::TimingRecord>& records) {
   Rng rng(7);
   for (const index n : {index{128}, index{256}, index{512}}) {
     const int reps = n <= 128 ? 5 : (n <= 256 ? 3 : 2);
+    const int blocked_reps = blocked_gemm_reps(n);
     const MatD a = random_mat(rng, n, n);
     const MatD b = random_mat(rng, n, n);
     const double dn = static_cast<double>(n);
     const double flops = 2.0 * dn * dn * dn;
     const double t_ref = bench::best_seconds(reps, [&] { la::matmul_reference(a, b); });
-    const double t_blk = bench::best_seconds(reps, [&] { la::matmul(a, b); });
+    const double t_blk = bench::best_seconds(blocked_reps, [&] { la::matmul(a, b); });
     records.push_back({"gemm_double_reference_n=" + std::to_string(n), t_ref, n, 0, 1,
                        flops / t_ref / 1e9});
     records.push_back({"gemm_double_blocked_n=" + std::to_string(n), t_blk, n, 0, 1,
@@ -76,7 +84,7 @@ void gemm_records(std::vector<bench::TimingRecord>& records) {
     const double cflops = 8.0 * dn * dn * dn;  // real flops
     const double tc_ref =
         bench::best_seconds(std::max(1, reps - 1), [&] { la::matmul_reference(ac, bc); });
-    const double tc_blk = bench::best_seconds(reps, [&] { la::matmul(ac, bc); });
+    const double tc_blk = bench::best_seconds(blocked_reps, [&] { la::matmul(ac, bc); });
     records.push_back({"gemm_complex_reference_n=" + std::to_string(n), tc_ref, n, 0, 1,
                        cflops / tc_ref / 1e9});
     records.push_back({"gemm_complex_blocked_n=" + std::to_string(n), tc_blk, n, 0, 1,

@@ -4,7 +4,8 @@
 //
 // Artifacts: bench_out/BENCH_serve_throughput.json carries the standard
 // timing records plus a "serve" array (one entry per runner count) with
-// jobs_per_second, latency percentiles, and the outcome partition;
+// jobs_per_second, latency percentiles, and the outcome partition, and a
+// "repeated_workload" object with the cold, reorder and warm waves;
 // MANIFEST_serve_throughput.json carries the serve_extra() section from the
 // last sweep. Both are validated by tools/report_metrics.py in CI.
 #include <algorithm>
@@ -62,7 +63,7 @@ struct SweepPoint {
 SweepPoint run_sweep(int runners) {
   // Rebuild the batch per sweep so every runner count reduces the same set
   // of systems (the rng stream is a pure function of the seed). Each sweep
-  // gets a fresh service (fresh model cache) and a cold factor cache, so
+  // gets a fresh service (fresh span cache) and a cold solve cache, so
   // runner counts stay comparable.
   sparse::FactorCache::global().clear();
   Rng rng(7);
@@ -95,16 +96,21 @@ SweepPoint run_sweep(int runners) {
 }
 
 // Warm-vs-cold phase for the cross-job caching layer (docs/SERVING.md):
-// one service reduces a wave of distinct jobs cold, then the identical
-// wave again several times. Warm waves are served by the model cache, so
-// warm jobs/sec should beat cold by a wide margin.
+// one service reduces a wave of distinct jobs cold, then the same systems
+// at another fixed order (the reorder wave), then the identical cold wave
+// again several times. Reorder and warm jobs find their sampled span in the
+// cache and only project their order, so both should beat cold jobs/sec by
+// a wide margin.
 struct RepeatedWorkload {
   int jobs_per_wave = 0;
   int warm_waves = 0;
   double cold_wall_seconds = 0.0;
   double warm_wall_seconds = 0.0;
+  double reorder_wall_seconds = 0.0;
   double cold_jobs_per_second = 0.0;
   double warm_jobs_per_second = 0.0;
+  double reorder_jobs_per_second = 0.0;
+  std::int64_t reorder_cache_hits = 0;
   serve::ServiceStats stats;
   util::CacheStats model;
   util::CacheStats factor;
@@ -113,12 +119,14 @@ struct RepeatedWorkload {
 RepeatedWorkload run_repeated_workload() {
   constexpr int kWave = 12;
   constexpr int kWarmWaves = 3;
+  constexpr index kReorder = 4;  // the cold wave's order comes from truncation_tol
   sparse::FactorCache::global().clear();
   serve::ReductionService svc({.runners = 4, .max_queue = kWave});
 
-  // Deterministic, index-distinct jobs: every wave resubmits bit-identical
-  // requests, so wave 2+ hits the model cache populated by wave 1.
-  const auto wave = [&svc] {
+  // Deterministic, index-distinct jobs: every wave resubmits the same
+  // systems and sampling, so every wave after the first finds its spans in
+  // the cache populated by the first.
+  const auto wave = [&svc](index fixed_order) {
     WallTimer timer;
     std::vector<serve::JobId> ids;
     ids.reserve(kWave);
@@ -127,6 +135,7 @@ RepeatedWorkload run_repeated_workload() {
       req.name = "repeat-" + std::to_string(i);
       req.system = circuit::make_rc_line({.segments = static_cast<index>(40 + 5 * i)});
       req.options.num_samples = 16;
+      req.options.fixed_order = fixed_order;
       auto id = svc.submit(std::move(req));
       if (id.is_ok()) ids.push_back(id.value());
     }
@@ -137,12 +146,18 @@ RepeatedWorkload run_repeated_workload() {
   RepeatedWorkload rep;
   rep.jobs_per_wave = kWave;
   rep.warm_waves = kWarmWaves;
-  rep.cold_wall_seconds = wave();
-  for (int w = 0; w < kWarmWaves; ++w) rep.warm_wall_seconds += wave();
+  const index cold_order = mor::PmtbrOptions{}.fixed_order;
+  rep.cold_wall_seconds = wave(cold_order);
+  const std::int64_t hits_before = svc.stats().cache_hits;
+  rep.reorder_wall_seconds = wave(kReorder);
+  rep.reorder_cache_hits = svc.stats().cache_hits - hits_before;
+  for (int w = 0; w < kWarmWaves; ++w) rep.warm_wall_seconds += wave(cold_order);
   rep.cold_jobs_per_second =
       rep.cold_wall_seconds > 0 ? kWave / rep.cold_wall_seconds : 0.0;
   rep.warm_jobs_per_second =
       rep.warm_wall_seconds > 0 ? kWarmWaves * kWave / rep.warm_wall_seconds : 0.0;
+  rep.reorder_jobs_per_second =
+      rep.reorder_wall_seconds > 0 ? kWave / rep.reorder_wall_seconds : 0.0;
   rep.stats = svc.stats();
   rep.model = svc.model_cache_stats();
   rep.factor = sparse::FactorCache::global().stats();
@@ -240,6 +255,15 @@ std::string write_artifact(const std::vector<SweepPoint>& sweep,
   w.key("jobs_per_second");
   w.value(rep.warm_jobs_per_second);
   w.end_object();
+  w.key("reorder");
+  w.begin_object();
+  w.key("wall_seconds");
+  w.value(rep.reorder_wall_seconds);
+  w.key("jobs_per_second");
+  w.value(rep.reorder_jobs_per_second);
+  w.key("cache_hits");
+  w.value(rep.reorder_cache_hits);
+  w.end_object();
   w.key("cache_hits");
   w.value(rep.stats.cache_hits);
   w.end_object();
@@ -270,8 +294,9 @@ int main() {
 
   const RepeatedWorkload rep = run_repeated_workload();
   std::cout << "repeated_workload: cold " << rep.cold_jobs_per_second
-            << " jobs/sec, warm " << rep.warm_jobs_per_second << " jobs/sec, "
-            << rep.stats.cache_hits << " cache hits\n";
+            << " jobs/sec, reorder " << rep.reorder_jobs_per_second << " jobs/sec ("
+            << rep.reorder_cache_hits << " hits), warm " << rep.warm_jobs_per_second
+            << " jobs/sec, " << rep.stats.cache_hits << " cache hits\n";
 
   const std::string artifact = write_artifact(sweep, rep);
   if (!artifact.empty()) bench::note("timing artifact: " + artifact);

@@ -238,7 +238,6 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted");
   const std::size_t count = shifts.size();
   obs::counter_add(obs::Counter::kShiftedSolve, static_cast<std::int64_t>(count));
-  std::vector<util::Expected<MatC>> out(count);
   sparse::FactorCache& cache = sparse::FactorCache::global();
   // Only the system's own B is cached, and B is part of the content
   // fingerprint, so the key never digests the right-hand side. Regularized
@@ -246,58 +245,72 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_shifted(
   // so serving cached solves — or factoring a lane group — under an armed
   // injector would skip failure sites the robustness suite accounts for
   // exactly.
-  const bool armed = util::fault::enabled();
-  const bool cacheable =
-      !(diag_reg > 0.0) && cache.enabled() && !armed && is_complex_copy(rhs, b_);
-  std::vector<util::Fingerprint> keys(cacheable ? count : 0);
+  const bool cacheable = !(diag_reg > 0.0) && cache.enabled() && !util::fault::enabled() &&
+                         is_complex_copy(rhs, b_);
+  if (!cacheable) return solve_each(shifts, rhs, diag_reg);
+  std::vector<util::Expected<MatC>> out(count);
+  std::vector<util::Fingerprint> keys(count);
   std::vector<std::size_t> misses;
+  std::vector<cd> miss_shifts;
   for (std::size_t i = 0; i < count; ++i) {
-    if (cacheable) {
-      keys[i] = solve_key(shifts[i]);
-      if (auto hit = cache.lookup(keys[i])) {
-        out[i] = MatC(*hit);
-        continue;
-      }
+    keys[i] = solve_key(shifts[i]);
+    if (auto hit = cache.lookup(keys[i])) {
+      out[i] = MatC(*hit);
+      continue;
     }
     misses.push_back(i);
+    miss_shifts.push_back(shifts[i]);
   }
   if (misses.empty()) return out;
-  // Each factor dies with its solve; only X is kept.
+  auto xs = solve_each(miss_shifts, rhs, diag_reg);
+  for (std::size_t k = 0; k < misses.size(); ++k) {
+    if (xs[k].is_ok())
+      cache.insert(keys[misses[k]], std::make_shared<const MatC>(xs[k].value()));
+    out[misses[k]] = std::move(xs[k]);
+  }
+  return out;
+}
+
+std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_uncached(
+    std::span<const cd> shifts, const MatC& rhs, double diag_reg) const {
+  PMTBR_TRACE_SCOPE("descriptor.solve_shifted");
+  obs::counter_add(obs::Counter::kShiftedSolve, static_cast<std::int64_t>(shifts.size()));
+  return solve_each(shifts, rhs, diag_reg);
+}
+
+std::vector<util::Expected<MatC>> DescriptorSystem::solve_each(std::span<const cd> shifts,
+                                                               const MatC& rhs,
+                                                               double diag_reg) const {
+  std::vector<util::Expected<MatC>> out(shifts.size());
+  if (shifts.empty()) return out;
   const sparse::SymbolicLuC* symbolic = analysis();
-  const bool lanes = symbolic && symbolic->kind() == sparse::FactorKind::kLdlt && !armed &&
-                     !(diag_reg > 0.0);
-  if (lanes) {
-    std::vector<cd> miss_shifts;
-    miss_shifts.reserve(misses.size());
-    for (const std::size_t i : misses) miss_shifts.push_back(shifts[i]);
-    const Merged& m = merged();
-    auto xs = sparse::solve_lanes(*symbolic, m.pencil, miss_shifts, rhs);
-    for (std::size_t k = 0; k < misses.size(); ++k) {
-      util::Expected<MatC>& x = out[misses[k]];
-      if (xs[k].is_ok()) {
-        x = std::move(xs[k]);
-        continue;
-      }
-      // A rejected diagonal pivot: numeric_factor's fallback, a full LU
-      // with fresh pivoting, for this shift alone.
-      auto lu = sparse::SparseLuC::factor(m.pencil.at(miss_shifts[k]), m.ordering);
-      if (lu.is_ok())
-        x = lu.value().solve(rhs);
-      else
-        x = lu.status();
-    }
-  } else {
-    for (const std::size_t i : misses) {
+  const bool lanes = symbolic && symbolic->kind() == sparse::FactorKind::kLdlt &&
+                     !util::fault::enabled() && !(diag_reg > 0.0);
+  if (!lanes) {
+    for (std::size_t i = 0; i < shifts.size(); ++i) {
       auto lu = numeric_factor(symbolic, shifts[i], diag_reg);
       if (lu.is_ok())
         out[i] = lu.value().solve(rhs);
       else
         out[i] = lu.status();
     }
+    return out;
   }
-  if (cacheable)
-    for (const std::size_t i : misses)
-      if (out[i].is_ok()) cache.insert(keys[i], std::make_shared<const MatC>(out[i].value()));
+  const Merged& m = merged();
+  auto xs = sparse::solve_lanes(*symbolic, m.pencil, shifts, rhs);
+  for (std::size_t i = 0; i < shifts.size(); ++i) {
+    if (xs[i].is_ok()) {
+      out[i] = std::move(xs[i]);
+      continue;
+    }
+    // A rejected diagonal pivot: numeric_factor's fallback, a full LU with
+    // fresh pivoting, for this shift alone.
+    auto lu = sparse::SparseLuC::factor(m.pencil.at(shifts[i]), m.ordering);
+    if (lu.is_ok())
+      out[i] = lu.value().solve(rhs);
+    else
+      out[i] = lu.status();
+  }
   return out;
 }
 

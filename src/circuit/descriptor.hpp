@@ -130,6 +130,14 @@ class DescriptorSystem {
                                                           const la::MatC& rhs,
                                                           double diag_reg = 0.0) const;
 
+  /// The same solves, bit for bit, without the solve cache: no content
+  /// fingerprint, no lookup and no insert, so each X lives only as long as
+  /// the caller keeps it. PMTBR's sample solves take this path; their X
+  /// dies with its absorption.
+  std::vector<util::Expected<la::MatC>> try_solve_uncached(std::span<const la::cd> shifts,
+                                                           const la::MatC& rhs,
+                                                           double diag_reg = 0.0) const;
+
   /// H(s) = C (sE - A)^{-1} B, Status-carrying.
   util::Expected<la::MatC> try_transfer(la::cd s) const;
 
@@ -183,6 +191,11 @@ class DescriptorSystem {
   /// pivoting LU when a pivot is rejected or there is no analysis.
   util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC* symbolic,
                                                    la::cd s, double diag_reg) const;
+  /// The solves behind both span calls: lane groups for a symmetric pencil
+  /// (unless regularized or a fault site is armed), one factor per shift
+  /// otherwise; each factor dies with its solve.
+  std::vector<util::Expected<la::MatC>> solve_each(std::span<const la::cd> shifts,
+                                                   const la::MatC& rhs, double diag_reg) const;
 
   sparse::CsrD e_, a_;
   la::MatD b_, c_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "la/gemm_kernel.hpp"
 #include "la/ops.hpp"
@@ -139,6 +140,10 @@ IncrementalCompressor::IncrementalCompressor(index n, double drop_tol, Compresso
     : n_(n), drop_tol_(drop_tol), mode_(mode) {
   PMTBR_REQUIRE(n >= 1, "state dimension must be positive");
   PMTBR_REQUIRE(drop_tol > 0 && drop_tol < 1, "drop_tol must be in (0, 1)");
+}
+
+void IncrementalCompressor::reserve(index max_rank) {
+  basis_t_.reserve(static_cast<std::size_t>(std::min(max_rank, n_) * n_));
 }
 
 double IncrementalCompressor::add_columns(const MatD& block) {
@@ -365,15 +370,42 @@ void IncrementalCompressor::settle() {
   sigma_ = std::move(f.s);
 }
 
+void IncrementalCompressor::shrink_to_fit() {
+  settle();
+  pending_ = {};
+  ws_ = {};
+  basis_t_.shrink_to_fit();
+  sigma_.shrink_to_fit();
+}
+
+std::size_t IncrementalCompressor::resident_bytes() const {
+  return (basis_t_.capacity() + u_.size() + sigma_.capacity()) * sizeof(double);
+}
+
+void IncrementalCompressor::require_settled() const {
+  PMTBR_REQUIRE(pending_.empty(), "a const query needs a settled compressor");
+}
+
 std::vector<double> IncrementalCompressor::singular_values() {
   settle();
   return sigma_;
 }
 
+std::vector<double> IncrementalCompressor::singular_values() const {
+  require_settled();
+  return sigma_;
+}
+
 MatD IncrementalCompressor::basis(index order) {
   PMTBR_REQUIRE(order >= 1, "order must be positive");
-  PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
   settle();
+  return std::as_const(*this).basis(order);
+}
+
+MatD IncrementalCompressor::basis(index order) const {
+  PMTBR_REQUIRE(order >= 1, "order must be positive");
+  PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
+  require_settled();
   const index k = rank_;
   const index q = std::min(order, k);
   MatD out(n_, q);
@@ -386,6 +418,11 @@ MatD IncrementalCompressor::basis(index order) {
 
 index IncrementalCompressor::order_for_tolerance(double tol) {
   settle();
+  return std::as_const(*this).order_for_tolerance(tol);
+}
+
+index IncrementalCompressor::order_for_tolerance(double tol) const {
+  require_settled();
   const std::vector<double>& s = sigma_;
   if (s.empty()) return 0;
   const double s1 = s.front();

@@ -13,10 +13,11 @@
 //   - P, the R columns absorbed since the last query (each as long as the
 //     rank when it arrived; missing trailing entries are zero).
 //
-// Every query (singular_values, basis, order_for_tolerance) first folds P
-// in: one la::svd_right of the tall matrix T = [diag(σ) ; Pᵀ·blkdiag(U, I)],
-// of size (|σ|+|P|)×rank, whose singular values are the new σ and whose
-// right vectors V give the new U = blkdiag(U, I)·V; U of T is never formed.
+// Every query (singular_values, basis, order_for_tolerance) on a mutable
+// compressor first folds P in (settle()): one la::svd_right of the tall
+// matrix T = [diag(σ) ; Pᵀ·blkdiag(U, I)], of size (|σ|+|P|)×rank, whose
+// singular values are the new σ and whose right vectors V give the new
+// U = blkdiag(U, I)·V; U of T is never formed.
 // svd_right's R-only QR skips the zeros of diag(σ), so it costs
 // O((|P|+1)·rank²), and T's leading columns are already orthogonal, so the
 // row-wise Jacobi on R starts warm at O(rank³) per sweep however many
@@ -25,7 +26,9 @@
 // one fold. This plays the role the paper assigns to updatable
 // rank-revealing factorizations (RRQR/UTV): cheap trailing-singular-value
 // estimates after every sample, plus an orthonormal basis for the dominant
-// subspace.
+// subspace. On a const, settled compressor the same queries only read, so
+// one settled compressor can be queried from many threads at once (a
+// PMTBR span, mor/pmtbr.hpp, is projected that way at every order).
 //
 // Where the folds fall changes the last bits of σ and U, so the state is a
 // deterministic function of the sequence of add_columns AND query calls,
@@ -45,6 +48,8 @@
 //    below, and each kept direction is formed by applying the reflectors
 //    in reverse to [U(:, l) ; 0] straight in its new basis row. No GEMM, no
 //    explicit Q, and no workspace allocation once the buffers have grown.
+//    The basis grows in place up to the capacity reserve() set, so a run
+//    that knows its largest rank allocates it once.
 //  - kReference: the seed per-column modified Gram–Schmidt loop, kept as
 //    the comparison oracle for tests and bench_kernels.
 //
@@ -85,17 +90,38 @@ class IncrementalCompressor {
   index rank() const { return rank_; }
   index columns_absorbed() const { return m_; }
 
-  // The three queries fold the pending R columns first, hence non-const.
+  /// Sizes the basis for `max_rank` directions (clamped to n), so it never
+  /// regrows below that rank. Never changes a result bit.
+  void reserve(index max_rank);
+
+  /// Folds the pending R columns into (U, σ); a no-op when none are pending.
+  void settle();
+
+  /// settle(), then releases what only absorption needs (the block
+  /// workspace, the pending list and the basis' spare capacity), so the
+  /// compressor holds rank·n + rank² + rank doubles. Absorbing afterwards
+  /// is allowed and regrows them.
+  void shrink_to_fit();
+
+  /// Bytes held by the basis (its capacity), U and σ: (rank·n + rank² +
+  /// rank)·8 after shrink_to_fit().
+  std::size_t resident_bytes() const;
+
+  // The mutable queries settle() first. The const ones require a settled
+  // compressor (no columns absorbed since the last fold) and only read it.
   /// Singular values of the absorbed matrix, descending (length = rank()).
   std::vector<double> singular_values();
+  std::vector<double> singular_values() const;
 
   /// Orthonormal basis for the dominant `order`-dimensional left singular
   /// subspace (order clamped to rank()).
   MatD basis(index order);
+  MatD basis(index order) const;
 
   /// Smallest order q whose trailing singular-value sum satisfies
   /// sum_{i>q} σ_i <= tol * σ_1 — the paper's "small tail" criterion.
   index order_for_tolerance(double tol);
+  index order_for_tolerance(double tol) const;
 
  private:
   /// Per-block workspace reused across add_columns calls; resize keeps the
@@ -112,8 +138,7 @@ class IncrementalCompressor {
 
   double add_block(const MatD& block);
 
-  /// Folds the pending columns P into (U, σ); a no-op when P is empty.
-  void settle();
+  void require_settled() const;
 
   /// Seed path: returns the squared norm of v's component orthogonal to the
   /// first `basis_rank` basis directions (the basis size before the

@@ -57,6 +57,7 @@ InputCorrelatedResult input_correlated_tbr(const DescriptorSystem& sys, const Ma
     comp.add_columns(weighted_sample(sys.solve_shifted(fs.s, rhs), fs));
   }
 
+  comp.settle();
   SampledProjection p =
       project_sampled(sys, comp, opts.fixed_order, opts.truncation_tol, opts.max_order);
   out.model = std::move(p.model);

@@ -36,6 +36,14 @@ struct SampleOutcome {
   bool regularized = false;
 };
 
+// B's solve at one shift through the uncached path: a sample's X is never
+// kept beyond its absorption.
+util::Expected<MatC> solve_sample(const DescriptorSystem& sys, cd s, double diag_reg = 0.0) {
+  return std::move(
+      sys.try_solve_uncached(std::span<const cd>(&s, 1), la::to_complex(sys.b()), diag_reg)
+          .front());
+}
+
 // `first`, when set, is the sample's attempt 0, already solved in a lane
 // group (SamplingEngine::solve_first_attempts); the ladder starts from its
 // outcome.
@@ -53,8 +61,7 @@ SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySampl
       ++out.retries;
       obs::counter_add(obs::Counter::kPmtbrSampleRetries);
     }
-    auto z = attempt == 0 && first ? std::move(*first)
-                                   : sys.try_solve_shifted(s, la::to_complex(sys.b()));
+    auto z = attempt == 0 && first ? std::move(*first) : solve_sample(sys, s);
     if (z.is_ok()) {
       out.block = weighted_sample(z.value(), fs);
       out.status = util::Status::ok();
@@ -62,7 +69,7 @@ SampleOutcome try_sample_block(const DescriptorSystem& sys, const FrequencySampl
     }
     out.status = z.status();
   }
-  auto z = sys.try_solve_shifted(fs.s, la::to_complex(sys.b()), kSampleDiagReg);
+  auto z = solve_sample(sys, fs.s, kSampleDiagReg);
   if (z.is_ok()) {
     out.block = weighted_sample(z.value(), fs);
     out.status = util::Status::ok();
@@ -151,12 +158,12 @@ void enforce_coverage_floor(DegradeState& st) {
   }
 }
 
-// The one sampling loop behind pmtbr_with_samples, pmtbr_adaptive and
-// pmtbr_order_sweep (Algorithm 1 and its Sec. V-B / V-C variants): weight
-// the samples, solve them on the pool, commit them window by window
-// through the degradation ladder, absorb the survivors in sample order,
-// then choose the order and project. The drivers differ only in which
-// samples they hand over, in what windows, and when they stop.
+// The one sampling loop behind every span (Algorithm 1 and its Sec. V-B /
+// V-C variants, up to the SVD of Z W): weight the samples, solve them on
+// the pool, commit them window by window through the degradation ladder,
+// absorb the survivors in sample order, then fold once more into the span.
+// The drivers differ only in which samples they hand over, in what
+// windows, and when they stop.
 class SamplingEngine {
  public:
   // Called after each absorbed sample with its index in the list handed to
@@ -164,8 +171,12 @@ class SamplingEngine {
   // residual). Returning true stops the run.
   using OnAbsorb = std::function<bool(std::size_t, const MatD&, double)>;
 
-  SamplingEngine(const DescriptorSystem& sys, const PmtbrOptions& opts)
-      : sys_(sys), opts_(opts), comp_(sys.n(), 1e-13, opts.compressor) {}
+  // `max_columns` bounds the columns the run can hand the compressor, whose
+  // basis is sized once for that rank (clamped to n).
+  SamplingEngine(const DescriptorSystem& sys, const PmtbrOptions& opts, index max_columns)
+      : sys_(sys), opts_(opts), comp_(sys.n(), 1e-13, opts.compressor) {
+    comp_.reserve(max_columns);
+  }
 
   IncrementalCompressor& compressor() { return comp_; }
   index used() const { return static_cast<index>(used_.size()); }
@@ -224,7 +235,7 @@ class SamplingEngine {
   }
 
   // Attempt 0 of the samples eff_[base, base + count): their shifts are
-  // factored and solved as lane groups (DescriptorSystem::try_solve_shifted
+  // factored and solved as lane groups (DescriptorSystem::try_solve_uncached
   // over a span), min(kMaxLdltLanes, ⌈count / pool size⌉) shifts each, so
   // every worker gets a group. A slot left empty — a fault site armed, the
   // run cancelled before its group started, or a group that threw — makes
@@ -246,7 +257,7 @@ class SamplingEngine {
       const index lo = g * width;
       const index hi = std::min(count, lo + width);
       try {
-        auto xs = sys_.try_solve_shifted(
+        auto xs = sys_.try_solve_uncached(
             std::span<const cd>(shifts).subspan(static_cast<std::size_t>(lo),
                                                 static_cast<std::size_t>(hi - lo)),
             b);
@@ -259,27 +270,24 @@ class SamplingEngine {
     return first;
   }
 
-  // Order choice (fixed_order > 0 wins, else the truncation tolerance, then
-  // the max_order cap), basis, congruence projection onto the dominant
-  // subspace, and the singular-value / HSV lists. The whole finalize, the
-  // compressor's last fold included, runs in the pmtbr.project scope.
-  PmtbrResult finalize(index fixed_order, index max_order) {
+  // The span: the coverage floor, then the compressor's last fold, which
+  // every order of this sampling shares. The fold runs in the pmtbr.project
+  // scope, where the order choice it serves is timed too. The compressor
+  // keeps its workspace and spare capacity; a span that outlives its call
+  // is shrunk (kept_span).
+  SampledSpan span() && {
     PMTBR_REQUIRE(!eff_.empty(), "frequency weighting suppresses every sample");
     enforce_coverage_floor(st_);
-    // Cancellation checkpoint before the projection: the compressor's first
+    // Cancellation checkpoint before the fold: the compressor's first
     // settle is a full SVD of the sample span and often the run's costliest
     // serial step, so a cancel or deadline that lands during absorption
     // stops here rather than after it.
     opts_.cancel.throw_if_cancelled();
-    PmtbrResult out;
-    out.samples_used = used_;
-    out.degradation = st_.report;
-    PMTBR_TRACE_SCOPE("pmtbr.project");
-    SampledProjection p =
-        project_sampled(sys_, comp_, fixed_order, opts_.truncation_tol, max_order);
-    out.model = std::move(p.model);
-    out.hankel_estimates = std::move(p.hankel_estimates);
-    return out;
+    {
+      PMTBR_TRACE_SCOPE("pmtbr.project");
+      comp_.settle();
+    }
+    return {std::move(comp_), std::move(used_), std::move(st_.report)};
   }
 
  private:
@@ -305,8 +313,9 @@ MatD weighted_sample(const la::MatC& z, const FrequencySample& fs) {
   return block;
 }
 
-SampledProjection project_sampled(const DescriptorSystem& sys, IncrementalCompressor& comp,
-                                  index fixed_order, double truncation_tol, index max_order) {
+SampledProjection project_sampled(const DescriptorSystem& sys,
+                                  const IncrementalCompressor& comp, index fixed_order,
+                                  double truncation_tol, index max_order) {
   PMTBR_REQUIRE(comp.n() == sys.n(), "compressor and system dimensions must agree");
   index order = fixed_order > 0 ? std::min(fixed_order, comp.rank())
                                 : comp.order_for_tolerance(truncation_tol);
@@ -356,13 +365,20 @@ std::pair<std::string, std::string> degradation_extra(const DegradeReport& repor
   return {"degradation", os.str()};
 }
 
-PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
-                               const std::vector<FrequencySample>& samples,
-                               const PmtbrOptions& opts) {
-  PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
-  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
-  PMTBR_TRACE_SCOPE("pmtbr");
-  SamplingEngine engine(sys, opts);
+namespace {
+
+// The columns `samples` can hand the compressor: m at DC, where z is real,
+// and 2m (realified) elsewhere.
+index sample_columns(const std::vector<FrequencySample>& samples, index m) {
+  index cols = 0;
+  for (const FrequencySample& fs : samples) cols += std::abs(fs.s.imag()) == 0.0 ? m : 2 * m;
+  return cols;
+}
+
+// pmtbr_with_samples up to its order choice.
+SampledSpan sample_span(const DescriptorSystem& sys, const std::vector<FrequencySample>& samples,
+                        const PmtbrOptions& opts) {
+  SamplingEngine engine(sys, opts, sample_columns(samples, sys.num_inputs()));
   if (opts.adaptive_excess > 0) {
     // Stop when the sample count comfortably exceeds the order estimate
     // (the paper's "samples in excess of the model order" criterion).
@@ -384,16 +400,18 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
     const auto all = static_cast<index>(samples.size());
     engine.sample(samples, all, all);
   }
-  return engine.finalize(opts.fixed_order, opts.max_order);
+  return std::move(engine).span();
 }
 
-PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
-                           const PmtbrOptions& opts) {
+// pmtbr_adaptive up to its order choice.
+SampledSpan adaptive_span(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                          const PmtbrOptions& opts) {
   PMTBR_REQUIRE(aopts.initial_samples >= 2, "need at least two initial samples");
   PMTBR_REQUIRE(aopts.max_samples >= aopts.initial_samples, "budget below initial samples");
   PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
-  PMTBR_TRACE_SCOPE("pmtbr_adaptive");
-  SamplingEngine engine(sys, opts);
+  // Every point lies above f_lo >= 0, so each hands over 2m columns, and a
+  // bisection can overshoot the budget by one sample.
+  SamplingEngine engine(sys, opts, (aopts.max_samples + 1) * 2 * sys.num_inputs());
 
   // Novelty of a sample: residual norm of its block after projection onto
   // the basis as it stood before the block — reported directly by the
@@ -450,7 +468,58 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
     log_debug("pmtbr_adaptive: bisected [", iv.f_lo, ", ", iv.f_hi, "], residuals ", res[0], ", ",
               res[1]);
   }
-  return engine.finalize(opts.fixed_order, opts.max_order);
+  return std::move(engine).span();
+}
+
+// A span handed to the caller, who may keep it: only what projection reads.
+SampledSpan kept_span(SampledSpan span) {
+  span.compressor.shrink_to_fit();
+  return span;
+}
+
+// pmtbr's sample list (sample_bands per `opts`), after its preconditions.
+std::vector<FrequencySample> pmtbr_samples(const DescriptorSystem& sys, const PmtbrOptions& opts) {
+  PMTBR_REQUIRE(sys.n() > 0, "pmtbr needs a nonempty system");
+  PMTBR_REQUIRE(!opts.bands.empty(), "pmtbr needs at least one frequency band");
+  PMTBR_REQUIRE(opts.num_samples >= 1, "pmtbr needs at least one sample");
+  return sample_bands(opts.bands, opts.num_samples, opts.scheme);
+}
+
+}  // namespace
+
+PmtbrResult project_span(const DescriptorSystem& sys, const SampledSpan& span,
+                         const PmtbrOptions& opts) {
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
+  PMTBR_TRACE_SCOPE("pmtbr.project");
+  PmtbrResult out;
+  out.samples_used = span.samples_used;
+  out.degradation = span.degradation;
+  SampledProjection p = project_sampled(sys, span.compressor, opts.fixed_order,
+                                        opts.truncation_tol, opts.max_order);
+  out.model = std::move(p.model);
+  out.hankel_estimates = std::move(p.hankel_estimates);
+  return out;
+}
+
+PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
+                               const std::vector<FrequencySample>& samples,
+                               const PmtbrOptions& opts) {
+  PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
+  PMTBR_TRACE_SCOPE("pmtbr");
+  return project_span(sys, sample_span(sys, samples, opts), opts);
+}
+
+PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                           const PmtbrOptions& opts) {
+  PMTBR_TRACE_SCOPE("pmtbr_adaptive");
+  return project_span(sys, adaptive_span(sys, aopts, opts), opts);
+}
+
+SampledSpan pmtbr_adaptive_span(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                                const PmtbrOptions& opts) {
+  PMTBR_TRACE_SCOPE("pmtbr_adaptive");
+  return kept_span(adaptive_span(sys, aopts, opts));
 }
 
 std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
@@ -460,21 +529,28 @@ std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
   PMTBR_REQUIRE(!orders.empty(), "need at least one order");
   PMTBR_TRACE_SCOPE("pmtbr_order_sweep");
-  SamplingEngine engine(sys, opts);
-  const auto all = static_cast<index>(samples.size());
-  engine.sample(samples, all, all);
+  PmtbrOptions every_sample = opts;
+  every_sample.adaptive_excess = 0.0;
+  const SampledSpan span = sample_span(sys, samples, every_sample);
+  PmtbrOptions at;  // project_span reads only the order fields
   std::vector<PmtbrResult> out;
   out.reserve(orders.size());
-  for (const index order : orders) out.push_back(engine.finalize(std::max<index>(order, 1), -1));
+  for (const index order : orders) {
+    at.fixed_order = std::max<index>(order, 1);
+    out.push_back(project_span(sys, span, at));
+  }
   return out;
 }
 
 PmtbrResult pmtbr(const DescriptorSystem& sys, const PmtbrOptions& opts) {
-  PMTBR_REQUIRE(sys.n() > 0, "pmtbr needs a nonempty system");
-  PMTBR_REQUIRE(!opts.bands.empty(), "pmtbr needs at least one frequency band");
-  PMTBR_REQUIRE(opts.num_samples >= 1, "pmtbr needs at least one sample");
-  const auto samples = sample_bands(opts.bands, opts.num_samples, opts.scheme);
-  return pmtbr_with_samples(sys, samples, opts);
+  return pmtbr_with_samples(sys, pmtbr_samples(sys, opts), opts);
+}
+
+SampledSpan pmtbr_span(const DescriptorSystem& sys, const PmtbrOptions& opts) {
+  const auto samples = pmtbr_samples(sys, opts);
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
+  PMTBR_TRACE_SCOPE("pmtbr");
+  return kept_span(sample_span(sys, samples, opts));
 }
 
 }  // namespace pmtbr::mor

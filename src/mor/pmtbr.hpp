@@ -9,6 +9,11 @@
 //
 // Complex samples are realified ([Re z | Im z]), which is exactly
 // equivalent to including the conjugate sample pair as Algorithm 1 does.
+//
+// Every entry point is one SampledSpan plus projections: the sampling up to
+// the SVD of Z W decides nothing about the order, so each order of one
+// sampling is a projection of one span (project_span). A span can be kept
+// and projected again (the service's cache, docs/SERVING.md).
 #pragma once
 
 #include <functional>
@@ -110,8 +115,35 @@ struct PmtbrResult {
   DegradeReport degradation;
 };
 
+/// What PMTBR has decided before its order choice: the compressor after
+/// its last fold, the samples it absorbed and the degradation report.
+/// pmtbr_span and pmtbr_adaptive_span hand it over shrunk to what
+/// projection reads (rank·n + rank² + rank doubles, see
+/// IncrementalCompressor::shrink_to_fit). project_span only reads it.
+struct SampledSpan {
+  IncrementalCompressor compressor;
+  std::vector<FrequencySample> samples_used;
+  DegradeReport degradation;
+};
+
 /// PMTBR with automatically generated samples per `opts`.
 PmtbrResult pmtbr(const DescriptorSystem& sys, const PmtbrOptions& opts = {});
+
+/// The span pmtbr(sys, opts) projects: every option applies as there except
+/// fixed_order and max_order, which only the projection reads, and
+/// truncation_tol, which the sampling reads only when adaptive_excess > 0.
+SampledSpan pmtbr_span(const DescriptorSystem& sys, const PmtbrOptions& opts = {});
+
+/// One order of a span, bit for bit what the call that sampled it returns
+/// at that order: fixed_order clamped to the rank if > 0, else the smallest
+/// order whose tail is below truncation_tol·σ₁, then capped by max_order if
+/// > 0 and kept at least 1; the span's dominant basis of that order, the
+/// congruence projection of `sys` (the system the span sampled, or one with
+/// the same content) onto it, σ and its squares, and the span's samples and
+/// degradation report. Of `opts` only those three order fields are read.
+/// Safe to call concurrently on one span.
+PmtbrResult project_span(const DescriptorSystem& sys, const SampledSpan& span,
+                         const PmtbrOptions& opts);
 
 /// PMTBR on caller-provided samples (points anywhere in the closed right
 /// half-plane; nonnegative weights as in Eq. 10).
@@ -138,6 +170,11 @@ struct AdaptiveOptions {
 };
 PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
                            const PmtbrOptions& opts = {});
+
+/// The span pmtbr_adaptive(sys, aopts, opts) projects; the order choice of
+/// `opts` is not read.
+SampledSpan pmtbr_adaptive_span(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                                const PmtbrOptions& opts = {});
 
 /// Order sweep sharing one sampling + compression pass: returns one result
 /// per requested order (clamped to the available rank). Far cheaper than
@@ -168,13 +205,14 @@ struct SampledProjection {
   std::vector<double> hankel_estimates;  // squared singular values
 };
 
-/// The last step of PMTBR and input-correlated TBR: the order is
-/// `fixed_order` clamped to the rank if > 0, else
+/// The last step of PMTBR and input-correlated TBR, on a settled
+/// compressor: the order is `fixed_order` clamped to the rank if > 0, else
 /// comp.order_for_tolerance(truncation_tol), then capped by `max_order`
 /// if > 0 and kept at least 1; then the compressor's dominant basis of that
 /// order, the congruence projection of `sys` onto it, and the singular
 /// values with their squares.
-SampledProjection project_sampled(const DescriptorSystem& sys, IncrementalCompressor& comp,
-                                  index fixed_order, double truncation_tol, index max_order);
+SampledProjection project_sampled(const DescriptorSystem& sys,
+                                  const IncrementalCompressor& comp, index fixed_order,
+                                  double truncation_tol, index max_order);
 
 }  // namespace pmtbr::mor

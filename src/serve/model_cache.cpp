@@ -9,9 +9,14 @@ namespace pmtbr::serve {
 
 namespace {
 
-std::size_t dense_bytes(const la::MatD& m) { return m.size() * sizeof(double); }
+// Values the order choice never takes, standing in for it in span keys.
+constexpr index kNoOrder = -1;
+constexpr double kNoTolerance = -1.0;
 
-void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts) {
+void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts, bool with_order) {
+  // Without the order, truncation_tol still counts while it decides when
+  // adaptive sampling stops.
+  const bool tol_samples = opts.adaptive_excess > 0;
   h.mix(opts.bands.size());
   for (const mor::Band& band : opts.bands) {
     h.mix_double(band.f_lo);
@@ -19,17 +24,15 @@ void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts) {
   }
   h.mix_i64(static_cast<std::int64_t>(opts.num_samples));
   h.mix_i64(static_cast<std::int64_t>(opts.scheme));
-  h.mix_i64(static_cast<std::int64_t>(opts.fixed_order));
-  h.mix_double(opts.truncation_tol);
-  h.mix_i64(static_cast<std::int64_t>(opts.max_order));
+  h.mix_i64(static_cast<std::int64_t>(with_order ? opts.fixed_order : kNoOrder));
+  h.mix_double(with_order || tol_samples ? opts.truncation_tol : kNoTolerance);
+  h.mix_i64(static_cast<std::int64_t>(with_order ? opts.max_order : kNoOrder));
   h.mix_double(opts.adaptive_excess);
   h.mix_i64(static_cast<std::int64_t>(opts.min_samples));
   h.mix_i64(static_cast<std::int64_t>(opts.compressor));
 }
 
-}  // namespace
-
-std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
+std::optional<util::Fingerprint> fingerprint(const JobRequest& req, bool with_order) {
   // A std::function weight has no content identity: two textually equal
   // lambdas are distinct values, so memoizing across them would be wrong.
   if (req.options.weight_fn) return std::nullopt;
@@ -38,7 +41,7 @@ std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
   h.mix(system.hi);
   h.mix(system.lo);
   h.mix_i64(static_cast<std::int64_t>(req.method));
-  mix_options(h, req.options);
+  mix_options(h, req.options, with_order);
   if (req.method == Method::kPmtbrAdaptive) {
     h.mix_double(req.adaptive.band.f_lo);
     h.mix_double(req.adaptive.band.f_hi);
@@ -49,21 +52,25 @@ std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
   return h.digest();
 }
 
-std::size_t result_bytes(const mor::PmtbrResult& result) {
-  const mor::DenseSystem& sys = result.model.system;
-  std::size_t bytes = dense_bytes(sys.e()) + dense_bytes(sys.a()) + dense_bytes(sys.b()) +
-                      dense_bytes(sys.c()) + dense_bytes(result.model.v) +
-                      dense_bytes(result.model.w);
-  bytes += result.model.singular_values.size() * sizeof(double);
-  bytes += result.hankel_estimates.size() * sizeof(double);
-  bytes += result.samples_used.size() * sizeof(mor::FrequencySample);
-  bytes += result.degradation.failures.size() * sizeof(mor::SampleFailure);
-  return bytes;
+}  // namespace
+
+std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
+  return fingerprint(req, true);
+}
+
+std::optional<util::Fingerprint> span_fingerprint(const JobRequest& req) {
+  return fingerprint(req, false);
+}
+
+std::size_t span_bytes(const mor::SampledSpan& span) {
+  return span.compressor.resident_bytes() +
+         span.samples_used.size() * sizeof(mor::FrequencySample) +
+         span.degradation.failures.size() * sizeof(mor::SampleFailure);
 }
 
 ModelCache::ModelCache() : lru_(util::cache_byte_budget(kDefaultModelCacheBytes)) {}
 
-ModelCache::ResultPtr ModelCache::lookup(const util::Fingerprint& key) {
+ModelCache::SpanPtr ModelCache::lookup(const util::Fingerprint& key) {
   auto hit = lru_.get(key);
   if (hit.has_value()) {
     obs::counter_add(obs::Counter::kModelCacheHit);
@@ -73,9 +80,9 @@ ModelCache::ResultPtr ModelCache::lookup(const util::Fingerprint& key) {
   return nullptr;
 }
 
-void ModelCache::insert(const util::Fingerprint& key, ResultPtr result) {
-  const std::size_t bytes = result_bytes(*result);
-  const util::EvictionReport ev = lru_.put(key, std::move(result), bytes);
+void ModelCache::insert(const util::Fingerprint& key, SpanPtr span) {
+  const std::size_t bytes = span_bytes(*span);
+  const util::EvictionReport ev = lru_.put(key, std::move(span), bytes);
   if (!ev.inserted) return;
   obs::counter_add(obs::Counter::kModelCacheBytes,
                    static_cast<std::int64_t>(bytes) - ev.bytes - ev.replaced_bytes);

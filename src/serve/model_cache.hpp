@@ -1,5 +1,5 @@
-// Per-service memoization of completed reductions plus the job
-// fingerprinting that keys it (docs/SERVING.md).
+// Per-service cache of sampled spans plus the job fingerprinting that keys
+// it (docs/SERVING.md).
 //
 // A job's fingerprint digests everything that determines its PmtbrResult:
 // the system's content fingerprint and the canonicalized options surface.
@@ -8,11 +8,13 @@
 // request carrying a custom weight_fn is uncacheable (std::function has
 // no content identity) and reports nullopt.
 //
-// The cache stores shared_ptr<const PmtbrResult>: a hit deep-copies the
-// result into the job, so cached and freshly computed results are
-// bit-identical by construction (the stored value IS a completed job's
-// result). The embedded SingleFlight gate lets the service coalesce N
-// concurrent identical jobs into one reduction.
+// The cache keeps each job's mor::SampledSpan, not its result: every order
+// of one sampling is a projection of one span, so its key is the job
+// fingerprint with the order choice neutralized (span_fingerprint). A job
+// that finds its span projects its own order (mor::project_span), which
+// is bit for bit what a fresh reduction returns at that order. The
+// embedded SingleFlight gate lets the service coalesce N concurrent jobs
+// of one span into one sampling pass.
 //
 // The byte budget defaults to PMTBR_CACHE_BYTES (k/m/g suffixes) or
 // 256 MiB; 0 disables the cache entirely.
@@ -33,28 +35,34 @@ namespace pmtbr::serve {
 /// Stable job key, or nullopt for uncacheable requests (custom weight_fn).
 std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req);
 
-/// Estimated resident size of one cached result (model matrices, bases,
-/// samples, spectra).
-std::size_t result_bytes(const mor::PmtbrResult& result);
+/// The key of the job's span: job_fingerprint with fixed_order and
+/// max_order neutralized, and truncation_tol too unless adaptive_excess > 0
+/// lets it decide when sampling stops. Jobs that differ only in order
+/// share it; nullopt exactly when job_fingerprint is.
+std::optional<util::Fingerprint> span_fingerprint(const JobRequest& req);
 
-/// Default model-cache byte budget before the PMTBR_CACHE_BYTES override.
+/// Resident size of one cached span: the compressor's basis, U and σ
+/// ((rank·n + rank² + rank) doubles), its samples and its failure list.
+std::size_t span_bytes(const mor::SampledSpan& span);
+
+/// Default span-cache byte budget before the PMTBR_CACHE_BYTES override.
 inline constexpr std::size_t kDefaultModelCacheBytes = std::size_t{256} << 20;
 
 class ModelCache {
  public:
-  using ResultPtr = std::shared_ptr<const mor::PmtbrResult>;
-  using FlightGate = util::SingleFlight<util::Fingerprint, ResultPtr, util::FingerprintHash>;
+  using SpanPtr = std::shared_ptr<const mor::SampledSpan>;
+  using FlightGate = util::SingleFlight<util::Fingerprint, SpanPtr, util::FingerprintHash>;
 
   /// The byte budget is PMTBR_CACHE_BYTES (default 256 MiB).
   ModelCache();
 
   bool enabled() const { return lru_.enabled(); }
 
-  /// Cached result or nullptr; bumps model_cache_hit/miss counters.
-  ResultPtr lookup(const util::Fingerprint& key);
+  /// Cached span or nullptr; bumps model_cache_hit/miss counters.
+  SpanPtr lookup(const util::Fingerprint& key);
 
-  /// Memoizes a completed result, evicting past the byte budget.
-  void insert(const util::Fingerprint& key, ResultPtr result);
+  /// Keeps a sampled span, evicting past the byte budget.
+  void insert(const util::Fingerprint& key, SpanPtr span);
 
   /// Records `n` jobs served by joining an in-flight computation.
   void note_coalesced(std::int64_t n = 1);
@@ -64,7 +72,7 @@ class ModelCache {
   FlightGate& flights() { return flights_; }
 
  private:
-  util::LruCache<util::Fingerprint, ResultPtr, util::FingerprintHash> lru_;
+  util::LruCache<util::Fingerprint, SpanPtr, util::FingerprintHash> lru_;
   FlightGate flights_;
 };
 

@@ -109,7 +109,7 @@ util::Expected<JobId> ReductionService::submit(JobRequest req) {
   // Fingerprint on the submitter thread, outside the service lock — it
   // walks the system matrices once (then memoized inside the descriptor).
   if (cache_ != nullptr) {
-    if (const auto key = job_fingerprint(job->req)) {
+    if (const auto key = span_fingerprint(job->req)) {
       job->cacheable = true;
       job->cache_key = *key;
     }
@@ -313,27 +313,27 @@ void ReductionService::runner_loop() {
 }
 
 bool ReductionService::execute_job(Job& job) {
-  const auto reduce = [&job] {
-    mor::PmtbrOptions options = job.req.options;
-    options.cancel = job.token;
-    job.result.reduction =
-        job.req.method == Method::kPmtbrAdaptive
-            ? mor::pmtbr_adaptive(job.req.system, job.req.adaptive, options)
-            : mor::pmtbr(job.req.system, options);
-  };
+  mor::PmtbrOptions options = job.req.options;
+  options.cancel = job.token;
+  const bool adaptive = job.req.method == Method::kPmtbrAdaptive;
   // Fault injection bypasses the cache wholesale: robustness tests assert
-  // exact degradation sets, and a memoized result would short-circuit the
+  // exact degradation sets, and a kept span would short-circuit the
   // injected failures they expect.
   if (cache_ == nullptr || !job.cacheable || util::fault::enabled()) {
-    reduce();
+    job.result.reduction = adaptive ? mor::pmtbr_adaptive(job.req.system, job.req.adaptive, options)
+                                    : mor::pmtbr(job.req.system, options);
     return false;
   }
+  // Every job projects its own order from the span, whoever sampled it. A
+  // span served from the cache still honors this job's own cancel/deadline,
+  // so the outcome partition is indistinguishable from a fresh run's.
+  const auto project = [&](const mor::SampledSpan& span) {
+    job.result.reduction = mor::project_span(job.req.system, span, options);
+  };
   for (;;) {
-    if (ModelCache::ResultPtr hit = cache_->lookup(job.cache_key)) {
-      // A hit still honors this job's own cancel/deadline so the outcome
-      // partition is indistinguishable from a fresh run's.
+    if (ModelCache::SpanPtr hit = cache_->lookup(job.cache_key)) {
       job.token.throw_if_cancelled();
-      job.result.reduction = *hit;
+      project(*hit);
       return true;
     }
     bool leader = false;
@@ -341,34 +341,37 @@ bool ReductionService::execute_job(Job& job) {
     if (leader) {
       // Close the lookup->begin race: a previous leader may have published
       // and retired its flight between our miss and our begin().
-      if (ModelCache::ResultPtr hit = cache_->lookup(job.cache_key)) {
+      if (ModelCache::SpanPtr hit = cache_->lookup(job.cache_key)) {
         cache_->flights().publish(job.cache_key, flight, hit);
         job.token.throw_if_cancelled();
-        job.result.reduction = *hit;
+        project(*hit);
         return true;
       }
+      ModelCache::SpanPtr span;
       try {
-        reduce();
+        span = std::make_shared<const mor::SampledSpan>(
+            adaptive ? mor::pmtbr_adaptive_span(job.req.system, job.req.adaptive, options)
+                     : mor::pmtbr_span(job.req.system, options));
       } catch (...) {
         // Abandon the flight: followers wake, retry, and elect a new
         // leader, so one cancelled job never poisons its coalesced peers.
         cache_->flights().publish(job.cache_key, flight, nullptr);
         throw;
       }
-      auto published = std::make_shared<const mor::PmtbrResult>(job.result.reduction);
-      cache_->insert(job.cache_key, published);
-      cache_->flights().publish(job.cache_key, flight, published);
+      cache_->insert(job.cache_key, span);
+      cache_->flights().publish(job.cache_key, flight, span);
+      project(*span);
       return false;
     }
-    // Follower: join the in-flight computation, polling our own token so
-    // this job's cancel/deadline still win over a slow leader.
+    // Follower: join the in-flight sampling, polling our own token so this
+    // job's cancel/deadline still win over a slow leader.
     const auto value = ModelCache::FlightGate::wait(
         *flight, std::chrono::milliseconds(1), [&job] { return job.token.cancelled(); });
     if (!value.has_value()) {
       job.token.throw_if_cancelled();
     } else if (*value != nullptr) {
       cache_->note_coalesced();
-      job.result.reduction = **value;
+      project(**value);
       return true;
     }
     // Abandoned flight: loop and retry (we may be promoted to leader).

@@ -65,9 +65,10 @@ struct ServiceStats {
   std::int64_t cancelled = 0;
   std::int64_t expired = 0;
   std::int64_t rejected = 0;
-  /// Completed jobs whose result came from the model cache (an LRU hit or
-  /// a coalesced in-flight join) instead of a fresh reduction. Always a
-  /// subset of `completed` — the partition identity is unchanged.
+  /// Completed jobs that projected a span from the cache (an LRU hit or a
+  /// coalesced in-flight join) instead of sampling it; a job at another
+  /// order of a kept sampling counts too. Always a subset of `completed` —
+  /// the partition identity is unchanged.
   std::int64_t cache_hits = 0;
   std::int64_t queued = 0;   // gauge: admitted, not yet started
   std::int64_t running = 0;  // gauge: currently executing
@@ -105,8 +106,9 @@ class ReductionService {
 
   ServiceStats stats() const PMTBR_EXCLUDES(mutex_);
 
-  /// Hit/miss/eviction totals of this service's model cache (zeros when
-  /// the cache is disabled) — feeds cache_extra() and the bench artifact.
+  /// Hit/miss/eviction totals of this service's span cache (the "model"
+  /// layer; zeros when the cache is disabled) — feeds cache_extra() and the
+  /// bench artifact.
   util::CacheStats model_cache_stats() const;
 
  private:
@@ -125,8 +127,9 @@ class ReductionService {
     bool has_deadline = false;
     JobState state = JobState::kQueued;
     JobResult result;
-    // Model-cache key, computed once at submission (immutable afterwards;
-    // cacheable is false for weight_fn jobs or a cache-less service).
+    // Span key (span_fingerprint), computed once at submission (immutable
+    // afterwards; cacheable is false for weight_fn jobs or a cache-less
+    // service).
     bool cacheable = false;
     util::Fingerprint cache_key;
   };
@@ -143,10 +146,11 @@ class ReductionService {
 
   void runner_loop() PMTBR_EXCLUDES(mutex_);
 
-  /// Runs the job's reduction through the model cache: LRU hit, coalesced
-  /// join of an identical in-flight job, or a fresh (leader) computation.
-  /// Returns true when the result came from the cache. Throws
-  /// util::StatusError exactly like a direct reduction would.
+  /// Runs the job's reduction through the span cache: an LRU hit, a
+  /// coalesced join of an in-flight sampling of the same span, or a fresh
+  /// (leader) sampling; each then projects the job's own order. Returns
+  /// true when the span came from the cache. Throws util::StatusError
+  /// exactly like a direct reduction would.
   bool execute_job(Job& job) PMTBR_EXCLUDES(mutex_);
 
   ServiceOptions opts_;

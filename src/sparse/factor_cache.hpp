@@ -1,13 +1,14 @@
 // Process-wide LRU of shifted *solves*, shared across jobs
 // (docs/SERVING.md).
 //
-// PMTBR's unit of work is the sample z_k = (s_k E − A)⁻¹B, and that solve
-// is all that two jobs over the same system can reuse: a reorder job (same
-// system, other order or options) draws the same samples again. The cache
-// keeps X = (sE − A)⁻¹B itself, not the numeric factor that computed it —
-// on a 40×40 RC mesh the LDLᵀ factor holds 13× the scalars of its solve —
-// so every factor lives only for its own solve and a hit skips the factor
-// and the solve.
+// The cache keeps X = (sE − A)⁻¹B itself, not the numeric factor that
+// computed it — on a 40×40 RC mesh the LDLᵀ factor holds 13× the scalars
+// of its solve — so every factor lives only for its own solve and a hit
+// skips the factor and the solve. DescriptorSystem::try_solve_shifted,
+// transfer and MPPROJ's samples use it. PMTBR's samples do not (they take
+// try_solve_uncached): two jobs over one system reuse PMTBR's compressed
+// span instead (serve/model_cache), which holds far fewer values than its
+// solves.
 //
 // Keying: callers digest (system content fingerprint, shift) into one
 // Fingerprint. B is part of the content fingerprint, so the right-hand side

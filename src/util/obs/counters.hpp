@@ -79,12 +79,12 @@ enum class Counter : int {
   // cross-job caching layer (serve/model_cache, sparse/factor_cache —
   // see docs/SERVING.md). The *_bytes entries are resident-size gauges
   // (incremented on insert, decremented on evict), not monotonic totals.
-  kModelCacheHit,           // completed reductions served from the model LRU
-  kModelCacheMiss,          // model-cache lookups that found nothing
-  kModelCacheEvict,         // reduced models evicted under the byte budget
-  kModelCacheCoalesced,     // jobs served by joining an in-flight identical job
-  kModelCacheBytes,         // resident reduced-model payload bytes (gauge)
-  kFactorCacheHit,          // solves of B served from the shared solve LRU
+  kModelCacheHit,           // jobs that found their sampled span in the LRU (reorders too)
+  kModelCacheMiss,          // span lookups that found nothing
+  kModelCacheEvict,         // sampled spans evicted under the byte budget
+  kModelCacheCoalesced,     // jobs served by joining an in-flight sampling of their span
+  kModelCacheBytes,         // resident span bytes (gauge)
+  kFactorCacheHit,          // solves of B served from the shared solve LRU (never a PMTBR sample)
   kFactorCacheMiss,         // solve-cache lookups that found nothing
   kFactorCacheEvict,        // cached solves evicted under the byte budget
   kFactorCacheBytes,        // resident solve payload bytes, rows·cols·16 each (gauge)

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -75,6 +76,39 @@ TEST(Compressor, QueriesWithoutNewColumnsShareOneFold) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kSvdCalls) - before, 1);
   EXPECT_EQ(static_cast<la::index>(s.size()), comp.rank());
   EXPECT_EQ(la::max_abs_diff(v, again), 0.0);
+}
+
+TEST(Compressor, SizedAndShrunkBasesAnswerBitForBit) {
+  // Sizing the basis up front and shrinking it afterwards move no bit: a
+  // settled, shrunk compressor answers its const queries exactly as an
+  // unsized one that folded at the same point, and holds only the basis,
+  // U and σ.
+  Rng rng(69);
+  const la::index n = 40;
+  std::vector<MatD> blocks;
+  for (int b = 0; b < 5; ++b) blocks.push_back(testing::random_matrix(n, 4, rng));
+  IncrementalCompressor grown(n), sized(n);
+  sized.reserve(20);
+  for (const MatD& b : blocks) {
+    grown.add_columns(b);
+    sized.add_columns(b);
+  }
+  sized.shrink_to_fit();
+  const IncrementalCompressor& settled = sized;
+  const auto r = static_cast<std::size_t>(settled.rank());
+  EXPECT_EQ(settled.resident_bytes(), (r * n + r * r + r) * sizeof(double));
+  const MatD vg = grown.basis(7), vs = settled.basis(7);
+  EXPECT_EQ(la::max_abs_diff(vg, vs), 0.0);
+  EXPECT_EQ(grown.singular_values(), settled.singular_values());
+  EXPECT_EQ(grown.order_for_tolerance(1e-3), settled.order_for_tolerance(1e-3));
+
+  // A shrunk compressor still absorbs; a const query then needs a fold.
+  sized.add_columns(testing::random_matrix(n, 2, rng));
+  EXPECT_THROW((void)settled.singular_values(), std::invalid_argument);
+  EXPECT_THROW((void)settled.basis(2), std::invalid_argument);
+  EXPECT_THROW((void)settled.order_for_tolerance(1e-3), std::invalid_argument);
+  sized.settle();
+  EXPECT_EQ(settled.singular_values().size(), static_cast<std::size_t>(settled.rank()));
 }
 
 TEST(Compressor, DeflatesDependentColumns) {

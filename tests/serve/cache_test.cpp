@@ -1,13 +1,17 @@
-// Cross-job caching layer tests (docs/SERVING.md): job fingerprint
-// stability, single-flight coalescing of concurrent identical jobs,
-// bit-identical cache hits, the shared numeric-factor cache, and the
-// move-only admission path. The suite names carry the ReductionService
-// prefix so the TSan CI preset picks the concurrency tests up.
+// Cross-job caching layer tests (docs/SERVING.md): job and span
+// fingerprints, single-flight coalescing of concurrent jobs of one span,
+// bit-identical cache hits at the job's own order, the shared solve cache
+// that PMTBR's samples bypass, and the move-only admission path. The suite
+// names carry the ReductionService prefix so the TSan CI preset picks the
+// concurrency tests up.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -254,6 +258,309 @@ TEST_F(ReductionServiceCache, FactorCacheSharesSolvesAcrossSystems) {
   const util::CacheStats st = sparse::FactorCache::global().stats();
   EXPECT_GE(st.entries, 1);
   EXPECT_GT(st.bytes, 0);
+}
+
+// --- The span contract: every order of one sampling is a projection of
+// one cached span, bit for bit what a cold call returns at that order. ---
+
+bool same_bits(const la::MatD& x, const la::MatD& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+void expect_same_reduction(const mor::PmtbrResult& got, const mor::PmtbrResult& want) {
+  const mor::DenseSystem& g = got.model.system;
+  const mor::DenseSystem& w = want.model.system;
+  EXPECT_TRUE(same_bits(g.e(), w.e()));
+  EXPECT_TRUE(same_bits(g.a(), w.a()));
+  EXPECT_TRUE(same_bits(g.b(), w.b()));
+  EXPECT_TRUE(same_bits(g.c(), w.c()));
+  EXPECT_TRUE(same_bits(got.model.v, want.model.v));
+  EXPECT_TRUE(same_bits(got.model.w, want.model.w));
+  EXPECT_TRUE(same_bits(got.model.singular_values, want.model.singular_values));
+  EXPECT_TRUE(same_bits(got.hankel_estimates, want.hankel_estimates));
+  ASSERT_EQ(got.samples_used.size(), want.samples_used.size());
+  for (std::size_t k = 0; k < got.samples_used.size(); ++k) {
+    EXPECT_EQ(got.samples_used[k].s, want.samples_used[k].s);
+    EXPECT_EQ(got.samples_used[k].weight, want.samples_used[k].weight);
+  }
+  const mor::DegradeReport& gd = got.degradation;
+  const mor::DegradeReport& wd = want.degradation;
+  EXPECT_EQ(gd.samples_attempted, wd.samples_attempted);
+  EXPECT_EQ(gd.samples_ok, wd.samples_ok);
+  EXPECT_EQ(gd.samples_dropped, wd.samples_dropped);
+  EXPECT_EQ(gd.retries, wd.retries);
+  EXPECT_EQ(gd.regularized, wd.regularized);
+  EXPECT_EQ(gd.reweights, wd.reweights);
+  EXPECT_EQ(gd.coverage, wd.coverage);
+  EXPECT_EQ(gd.failures.size(), wd.failures.size());
+}
+
+// A mesh_job as one direct library call on a freshly built copy of its
+// system, with an empty solve cache.
+mor::PmtbrResult cold_call(const JobRequest& req) {
+  sparse::FactorCache::global().clear();
+  const DescriptorSystem sys = mesh_job("cold").system;
+  return req.method == Method::kPmtbrAdaptive ? mor::pmtbr_adaptive(sys, req.adaptive, req.options)
+                                              : mor::pmtbr(sys, req.options);
+}
+
+TEST_F(ReductionServiceCache, ReorderIsAHitEqualToAColdCall) {
+  struct Case {
+    const char* name;
+    std::function<void(JobRequest&)> sampling;  // the shared sampling
+    la::index first_order, reorder;
+  };
+  const std::vector<Case> cases{
+      {"fixed order", [](JobRequest&) {}, 4, 7},
+      {"adaptive excess",
+       [](JobRequest& r) {
+         r.options.num_samples = 30;
+         r.options.adaptive_excess = 2.0;
+         r.options.truncation_tol = 1e-6;
+       },
+       -1, 3},
+      {"pmtbr_adaptive",
+       [](JobRequest& r) {
+         r.method = Method::kPmtbrAdaptive;
+         r.adaptive.band = mor::Band{1e6, 1e11};
+         r.adaptive.max_samples = 16;
+       },
+       4, 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ReductionService svc({.runners = 1, .max_queue = 4});
+    JobResult results[2];
+    JobRequest reqs[2];
+    for (int k = 0; k < 2; ++k) {
+      reqs[k] = mesh_job(k == 0 ? "source" : "reorder");
+      c.sampling(reqs[k]);
+      reqs[k].options.fixed_order = k == 0 ? c.first_order : c.reorder;
+      JobRequest copy = reqs[k];
+      auto id = svc.submit(std::move(copy));
+      ASSERT_TRUE(id.is_ok());
+      results[k] = svc.wait(id.value());
+      ASSERT_EQ(results[k].outcome, JobOutcome::kCompleted) << results[k].status.to_string();
+    }
+    EXPECT_EQ(svc.stats().cache_hits, 1);
+    EXPECT_EQ(svc.model_cache_stats().hits, 1);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kModelCacheHit), 1);
+    EXPECT_NE(results[0].reduction.model.system.n(), results[1].reduction.model.system.n());
+    for (int k = 0; k < 2; ++k) expect_same_reduction(results[k].reduction, cold_call(reqs[k]));
+    obs::reset_counters();
+  }
+}
+
+TEST_F(ReductionServiceCache, SamplingInputsNeverShareASpan) {
+  using Perturb = std::function<void(JobRequest&)>;
+  JobRequest base = mesh_job("base");
+  JobRequest excess = mesh_job("excess");
+  excess.options.adaptive_excess = 2.0;
+  JobRequest adaptive = mesh_job("adaptive");
+  adaptive.method = Method::kPmtbrAdaptive;
+  adaptive.adaptive.band = mor::Band{1e6, 1e11};
+  adaptive.adaptive.max_samples = 10;
+  struct Case {
+    const char* field;
+    const JobRequest* from;
+    Perturb f;
+  };
+  const std::vector<Case> sampling = {
+      {"bands", &base, [](JobRequest& r) { r.options.bands.push_back(mor::Band{2e9, 3e9}); }},
+      {"bands.f_hi", &base, [](JobRequest& r) { r.options.bands[0].f_hi *= 2.0; }},
+      {"num_samples", &base, [](JobRequest& r) { r.options.num_samples += 1; }},
+      {"scheme", &base,
+       [](JobRequest& r) { r.options.scheme = mor::SamplingScheme::kLogarithmic; }},
+      {"compressor", &base,
+       [](JobRequest& r) { r.options.compressor = mor::CompressorMode::kReference; }},
+      {"adaptive_excess", &excess, [](JobRequest& r) { r.options.adaptive_excess = 3.0; }},
+      {"adaptive_excess on", &base, [](JobRequest& r) { r.options.adaptive_excess = 1.5; }},
+      {"min_samples", &excess, [](JobRequest& r) { r.options.min_samples += 1; }},
+      {"truncation_tol with adaptive_excess", &excess,
+       [](JobRequest& r) { r.options.truncation_tol *= 10.0; }},
+      {"method", &base, [](JobRequest& r) { r.method = Method::kPmtbrAdaptive; }},
+      {"adaptive.band", &adaptive, [](JobRequest& r) { r.adaptive.band.f_hi *= 2.0; }},
+      {"adaptive.initial_samples", &adaptive,
+       [](JobRequest& r) { r.adaptive.initial_samples += 1; }},
+      {"adaptive.max_samples", &adaptive, [](JobRequest& r) { r.adaptive.max_samples += 2; }},
+      {"adaptive.novelty_tol", &adaptive, [](JobRequest& r) { r.adaptive.novelty_tol *= 1e3; }},
+  };
+  ReductionService svc({.runners = 1, .max_queue = 4});
+  const auto run = [&svc](const JobRequest& req) {
+    JobRequest copy = req;
+    auto id = svc.submit(std::move(copy));
+    EXPECT_TRUE(id.is_ok());
+    const JobResult r = svc.wait(id.value());
+    EXPECT_EQ(r.outcome, JobOutcome::kCompleted) << r.status.to_string();
+  };
+  for (const JobRequest* from : {&base, &excess, &adaptive}) run(*from);
+  ASSERT_EQ(svc.stats().cache_hits, 0);
+  for (const Case& c : sampling) {
+    SCOPED_TRACE(c.field);
+    JobRequest other = *c.from;
+    c.f(other);
+    EXPECT_NE(*span_fingerprint(other), *span_fingerprint(*c.from));
+    run(other);
+    EXPECT_EQ(svc.stats().cache_hits, 0);
+  }
+
+  // The order choice alone never splits a span, while it still splits the
+  // job: truncation_tol only while adaptive_excess is off.
+  const std::vector<Case> order = {
+      {"fixed_order", &base, [](JobRequest& r) { r.options.fixed_order = 3; }},
+      {"max_order", &base, [](JobRequest& r) { r.options.max_order = 5; }},
+      {"truncation_tol", &base, [](JobRequest& r) { r.options.truncation_tol *= 10.0; }},
+      {"fixed_order with adaptive_excess", &excess,
+       [](JobRequest& r) { r.options.fixed_order = 3; }},
+      {"fixed_order under pmtbr_adaptive", &adaptive,
+       [](JobRequest& r) { r.options.fixed_order = 3; }},
+  };
+  std::int64_t hits = 0;
+  for (const Case& c : order) {
+    SCOPED_TRACE(c.field);
+    JobRequest other = *c.from;
+    c.f(other);
+    EXPECT_EQ(*span_fingerprint(other), *span_fingerprint(*c.from));
+    EXPECT_NE(*job_fingerprint(other), *job_fingerprint(*c.from));
+    run(other);
+    EXPECT_EQ(svc.stats().cache_hits, ++hits);
+  }
+  JobRequest weighted = base;
+  weighted.options.weight_fn = [](double) { return 1.0; };
+  EXPECT_FALSE(span_fingerprint(weighted).has_value());
+}
+
+TEST_F(ReductionServiceCache, OrdersOfOneSamplingRunOneSamplingPass) {
+  constexpr int kJobs = 8;
+  ReductionService svc({.runners = kJobs, .max_queue = kJobs});
+  std::vector<JobRequest> reqs;
+  std::vector<JobId> ids;
+  for (int q = 1; q <= kJobs; ++q) {
+    reqs.push_back(mesh_job("order-" + std::to_string(q), 24));
+    reqs.back().options.fixed_order = q;
+  }
+  for (const JobRequest& req : reqs) {
+    JobRequest copy = req;
+    auto id = svc.submit(std::move(copy));
+    ASSERT_TRUE(id.is_ok());
+    ids.push_back(id.value());
+  }
+  std::vector<JobResult> results;
+  for (const JobId id : ids) results.push_back(svc.wait(id));
+  // One sampling pass absorbed 24 samples; every other job projected it.
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPmtbrSamples), 24);
+  EXPECT_EQ(svc.stats().cache_hits, kJobs - 1);
+  for (int k = 0; k < kJobs; ++k) {
+    SCOPED_TRACE(k + 1);
+    ASSERT_EQ(results[static_cast<std::size_t>(k)].outcome, JobOutcome::kCompleted);
+    EXPECT_EQ(results[static_cast<std::size_t>(k)].reduction.model.system.n(), k + 1);
+    expect_same_reduction(results[static_cast<std::size_t>(k)].reduction,
+                          cold_call(reqs[static_cast<std::size_t>(k)]));
+  }
+}
+
+TEST_F(ReductionServiceCache, PmtbrLeavesTheSolveCacheAlone) {
+  const DescriptorSystem sys = circuit::make_rc_mesh({.rows = 8, .cols = 8, .num_ports = 2});
+  mor::PmtbrOptions opts;
+  opts.num_samples = 12;
+  opts.fixed_order = 5;
+  mor::PmtbrOptions excess = opts;
+  excess.adaptive_excess = 2.0;
+  mor::AdaptiveOptions aopts;
+  aopts.band = mor::Band{1e6, 1e11};
+  aopts.max_samples = 12;
+  (void)mor::pmtbr(sys, opts);
+  (void)mor::pmtbr(sys, excess);
+  (void)mor::pmtbr_adaptive(sys, aopts, opts);
+  (void)mor::pmtbr_order_sweep(sys, mor::sample_bands(opts.bands, 12, opts.scheme), {2, 4}, opts);
+  (void)mor::pmtbr_span(sys, opts);
+  EXPECT_GT(obs::counter_value(obs::Counter::kPmtbrSamples), 0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheHit), 0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kFactorCacheMiss), 0);
+  EXPECT_EQ(sparse::FactorCache::global().stats().entries, 0);
+}
+
+TEST_F(ReductionServiceCache, SpanIsChargedItsFactorsAndSamples) {
+  const JobRequest req = mesh_job("span");
+  const mor::SampledSpan span = mor::pmtbr_span(req.system, req.options);
+  const auto r = static_cast<std::size_t>(span.compressor.rank());
+  const auto n = static_cast<std::size_t>(span.compressor.n());
+  ASSERT_GT(r, 0u);
+  // The settled compressor keeps the basis, U and σ, and nothing else.
+  EXPECT_EQ(span.compressor.resident_bytes(), (r * n + r * r + r) * sizeof(double));
+  EXPECT_EQ(span_bytes(span), span.compressor.resident_bytes() +
+                                  span.samples_used.size() * sizeof(mor::FrequencySample));
+
+  ReductionService svc({.runners = 1, .max_queue = 2});
+  auto id = svc.submit(mesh_job("span"));
+  ASSERT_TRUE(id.is_ok());
+  ASSERT_EQ(svc.wait(id.value()).outcome, JobOutcome::kCompleted);
+  EXPECT_EQ(svc.model_cache_stats().bytes, static_cast<std::int64_t>(span_bytes(span)));
+  EXPECT_EQ(obs::counter_value(obs::Counter::kModelCacheBytes),
+            static_cast<std::int64_t>(span_bytes(span)));
+}
+
+TEST_F(ReductionServiceCache, FailedOrCancelledLeaderNeverPoisonsFollowers) {
+  // A failing job shares the span key of valid ones (truncation_tol is not
+  // a sampling input while adaptive_excess is off): it fails alone.
+  {
+    ReductionService svc({.runners = 2, .max_queue = 8});
+    JobRequest bad = mesh_job("bad");
+    bad.options.truncation_tol = -1.0;
+    ASSERT_EQ(span_fingerprint(bad), span_fingerprint(mesh_job("good")));
+    std::vector<JobId> ids;
+    ids.push_back(svc.submit(std::move(bad)).value());
+    for (const la::index q : {3, 5}) {
+      JobRequest good = mesh_job("good");
+      good.options.fixed_order = q;
+      ids.push_back(svc.submit(std::move(good)).value());
+    }
+    JobRequest late = mesh_job("late-bad");
+    late.options.truncation_tol = -1.0;
+    ids.push_back(svc.submit(std::move(late)).value());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const JobResult r = svc.wait(ids[k]);
+      const bool is_bad = k == 0 || k + 1 == ids.size();
+      EXPECT_EQ(r.outcome, is_bad ? JobOutcome::kFailed : JobOutcome::kCompleted)
+          << k << ": " << r.status.to_string();
+      if (is_bad) {
+        EXPECT_EQ(r.status.code(), util::ErrorCode::kInvalidInput);
+      }
+    }
+  }
+
+  // A leader cancelled mid-sampling abandons its flight; the jobs waiting
+  // on it retry, one samples again, and each gets its own order.
+  ReductionService svc({.runners = 4, .max_queue = 8});
+  const auto big = [](const std::string& name, la::index order) {
+    JobRequest req;
+    req.name = name;
+    req.system = circuit::make_rc_mesh({.rows = 16, .cols = 16, .num_ports = 2});
+    req.options.num_samples = 300;
+    req.options.fixed_order = order;
+    return req;
+  };
+  const JobId leader = svc.submit(big("leader", 3)).value();
+  for (int spin = 0; spin < 20000 && svc.stats().running == 0; ++spin)
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  std::vector<JobId> followers;
+  for (const la::index q : {4, 5, 6}) followers.push_back(svc.submit(big("follower", q)).value());
+  svc.cancel(leader);
+  const JobResult lead = svc.wait(leader);
+  EXPECT_TRUE(lead.outcome == JobOutcome::kCancelled || lead.outcome == JobOutcome::kCompleted)
+      << lead.status.to_string();
+  for (std::size_t k = 0; k < followers.size(); ++k) {
+    const JobResult r = svc.wait(followers[k]);
+    ASSERT_EQ(r.outcome, JobOutcome::kCompleted) << r.status.to_string();
+    sparse::FactorCache::global().clear();
+    const JobRequest want = big("direct", static_cast<la::index>(4 + k));
+    expect_same_reduction(r.reduction, mor::pmtbr(want.system, want.options));
+  }
 }
 
 TEST_F(ReductionServiceAdmission, SubmitMovesRequestWithoutCopyingMatrices) {

@@ -187,15 +187,23 @@ def validate_serve_sweep(sweep) -> list[str]:
 
 
 # "repeated_workload" object in a timing artifact (bench_serve_throughput):
-# warm-vs-cold throughput of one repeated job set through the model cache.
+# throughput of one job set through the span cache, cold, at another fixed
+# order (reorder, with the hits that wave recorded) and repeated (warm).
+REPEATED_PHASES = ("cold", "reorder", "warm")
+
+
+def is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def validate_repeated_workload(rep) -> list[str]:
     if not isinstance(rep, dict):
         return ["'repeated_workload' must be an object"]
     errors = []
     for key in ("jobs_per_wave", "warm_waves", "cache_hits"):
-        if not isinstance(rep.get(key), int) or rep.get(key) < 0:
+        if not is_count(rep.get(key)):
             errors.append(f"repeated_workload.{key} must be a nonnegative integer")
-    for phase in ("cold", "warm"):
+    for phase in REPEATED_PHASES:
         obj = rep.get(phase)
         if not isinstance(obj, dict):
             errors.append(f"repeated_workload.{phase} must be an object")
@@ -205,6 +213,9 @@ def validate_repeated_workload(rep) -> list[str]:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
                 errors.append(f"repeated_workload.{phase}.{key} must be a "
                               "nonnegative number")
+        if phase == "reorder" and not is_count(obj.get("cache_hits")):
+            errors.append("repeated_workload.reorder.cache_hits must be a "
+                          "nonnegative integer")
     return errors
 
 
@@ -334,14 +345,19 @@ def show_timing(data: dict) -> None:
               f"run p50/p99 {rn['p50'] * 1e3:.2f}/{rn['p99'] * 1e3:.2f} ms")
     rep = data.get("repeated_workload")
     if rep:
-        cold, warm = rep["cold"], rep["warm"]
-        speedup = (warm["jobs_per_second"] / cold["jobs_per_second"]
-                   if cold["jobs_per_second"] else 0.0)
+        cold, reorder, warm = rep["cold"], rep["reorder"], rep["warm"]
+
+        def speedup(phase: dict) -> float:
+            return (phase["jobs_per_second"] / cold["jobs_per_second"]
+                    if cold["jobs_per_second"] else 0.0)
+
         print(f"  repeated workload ({rep['jobs_per_wave']} jobs x "
               f"{rep['warm_waves']} warm waves): "
               f"cold {cold['jobs_per_second']:.2f} jobs/s  "
+              f"reorder {reorder['jobs_per_second']:.2f} jobs/s "
+              f"({speedup(reorder):.1f}x, {reorder['cache_hits']} hits)  "
               f"warm {warm['jobs_per_second']:.2f} jobs/s  "
-              f"({speedup:.1f}x, {rep['cache_hits']} cache hits)")
+              f"({speedup(warm):.1f}x, {rep['cache_hits']} cache hits)")
 
 
 def cmd_show(paths: list[Path]) -> int:
@@ -406,7 +422,7 @@ def diff_timings(old: dict, new: dict) -> None:
         b = new_rec.get(label, {}).get("wall_seconds", 0.0)
         print(f"  {label:<{width}}  {a:>10.4f}s  {b:>10.4f}s  {fmt_delta(a, b):>8}")
     if "repeated_workload" in old or "repeated_workload" in new:
-        for phase in ("cold", "warm"):
+        for phase in REPEATED_PHASES:
             a = old.get("repeated_workload", {}).get(phase, {}).get("jobs_per_second", 0.0)
             b = new.get("repeated_workload", {}).get(phase, {}).get("jobs_per_second", 0.0)
             label = f"repeated_workload.{phase} jobs/s"
