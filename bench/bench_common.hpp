@@ -5,9 +5,12 @@
 // EXPERIMENTS.md can quote them directly.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,6 +54,21 @@ double best_seconds(int reps, Fn&& fn) {
   return best;
 }
 
+/// Started before main(), so the run's wall time spans what its CPU time
+/// spans.
+inline const WallTimer run_timer;
+
+/// CPU seconds this process has used so far, user plus system, summed over
+/// its threads (getrusage, as the run manifest reads it).
+inline double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return seconds(ru.ru_utime) + seconds(ru.ru_stime);
+}
+
 /// One machine-readable timing measurement. `label` distinguishes runs of
 /// the same bench (e.g. "pmtbr_threads=4"); `n` is the state count and
 /// `samples` the number of frequency samples (0 when not applicable).
@@ -63,13 +81,18 @@ struct TimingRecord {
   double gflops = 0.0;  // achieved GFLOP/s, 0 when the record has no flop count
 };
 
-/// Writes bench_out/BENCH_<name>.json with the given records, so CI and
-/// scripts can diff timings without parsing human-oriented stdout. Returns
-/// the path written, or "" on failure (the bench still ran; only the
-/// artifact is missing). Serialization goes through obs::JsonWriter — the
-/// same locale-independent, escaped emitter the run manifest uses.
+/// Writes bench_out/BENCH_<name>.json with the given records and the run's
+/// process CPU seconds and utilization (CPU seconds per wall second so far),
+/// so CI and scripts can diff timings without parsing human-oriented
+/// stdout. `extra` writes the bench's own top-level keys after those.
+/// Returns the path written, or "" on failure (the bench still ran; only
+/// the artifact is missing). Serialization goes through obs::JsonWriter —
+/// the same locale-independent, escaped emitter the run manifest uses.
 inline std::string write_timing_json(const std::string& name,
-                                     const std::vector<TimingRecord>& records) {
+                                     const std::vector<TimingRecord>& records,
+                                     const std::function<void(obs::JsonWriter&)>& extra = {}) {
+  const double wall = run_timer.seconds();
+  const double cpu = process_cpu_seconds();
   std::error_code ec;
   std::filesystem::create_directories("bench_out", ec);
   if (ec) return {};
@@ -99,6 +122,11 @@ inline std::string write_timing_json(const std::string& name,
     w.end_object();
   }
   w.end_array();
+  w.key("process_cpu_seconds");
+  w.value(cpu);
+  w.key("utilization");
+  w.value(wall > 0 ? cpu / wall : 0.0);
+  if (extra) extra(w);
   w.end_object();
   w.done();
   return path;

@@ -1,16 +1,19 @@
 // Serving-layer throughput bench: a fixed batch of generator-built
 // reduction jobs pushed through ReductionService at several runner counts.
-// Reports jobs/sec and p50/p99 queue/run latency per sweep point.
+// Each sweep point repeats its cold batch until it has run at least
+// kMinPointSeconds and reports jobs/sec, p50/p99 queue/run latency, and its
+// process CPU seconds and utilization (CPU seconds per wall second).
 //
 // Artifacts: bench_out/BENCH_serve_throughput.json carries the standard
-// timing records plus a "serve" array (one entry per runner count) with
-// jobs_per_second, latency percentiles, and the outcome partition, and a
+// timing records (one per runner count the host gave its CPUs, timing one
+// batch) plus a "serve" array (one entry per runner count) with the
+// repetitions, utilization, latency percentiles, the outcome partition and,
+// unless the point is underutilized, jobs_per_second; and a
 // "repeated_workload" object with the cold, reorder and warm waves;
 // MANIFEST_serve_throughput.json carries the serve_extra() section from the
 // last sweep. Both are validated by tools/report_metrics.py in CI.
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -50,48 +53,63 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
+// A sweep point runs its batch again until it has run this long, so that a
+// utilization figure means something (one batch takes about 10 ms).
+constexpr double kMinPointSeconds = 1.0;
+// A point whose utilization falls below this many CPUs per runner did not
+// get the CPUs it asked for from the host; its throughput is withheld.
+constexpr double kMinUtilizationPerRunner = 0.75;
+
 struct SweepPoint {
   int runners = 0;
-  int jobs = 0;
+  int repetitions = 0;
+  int jobs = 0;  // over every repetition
   double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;
+  double utilization = 0.0;
+  bool underutilized = false;
   double jobs_per_second = 0.0;
   double queue_p50 = 0.0, queue_p99 = 0.0;
   double run_p50 = 0.0, run_p99 = 0.0;
-  serve::ServiceStats stats;
+  serve::ServiceStats stats;  // outcomes summed over every repetition
 };
 
 SweepPoint run_sweep(int runners) {
-  // Rebuild the batch per sweep so every runner count reduces the same set
-  // of systems (the rng stream is a pure function of the seed). Each sweep
-  // gets a fresh service (fresh span cache) and a cold solve cache, so
-  // runner counts stay comparable.
-  sparse::FactorCache::global().clear();
-  Rng rng(7);
-  serve::ReductionService svc({.runners = runners, .max_queue = kBatch});
-  WallTimer timer;
-  std::vector<serve::JobId> ids;
-  ids.reserve(kBatch);
-  for (int i = 0; i < kBatch; ++i) {
-    auto id = svc.submit(make_job(rng, i));
-    if (id.is_ok()) ids.push_back(id.value());
-  }
-  const auto results = svc.drain();
   SweepPoint pt;
   pt.runners = runners;
-  pt.jobs = static_cast<int>(ids.size());
-  pt.wall_seconds = timer.seconds();
-  pt.jobs_per_second =
-      pt.wall_seconds > 0 ? static_cast<double>(pt.jobs) / pt.wall_seconds : 0.0;
   std::vector<double> queue_lat, run_lat;
-  for (const auto& [id, res] : results) {
-    queue_lat.push_back(res.queue_seconds);
-    run_lat.push_back(res.run_seconds);
-  }
+  const double cpu_before = bench::process_cpu_seconds();
+  WallTimer timer;
+  do {
+    // Every repetition rebuilds the batch (the rng stream is a pure function
+    // of the seed) and gets a fresh service (fresh span cache) and a cold
+    // solve cache, so every repetition and runner count does the same work.
+    sparse::FactorCache::global().clear();
+    Rng rng(7);
+    serve::ReductionService svc({.runners = runners, .max_queue = kBatch});
+    for (int i = 0; i < kBatch; ++i)
+      if (svc.submit(make_job(rng, i)).is_ok()) ++pt.jobs;
+    for (const auto& [id, res] : svc.drain()) {
+      queue_lat.push_back(res.queue_seconds);
+      run_lat.push_back(res.run_seconds);
+    }
+    const serve::ServiceStats st = svc.stats();
+    pt.stats.completed += st.completed;
+    pt.stats.failed += st.failed;
+    pt.stats.cancelled += st.cancelled;
+    pt.stats.expired += st.expired;
+    pt.stats.rejected += st.rejected;
+    ++pt.repetitions;
+  } while (timer.seconds() < kMinPointSeconds);
+  pt.wall_seconds = timer.seconds();
+  pt.cpu_seconds = bench::process_cpu_seconds() - cpu_before;
+  pt.utilization = pt.cpu_seconds / pt.wall_seconds;
+  pt.underutilized = pt.utilization < kMinUtilizationPerRunner * runners;
+  pt.jobs_per_second = static_cast<double>(pt.jobs) / pt.wall_seconds;
   pt.queue_p50 = percentile(queue_lat, 0.50);
   pt.queue_p99 = percentile(queue_lat, 0.99);
   pt.run_p50 = percentile(run_lat, 0.50);
   pt.run_p99 = percentile(run_lat, 0.99);
-  pt.stats = svc.stats();
   return pt;
 }
 
@@ -166,110 +184,99 @@ RepeatedWorkload run_repeated_workload() {
 
 std::string write_artifact(const std::vector<SweepPoint>& sweep,
                            const RepeatedWorkload& rep) {
-  std::error_code ec;
-  std::filesystem::create_directories("bench_out", ec);
-  if (ec) return {};
-  const std::string path = "bench_out/BENCH_serve_throughput.json";
-  std::ofstream out(path);
-  if (!out) return {};
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("bench");
-  w.value("serve_throughput");
-  w.key("records");
-  w.begin_array();
-  for (const auto& pt : sweep) {
+  std::vector<bench::TimingRecord> records;
+  for (const auto& pt : sweep)
+    if (!pt.underutilized)
+      records.push_back({.label = "serve_runners=" + std::to_string(pt.runners),
+                         .wall_seconds = pt.wall_seconds / pt.repetitions,
+                         .n = kBatch,
+                         .threads = pt.runners});
+  return bench::write_timing_json("serve_throughput", records, [&](obs::JsonWriter& w) {
+    w.key("serve");
+    w.begin_array();
+    for (const auto& pt : sweep) {
+      w.begin_object();
+      w.key("runners");
+      w.value(pt.runners);
+      w.key("repetitions");
+      w.value(pt.repetitions);
+      w.key("jobs");
+      w.value(pt.jobs);
+      w.key("wall_seconds");
+      w.value(pt.wall_seconds);
+      w.key("process_cpu_seconds");
+      w.value(pt.cpu_seconds);
+      w.key("utilization");
+      w.value(pt.utilization);
+      w.key("underutilized");
+      w.value(pt.underutilized);
+      if (!pt.underutilized) {
+        w.key("jobs_per_second");
+        w.value(pt.jobs_per_second);
+      }
+      w.key("queue_seconds");
+      w.begin_object();
+      w.key("p50");
+      w.value(pt.queue_p50);
+      w.key("p99");
+      w.value(pt.queue_p99);
+      w.end_object();
+      w.key("run_seconds");
+      w.begin_object();
+      w.key("p50");
+      w.value(pt.run_p50);
+      w.key("p99");
+      w.value(pt.run_p99);
+      w.end_object();
+      w.key("outcomes");
+      w.begin_object();
+      w.key("completed");
+      w.value(pt.stats.completed);
+      w.key("failed");
+      w.value(pt.stats.failed);
+      w.key("cancelled");
+      w.value(pt.stats.cancelled);
+      w.key("expired");
+      w.value(pt.stats.expired);
+      w.key("rejected");
+      w.value(pt.stats.rejected);
+      w.end_object();
+      w.end_object();
+    }
+    w.end_array();
+    w.key("repeated_workload");
     w.begin_object();
-    w.key("label");
-    w.value("serve_runners=" + std::to_string(pt.runners));
+    w.key("jobs_per_wave");
+    w.value(rep.jobs_per_wave);
+    w.key("warm_waves");
+    w.value(rep.warm_waves);
+    w.key("cold");
+    w.begin_object();
     w.key("wall_seconds");
-    w.value(pt.wall_seconds);
-    w.key("n");
-    w.value(static_cast<std::int64_t>(pt.jobs));
-    w.key("samples");
-    w.value(std::int64_t{0});
-    w.key("threads");
-    w.value(pt.runners);
-    w.key("gflops");
-    w.value(0.0);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("serve");
-  w.begin_array();
-  for (const auto& pt : sweep) {
-    w.begin_object();
-    w.key("runners");
-    w.value(pt.runners);
-    w.key("jobs");
-    w.value(pt.jobs);
+    w.value(rep.cold_wall_seconds);
     w.key("jobs_per_second");
-    w.value(pt.jobs_per_second);
-    w.key("queue_seconds");
+    w.value(rep.cold_jobs_per_second);
+    w.end_object();
+    w.key("warm");
     w.begin_object();
-    w.key("p50");
-    w.value(pt.queue_p50);
-    w.key("p99");
-    w.value(pt.queue_p99);
+    w.key("wall_seconds");
+    w.value(rep.warm_wall_seconds);
+    w.key("jobs_per_second");
+    w.value(rep.warm_jobs_per_second);
     w.end_object();
-    w.key("run_seconds");
+    w.key("reorder");
     w.begin_object();
-    w.key("p50");
-    w.value(pt.run_p50);
-    w.key("p99");
-    w.value(pt.run_p99);
+    w.key("wall_seconds");
+    w.value(rep.reorder_wall_seconds);
+    w.key("jobs_per_second");
+    w.value(rep.reorder_jobs_per_second);
+    w.key("cache_hits");
+    w.value(rep.reorder_cache_hits);
     w.end_object();
-    w.key("outcomes");
-    w.begin_object();
-    w.key("completed");
-    w.value(pt.stats.completed);
-    w.key("failed");
-    w.value(pt.stats.failed);
-    w.key("cancelled");
-    w.value(pt.stats.cancelled);
-    w.key("expired");
-    w.value(pt.stats.expired);
-    w.key("rejected");
-    w.value(pt.stats.rejected);
+    w.key("cache_hits");
+    w.value(rep.stats.cache_hits);
     w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("repeated_workload");
-  w.begin_object();
-  w.key("jobs_per_wave");
-  w.value(rep.jobs_per_wave);
-  w.key("warm_waves");
-  w.value(rep.warm_waves);
-  w.key("cold");
-  w.begin_object();
-  w.key("wall_seconds");
-  w.value(rep.cold_wall_seconds);
-  w.key("jobs_per_second");
-  w.value(rep.cold_jobs_per_second);
-  w.end_object();
-  w.key("warm");
-  w.begin_object();
-  w.key("wall_seconds");
-  w.value(rep.warm_wall_seconds);
-  w.key("jobs_per_second");
-  w.value(rep.warm_jobs_per_second);
-  w.end_object();
-  w.key("reorder");
-  w.begin_object();
-  w.key("wall_seconds");
-  w.value(rep.reorder_wall_seconds);
-  w.key("jobs_per_second");
-  w.value(rep.reorder_jobs_per_second);
-  w.key("cache_hits");
-  w.value(rep.reorder_cache_hits);
-  w.end_object();
-  w.key("cache_hits");
-  w.value(rep.stats.cache_hits);
-  w.end_object();
-  w.end_object();
-  w.done();
-  return path;
+  });
 }
 
 }  // namespace
@@ -281,15 +288,17 @@ int main() {
   obs::reset_counters();
 
   std::vector<SweepPoint> sweep;
-  std::cout << "runners,jobs,wall_seconds,jobs_per_sec,queue_p50,queue_p99,"
-               "run_p50,run_p99,completed\n";
+  std::cout << "runners,repetitions,jobs,wall_seconds,cpu_seconds,utilization,jobs_per_sec,"
+               "queue_p50,queue_p99,run_p50,run_p99,completed\n";
   for (const int runners : {1, 2, 4}) {
     const SweepPoint pt = run_sweep(runners);
     sweep.push_back(pt);
-    std::cout << pt.runners << "," << pt.jobs << "," << pt.wall_seconds << ","
-              << pt.jobs_per_second << "," << pt.queue_p50 << "," << pt.queue_p99
-              << "," << pt.run_p50 << "," << pt.run_p99 << ","
-              << pt.stats.completed << "\n";
+    std::cout << pt.runners << "," << pt.repetitions << "," << pt.jobs << ","
+              << pt.wall_seconds << "," << pt.cpu_seconds << "," << pt.utilization << ","
+              << (pt.underutilized ? std::string("underutilized")
+                                   : std::to_string(pt.jobs_per_second))
+              << "," << pt.queue_p50 << "," << pt.queue_p99 << "," << pt.run_p50 << ","
+              << pt.run_p99 << "," << pt.stats.completed << "\n";
   }
 
   const RepeatedWorkload rep = run_repeated_workload();

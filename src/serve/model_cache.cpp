@@ -89,11 +89,6 @@ void ModelCache::insert(const util::Fingerprint& key, SpanPtr span) {
   if (ev.count > 0) obs::counter_add(obs::Counter::kModelCacheEvict, ev.count);
 }
 
-void ModelCache::note_coalesced(std::int64_t n) {
-  lru_.add_coalesced(n);
-  obs::counter_add(obs::Counter::kModelCacheCoalesced, n);
-}
-
 namespace {
 
 void write_layer(obs::JsonWriter& w, const util::CacheStats& st) {
@@ -104,8 +99,6 @@ void write_layer(obs::JsonWriter& w, const util::CacheStats& st) {
   w.value(st.misses);
   w.key("evictions");
   w.value(st.evictions);
-  w.key("coalesced");
-  w.value(st.coalesced);
   w.key("entries");
   w.value(st.entries);
   w.key("bytes");

@@ -12,9 +12,7 @@
 // of one sampling is a projection of one span, so its key is the job
 // fingerprint with the order choice neutralized (span_fingerprint). A job
 // that finds its span projects its own order (mor::project_span), which
-// is bit for bit what a fresh reduction returns at that order. The
-// embedded SingleFlight gate lets the service coalesce N concurrent jobs
-// of one span into one sampling pass.
+// is bit for bit what a fresh reduction returns at that order.
 //
 // The byte budget defaults to PMTBR_CACHE_BYTES (k/m/g suffixes) or
 // 256 MiB; 0 disables the cache entirely.
@@ -51,7 +49,6 @@ inline constexpr std::size_t kDefaultModelCacheBytes = std::size_t{256} << 20;
 class ModelCache {
  public:
   using SpanPtr = std::shared_ptr<const mor::SampledSpan>;
-  using FlightGate = util::SingleFlight<util::Fingerprint, SpanPtr, util::FingerprintHash>;
 
   /// The byte budget is PMTBR_CACHE_BYTES (default 256 MiB).
   ModelCache();
@@ -64,20 +61,14 @@ class ModelCache {
   /// Keeps a sampled span, evicting past the byte budget.
   void insert(const util::Fingerprint& key, SpanPtr span);
 
-  /// Records `n` jobs served by joining an in-flight computation.
-  void note_coalesced(std::int64_t n = 1);
-
   util::CacheStats stats() const { return lru_.stats(); }
-
-  FlightGate& flights() { return flights_; }
 
  private:
   util::LruCache<util::Fingerprint, SpanPtr, util::FingerprintHash> lru_;
-  FlightGate flights_;
 };
 
 /// ("cache", <json>) manifest extra: one object per cache layer with
-/// hits/misses/evictions/coalesced/entries/bytes — validated by
+/// hits/misses/evictions/entries/bytes — validated by
 /// tools/report_metrics.py.
 std::pair<std::string, std::string> cache_extra(const util::CacheStats& model,
                                                 const util::CacheStats& factor);

@@ -327,55 +327,20 @@ bool ReductionService::execute_job(Job& job) {
   // Every job projects its own order from the span, whoever sampled it. A
   // span served from the cache still honors this job's own cancel/deadline,
   // so the outcome partition is indistinguishable from a fresh run's.
-  const auto project = [&](const mor::SampledSpan& span) {
-    job.result.reduction = mor::project_span(job.req.system, span, options);
-  };
-  for (;;) {
-    if (ModelCache::SpanPtr hit = cache_->lookup(job.cache_key)) {
-      job.token.throw_if_cancelled();
-      project(*hit);
-      return true;
-    }
-    bool leader = false;
-    auto flight = cache_->flights().begin(job.cache_key, leader);
-    if (leader) {
-      // Close the lookup->begin race: a previous leader may have published
-      // and retired its flight between our miss and our begin().
-      if (ModelCache::SpanPtr hit = cache_->lookup(job.cache_key)) {
-        cache_->flights().publish(job.cache_key, flight, hit);
-        job.token.throw_if_cancelled();
-        project(*hit);
-        return true;
-      }
-      ModelCache::SpanPtr span;
-      try {
-        span = std::make_shared<const mor::SampledSpan>(
-            adaptive ? mor::pmtbr_adaptive_span(job.req.system, job.req.adaptive, options)
-                     : mor::pmtbr_span(job.req.system, options));
-      } catch (...) {
-        // Abandon the flight: followers wake, retry, and elect a new
-        // leader, so one cancelled job never poisons its coalesced peers.
-        cache_->flights().publish(job.cache_key, flight, nullptr);
-        throw;
-      }
-      cache_->insert(job.cache_key, span);
-      cache_->flights().publish(job.cache_key, flight, span);
-      project(*span);
-      return false;
-    }
-    // Follower: join the in-flight sampling, polling our own token so this
-    // job's cancel/deadline still win over a slow leader.
-    const auto value = ModelCache::FlightGate::wait(
-        *flight, std::chrono::milliseconds(1), [&job] { return job.token.cancelled(); });
-    if (!value.has_value()) {
-      job.token.throw_if_cancelled();
-    } else if (*value != nullptr) {
-      cache_->note_coalesced();
-      project(**value);
-      return true;
-    }
-    // Abandoned flight: loop and retry (we may be promoted to leader).
+  ModelCache::SpanPtr span = cache_->lookup(job.cache_key);
+  const bool hit = span != nullptr;
+  if (hit) {
+    job.token.throw_if_cancelled();
+  } else {
+    // A job that throws while sampling inserts nothing. Concurrent jobs of
+    // one span each sample it and insert equal spans; the last put stays.
+    span = std::make_shared<const mor::SampledSpan>(
+        adaptive ? mor::pmtbr_adaptive_span(job.req.system, job.req.adaptive, options)
+                 : mor::pmtbr_span(job.req.system, options));
+    cache_->insert(job.cache_key, span);
   }
+  job.result.reduction = mor::project_span(job.req.system, *span, options);
+  return hit;
 }
 
 }  // namespace pmtbr::serve

@@ -65,9 +65,8 @@ struct ServiceStats {
   std::int64_t cancelled = 0;
   std::int64_t expired = 0;
   std::int64_t rejected = 0;
-  /// Completed jobs that projected a span from the cache (an LRU hit or a
-  /// coalesced in-flight join) instead of sampling it; a job at another
-  /// order of a kept sampling counts too. Always a subset of `completed` —
+  /// Completed jobs that projected a span from the cache instead of
+  /// sampling it; a job at another order of a kept sampling counts too. Always a subset of `completed` —
   /// the partition identity is unchanged.
   std::int64_t cache_hits = 0;
   std::int64_t queued = 0;   // gauge: admitted, not yet started
@@ -146,10 +145,9 @@ class ReductionService {
 
   void runner_loop() PMTBR_EXCLUDES(mutex_);
 
-  /// Runs the job's reduction through the span cache: an LRU hit, a
-  /// coalesced join of an in-flight sampling of the same span, or a fresh
-  /// (leader) sampling; each then projects the job's own order. Returns
-  /// true when the span came from the cache. Throws util::StatusError
+  /// Runs the job's reduction through the span cache: a hit, or a fresh
+  /// sampling that is then kept; either way the job projects its own
+  /// order. Returns true when the span came from the cache. Throws util::StatusError
   /// exactly like a direct reduction would.
   bool execute_job(Job& job) PMTBR_EXCLUDES(mutex_);
 

@@ -1,5 +1,5 @@
-// Byte-bounded LRU cache plus a single-flight gate — the synchronization
-// substrate of the cross-job caching layer (docs/SERVING.md).
+// Byte-bounded LRU cache — the synchronization substrate of the
+// cross-job caching layer (docs/SERVING.md).
 //
 // LruCache is internally synchronized behind a capability-annotated
 // util::Mutex, so the cache front-ends (serve/model_cache, sparse/
@@ -7,23 +7,11 @@
 // locking. Eviction is strict LRU. Values are expected to be cheap handles
 // (shared_ptr to immutable data) — a get() returns a copy that stays valid
 // after the entry is evicted.
-//
-// SingleFlight collapses N concurrent computations of the same key into
-// one: the first caller becomes the leader and computes, later callers
-// join the flight and wait for the published value. An abandoned flight
-// (leader failed or was cancelled) publishes an empty value; joiners then
-// retry from the top, so a cancelled leader never propagates its
-// cancellation to followers.
-//
-// The wait is a polling cv wait templated on the duration type, so this
-// header stays free of ad-hoc clock usage; callers pick the poll interval
-// in whatever units their layer already sanctions.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <list>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -35,13 +23,11 @@ namespace pmtbr::util {
 
 /// Monotonic hit/miss/eviction totals plus resident-size gauges; the cache
 /// front-ends mirror these into obs counters and the `cache` manifest
-/// extra. `coalesced` is fed by the single-flight owner (followers served
-/// from a flight instead of the LRU).
+/// extra.
 struct CacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t evictions = 0;
-  std::int64_t coalesced = 0;
   std::int64_t entries = 0;  // gauge: resident entries
   std::int64_t bytes = 0;    // gauge: resident payload bytes
 };
@@ -143,13 +129,6 @@ class LruCache {
     stats_.bytes = 0;
   }
 
-  /// Single-flight owners report followers served from a flight here, so
-  /// one stats() call covers both serving paths.
-  void add_coalesced(std::int64_t n = 1) PMTBR_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    stats_.coalesced += n;
-  }
-
   CacheStats stats() const PMTBR_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     return stats_;
@@ -181,76 +160,6 @@ class LruCache {
   std::unordered_map<Key, typename Order::iterator, Hash> map_ PMTBR_GUARDED_BY(mutex_);
   std::size_t bytes_ PMTBR_GUARDED_BY(mutex_) = 0;
   CacheStats stats_ PMTBR_GUARDED_BY(mutex_);
-};
-
-/// Collapses concurrent computations of one key into a single execution.
-/// Protocol (see serve/service.cpp for the full loop):
-///
-///   bool leader = false;
-///   auto flight = gate.begin(key, leader);
-///   if (leader) { value = compute(); gate.publish(key, flight, value); }
-///   else if (auto v = SingleFlight::wait(*flight, poll, abort)) use(*v);
-///
-/// publish() with an empty Value marks the flight abandoned; waiters get
-/// the empty value back and are expected to retry begin() (one of them is
-/// promoted to leader).
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class SingleFlight {
- public:
-  struct Flight {
-    Mutex mutex;
-    ConditionVariable cv;
-    bool done PMTBR_GUARDED_BY(mutex) = false;
-    Value value PMTBR_GUARDED_BY(mutex){};
-  };
-  using FlightPtr = std::shared_ptr<Flight>;
-
-  /// Joins the in-progress flight for `key`, or starts one (leader=true;
-  /// the leader MUST eventually publish(), or joiners spin on retries).
-  FlightPtr begin(const Key& key, bool& leader) PMTBR_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      leader = false;
-      return it->second;
-    }
-    leader = true;
-    auto flight = std::make_shared<Flight>();
-    inflight_.emplace(key, flight);
-    return flight;
-  }
-
-  /// Publishes the flight's value (empty = abandoned), wakes every waiter,
-  /// and retires the key so the next begin() starts a fresh flight.
-  void publish(const Key& key, const FlightPtr& flight, Value value)
-      PMTBR_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(flight->mutex);
-      flight->value = std::move(value);
-      flight->done = true;
-    }
-    flight->cv.notify_all();
-    MutexLock lock(mutex_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end() && it->second == flight) inflight_.erase(it);
-  }
-
-  /// Blocks until the flight publishes or `abort()` returns true, polling
-  /// the predicate every `poll`. Returns the published value (possibly
-  /// empty for an abandoned flight) or nullopt when aborted.
-  template <typename Duration, typename AbortFn>
-  static std::optional<Value> wait(Flight& flight, const Duration& poll, AbortFn abort) {
-    UniqueLock lock(flight.mutex);
-    while (!flight.done) {
-      if (abort()) return std::nullopt;
-      flight.cv.wait_for(lock, poll);
-    }
-    return flight.value;
-  }
-
- private:
-  Mutex mutex_;
-  std::unordered_map<Key, FlightPtr, Hash> inflight_ PMTBR_GUARDED_BY(mutex_);
 };
 
 }  // namespace pmtbr::util

@@ -55,7 +55,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kModelCacheHit: return "model_cache_hit";
     case Counter::kModelCacheMiss: return "model_cache_miss";
     case Counter::kModelCacheEvict: return "model_cache_evict";
-    case Counter::kModelCacheCoalesced: return "model_cache_coalesced";
     case Counter::kModelCacheBytes: return "model_cache_bytes";
     case Counter::kFactorCacheHit: return "factor_cache_hit";
     case Counter::kFactorCacheMiss: return "factor_cache_miss";

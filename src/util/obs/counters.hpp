@@ -80,9 +80,8 @@ enum class Counter : int {
   // see docs/SERVING.md). The *_bytes entries are resident-size gauges
   // (incremented on insert, decremented on evict), not monotonic totals.
   kModelCacheHit,           // jobs that found their sampled span in the LRU (reorders too)
-  kModelCacheMiss,          // span lookups that found nothing
+  kModelCacheMiss,          // span lookups that found nothing; each one samples its span
   kModelCacheEvict,         // sampled spans evicted under the byte budget
-  kModelCacheCoalesced,     // jobs served by joining an in-flight sampling of their span
   kModelCacheBytes,         // resident span bytes (gauge)
   kFactorCacheHit,          // solves of B served from the shared solve LRU (never a PMTBR sample)
   kFactorCacheMiss,         // solve-cache lookups that found nothing

@@ -1,4 +1,4 @@
-// Contracts on the Lyapunov/Sylvester solvers and residuals: shape
+// Contracts on the Lyapunov/cross-Gramian solvers and residuals: shape
 // validation throws std::invalid_argument before any arithmetic.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "lyap/lyapunov.hpp"
-#include "lyap/sylvester.hpp"
 #include "helpers.hpp"
 
 namespace pmtbr::lyap {
@@ -50,10 +49,12 @@ TEST(LyapunovContract, NanInputCaughtWhenFiniteChecksOn) {
 
 TEST(SylvesterContract, ShapeMismatchThrows) {
   Rng rng(21);
-  const MatD a = random_stable(2, rng);
-  const MatD b = random_stable(3, rng);
-  EXPECT_THROW(solve_sylvester(a, b, MatD(3, 2, 1.0)), std::invalid_argument);
-  EXPECT_THROW(solve_sylvester(MatD(2, 3, 1.0), b, MatD(2, 3, 1.0)), std::invalid_argument);
+  const MatD a = random_stable(3, rng);
+  EXPECT_THROW(cross_gramian(a, MatD(2, 1, 1.0), MatD(1, 3, 1.0)), std::invalid_argument);
+  EXPECT_THROW(cross_gramian(a, MatD(3, 1, 1.0), MatD(1, 2, 1.0)), std::invalid_argument);
+  EXPECT_THROW(cross_gramian(a, MatD(3, 2, 1.0), MatD(1, 3, 1.0)), std::invalid_argument);
+  EXPECT_THROW(cross_gramian(MatD(2, 3, 1.0), MatD(2, 1, 1.0), MatD(1, 3, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(SylvesterContract, ResidualShapeMismatchThrows) {

@@ -1,12 +1,13 @@
 // Cross-job caching layer tests (docs/SERVING.md): job and span
-// fingerprints, single-flight coalescing of concurrent jobs of one span,
-// bit-identical cache hits at the job's own order, the shared solve cache
-// that PMTBR's samples bypass, and the move-only admission path. The suite
-// names carry the ReductionService prefix so the TSan CI preset picks the
-// concurrency tests up.
+// fingerprints, one lookup and at most one sampling per job, concurrent
+// jobs of one span, bit-identical cache hits at the job's own order, the
+// shared solve cache that PMTBR's samples bypass, and the move-only
+// admission path. The suite names carry the ReductionService prefix so the
+// TSan CI preset picks the concurrency tests up.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -171,39 +172,6 @@ TEST_F(ReductionServiceCache, HitIsBitIdenticalToFreshReduction) {
             direct.model.singular_values.size());
   for (std::size_t i = 0; i < direct.model.singular_values.size(); ++i)
     EXPECT_EQ(hit.reduction.model.singular_values[i], direct.model.singular_values[i]);
-}
-
-TEST_F(ReductionServiceCache, SingleFlightCollapsesConcurrentIdenticalJobs) {
-  constexpr int kJobs = 16;
-  ReductionService svc({.runners = kJobs, .max_queue = kJobs});
-  std::vector<JobId> ids;
-  ids.reserve(kJobs);
-  for (int i = 0; i < kJobs; ++i) {
-    auto id = svc.submit(mesh_job("flight-" + std::to_string(i), 24));
-    ASSERT_TRUE(id.is_ok());
-    ids.push_back(id.value());
-  }
-  std::vector<JobResult> results;
-  results.reserve(kJobs);
-  for (const JobId id : ids) results.push_back(svc.wait(id));
-  for (const JobResult& r : results)
-    ASSERT_EQ(r.outcome, JobOutcome::kCompleted) << r.status.to_string();
-
-  // Exactly one reduction ran: the sample counter saw one job's worth of
-  // absorbed samples, every other job was served by the flight or the LRU.
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPmtbrSamples), 24);
-  const ServiceStats st = svc.stats();
-  EXPECT_EQ(st.completed, kJobs);
-  EXPECT_EQ(st.cache_hits, kJobs - 1);
-
-  // All coalesced results are bit-identical to the leader's.
-  for (const JobResult& r : results) {
-    ASSERT_EQ(r.reduction.model.singular_values.size(),
-              results[0].reduction.model.singular_values.size());
-    for (std::size_t i = 0; i < results[0].reduction.model.singular_values.size(); ++i)
-      EXPECT_EQ(r.reduction.model.singular_values[i],
-                results[0].reduction.model.singular_values[i]);
-  }
 }
 
 TEST_F(ReductionServiceCache, DisabledCacheRunsEveryJob) {
@@ -435,26 +403,59 @@ TEST_F(ReductionServiceCache, SamplingInputsNeverShareASpan) {
   EXPECT_FALSE(span_fingerprint(weighted).has_value());
 }
 
-TEST_F(ReductionServiceCache, OrdersOfOneSamplingRunOneSamplingPass) {
+// Submits every request at once and waits for all of them.
+std::vector<JobResult> run_together(ReductionService& svc, const std::vector<JobRequest>& reqs) {
+  std::vector<JobId> ids;
+  for (const JobRequest& req : reqs) {
+    JobRequest copy = req;
+    auto id = svc.submit(std::move(copy));
+    EXPECT_TRUE(id.is_ok());
+    if (id.is_ok()) ids.push_back(id.value());
+  }
+  std::vector<JobResult> results;
+  for (const JobId id : ids) results.push_back(svc.wait(id));
+  return results;
+}
+
+// Every job looks its span up once: a miss samples it (`samples` absorbed
+// samples per miss, no other sampling), a hit only projects.
+void expect_one_sampling_per_miss(const ReductionService& svc, std::int64_t jobs,
+                                  std::int64_t samples) {
+  const std::int64_t misses = obs::counter_value(obs::Counter::kModelCacheMiss);
+  EXPECT_GE(misses, 1);
+  EXPECT_EQ(svc.model_cache_stats().misses, misses);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPmtbrSamples), samples * misses);
+  EXPECT_EQ(svc.stats().cache_hits, jobs - misses);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kModelCacheHit), jobs - misses);
+}
+
+TEST_F(ReductionServiceCache, ConcurrentIdenticalJobsEqualAColdCall) {
+  // Jobs of one span that run at once each sample it; every result is the
+  // cold call's, bit for bit, whichever sampling it projected.
+  constexpr int kJobs = 16;
+  ReductionService svc({.runners = kJobs, .max_queue = kJobs});
+  std::vector<JobRequest> reqs;
+  for (int i = 0; i < kJobs; ++i) reqs.push_back(mesh_job("same-" + std::to_string(i), 24));
+  const std::vector<JobResult> results = run_together(svc, reqs);
+  for (const JobResult& r : results)
+    ASSERT_EQ(r.outcome, JobOutcome::kCompleted) << r.status.to_string();
+  EXPECT_EQ(svc.stats().completed, kJobs);
+  expect_one_sampling_per_miss(svc, kJobs, 24);
+
+  const mor::PmtbrResult cold = cold_call(reqs[0]);
+  for (const JobResult& r : results) expect_same_reduction(r.reduction, cold);
+}
+
+TEST_F(ReductionServiceCache, ConcurrentOrdersOfOneSamplingEqualColdCalls) {
   constexpr int kJobs = 8;
   ReductionService svc({.runners = kJobs, .max_queue = kJobs});
   std::vector<JobRequest> reqs;
-  std::vector<JobId> ids;
   for (int q = 1; q <= kJobs; ++q) {
     reqs.push_back(mesh_job("order-" + std::to_string(q), 24));
     reqs.back().options.fixed_order = q;
   }
-  for (const JobRequest& req : reqs) {
-    JobRequest copy = req;
-    auto id = svc.submit(std::move(copy));
-    ASSERT_TRUE(id.is_ok());
-    ids.push_back(id.value());
-  }
-  std::vector<JobResult> results;
-  for (const JobId id : ids) results.push_back(svc.wait(id));
-  // One sampling pass absorbed 24 samples; every other job projected it.
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPmtbrSamples), 24);
-  EXPECT_EQ(svc.stats().cache_hits, kJobs - 1);
+  const std::vector<JobResult> results = run_together(svc, reqs);
+  expect_one_sampling_per_miss(svc, kJobs, 24);
   for (int k = 0; k < kJobs; ++k) {
     SCOPED_TRACE(k + 1);
     ASSERT_EQ(results[static_cast<std::size_t>(k)].outcome, JobOutcome::kCompleted);
@@ -462,6 +463,16 @@ TEST_F(ReductionServiceCache, OrdersOfOneSamplingRunOneSamplingPass) {
     expect_same_reduction(results[static_cast<std::size_t>(k)].reduction,
                           cold_call(reqs[static_cast<std::size_t>(k)]));
   }
+}
+
+TEST_F(ReductionServiceCache, FreshJobCountsOneMiss) {
+  ReductionService svc({.runners = 1, .max_queue = 2});
+  const std::vector<JobResult> results = run_together(svc, {mesh_job("fresh")});
+  ASSERT_EQ(results[0].outcome, JobOutcome::kCompleted) << results[0].status.to_string();
+  EXPECT_EQ(obs::counter_value(obs::Counter::kModelCacheMiss), 1);
+  EXPECT_EQ(svc.model_cache_stats().misses, 1);
+  EXPECT_EQ(svc.model_cache_stats().hits, 0);
+  EXPECT_EQ(svc.model_cache_stats().entries, 1);
 }
 
 TEST_F(ReductionServiceCache, PmtbrLeavesTheSolveCacheAlone) {
@@ -505,7 +516,55 @@ TEST_F(ReductionServiceCache, SpanIsChargedItsFactorsAndSamples) {
             static_cast<std::int64_t>(span_bytes(span)));
 }
 
-TEST_F(ReductionServiceCache, FailedOrCancelledLeaderNeverPoisonsFollowers) {
+// A 16×16 two-port mesh at 300 samples: long enough to cancel mid-sampling.
+JobRequest big_job(const std::string& name, la::index order) {
+  JobRequest req;
+  req.name = name;
+  req.system = circuit::make_rc_mesh({.rows = 16, .cols = 16, .num_ports = 2});
+  req.options.num_samples = 300;
+  req.options.fixed_order = order;
+  return req;
+}
+
+void await_running(const ReductionService& svc) {
+  for (int spin = 0; spin < 20000 && svc.stats().running == 0; ++spin)
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+}
+
+TEST_F(ReductionServiceCache, FailedOrCancelledSamplingLeavesNoSpan) {
+  ReductionService svc({.runners = 1, .max_queue = 2});
+  const auto run = [&svc](JobRequest req) {
+    auto id = svc.submit(std::move(req));
+    EXPECT_TRUE(id.is_ok());
+    return svc.wait(id.value());
+  };
+
+  // Options that fail throw before any sample is solved.
+  JobRequest bad = mesh_job("bad");
+  bad.options.truncation_tol = -1.0;
+  EXPECT_EQ(run(std::move(bad)).status.code(), util::ErrorCode::kInvalidInput);
+  EXPECT_EQ(svc.model_cache_stats().entries, 0);
+  EXPECT_EQ(run(mesh_job("good")).outcome, JobOutcome::kCompleted);
+  EXPECT_EQ(svc.stats().cache_hits, 0);
+  EXPECT_EQ(svc.model_cache_stats().entries, 1);
+
+  // A cancel lands within microseconds of the start of a 300-sample job, so
+  // the job is cancelled mid-sampling; had it finished first, it would have
+  // kept its span like any completed job.
+  const JobId doomed = svc.submit(big_job("doomed", 3)).value();
+  await_running(svc);
+  svc.cancel(doomed);
+  const JobResult first = svc.wait(doomed);
+  const bool cancelled = first.outcome == JobOutcome::kCancelled;
+  ASSERT_TRUE(cancelled || first.outcome == JobOutcome::kCompleted) << first.status.to_string();
+  EXPECT_EQ(svc.model_cache_stats().entries, cancelled ? 1 : 2);
+  const JobResult again = run(big_job("again", 3));
+  ASSERT_EQ(again.outcome, JobOutcome::kCompleted) << again.status.to_string();
+  EXPECT_EQ(svc.stats().cache_hits, cancelled ? 0 : 1);
+  EXPECT_EQ(svc.model_cache_stats().entries, 2);
+}
+
+TEST_F(ReductionServiceCache, FailedOrCancelledJobNeverPoisonsItsSpan) {
   // A failing job shares the span key of valid ones (truncation_tol is not
   // a sampling input while adaptive_excess is off): it fails alone.
   {
@@ -534,31 +593,23 @@ TEST_F(ReductionServiceCache, FailedOrCancelledLeaderNeverPoisonsFollowers) {
     }
   }
 
-  // A leader cancelled mid-sampling abandons its flight; the jobs waiting
-  // on it retry, one samples again, and each gets its own order.
+  // A job cancelled mid-sampling inserts nothing; the jobs of its span
+  // submitted while it ran sample or find the span, each at its own order.
   ReductionService svc({.runners = 4, .max_queue = 8});
-  const auto big = [](const std::string& name, la::index order) {
-    JobRequest req;
-    req.name = name;
-    req.system = circuit::make_rc_mesh({.rows = 16, .cols = 16, .num_ports = 2});
-    req.options.num_samples = 300;
-    req.options.fixed_order = order;
-    return req;
-  };
-  const JobId leader = svc.submit(big("leader", 3)).value();
-  for (int spin = 0; spin < 20000 && svc.stats().running == 0; ++spin)
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  std::vector<JobId> followers;
-  for (const la::index q : {4, 5, 6}) followers.push_back(svc.submit(big("follower", q)).value());
-  svc.cancel(leader);
-  const JobResult lead = svc.wait(leader);
-  EXPECT_TRUE(lead.outcome == JobOutcome::kCancelled || lead.outcome == JobOutcome::kCompleted)
-      << lead.status.to_string();
-  for (std::size_t k = 0; k < followers.size(); ++k) {
-    const JobResult r = svc.wait(followers[k]);
+  const JobId first = svc.submit(big_job("first", 3)).value();
+  await_running(svc);
+  std::vector<JobId> others;
+  for (const la::index q : {4, 5, 6}) others.push_back(svc.submit(big_job("other", q)).value());
+  svc.cancel(first);
+  const JobResult cancelled = svc.wait(first);
+  EXPECT_TRUE(cancelled.outcome == JobOutcome::kCancelled ||
+              cancelled.outcome == JobOutcome::kCompleted)
+      << cancelled.status.to_string();
+  for (std::size_t k = 0; k < others.size(); ++k) {
+    const JobResult r = svc.wait(others[k]);
     ASSERT_EQ(r.outcome, JobOutcome::kCompleted) << r.status.to_string();
     sparse::FactorCache::global().clear();
-    const JobRequest want = big("direct", static_cast<la::index>(4 + k));
+    const JobRequest want = big_job("direct", static_cast<la::index>(4 + k));
     expect_same_reduction(r.reduction, mor::pmtbr(want.system, want.options));
   }
 }

@@ -1,14 +1,10 @@
 // Unit tests for the caching substrate (docs/SERVING.md): content
-// fingerprints, the PMTBR_CACHE_BYTES budget parser, the byte-bounded LRU,
-// and the single-flight gate's leader/follower protocol.
+// fingerprints, the PMTBR_CACHE_BYTES budget parser and the byte-bounded
+// LRU.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/fingerprint.hpp"
@@ -154,97 +150,13 @@ TEST(LruCacheTest, ClearKeepsMonotonicTotals) {
   cache.put(1, 10, 10);
   (void)cache.get(1);
   (void)cache.get(2);
-  cache.add_coalesced(3);
   cache.clear();
   const CacheStats st = cache.stats();
   EXPECT_EQ(st.entries, 0);
   EXPECT_EQ(st.bytes, 0);
   EXPECT_EQ(st.hits, 1);
   EXPECT_EQ(st.misses, 1);
-  EXPECT_EQ(st.coalesced, 3);
   EXPECT_FALSE(cache.get(1).has_value());
-}
-
-using IntFlight = SingleFlight<int, std::shared_ptr<const int>>;
-
-TEST(SingleFlightGate, LeaderPublishesFollowersJoin) {
-  IntFlight gate;
-  bool leader = false;
-  auto flight = gate.begin(7, leader);
-  ASSERT_TRUE(leader);
-
-  bool second = true;
-  auto joined = gate.begin(7, second);
-  EXPECT_FALSE(second);
-  EXPECT_EQ(joined.get(), flight.get());
-
-  gate.publish(7, flight, std::make_shared<const int>(42));
-  const auto value =
-      IntFlight::wait(*joined, std::chrono::milliseconds(1), [] { return false; });
-  ASSERT_TRUE(value.has_value());
-  ASSERT_NE(*value, nullptr);
-  EXPECT_EQ(**value, 42);
-
-  // The flight retired with publish: the next begin starts fresh.
-  bool again = false;
-  (void)gate.begin(7, again);
-  EXPECT_TRUE(again);
-}
-
-TEST(SingleFlightGate, AbandonedFlightReturnsEmptyValue) {
-  IntFlight gate;
-  bool leader = false;
-  auto flight = gate.begin(1, leader);
-  ASSERT_TRUE(leader);
-  gate.publish(1, flight, nullptr);  // leader failed/cancelled
-  const auto value =
-      IntFlight::wait(*flight, std::chrono::milliseconds(1), [] { return false; });
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, nullptr);
-}
-
-TEST(SingleFlightGate, WaitAbortsOnPredicate) {
-  IntFlight gate;
-  bool leader = false;
-  auto flight = gate.begin(1, leader);
-  ASSERT_TRUE(leader);
-  const auto value =
-      IntFlight::wait(*flight, std::chrono::milliseconds(1), [] { return true; });
-  EXPECT_FALSE(value.has_value());
-  gate.publish(1, flight, std::make_shared<const int>(0));  // leave no dangling flight
-}
-
-TEST(SingleFlightGate, ConcurrentBeginElectsExactlyOneLeader) {
-  IntFlight gate;
-  constexpr int kThreads = 8;
-  std::atomic<int> begun{0};
-  std::atomic<int> leaders{0};
-  std::atomic<int> served{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      bool leader = false;
-      auto flight = gate.begin(5, leader);
-      begun.fetch_add(1, std::memory_order_relaxed);
-      if (leader) {
-        leaders.fetch_add(1, std::memory_order_relaxed);
-        // Publish only after every thread has joined the flight, so a late
-        // begin() can never start a second flight and elect a second leader.
-        while (begun.load(std::memory_order_relaxed) < kThreads) std::this_thread::yield();
-        gate.publish(5, flight, std::make_shared<const int>(99));
-        served.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      const auto value =
-          IntFlight::wait(*flight, std::chrono::milliseconds(1), [] { return false; });
-      if (value.has_value() && *value != nullptr && **value == 99)
-        served.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(leaders.load(), 1);
-  EXPECT_EQ(served.load(), kThreads);
 }
 
 }  // namespace

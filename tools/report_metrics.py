@@ -7,7 +7,9 @@ Two artifact kinds (both emitted through src/util/obs/json.cpp):
                          configuration, every solver counter, aggregated
                          trace-scope timings (docs/OBSERVABILITY.md).
   BENCH_<name>.json      wall-clock timing records written by
-                         bench::write_timing_json.
+                         bench::write_timing_json, with the run's process
+                         CPU seconds and utilization (CPU seconds per wall
+                         second).
 
 Usage:
   python3 tools/report_metrics.py show bench_out/MANIFEST_cost_scaling.json ...
@@ -127,9 +129,9 @@ def validate_serve_extra(serve) -> list[str]:
 
 
 # "cache" manifest extra (serve::cache_extra, docs/SERVING.md): one stats
-# object per cache layer (model-result LRU, shared numeric-factor LRU).
+# object per cache layer (sampled-span LRU, shared solve LRU).
 CACHE_LAYERS = ("model", "factor")
-CACHE_COUNTS = ("hits", "misses", "evictions", "coalesced", "entries", "bytes")
+CACHE_COUNTS = ("hits", "misses", "evictions", "entries", "bytes")
 
 
 def validate_cache_extra(cache) -> list[str]:
@@ -158,8 +160,27 @@ def validate_percentiles(prefix: str, obj) -> list[str]:
     return errors
 
 
+def is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+
+
+# A sweep point whose utilization is below this many CPUs per runner did not
+# get its CPUs from the host: it is marked underutilized and carries no
+# jobs_per_second (bench_serve_throughput's kMinUtilizationPerRunner).
+MIN_UTILIZATION_PER_RUNNER = 0.75
+# The run's usage that bench::write_timing_json records in every artifact.
+RUN_USAGE = ("process_cpu_seconds", "utilization")
+SWEEP_USAGE = ("wall_seconds", "process_cpu_seconds", "utilization")
+
+
 # "serve" array in a timing artifact (bench_serve_throughput): one entry per
-# runner-count sweep point with throughput and latency percentiles.
+# runner-count sweep point, its batch repeated for at least a second, with
+# its utilization, throughput and latency percentiles. Points written before
+# utilization was recorded carry none of its fields and always a throughput.
 def validate_serve_sweep(sweep) -> list[str]:
     if not isinstance(sweep, list):
         return ["'serve' must be an array of sweep points"]
@@ -168,11 +189,22 @@ def validate_serve_sweep(sweep) -> list[str]:
         if not isinstance(pt, dict):
             errors.append(f"serve[{i}] must be an object")
             continue
-        for key in ("runners", "jobs"):
-            if not isinstance(pt.get(key), int) or pt.get(key) < 0:
+        measured = "utilization" in pt
+        for key in ("runners", "repetitions", "jobs") if measured else ("runners", "jobs"):
+            if not is_count(pt.get(key)):
                 errors.append(f"serve[{i}].{key} must be a nonnegative integer")
-        jps = pt.get("jobs_per_second")
-        if not isinstance(jps, (int, float)) or isinstance(jps, bool) or jps < 0:
+        for key in SWEEP_USAGE if measured else ():
+            if not is_number(pt.get(key)):
+                errors.append(f"serve[{i}].{key} must be a nonnegative number")
+        low = pt.get("underutilized", None if measured else False)
+        if not isinstance(low, bool):
+            errors.append(f"serve[{i}].underutilized must be a boolean")
+        elif measured and is_count(pt.get("runners")) and is_number(pt["utilization"]) and \
+                low != (pt["utilization"] < MIN_UTILIZATION_PER_RUNNER * pt["runners"]):
+            errors.append(f"serve[{i}].underutilized disagrees with its utilization")
+        if low is True and "jobs_per_second" in pt:
+            errors.append(f"serve[{i}] is underutilized but reports jobs_per_second")
+        elif low is False and not is_number(pt.get("jobs_per_second")):
             errors.append(f"serve[{i}].jobs_per_second must be a nonnegative number")
         for section in ("queue_seconds", "run_seconds"):
             errors.extend(validate_percentiles(f"serve[{i}].{section}",
@@ -190,10 +222,6 @@ def validate_serve_sweep(sweep) -> list[str]:
 # throughput of one job set through the span cache, cold, at another fixed
 # order (reorder, with the hits that wave recorded) and repeated (warm).
 REPEATED_PHASES = ("cold", "reorder", "warm")
-
-
-def is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def validate_repeated_workload(rep) -> list[str]:
@@ -277,9 +305,13 @@ def validate_timing(path: Path, data: dict) -> list[str]:
         for i, r in enumerate(records):
             if not isinstance(r, dict) or "label" not in r or "wall_seconds" not in r:
                 errors.append(f"records[{i}] lacks label/wall_seconds")
-            elif "gflops" in r and (not isinstance(r["gflops"], (int, float))
-                                    or isinstance(r["gflops"], bool) or r["gflops"] < 0):
+            elif "gflops" in r and not is_number(r["gflops"]):
                 errors.append(f"records[{i}].gflops must be a nonnegative number")
+    # Artifacts written before the run's utilization was recorded lack both.
+    if "process_cpu_seconds" in data or "utilization" in data:
+        for key in RUN_USAGE:
+            if not is_number(data.get(key)):
+                errors.append(f"'{key}' must be a nonnegative number")
     if "serve" in data:
         errors.extend(validate_serve_sweep(data["serve"]))
     if "repeated_workload" in data:
@@ -331,8 +363,23 @@ def show_manifest(data: dict) -> None:
         print("trace: enabled, no scopes closed")
 
 
+def throughput(pt: dict) -> str:
+    if pt.get("underutilized"):
+        return "underutilized, jobs/s withheld"
+    return f"{pt['jobs_per_second']:.2f} jobs/s"
+
+
+def utilization(pt: dict) -> str:
+    if "utilization" not in pt:
+        return "utilization not recorded"
+    return (f"utilization {pt['utilization']:.2f} ({pt['repetitions']} batches, "
+            f"{pt['wall_seconds']:.2f}s)")
+
+
 def show_timing(data: dict) -> None:
-    print(f"bench: {data['bench']}")
+    usage = (f"   process CPU {data['process_cpu_seconds']:.3f}s   "
+             f"utilization {data['utilization']:.2f}" if "utilization" in data else "")
+    print(f"bench: {data['bench']}{usage}")
     for r in data["records"]:
         extras = "  ".join(f"{k}={r[k]}" for k in ("n", "samples", "threads") if k in r)
         if r.get("gflops"):
@@ -340,7 +387,7 @@ def show_timing(data: dict) -> None:
         print(f"  {r['label']:<40}  {r['wall_seconds']:>10.4f}s  {extras}")
     for pt in data.get("serve", []):
         q, rn = pt["queue_seconds"], pt["run_seconds"]
-        print(f"  serve runners={pt['runners']}: {pt['jobs_per_second']:.2f} jobs/s  "
+        print(f"  serve runners={pt['runners']}: {throughput(pt)}  {utilization(pt)}  "
               f"queue p50/p99 {q['p50'] * 1e3:.2f}/{q['p99'] * 1e3:.2f} ms  "
               f"run p50/p99 {rn['p50'] * 1e3:.2f}/{rn['p99'] * 1e3:.2f} ms")
     rep = data.get("repeated_workload")
@@ -416,11 +463,26 @@ def diff_timings(old: dict, new: dict) -> None:
     old_rec = {r["label"]: r for r in old["records"]}
     new_rec = {r["label"]: r for r in new["records"]}
     labels = sorted(set(old_rec) | set(new_rec))
-    width = max(len(l) for l in labels) if labels else 0
+    width = max([len(l) for l in labels] + [len(k) for k in RUN_USAGE])
     for label in labels:
-        a = old_rec.get(label, {}).get("wall_seconds", 0.0)
-        b = new_rec.get(label, {}).get("wall_seconds", 0.0)
+        if label not in old_rec or label not in new_rec:
+            side = "old" if label in old_rec else "new"
+            print(f"  {label:<{width}}  only in the {side} run")
+            continue
+        a, b = old_rec[label]["wall_seconds"], new_rec[label]["wall_seconds"]
         print(f"  {label:<{width}}  {a:>10.4f}s  {b:>10.4f}s  {fmt_delta(a, b):>8}")
+    for key in RUN_USAGE:
+        if key in old and key in new:
+            a, b = old[key], new[key]
+            print(f"  {key:<{width}}  {a:>10.3f}   {b:>10.3f}   {fmt_delta(a, b):>8}")
+        elif key in old or key in new:
+            print(f"  {key:<{width}}  only in the {'old' if key in old else 'new'} run")
+    old_pts = {pt["runners"]: pt for pt in old.get("serve", [])}
+    new_pts = {pt["runners"]: pt for pt in new.get("serve", [])}
+    for runners in sorted(set(old_pts) & set(new_pts)):
+        a, b = old_pts[runners], new_pts[runners]
+        print(f"  serve runners={runners}: {utilization(a)} -> {utilization(b)}, "
+              f"{throughput(a)} -> {throughput(b)}")
     if "repeated_workload" in old or "repeated_workload" in new:
         for phase in REPEATED_PHASES:
             a = old.get("repeated_workload", {}).get(phase, {}).get("jobs_per_second", 0.0)
