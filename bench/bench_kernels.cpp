@@ -182,31 +182,33 @@ void thin_compression_records(std::vector<bench::TimingRecord>& records) {
 }
 
 void fold_records(std::vector<bench::TimingRecord>& records) {
-  // The compressor folds pending R columns by factoring the tall
-  // T = [diag(σ) ; Pᵀ·blkdiag(U, I)] for σ and V. fold_reference_<shape>
-  // times la::svd(T), which the fold ran before la::svd_right existed;
-  // fold_<shape> times la::svd_right(T). Shapes: a warm fold of
-  // mesh_adaptive's size (56 diagonal rows, σ geometric from 1 to 1e-10,
-  // over 4 dense rows scaled column by column with σ, the 4 newest
-  // directions at the smallest σ, as in real folds) and a random 400×174 T,
-  // the shape of bench_cost_scaling's one cold fold. gflops divides each
+  // The compressor folds its R columns by factoring the tall T = Pᵀ for σ
+  // and V. fold_reference_<shape> times la::svd(T), which the fold ran
+  // before la::svd_right existed; fold_<shape> times la::svd_right(T).
+  // Shapes: a random 400×174 T, the shape of bench_cost_scaling's one
+  // fold, and the one fold of a mesh_adaptive call: 80 columns at rank 60,
+  // a staircase of 20 four-column samples that each add four directions
+  // until the rank reaches 60, entries scaled down the directions
+  // geometrically from 1 to 1e-10, as σ falls. gflops divides each
   // kernel's own svd_flops count for one call by its time.
   Rng rng(31);
-  const index s = 56, p = 4, k = 60;
-  MatD warm(s + p, k);
-  for (index i = 0; i < s; ++i)
-    warm(i, i) = std::pow(1e-10, static_cast<double>(i) / static_cast<double>(s - 1));
-  for (index r = s; r < s + p; ++r)
-    for (index j = 0; j < k; ++j) warm(r, j) = rng.normal() * (j < s ? warm(j, j) : 1e-10);
+  const index k = 60;
   const MatD cold = random_mat(rng, 400, 174);
+  MatD staircase(80, k);
+  for (index r = 0; r < staircase.rows(); ++r) {
+    const index len = std::min<index>(4 * (r / 4 + 1), k);
+    for (index j = 0; j < len; ++j)
+      staircase(r, j) =
+          rng.normal() * std::pow(1e-10, static_cast<double>(std::min<index>(j, 55)) / 55.0);
+  }
 
   const auto counted_flops = [](auto&& fn) {
     const std::int64_t before = obs::counter_value(obs::Counter::kSvdFlops);
     fn();
     return static_cast<double>(obs::counter_value(obs::Counter::kSvdFlops) - before);
   };
-  const std::pair<std::string, const MatD*> shapes[] = {{"warm60x60", &warm},
-                                                        {"cold400x174", &cold}};
+  const std::pair<std::string, const MatD*> shapes[] = {{"cold400x174", &cold},
+                                                         {"cold80x60", &staircase}};
   for (const auto& [shape, t] : shapes) {
     const int reps = t->rows() <= 100 ? 20 : 3;
     const double f_ref = counted_flops([&] { la::svd(*t); });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "la/gemm_kernel.hpp"
@@ -148,6 +149,7 @@ void IncrementalCompressor::reserve(index max_rank) {
 
 double IncrementalCompressor::add_columns(const MatD& block) {
   PMTBR_REQUIRE(block.rows() == n_, "block row mismatch");
+  PMTBR_REQUIRE(!settled_, "a settled compressor absorbs no more columns");
   PMTBR_CHECK_FINITE(block, "compressor sample block");
   PMTBR_TRACE_SCOPE("compressor.add_columns");
   if (block.cols() == 0) return 0.0;
@@ -325,49 +327,36 @@ double IncrementalCompressor::add_column(std::vector<double> v, index basis_rank
   return res_sq;
 }
 
-void IncrementalCompressor::settle() {
-  if (pending_.empty()) return;
-  PMTBR_TRACE_SCOPE("compressor.settle");
+IncrementalCompressor::Factor IncrementalCompressor::fold(const char* scope) const {
+  PMTBR_TRACE_SCOPE(scope);
   const index k = rank_;
-  const auto s = static_cast<index>(sigma_.size());
-  const auto p = static_cast<index>(pending_.size());
-  if (k == 0) {  // every column so far deflated to nothing
-    pending_.clear();
-    return;
-  }
-  // Each new direction since the last fold arrived with at least one
-  // column, so T below is tall and svd_right yields a square V.
-  PMTBR_ENSURE(s + p >= k, "pending columns cannot cover the rank growth");
+  const auto m = static_cast<index>(pending_.size());
+  if (k == 0) return {};  // every column so far deflated to nothing
+  // Each direction arrived with at least one column, so T below is tall
+  // and svd_right yields a square V.
+  PMTBR_ENSURE(m >= k, "absorbed columns cannot cover the rank");
 
-  // Pᵀ, zero-padded to the current rank.
-  MatD pt(p, k);
-  for (index j = 0; j < p; ++j) {
+  // T = Pᵀ, each column zero-padded to the rank: Tᵀ·T = R·Rᵀ.
+  MatD t(m, k);
+  for (index j = 0; j < m; ++j) {
     const auto& col = pending_[static_cast<std::size_t>(j)];
-    std::copy(col.begin(), col.end(), pt.row_ptr(j));
+    std::copy(col.begin(), col.end(), t.row_ptr(j));
   }
-  pending_.clear();
-
-  // T = [diag(σ) ; Pᵀ·blkdiag(U, I)]: Tᵀ·T = blkdiag(U, I)ᵀ·R·Rᵀ·blkdiag(U, I).
-  // Every pending column is at least |σ| long, so only its leading |σ|
-  // entries rotate by U; the entries along newer directions pass through.
-  MatD t(s + p, k);
-  for (index i = 0; i < s; ++i) t(i, i) = sigma_[static_cast<std::size_t>(i)];
-  la::detail::gemm<double, false>(p, s, s, pt.data(), k, 1, u_.data(), s, 1, t.row_ptr(s), k,
-                                  la::detail::GemmAcc::kSet);
-  for (index j = 0; j < p; ++j)
-    for (index i = s; i < k; ++i) t(s + j, i) = pt(j, i);
-
   la::SvdRightResult f = la::svd_right(t);
   // Every kept direction entered with a residual above drop_tol, so T has
   // full column rank and no singular value can vanish.
   PMTBR_ENSURE(f.s.back() > 0, "fold lost rank");
-  // U ← blkdiag(U, I)·V.
-  MatD u(k, k);
-  la::detail::gemm<double, false>(s, k, s, u_.data(), s, 1, f.v.data(), k, 1, u.data(), k,
-                                  la::detail::GemmAcc::kSet);
-  for (index i = s; i < k; ++i) std::copy_n(f.v.row_ptr(i), k, u.row_ptr(i));
-  u_ = std::move(u);
-  sigma_ = std::move(f.s);
+  return {std::move(f.v), std::move(f.s)};
+}
+
+void IncrementalCompressor::settle() {
+  if (settled_) return;
+  settled_ = true;
+  if (pending_.empty()) return;  // nothing absorbed
+  Factor f = fold("compressor.settle");
+  pending_.clear();
+  u_ = std::move(f.u);
+  sigma_ = std::move(f.sigma);
 }
 
 void IncrementalCompressor::shrink_to_fit() {
@@ -382,60 +371,66 @@ std::size_t IncrementalCompressor::resident_bytes() const {
   return (basis_t_.capacity() + u_.size() + sigma_.capacity()) * sizeof(double);
 }
 
-void IncrementalCompressor::require_settled() const {
-  PMTBR_REQUIRE(pending_.empty(), "a const query needs a settled compressor");
-}
-
-std::vector<double> IncrementalCompressor::singular_values() {
-  settle();
-  return sigma_;
-}
+// A query's fold commits nothing and runs under its own scope, so a trace
+// tells the scratch folds of order checks apart from the commit.
+namespace {
+constexpr const char* kScratchFold = "compressor.scratch_fold";
+}  // namespace
 
 std::vector<double> IncrementalCompressor::singular_values() const {
-  require_settled();
-  return sigma_;
-}
-
-MatD IncrementalCompressor::basis(index order) {
-  PMTBR_REQUIRE(order >= 1, "order must be positive");
-  settle();
-  return std::as_const(*this).basis(order);
+  if (pending_.empty()) return sigma_;
+  return fold(kScratchFold).sigma;
 }
 
 MatD IncrementalCompressor::basis(index order) const {
   PMTBR_REQUIRE(order >= 1, "order must be positive");
   PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
-  require_settled();
+  const Factor scratch = pending_.empty() ? Factor{} : fold(kScratchFold);
+  const MatD& u = pending_.empty() ? u_ : scratch.u;
   const index k = rank_;
   const index q = std::min(order, k);
   MatD out(n_, q);
   // out = basisᵀ · U(:, 0:q): the basis rows are read through swapped
   // strides, the leading q columns of U through its full row stride.
-  la::detail::gemm<double, false>(n_, q, k, basis_t_.data(), 1, n_, u_.data(), k, 1, out.data(),
-                                  q, la::detail::GemmAcc::kSet);
+  la::detail::gemm<double, false>(n_, q, k, basis_t_.data(), 1, n_, u.data(), k, 1, out.data(), q,
+                                  la::detail::GemmAcc::kSet);
   return out;
 }
 
-index IncrementalCompressor::order_for_tolerance(double tol) {
-  settle();
-  return std::as_const(*this).order_for_tolerance(tol);
+index IncrementalCompressor::order_for_tolerance(double tol) const {
+  if (pending_.empty()) return tail_order(sigma_, tol);
+  return tail_order(fold(kScratchFold).sigma, tol);
 }
 
-index IncrementalCompressor::order_for_tolerance(double tol) const {
-  require_settled();
-  const std::vector<double>& s = sigma_;
-  if (s.empty()) return 0;
-  const double s1 = s.front();
-  if (s1 <= 0) return 1;
+namespace {
+
+// The smallest q >= 1 with sum_{i>q} σ_i − slack <= tol·s1.
+index tail_rule(std::span<const double> sigma, double s1, double slack, double tol) {
   double tail = 0;
-  for (double x : s) tail += x;
+  for (const double x : sigma) tail += x;
   index q = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (tail <= tol * s1) break;
-    tail -= s[i];
+  for (const double x : sigma) {
+    if (tail - slack <= tol * s1) break;
+    tail -= x;
     ++q;
   }
   return std::max<index>(q, 1);
+}
+
+}  // namespace
+
+index tail_order(std::span<const double> sigma, double tol) {
+  if (sigma.empty()) return 0;
+  if (sigma.front() <= 0) return 1;
+  return tail_rule(sigma, sigma.front(), 0.0, tol);
+}
+
+index tail_order_lower_bound(std::span<const double> sigma, double added_sq, double tol) {
+  if (sigma.empty()) return 0;
+  const double s1 = std::sqrt(sigma.front() * sigma.front() + added_sq);
+  const double allowance = 1e3 * static_cast<double>(sigma.size()) *
+                           std::numeric_limits<double>::epsilon() * s1;
+  return tail_rule(sigma, s1, allowance, tol);
 }
 
 }  // namespace pmtbr::mor

@@ -4,36 +4,29 @@
 // Maintains a growing factorization  Z_(i) W = Q R  with Q orthonormal
 // (n×rank), so absorbing a new sample block costs O(n·k·rank) flops
 // instead of a fresh SVD of everything. R (rank×m, m = columns absorbed) is
-// never stored. The compressor keeps a square-root SVD of it instead:
+// kept as P, its columns in the order they arrived (each as long as the
+// rank when it arrived; missing trailing entries are zero).
 //
-//   - U, an orthogonal rank×rank matrix, and σ, sorted descending, with
-//     R·Rᵀ = U·diag(σ)²·Uᵀ over the columns folded so far — once every
-//     column is folded, σ are the singular values of Z W and Q·U its left
-//     singular vectors;
-//   - P, the R columns absorbed since the last query (each as long as the
-//     rank when it arrived; missing trailing entries are zero).
+// settle() folds P once: one la::svd_right of the tall m×rank matrix
+// T = Pᵀ, whose singular values σ (descending) are those of Z W and whose
+// right vectors U (rank×rank, orthogonal) make Q·U its left singular
+// vectors, since Tᵀ·T = R·Rᵀ; U of T is never formed. svd_right's R-only
+// QR skips the zeros of P's trailing entries. This plays the role the
+// paper assigns to updatable rank-revealing factorizations (RRQR/UTV):
+// trailing-singular-value estimates after any sample, plus an orthonormal
+// basis for the dominant subspace.
 //
-// Every query (singular_values, basis, order_for_tolerance) on a mutable
-// compressor first folds P in (settle()): one la::svd_right of the tall
-// matrix T = [diag(σ) ; Pᵀ·blkdiag(U, I)], of size (|σ|+|P|)×rank, whose
-// singular values are the new σ and whose right vectors V give the new
-// U = blkdiag(U, I)·V; U of T is never formed.
-// svd_right's R-only QR skips the zeros of diag(σ), so it costs
-// O((|P|+1)·rank²), and T's leading columns are already orthogonal, so the
-// row-wise Jacobi on R starts warm at O(rank³) per sweep however many
-// columns were absorbed. With P empty a query costs no SVD at all: order
-// choice, basis and the singular-value list after the last sample share
-// one fold. This plays the role the paper assigns to updatable
-// rank-revealing factorizations (RRQR/UTV): cheap trailing-singular-value
-// estimates after every sample, plus an orthonormal basis for the dominant
-// subspace. On a const, settled compressor the same queries only read, so
-// one settled compressor can be queried from many threads at once (a
-// PMTBR span, mor/pmtbr.hpp, is projected that way at every order).
-//
-// Where the folds fall changes the last bits of σ and U, so the state is a
-// deterministic function of the sequence of add_columns AND query calls,
-// not of the columns alone. Callers that must reproduce a model bit for bit
-// must repeat the same call sequence, queries included.
+// Queries (singular_values, basis, order_for_tolerance) are pure. On a
+// settled compressor they read U and σ in place; before settle() they fold
+// P into a scratch copy through the same code, so they return exactly what
+// settle() would then commit, and cost one fold each. settle() is the only
+// commit, and it is final: a settled compressor absorbs no more columns.
+// So the state is a function of the add_columns sequence, never of the
+// queries: a model is a function of its absorbed columns. Any number of
+// threads may query one compressor at once while none absorbs or settles.
+// A caller that queries often (adaptive order control, mor/pmtbr.cpp) asks
+// tail_order_lower_bound below first and folds only when the bound cannot
+// decide.
 //
 // Two absorption paths, both pushing their R columns into the same P:
 //  - kBlocked (default): two passes of block classical Gram–Schmidt
@@ -57,6 +50,7 @@
 // serially, and so does the fold.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "la/aligned.hpp"
@@ -83,7 +77,8 @@ class IncrementalCompressor {
   /// Returns the Frobenius norm of the block's component orthogonal to the
   /// basis as it stood BEFORE the call — the "novelty" of the block, free
   /// of charge from the Gram–Schmidt projection (adaptive sampling used
-  /// to recompute this with two n×k products per sample).
+  /// to recompute this with two n×k products per sample). Throws
+  /// std::invalid_argument once settle() has run.
   double add_columns(const MatD& block);
 
   index n() const { return n_; }
@@ -94,33 +89,29 @@ class IncrementalCompressor {
   /// regrows below that rank. Never changes a result bit.
   void reserve(index max_rank);
 
-  /// Folds the pending R columns into (U, σ); a no-op when none are pending.
+  /// Folds the absorbed R columns into (U, σ), once; later calls are
+  /// no-ops, and add_columns is closed from then on.
   void settle();
 
   /// settle(), then releases what only absorption needs (the block
-  /// workspace, the pending list and the basis' spare capacity), so the
-  /// compressor holds rank·n + rank² + rank doubles. Absorbing afterwards
-  /// is allowed and regrows them.
+  /// workspace, P and the basis' spare capacity), so the compressor holds
+  /// rank·n + rank² + rank doubles.
   void shrink_to_fit();
 
   /// Bytes held by the basis (its capacity), U and σ: (rank·n + rank² +
   /// rank)·8 after shrink_to_fit().
   std::size_t resident_bytes() const;
 
-  // The mutable queries settle() first. The const ones require a settled
-  // compressor (no columns absorbed since the last fold) and only read it.
+  // Pure queries: before settle(), each folds P into a scratch copy (a
+  // settle() that commits nothing).
   /// Singular values of the absorbed matrix, descending (length = rank()).
-  std::vector<double> singular_values();
   std::vector<double> singular_values() const;
 
   /// Orthonormal basis for the dominant `order`-dimensional left singular
   /// subspace (order clamped to rank()).
-  MatD basis(index order);
   MatD basis(index order) const;
 
-  /// Smallest order q whose trailing singular-value sum satisfies
-  /// sum_{i>q} σ_i <= tol * σ_1 — the paper's "small tail" criterion.
-  index order_for_tolerance(double tol);
+  /// tail_order(singular_values(), tol).
   index order_for_tolerance(double tol) const;
 
  private:
@@ -138,7 +129,14 @@ class IncrementalCompressor {
 
   double add_block(const MatD& block);
 
-  void require_settled() const;
+  /// U and σ of the absorbed columns.
+  struct Factor {
+    MatD u;
+    std::vector<double> sigma;
+  };
+  /// The fold behind settle() and the scratch queries, traced under
+  /// `scope`; reads only.
+  Factor fold(const char* scope) const;
 
   /// Seed path: returns the squared norm of v's component orthogonal to the
   /// first `basis_rank` basis directions (the basis size before the
@@ -159,12 +157,29 @@ class IncrementalCompressor {
   // the absorption row kernels stream it one direction at a time. Like the
   // block rows, it starts on a cache line (la/aligned.hpp).
   la::AlignedVector<double> basis_t_;
-  // Square-root SVD of the folded part of R: R·Rᵀ = U·diag(σ)²·Uᵀ, with U
-  // |σ|×|σ| and |σ| the rank at the last fold.
+  // Square-root SVD of R once settled, R·Rᵀ = U·diag(σ)²·Uᵀ with U
+  // rank×rank; both empty before settle().
   MatD u_;
   std::vector<double> sigma_;
-  std::vector<std::vector<double>> pending_;  // P: R columns since the last fold
+  std::vector<std::vector<double>> pending_;  // P: R's columns until settle()
+  bool settled_ = false;
   Workspace ws_;
 };
+
+/// Smallest order q whose trailing singular-value sum satisfies
+/// sum_{i>q} σ_i <= tol·σ_1 (σ descending) — the paper's "small tail"
+/// criterion; at least 1, and 0 for an empty list.
+index tail_order(std::span<const double> sigma, double tol);
+
+/// A lower bound on tail_order(σ', tol), where σ are the singular values
+/// of a matrix R and σ' those of [R B] with ‖B‖²_F <= added_sq (rows of R
+/// may grow as zeros). Adding columns never lowers a singular value,
+/// σ_i([R B]) >= σ_i(R), and σ_1([R B])² <= σ_1(R)² + ‖B‖²_F, so the tail
+/// rule applied to σ with σ_1 raised to √(σ_1² + added_sq) cannot exceed
+/// the exact order. The tail sums are first shrunk by an allowance of
+/// 1e3·|σ|·ε times that σ_1, so that rounding in either σ only lowers the
+/// bound. No fold needed: adaptive order control asks this after each
+/// sample and folds only when the run could stop.
+index tail_order_lower_bound(std::span<const double> sigma, double added_sq, double tol);
 
 }  // namespace pmtbr::mor

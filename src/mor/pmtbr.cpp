@@ -278,10 +278,10 @@ class SamplingEngine {
   SampledSpan span() && {
     PMTBR_REQUIRE(!eff_.empty(), "frequency weighting suppresses every sample");
     enforce_coverage_floor(st_);
-    // Cancellation checkpoint before the fold: the compressor's first
-    // settle is a full SVD of the sample span and often the run's costliest
-    // serial step, so a cancel or deadline that lands during absorption
-    // stops here rather than after it.
+    // Cancellation checkpoint before the fold: the compressor's settle is
+    // a full SVD of the sample span and often the run's costliest serial
+    // step, so a cancel or deadline that lands during absorption stops
+    // here rather than after it.
     opts_.cancel.throw_if_cancelled();
     {
       PMTBR_TRACE_SCOPE("pmtbr.project");
@@ -384,14 +384,29 @@ SampledSpan sample_span(const DescriptorSystem& sys, const std::vector<Frequency
     // (the paper's "samples in excess of the model order" criterion).
     // Solves run two per pool thread at a time, bounding the waste past the
     // stopping point, but commit in pairs at any thread count, so what is
-    // attempted, dropped and reweighted matches a serial run.
+    // attempted, dropped and reweighted matches a serial run. The estimate
+    // takes a fold, so each check first asks the bound from σ at the last
+    // fold and the blocks absorbed since (R's columns are no longer than
+    // their blocks): while the run cannot stop at the bound, it cannot stop
+    // at the estimate either, and nothing is folded. Queries are pure, so
+    // the model does not depend on where the checks fold.
+    std::vector<double> sigma;  // σ at the last estimate
+    double added_sq = 0.0;      // Σ‖block‖²_F absorbed since
+    const auto below = [&](index used, index order) {
+      return static_cast<double>(used) < opts.adaptive_excess * static_cast<double>(order);
+    };
     engine.sample(samples, 2 * util::global_pool().size(), 2,
-                  [&](std::size_t, const MatD&, double) {
+                  [&](std::size_t, const MatD& block, double) {
+                    const double norm = la::norm_fro(block);
+                    added_sq += norm * norm;
                     const index used = engine.used();
                     if (used < opts.min_samples) return false;
-                    const index est = engine.compressor().order_for_tolerance(opts.truncation_tol);
-                    if (static_cast<double>(used) < opts.adaptive_excess * static_cast<double>(est))
+                    if (below(used, tail_order_lower_bound(sigma, added_sq, opts.truncation_tol)))
                       return false;
+                    sigma = engine.compressor().singular_values();
+                    added_sq = 0.0;
+                    const index est = tail_order(sigma, opts.truncation_tol);
+                    if (below(used, est)) return false;
                     log_debug("pmtbr: adaptive stop after ", used, " samples (order ~", est, ")");
                     obs::counter_add(obs::Counter::kPmtbrAdaptiveStops);
                     return true;

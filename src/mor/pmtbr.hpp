@@ -205,8 +205,10 @@ struct SampledProjection {
   std::vector<double> hankel_estimates;  // squared singular values
 };
 
-/// The last step of PMTBR and input-correlated TBR, on a settled
-/// compressor: the order is `fixed_order` clamped to the rank if > 0, else
+/// The last step of PMTBR and input-correlated TBR, on a compressor its
+/// callers settle first (an unsettled one answers the same, each of its
+/// queries folding into a scratch copy): the order is `fixed_order`
+/// clamped to the rank if > 0, else
 /// comp.order_for_tolerance(truncation_tol), then capped by `max_order`
 /// if > 0 and kept at least 1; then the compressor's dominant basis of that
 /// order, the congruence projection of `sys` onto it, and the singular

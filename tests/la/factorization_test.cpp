@@ -168,23 +168,23 @@ TEST(Svd, FrobeniusNormIdentity) {
 
 // --- svd_right: σ and V without U ---------------------------------------------
 
-// The matrices the compressor's fold factors, plus a graded one:
-//  - a warm fold's T: 56 diagonal rows with σ geometric from 1 to 1e-10 over
-//    4 dense rows, 60 columns. As in real folds, the dense rows are scaled
-//    column by column with σ and the 4 newest directions enter at the
-//    smallest σ, so T = Y·D with Y well conditioned;
+// Three tall shapes:
+//  - a diagonal-topped T: 56 diagonal rows with σ geometric from 1 to 1e-10
+//    over 4 dense rows, 60 columns. The dense rows are scaled column by
+//    column with σ and their last 4 columns at the smallest σ, so T = Y·D
+//    with Y well conditioned;
 //  - a random 400×174 matrix, the shape of bench_cost_scaling's cold fold;
 //  - B·diag(d) with B random (80×60) and d geometric from 1 to 1e-12.
 std::vector<std::pair<std::string, MatD>> svd_right_inputs() {
   std::vector<std::pair<std::string, MatD>> out;
   Rng rng(31);
   const index s = 56, p = 4, k = 60;
-  MatD warm(s + p, k);
+  MatD topped(s + p, k);
   for (index i = 0; i < s; ++i)
-    warm(i, i) = std::pow(1e-10, static_cast<double>(i) / static_cast<double>(s - 1));
+    topped(i, i) = std::pow(1e-10, static_cast<double>(i) / static_cast<double>(s - 1));
   for (index r = s; r < s + p; ++r)
-    for (index j = 0; j < k; ++j) warm(r, j) = rng.normal() * (j < s ? warm(j, j) : 1e-10);
-  out.emplace_back("warm fold 60x60", std::move(warm));
+    for (index j = 0; j < k; ++j) topped(r, j) = rng.normal() * (j < s ? topped(j, j) : 1e-10);
+  out.emplace_back("diagonal-topped 60x60", std::move(topped));
   out.emplace_back("random 400x174", testing::random_matrix(400, 174, rng));
   MatD graded = testing::random_matrix(80, 60, rng);
   for (index j = 0; j < graded.cols(); ++j) {

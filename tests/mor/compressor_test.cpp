@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <numbers>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -40,49 +41,56 @@ TEST(Compressor, IncrementalEqualsBatch) {
   batch.add_columns(a);
   for (la::index j = 0; j < a.cols(); ++j) {
     incr.add_columns(a.columns(j, j + 1));
-    // Queried after every column, as adaptive order control does: each
-    // query folds one pending column into the square-root factor.
+    // Queried after every column, as adaptive order control may: each
+    // query folds into a scratch copy and commits nothing.
     queried.add_columns(a.columns(j, j + 1));
     queried.order_for_tolerance(1e-8);
   }
   const auto sb = batch.singular_values();
   const MatD vb = batch.basis(5);
-  for (auto* comp : {&incr, &queried}) {
-    const auto si = comp->singular_values();
-    ASSERT_EQ(sb.size(), si.size());
-    for (std::size_t i = 0; i < sb.size(); ++i) EXPECT_NEAR(sb[i], si[i], 1e-10 * sb[0]);
-    const auto cosines = la::singular_values(la::matmul_at(vb, comp->basis(5)));
-    ASSERT_EQ(cosines.size(), 5u);
-    EXPECT_GT(cosines.back(), 1.0 - 1e-8);
-  }
+  const auto si = incr.singular_values();
+  ASSERT_EQ(sb.size(), si.size());
+  for (std::size_t i = 0; i < sb.size(); ++i) EXPECT_NEAR(sb[i], si[i], 1e-10 * sb[0]);
+  const auto cosines = la::singular_values(la::matmul_at(vb, incr.basis(5)));
+  ASSERT_EQ(cosines.size(), 5u);
+  EXPECT_GT(cosines.back(), 1.0 - 1e-8);
+  EXPECT_EQ(queried.singular_values(), si);
+  EXPECT_EQ(la::max_abs_diff(queried.basis(5), incr.basis(5)), 0.0);
 }
 
 TEST(Compressor, QueriesWithoutNewColumnsShareOneFold) {
   Rng rng(68);
   const la::index n = 30;
   IncrementalCompressor comp(n);
-  for (int b = 0; b < 4; ++b) {
-    comp.add_columns(testing::random_matrix(n, 3, rng));
-    comp.order_for_tolerance(1e-8);
-  }
-  comp.add_columns(testing::random_matrix(n, 3, rng));
-  // Finalize after the last sample: order choice, basis, the singular-value
-  // list and a second basis fold the pending columns once between them.
-  const std::int64_t before = obs::counter_value(obs::Counter::kSvdCalls);
+  for (int b = 0; b < 4; ++b) comp.add_columns(testing::random_matrix(n, 3, rng));
+  // Before settle(), each query folds into a scratch copy: answers repeat
+  // exactly, and every later answer is what an unqueried compressor gives.
   const la::index order = comp.order_for_tolerance(1e-8);
   const MatD v = comp.basis(order);
   const auto s = comp.singular_values();
+  EXPECT_EQ(comp.order_for_tolerance(1e-8), order);
+  EXPECT_EQ(la::max_abs_diff(comp.basis(order), v), 0.0);
+  EXPECT_EQ(comp.singular_values(), s);
+
+  // Finalize after the last fold: order choice, basis, the singular-value
+  // list and a second basis read the one fold settle() committed.
+  comp.settle();
+  const std::int64_t before = obs::counter_value(obs::Counter::kSvdCalls);
+  EXPECT_EQ(comp.order_for_tolerance(1e-8), order);
+  const MatD settled = comp.basis(order);
+  EXPECT_EQ(comp.singular_values(), s);
   const MatD again = comp.basis(order);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kSvdCalls) - before, 1);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSvdCalls) - before, 0);
   EXPECT_EQ(static_cast<la::index>(s.size()), comp.rank());
-  EXPECT_EQ(la::max_abs_diff(v, again), 0.0);
+  EXPECT_EQ(la::max_abs_diff(settled, v), 0.0);
+  EXPECT_EQ(la::max_abs_diff(again, v), 0.0);
 }
 
 TEST(Compressor, SizedAndShrunkBasesAnswerBitForBit) {
   // Sizing the basis up front and shrinking it afterwards move no bit: a
-  // settled, shrunk compressor answers its const queries exactly as an
-  // unsized one that folded at the same point, and holds only the basis,
-  // U and σ.
+  // settled, shrunk compressor answers its queries exactly as an unsized,
+  // unsettled one whose queries fold into a scratch copy, and holds only
+  // the basis, U and σ.
   Rng rng(69);
   const la::index n = 40;
   std::vector<MatD> blocks;
@@ -101,14 +109,6 @@ TEST(Compressor, SizedAndShrunkBasesAnswerBitForBit) {
   EXPECT_EQ(la::max_abs_diff(vg, vs), 0.0);
   EXPECT_EQ(grown.singular_values(), settled.singular_values());
   EXPECT_EQ(grown.order_for_tolerance(1e-3), settled.order_for_tolerance(1e-3));
-
-  // A shrunk compressor still absorbs; a const query then needs a fold.
-  sized.add_columns(testing::random_matrix(n, 2, rng));
-  EXPECT_THROW((void)settled.singular_values(), std::invalid_argument);
-  EXPECT_THROW((void)settled.basis(2), std::invalid_argument);
-  EXPECT_THROW((void)settled.order_for_tolerance(1e-3), std::invalid_argument);
-  sized.settle();
-  EXPECT_EQ(settled.singular_values().size(), static_cast<std::size_t>(settled.rank()));
 }
 
 TEST(Compressor, DeflatesDependentColumns) {
@@ -158,6 +158,15 @@ TEST(Compressor, RejectsBadInput) {
   IncrementalCompressor comp(4);
   EXPECT_THROW(comp.add_columns(MatD(3, 1)), std::invalid_argument);
   EXPECT_THROW(comp.basis(1), std::runtime_error);  // nothing absorbed yet
+  // settle() is final: a settled compressor absorbs no more columns.
+  MatD a(4, 2);
+  a(0, 0) = 1.0;
+  a(1, 1) = 2.0;
+  comp.add_columns(a);
+  comp.settle();
+  EXPECT_THROW(comp.add_columns(a), std::invalid_argument);
+  EXPECT_EQ(comp.columns_absorbed(), 2);
+  EXPECT_EQ(comp.rank(), 2);
 }
 
 TEST(Compressor, RankNeverExceedsDimension) {
@@ -386,31 +395,33 @@ TEST(Compressor, NearlyParallelNoveltyKeepsBasisOrthonormal) {
   }
 }
 
-// The smallest order whose trailing singular-value sum is within tol·σ1
-// (the rule order_for_tolerance implements), on an explicit list.
-la::index tail_order(const std::vector<double>& s, double tol) {
-  double tail = 0;
-  for (double x : s) tail += x;
-  la::index q = 0;
-  for (const double x : s) {
-    if (tail <= tol * s.front()) break;
-    tail -= x;
-    ++q;
+// The weighted sample blocks of a side×side RC mesh with `ports` ports,
+// `samples` uniform samples on 1e5–1e11 Hz: the stream PMTBR absorbs.
+std::vector<MatD> mesh_blocks(la::index side, la::index ports, la::index samples) {
+  circuit::RcMeshParams mp;
+  mp.rows = side;
+  mp.cols = side;
+  mp.num_ports = ports;
+  const auto sys = circuit::make_rc_mesh(mp);
+  std::vector<MatD> blocks;
+  for (const FrequencySample& fs : sample_band(Band{1e5, 1e11}, samples, SamplingScheme::kUniform)) {
+    MatD block = la::realify_columns(sys.solve_shifted(fs.s, la::to_complex(sys.b())));
+    block *= std::sqrt(fs.weight / std::numbers::pi);
+    blocks.push_back(std::move(block));
   }
-  return std::max<la::index>(q, 1);
+  return blocks;
 }
 
 TEST(Compressor, MatchesStackedSvdAtAdaptiveSize) {
   // The adaptive order-control pattern at the sizes it runs in practice:
-  // samples absorbed one by one with an order query after each. Reference:
-  // one SVD of the explicitly stacked weighted sample matrix. The cases are
-  // the shapes of the mesh_adaptive workload (20×20 two-port mesh, 20
-  // samples, rank 60 of 80 columns) and of the mesh_solve workload (40×40
-  // one-port mesh, n = 1600, 16 samples, rank 27 of 32), and a 32×32
-  // eight-port mesh (n = 1024, 16-column residual blocks, 4 samples, every
-  // column kept). A second compressor absorbs the same blocks and is
-  // queried only at the end, so its state comes from one cold fold of every
-  // absorbed column instead of one warm fold per sample.
+  // samples absorbed one by one with σ and the order queried after each,
+  // each query a scratch fold of every column so far. Reference: one SVD
+  // of the explicitly stacked weighted sample matrix, after every sample
+  // and at the end. The cases are the shapes of the mesh_adaptive workload
+  // (20×20 two-port mesh, 20 samples, rank 60 of 80 columns) and of the
+  // mesh_solve workload (40×40 one-port mesh, n = 1600, 16 samples, rank
+  // 27 of 32), and a 32×32 eight-port mesh (n = 1024, 16-column residual
+  // blocks, 4 samples, every column kept).
   struct Case {
     la::index side, ports, samples, rank;
   };
@@ -419,46 +430,148 @@ TEST(Compressor, MatchesStackedSvdAtAdaptiveSize) {
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::Message() << c.side << "x" << c.side << " mesh, " << c.ports
                                       << " ports, " << c.samples << " samples");
-    circuit::RcMeshParams mp;
-    mp.rows = c.side;
-    mp.cols = c.side;
-    mp.num_ports = c.ports;
-    const auto sys = circuit::make_rc_mesh(mp);
-    ASSERT_EQ(sys.n(), c.side * c.side);
-    const auto samples = sample_band(Band{1e5, 1e11}, c.samples, SamplingScheme::kUniform);
-
-    IncrementalCompressor warm(sys.n()), cold(sys.n());
-    MatD stacked(sys.n(), 2 * c.ports * c.samples);
+    const std::vector<MatD> blocks = mesh_blocks(c.side, c.ports, c.samples);
+    const la::index n = c.side * c.side;
+    IncrementalCompressor comp(n);
+    MatD stacked(n, 2 * c.ports * c.samples);
     la::index col = 0;
-    for (const FrequencySample& fs : samples) {
-      MatD block = la::realify_columns(sys.solve_shifted(fs.s, la::to_complex(sys.b())));
-      block *= std::sqrt(fs.weight / std::numbers::pi);
+    for (const MatD& block : blocks) {
+      ASSERT_EQ(block.rows(), n);
       ASSERT_LE(col + block.cols(), stacked.cols());
       for (la::index i = 0; i < block.rows(); ++i)
         for (la::index j = 0; j < block.cols(); ++j) stacked(i, col + j) = block(i, j);
       col += block.cols();
-      warm.add_columns(block);
-      warm.order_for_tolerance(tol);
-      cold.add_columns(block);
+      comp.add_columns(block);
+      const auto s = comp.singular_values();
+      const auto ref = la::singular_values(stacked.columns(0, col));
+      ASSERT_EQ(static_cast<la::index>(s.size()), comp.rank());
+      for (std::size_t i = 0; i < s.size(); ++i)
+        EXPECT_NEAR(s[i], ref[i], 1e-9 * ref[0]) << "sigma_" << i << " after " << col << " columns";
+      EXPECT_EQ(comp.order_for_tolerance(tol), tail_order(s, tol));
     }
     ASSERT_EQ(col, stacked.cols());
 
+    comp.settle();
     const la::SvdResult ref = la::svd(stacked);
-    for (auto* comp : {&warm, &cold}) {
-      SCOPED_TRACE(comp == &warm ? "queried after every sample" : "one cold fold");
-      EXPECT_EQ(comp->rank(), c.rank);
-      const auto s = comp->singular_values();
-      ASSERT_EQ(static_cast<la::index>(s.size()), comp->rank());
-      for (std::size_t i = 0; i < s.size(); ++i)
-        EXPECT_NEAR(s[i], ref.s[i], 1e-9 * ref.s[0]) << "sigma_" << i;
+    EXPECT_EQ(comp.rank(), c.rank);
+    const auto s = comp.singular_values();
+    ASSERT_EQ(static_cast<la::index>(s.size()), comp.rank());
+    for (std::size_t i = 0; i < s.size(); ++i)
+      EXPECT_NEAR(s[i], ref.s[i], 1e-9 * ref.s[0]) << "sigma_" << i;
 
-      const la::index order = comp->order_for_tolerance(tol);
-      EXPECT_EQ(order, tail_order(ref.s, tol));
-      const MatD v = comp->basis(order);
-      const auto cosines = la::singular_values(la::matmul_at(v, ref.u.columns(0, order)));
-      ASSERT_EQ(static_cast<la::index>(cosines.size()), order);
-      EXPECT_GT(cosines.back(), 1.0 - 1e-8);
+    const la::index order = comp.order_for_tolerance(tol);
+    EXPECT_EQ(order, tail_order(ref.s, tol));
+    const MatD v = comp.basis(order);
+    const auto cosines = la::singular_values(la::matmul_at(v, ref.u.columns(0, order)));
+    ASSERT_EQ(static_cast<la::index>(cosines.size()), order);
+    EXPECT_GT(cosines.back(), 1.0 - 1e-8);
+  }
+}
+
+// Random blocks of 4 graded columns (σ falls about 3× per column over the
+// whole stream, so the last columns deflate), the same blocks in reverse
+// (σ₁ grows 81× per block) and the mesh_adaptive stream.
+std::vector<std::vector<MatD>> query_streams() {
+  Rng rng(77);
+  const MatD a = graded_columns(48, 60, rng);
+  std::vector<MatD> falling;
+  for (la::index j = 0; j < a.cols(); j += 4) falling.push_back(a.columns(j, j + 4));
+  std::vector<MatD> rising(falling.rbegin(), falling.rend());
+  return {falling, rising, mesh_blocks(20, 2, 20)};
+}
+
+TEST(Compressor, QueriesNeverMoveABit) {
+  // The same blocks into two compressors, one queried (all three queries)
+  // after every block: once settled, they agree bit for bit.
+  const auto streams = query_streams();
+  for (std::size_t st = 0; st < streams.size(); ++st) {
+    SCOPED_TRACE(::testing::Message() << "stream " << st);
+    const la::index n = streams[st].front().rows();
+    IncrementalCompressor quiet(n), queried(n);
+    for (const MatD& block : streams[st]) {
+      quiet.add_columns(block);
+      queried.add_columns(block);
+      const la::index order = queried.order_for_tolerance(1e-6);
+      (void)queried.basis(order);
+      (void)queried.singular_values();
     }
+    quiet.settle();
+    queried.settle();
+    EXPECT_EQ(queried.singular_values(), quiet.singular_values());
+    EXPECT_EQ(la::max_abs_diff(queried.basis(queried.rank()), quiet.basis(quiet.rank())), 0.0);
+    for (const double tol : {1e-2, 1e-6, 1e-10, 0.0})
+      EXPECT_EQ(queried.order_for_tolerance(tol), quiet.order_for_tolerance(tol));
+  }
+}
+
+TEST(Compressor, OrderBoundNeverExceedsEstimate) {
+  // tail_order_lower_bound from σ at block j and the squared norms of the
+  // blocks absorbed since, against the exact estimate at every later block
+  // l (l = j: nothing added). The bound must also decide: it equals the
+  // estimate for some pair with blocks added.
+  const double tols[] = {1e-2, 1e-6, 1e-10, 1e-12, 1e-14, 0.0};
+  int tight = 0;
+  const auto streams = query_streams();
+  for (std::size_t st = 0; st < streams.size(); ++st) {
+    const std::vector<MatD>& blocks = streams[st];
+    IncrementalCompressor comp(blocks.front().rows());
+    std::vector<std::vector<double>> sigma;  // σ after each block
+    std::vector<double> block_sq;
+    for (const MatD& block : blocks) {
+      comp.add_columns(block);
+      sigma.push_back(comp.singular_values());
+      const double norm = la::norm_fro(block);
+      block_sq.push_back(norm * norm);
+    }
+    for (const double tol : tols) {
+      SCOPED_TRACE(::testing::Message() << "stream " << st << ", tol " << tol);
+      EXPECT_EQ(tail_order_lower_bound({}, block_sq.front(), tol), 0);
+      for (std::size_t j = 0; j < sigma.size(); ++j) {
+        double added = 0.0;
+        for (std::size_t l = j; l < sigma.size(); ++l) {
+          if (l > j) added += block_sq[l];
+          const la::index bound = tail_order_lower_bound(sigma[j], added, tol);
+          const la::index exact = tail_order(sigma[l], tol);
+          EXPECT_LE(bound, exact) << "sigma at block " << j << ", estimate at block " << l;
+          if (l > j && bound == exact) ++tight;
+        }
+      }
+    }
+  }
+  EXPECT_GT(tight, 0);
+}
+
+TEST(Compressor, ConcurrentQueriesOnAnUnsettledCompressorAgree) {
+  // Four threads query one compressor with columns pending, at once: each
+  // folds into its own scratch copy, so all answers equal what settle()
+  // then commits.
+  const std::vector<MatD> blocks = mesh_blocks(20, 2, 6);
+  IncrementalCompressor comp(blocks.front().rows());
+  for (const MatD& block : blocks) comp.add_columns(block);
+  struct Answer {
+    la::index order = 0;
+    MatD basis;
+    std::vector<double> sigma;
+  };
+  std::vector<Answer> answers(4);
+  {
+    std::vector<std::thread> threads;
+    for (Answer& a : answers)
+      threads.emplace_back([&comp, &a] {
+        const IncrementalCompressor& shared = comp;
+        a.order = shared.order_for_tolerance(1e-6);
+        a.basis = shared.basis(a.order);
+        a.sigma = shared.singular_values();
+      });
+    for (std::thread& t : threads) t.join();
+  }
+  comp.settle();
+  const la::index order = comp.order_for_tolerance(1e-6);
+  const MatD basis = comp.basis(order);
+  for (const Answer& a : answers) {
+    EXPECT_EQ(a.order, order);
+    EXPECT_EQ(a.sigma, comp.singular_values());
+    EXPECT_EQ(la::max_abs_diff(a.basis, basis), 0.0);
   }
 }
 

@@ -16,11 +16,14 @@
 #include "la/ops.hpp"
 #include "mor/mpproj.hpp"
 #include "mor/pmtbr.hpp"
+#include "mor/replay.hpp"
+#include "mor/same_reduction.hpp"
 #include "mor/sampling.hpp"
 #include "signal/ac.hpp"
 #include "sparse/factor_cache.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
+#include "util/obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pmtbr::mor {
@@ -104,6 +107,66 @@ TEST(ParallelDeterminism, AdaptiveStopCommitsIdenticalSamplePrefix) {
   }
   expect_bit_identical(serial.model.v, parallel.model.v);
   expect_bit_identical(serial.model.system.a(), parallel.model.system.a());
+}
+
+// The stop rule against the replay's call sequence: on four systems, eight
+// tolerances and three excess factors, mor::pmtbr (which folds only where
+// its bound cannot rule out a stop) must stop at the same sample and return
+// the same bits as a public-API loop that queries the order after every
+// sample past min_samples, and fold exactly at the loop's undecided checks.
+void expect_stop_rule_matches_replay(int threads) {
+  ScopedThreads guard(threads);
+  struct Case {
+    const char* name;
+    DescriptorSystem sys;
+    Band band;
+    index samples;
+  };
+  circuit::RcMeshParams mp;
+  mp.rows = 20;
+  mp.cols = 20;
+  mp.num_ports = 2;
+  circuit::PeecParams pp;
+  pp.sections = 12;
+  const Case cases[] = {
+      {"20x20 two-port RC mesh", circuit::make_rc_mesh(mp), Band{1e5, 1e11}, 20},
+      {"7-level clock tree", circuit::make_clock_tree({.levels = 7}), Band{0.0, 1e10}, 60},
+      {"60-segment RC line", circuit::make_rc_line({.segments = 60}), Band{0.0, 1e10}, 40},
+      {"12-section PEEC", circuit::make_peec(pp), Band{0.0, 1e10}, 40}};
+  const bool trace_was_enabled = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+  long long checks = 0, folds = 0;
+  for (const Case& c : cases) {
+    for (const double tol : {1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0}) {
+      for (const double excess : {1.5, 2.0, 3.0}) {
+        SCOPED_TRACE(::testing::Message() << c.name << ", tol " << tol << ", excess " << excess);
+        PmtbrOptions opts;
+        opts.bands = {c.band};
+        opts.num_samples = c.samples;
+        opts.truncation_tol = tol;
+        opts.adaptive_excess = excess;
+        obs::reset_trace();
+        const PmtbrResult res = pmtbr(c.sys, opts);
+        long long scratch = 0;
+        for (const auto& s : obs::trace_snapshot())
+          if (s.path.ends_with("compressor.scratch_fold")) scratch += s.count;
+        const testing::Replayed ref = testing::replay_every_sample(c.sys, opts);
+        EXPECT_EQ(res.samples_used.size(), ref.result.samples_used.size());
+        testing::expect_same_model(res, ref.result);
+        EXPECT_EQ(scratch, ref.exact_checks);
+        checks += static_cast<long long>(res.samples_used.size()) - opts.min_samples + 1;
+        folds += scratch;
+      }
+    }
+  }
+  obs::set_trace_enabled(trace_was_enabled);
+  EXPECT_LT(folds, checks);
+}
+
+TEST(Pmtbr, AdaptiveStopMatchesExactEverySample) { expect_stop_rule_matches_replay(1); }
+
+TEST(ParallelDeterminism, AdaptiveStopMatchesExactEverySample) {
+  expect_stop_rule_matches_replay(4);
 }
 
 // Adaptive stopping with a sample condemned just past the stopping point.

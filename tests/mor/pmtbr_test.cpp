@@ -2,14 +2,17 @@
 // frequency selectivity, and passivity-friendly projection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numbers>
 
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "mor/error.hpp"
 #include "mor/pmtbr.hpp"
+#include "mor/replay.hpp"
 #include "mor/tbr.hpp"
 #include "signal/subspace.hpp"
+#include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 
 namespace pmtbr::mor {
@@ -136,12 +139,41 @@ TEST(Pmtbr, AdaptiveStopsEarly) {
   EXPECT_LT(err.max_rel, 1e-3);
 }
 
+// R folds and R-sized SVDs of one pmtbr call, from the trace: folds that
+// commit (compressor.settle) inside and outside pmtbr.project, and the
+// scratch folds of order checks (compressor.scratch_fold).
+struct Folds {
+  long long finalize = 0, sampling = 0, scratch = 0;
+};
+
+Folds traced_folds(const DescriptorSystem& sys, const PmtbrOptions& opts, PmtbrResult& res) {
+  const bool trace_was_enabled = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  res = pmtbr(sys, opts);
+  Folds f;
+  for (const auto& s : obs::trace_snapshot()) {
+    if (s.path == "pmtbr/pmtbr.project/compressor.settle") f.finalize += s.count;
+    if (s.path == "pmtbr/compressor.settle") f.sampling += s.count;
+    if (s.path.ends_with("compressor.scratch_fold")) f.scratch += s.count;
+    if (s.path.ends_with("la.svd")) {
+      EXPECT_TRUE(s.path.ends_with("compressor.settle/la.svd") ||
+                  s.path.ends_with("compressor.scratch_fold/la.svd") ||
+                  s.path.ends_with("compressor.add_columns/la.svd"))
+          << s.path;
+    }
+  }
+  obs::set_trace_enabled(trace_was_enabled);
+  return f;
+}
+
 TEST(Pmtbr, FinalizeFoldsOnceInsideProjectScope) {
-  // Every R-sized SVD is a compressor fold inside a library scope. A
-  // fixed-order run folds once, under pmtbr.project, where order choice,
-  // basis and the singular-value list share it. An adaptive run folds at
-  // each per-sample order query and leaves nothing for finalize. The small
-  // per-block SVDs of absorption sit under compressor.add_columns.
+  // Every R-sized SVD is a compressor fold inside a library scope. Every
+  // run commits one fold, under pmtbr.project, where order choice, basis
+  // and the singular-value list share it. An adaptive run also folds into
+  // a scratch copy at each order check its bound cannot decide, which is
+  // fewer than the samples checked. The small per-block SVDs of absorption
+  // sit under compressor.add_columns.
   const auto sys = circuit::make_rc_line({.segments = 30});
   PmtbrOptions fixed;
   fixed.bands = {Band{0.0, 1e10}};
@@ -152,26 +184,44 @@ TEST(Pmtbr, FinalizeFoldsOnceInsideProjectScope) {
   adaptive.truncation_tol = 1e-6;
   adaptive.adaptive_excess = 2.0;
 
-  const bool trace_was_enabled = obs::trace_enabled();
-  obs::set_trace_enabled(true);
   for (const PmtbrOptions* opts : {&fixed, &adaptive}) {
-    obs::reset_trace();
-    const auto res = pmtbr(sys, *opts);
-    long long finalize_folds = 0, sampling_folds = 0;
-    for (const auto& s : obs::trace_snapshot()) {
-      if (s.path == "pmtbr/pmtbr.project/compressor.settle") finalize_folds += s.count;
-      if (s.path == "pmtbr/compressor.settle") sampling_folds += s.count;
-      if (s.path.ends_with("la.svd")) {
-        EXPECT_TRUE(s.path.ends_with("compressor.settle/la.svd") ||
-                    s.path.ends_with("compressor.add_columns/la.svd"))
-            << s.path;
-      }
+    PmtbrResult res;
+    const Folds f = traced_folds(sys, *opts, res);
+    EXPECT_EQ(f.finalize, 1);
+    EXPECT_EQ(f.sampling, 0);
+    if (opts == &fixed) {
+      EXPECT_EQ(f.scratch, 0);
+      continue;
     }
-    const auto queries = static_cast<long long>(res.samples_used.size()) - opts->min_samples + 1;
-    EXPECT_EQ(finalize_folds, opts == &fixed ? 1 : 0);
-    EXPECT_EQ(sampling_folds, opts == &fixed ? 0 : queries);
+    const auto checks = static_cast<long long>(res.samples_used.size()) - opts->min_samples + 1;
+    EXPECT_EQ(f.scratch, testing::replay_every_sample(sys, *opts).exact_checks);
+    EXPECT_GE(f.scratch, 1);
+    EXPECT_LT(f.scratch, checks);
   }
-  obs::set_trace_enabled(trace_was_enabled);
+}
+
+TEST(Pmtbr, AdaptiveMeshFoldsTwice) {
+  // mesh_adaptive's shape: a 20×20 two-port RC mesh, 20 samples on
+  // 1e5–1e11 Hz, excess 2, tol 1e-6. No stop: 20 of 20 samples at order 28.
+  // One exact check folds (the first, with no σ to bound from), then the
+  // span; folding at every check past the fourth sample would take 17.
+  circuit::RcMeshParams mp;
+  mp.rows = 20;
+  mp.cols = 20;
+  mp.num_ports = 2;
+  const auto sys = circuit::make_rc_mesh(mp);
+  PmtbrOptions opts;
+  opts.bands = {Band{1e5, 1e11}};
+  opts.num_samples = 20;
+  opts.adaptive_excess = 2.0;
+  opts.truncation_tol = 1e-6;
+  PmtbrResult res;
+  const std::int64_t svd_before = obs::counter_value(obs::Counter::kSvdCalls);
+  const Folds f = traced_folds(sys, opts, res);
+  const std::int64_t svd_calls = obs::counter_value(obs::Counter::kSvdCalls) - svd_before;
+  EXPECT_EQ(res.samples_used.size(), 20u);
+  EXPECT_LE(f.finalize + f.sampling + f.scratch, 2);
+  EXPECT_LE(svd_calls, 20);
 }
 
 TEST(Pmtbr, FrequencySelectiveBeatsGlobalInBand) {

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
@@ -19,6 +18,7 @@
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
 #include "mor/pmtbr.hpp"
+#include "mor/same_reduction.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/service.hpp"
 #include "sparse/factor_cache.hpp"
@@ -231,42 +231,7 @@ TEST_F(ReductionServiceCache, FactorCacheSharesSolvesAcrossSystems) {
 // --- The span contract: every order of one sampling is a projection of
 // one cached span, bit for bit what a cold call returns at that order. ---
 
-bool same_bits(const la::MatD& x, const la::MatD& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
-}
-
-bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
-  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
-}
-
-void expect_same_reduction(const mor::PmtbrResult& got, const mor::PmtbrResult& want) {
-  const mor::DenseSystem& g = got.model.system;
-  const mor::DenseSystem& w = want.model.system;
-  EXPECT_TRUE(same_bits(g.e(), w.e()));
-  EXPECT_TRUE(same_bits(g.a(), w.a()));
-  EXPECT_TRUE(same_bits(g.b(), w.b()));
-  EXPECT_TRUE(same_bits(g.c(), w.c()));
-  EXPECT_TRUE(same_bits(got.model.v, want.model.v));
-  EXPECT_TRUE(same_bits(got.model.w, want.model.w));
-  EXPECT_TRUE(same_bits(got.model.singular_values, want.model.singular_values));
-  EXPECT_TRUE(same_bits(got.hankel_estimates, want.hankel_estimates));
-  ASSERT_EQ(got.samples_used.size(), want.samples_used.size());
-  for (std::size_t k = 0; k < got.samples_used.size(); ++k) {
-    EXPECT_EQ(got.samples_used[k].s, want.samples_used[k].s);
-    EXPECT_EQ(got.samples_used[k].weight, want.samples_used[k].weight);
-  }
-  const mor::DegradeReport& gd = got.degradation;
-  const mor::DegradeReport& wd = want.degradation;
-  EXPECT_EQ(gd.samples_attempted, wd.samples_attempted);
-  EXPECT_EQ(gd.samples_ok, wd.samples_ok);
-  EXPECT_EQ(gd.samples_dropped, wd.samples_dropped);
-  EXPECT_EQ(gd.retries, wd.retries);
-  EXPECT_EQ(gd.regularized, wd.regularized);
-  EXPECT_EQ(gd.reweights, wd.reweights);
-  EXPECT_EQ(gd.coverage, wd.coverage);
-  EXPECT_EQ(gd.failures.size(), wd.failures.size());
-}
+using testing::expect_same_reduction;
 
 // A mesh_job as one direct library call on a freshly built copy of its
 // system, with an empty solve cache.
