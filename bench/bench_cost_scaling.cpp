@@ -1,7 +1,8 @@
 // Sec. III-C reproduction (the paper's cost comparison): wall-clock scaling
 // of TBR (O(n^3)), PRIMA, and PMTBR on RC lines of growing size, via
 // google-benchmark. The JSON records also time adaptive order control at
-// the mesh_adaptive shape, phase by phase, the shifted refactor + solve
+// the mesh_adaptive shape and on a stream that stops early, phase by
+// phase, the shifted refactor + solve
 // under each fill-reducing ordering, the symmetric pencil's LDLᵀ one shift
 // at a time and in lane groups, and the orderings themselves.
 //
@@ -11,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -26,6 +28,7 @@
 #include "sparse/factor_cache.hpp"
 #include "sparse/rcm.hpp"
 #include "sparse/splu.hpp"
+#include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -221,20 +224,25 @@ std::vector<bench::TimingRecord> run_parallel_sweep() {
   return records;
 }
 
-// Adaptive order control at mesh_adaptive's shape: a 20×20 two-port RC
-// mesh, 20 samples on 1e5–1e11 Hz, excess 2, tol 1e-6 (the run never stops
-// early), at one thread on a fresh mesh and an empty solve cache, best of
-// five runs. Besides the phases of the sweep above it records the order
-// checks: every R fold outside pmtbr.project (compressor.settle or
-// compressor.scratch_fold), against the one fold the span commits there.
-std::vector<bench::TimingRecord> run_adaptive_record() {
+// Adaptive order control on a 20×20 two-port RC mesh, 1e5–1e11 Hz, excess
+// 2, tol 1e-6, at one thread on a fresh mesh and an empty solve cache, best
+// of five runs, at two sample counts: mesh_adaptive's 20 (the run never
+// stops early) and an 80-sample stream that stops at sample 64 with order
+// 32. Besides the phases of the sweep above it records the order checks:
+// every R fold outside pmtbr.project (compressor.settle or
+// compressor.scratch_fold), against the fold the span commits there.
+// Sampling includes the pencil's analysis, which sizes the adaptive
+// batches before the first solve; the note gives the solves discarded past
+// the stop (pmtbr_samples_discarded).
+std::vector<bench::TimingRecord> run_adaptive_record(la::index num_samples,
+                                                     const std::string& base) {
   circuit::RcMeshParams mp;
   mp.rows = 20;
   mp.cols = 20;
   mp.num_ports = 2;
   mor::PmtbrOptions opts;
   opts.bands = {mor::Band{1e5, 1e11}};
-  opts.num_samples = 20;
+  opts.num_samples = num_samples;
   opts.adaptive_excess = 2.0;
   opts.truncation_tol = 1e-6;
 
@@ -246,17 +254,29 @@ std::vector<bench::TimingRecord> run_adaptive_record() {
         total += s.seconds;
     return total;
   };
+  // The ordering and the analysis where no sample scope holds them.
+  const auto analysis_seconds = [](const std::vector<obs::ScopeStat>& snap) {
+    double total = 0.0;
+    for (const auto& s : snap)
+      if ((s.path.ends_with("descriptor.ordering") || s.path.ends_with("splu.analyze")) &&
+          s.path.find("pmtbr.sample_") == std::string::npos)
+        total += s.seconds;
+    return total;
+  };
   util::set_global_threads(1);
   const bool trace_was_enabled = obs::trace_enabled();
   obs::set_trace_enabled(true);
   double best = 0.0;
   la::index n = 0;
   long samples = 0;
+  std::int64_t discarded = 0;
   std::vector<obs::ScopeStat> snap;
   for (int run = 0; run < 5; ++run) {
     const auto fresh = circuit::make_rc_mesh(mp);
     sparse::FactorCache::global().clear();
     obs::reset_trace();
+    const std::int64_t discarded_before =
+        obs::counter_value(obs::Counter::kPmtbrSamplesDiscarded);
     WallTimer timer;
     const auto result = mor::pmtbr(fresh, opts);
     const double secs = timer.seconds();
@@ -264,25 +284,26 @@ std::vector<bench::TimingRecord> run_adaptive_record() {
     best = secs;
     n = fresh.n();
     samples = static_cast<long>(result.samples_used.size());
+    discarded = obs::counter_value(obs::Counter::kPmtbrSamplesDiscarded) - discarded_before;
     snap = obs::trace_snapshot();
   }
   obs::set_trace_enabled(trace_was_enabled);
   util::set_global_threads(util::resolve_num_threads(nullptr));
 
-  const double sampling =
-      phase_seconds(snap, "pmtbr.sample_block") + phase_seconds(snap, "pmtbr.sample_lanes");
+  const double sampling = phase_seconds(snap, "pmtbr.sample_block") +
+                          phase_seconds(snap, "pmtbr.sample_lanes") + analysis_seconds(snap);
   const double compression = phase_seconds(snap, "compressor.add_columns");
   const double order = order_seconds(snap);
   const double projection = phase_seconds(snap, "pmtbr.project");
-  const std::string base = "pmtbr_adaptive_mesh20x2";
   std::vector<bench::TimingRecord> records{
       {base, best, n, samples, 1},
       {base + "_phase=sampling", sampling, n, samples, 1},
       {base + "_phase=compression", compression, n, samples, 1},
       {base + "_phase=order", order, n, samples, 1},
       {base + "_phase=projection", projection, n, samples, 1}};
-  bench::note("pmtbr adaptive 20x20 mesh, 2 ports, " + std::to_string(samples) +
-              " samples, 1 thread: " + std::to_string(best) + " s (sampling=" +
+  bench::note("pmtbr adaptive 20x20 mesh, 2 ports, " + std::to_string(samples) + " of " +
+              std::to_string(num_samples) + " samples (" + std::to_string(discarded) +
+              " solves discarded), 1 thread: " + std::to_string(best) + " s (sampling=" +
               std::to_string(sampling) + " compression=" + std::to_string(compression) +
               " order=" + std::to_string(order) + " projection=" + std::to_string(projection) +
               ")");
@@ -427,7 +448,9 @@ int main(int argc, char** argv) {
                        "TBR/PRIMA/PMTBR wall-clock scaling + thread sweep + symbolic reuse "
                        "+ fill-reducing orderings");
   auto records = run_parallel_sweep();
-  for (auto& r : run_adaptive_record()) records.push_back(std::move(r));
+  for (auto& r : run_adaptive_record(20, "pmtbr_adaptive_mesh20x2")) records.push_back(std::move(r));
+  for (auto& r : run_adaptive_record(80, "pmtbr_adaptive_mesh20x2_stream80"))
+    records.push_back(std::move(r));
   for (auto& r : run_ordering_records()) records.push_back(std::move(r));
   const std::string json = pmtbr::bench::write_timing_json("cost_scaling", records);
   if (!json.empty()) pmtbr::bench::note("timing JSON: " + json);

@@ -278,6 +278,12 @@ std::vector<util::Expected<MatC>> DescriptorSystem::try_solve_uncached(
   return solve_each(shifts, rhs, diag_reg);
 }
 
+la::index DescriptorSystem::lane_width() const {
+  const sparse::SymbolicLuC* symbolic = analysis();
+  return symbolic && symbolic->kind() == sparse::FactorKind::kLdlt ? sparse::lane_width(*symbolic)
+                                                                    : 1;
+}
+
 std::vector<util::Expected<MatC>> DescriptorSystem::solve_each(std::span<const cd> shifts,
                                                                const MatC& rhs,
                                                                double diag_reg) const {

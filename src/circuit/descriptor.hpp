@@ -138,6 +138,11 @@ class DescriptorSystem {
                                                            const la::MatC& rhs,
                                                            double diag_reg = 0.0) const;
 
+  /// Shifts the span calls factor as one lane group: sparse::lane_width of
+  /// a symmetric pencil's LDLᵀ analysis (built here if not yet), 1 for a
+  /// pencil factored by LU, one shift at a time.
+  la::index lane_width() const;
+
   /// H(s) = C (sE - A)^{-1} B, Status-carrying.
   util::Expected<la::MatC> try_transfer(la::cd s) const;
 

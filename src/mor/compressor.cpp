@@ -237,31 +237,37 @@ double IncrementalCompressor::add_block(const MatD& block) {
       for (index i = 0; i < kr; ++i) nd[l * n_ + i] = sub.u(i, l);
     apply_reflectors(n_, kr, x, ws_.beta.data(), nd, kept);
     // The block residual is only ε·‖resid‖-orthogonal to the basis, so a
-    // kept direction with σ_i near drop_tol·vmax can overlap the old basis
-    // by ε·‖resid‖/σ_i — far above ε. Re-orthogonalize the kept directions
-    // (two CGS passes against the old basis, then MGS among themselves) so
-    // Q stays orthonormal to machine precision; without this the R-based
-    // singular-value tail is inflated by the double-counted components.
+    // kept direction with σ_l near drop_tol·vmax can overlap the old basis
+    // by ε·‖resid‖/σ_l — far above ε, yet at most about 1e-3 above
+    // drop_tol. Re-orthogonalize the kept directions so Q stays orthonormal
+    // to machine precision; without this the R-based singular-value tail is
+    // inflated by the double-counted components. One CGS pass against the
+    // old basis removes such an overlap to ε; by Kahan's twice-is-enough
+    // test a direction that kept at least half its squared norm needs no
+    // second pass, and one that lost more gets it. Then one MGS pass among
+    // the kept directions, and each is normalized.
     if (br > 0) {
       ws_.proj.resize(br, kept);
-      for (int pass = 0; pass < 2; ++pass) {
-        project_rows(n_, nd, kept, basis_t_.data(), br, ws_.proj.data());
-        subtract_rows(n_, nd, kept, basis_t_.data(), br, ws_.proj.data());
+      ws_.kept_sq.resize(static_cast<std::size_t>(kept));
+      for (index l = 0; l < kept; ++l)
+        ws_.kept_sq[static_cast<std::size_t>(l)] = row_dot(n_, nd + l * n_, nd + l * n_);
+      project_rows(n_, nd, kept, basis_t_.data(), br, ws_.proj.data());
+      subtract_rows(n_, nd, kept, basis_t_.data(), br, ws_.proj.data());
+      for (index l = 0; l < kept; ++l) {
+        double* vl = nd + l * n_;
+        if (row_dot(n_, vl, vl) >= 0.5 * ws_.kept_sq[static_cast<std::size_t>(l)]) continue;
+        project_rows(n_, vl, 1, basis_t_.data(), br, ws_.proj.data());
+        subtract_rows(n_, vl, 1, basis_t_.data(), br, ws_.proj.data());
       }
     }
     for (index l = 0; l < kept; ++l) {
       double* vl = nd + l * n_;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (index r = 0; r < l; ++r) {
-          const double* vr = nd + r * n_;
-          double d = 0;
-          for (index i = 0; i < n_; ++i) d += vr[i] * vl[i];
-          for (index i = 0; i < n_; ++i) vl[i] -= d * vr[i];
-        }
+      for (index r = 0; r < l; ++r) {
+        const double* vr = nd + r * n_;
+        const double d = row_dot(n_, vr, vl);
+        for (index i = 0; i < n_; ++i) vl[i] -= d * vr[i];
       }
-      double nrm = 0;
-      for (index i = 0; i < n_; ++i) nrm += vl[i] * vl[i];
-      nrm = std::sqrt(nrm);
+      const double nrm = std::sqrt(row_dot(n_, vl, vl));
       if (nrm > 0) {
         const double inv = 1.0 / nrm;
         for (index i = 0; i < n_; ++i) vl[i] *= inv;
@@ -327,11 +333,11 @@ double IncrementalCompressor::add_column(std::vector<double> v, index basis_rank
   return res_sq;
 }
 
-IncrementalCompressor::Factor IncrementalCompressor::fold(const char* scope) const {
+IncrementalCompressor::Fold IncrementalCompressor::fold(const char* scope) const {
   PMTBR_TRACE_SCOPE(scope);
   const index k = rank_;
   const auto m = static_cast<index>(pending_.size());
-  if (k == 0) return {};  // every column so far deflated to nothing
+  if (k == 0) return {{}, {}, m};  // every column so far deflated to nothing
   // Each direction arrived with at least one column, so T below is tall
   // and svd_right yields a square V.
   PMTBR_ENSURE(m >= k, "absorbed columns cannot cover the rank");
@@ -346,17 +352,27 @@ IncrementalCompressor::Factor IncrementalCompressor::fold(const char* scope) con
   // Every kept direction entered with a residual above drop_tol, so T has
   // full column rank and no singular value can vanish.
   PMTBR_ENSURE(f.s.back() > 0, "fold lost rank");
-  return {std::move(f.v), std::move(f.s)};
+  return {std::move(f.v), std::move(f.s), m};
 }
 
 void IncrementalCompressor::settle() {
   if (settled_) return;
   settled_ = true;
   if (pending_.empty()) return;  // nothing absorbed
-  Factor f = fold("compressor.settle");
+  Fold f = fold("compressor.settle");
   pending_.clear();
   u_ = std::move(f.u);
   sigma_ = std::move(f.sigma);
+}
+
+void IncrementalCompressor::settle(Fold fold) {
+  PMTBR_REQUIRE(fold.columns == m_, "a fold of another column count cannot settle this compressor");
+  if (settled_) return;
+  PMTBR_TRACE_SCOPE("compressor.settle");
+  settled_ = true;
+  pending_.clear();
+  u_ = std::move(fold.u);
+  sigma_ = std::move(fold.sigma);
 }
 
 void IncrementalCompressor::shrink_to_fit() {
@@ -377,6 +393,11 @@ namespace {
 constexpr const char* kScratchFold = "compressor.scratch_fold";
 }  // namespace
 
+IncrementalCompressor::Fold IncrementalCompressor::scratch_fold() const {
+  if (pending_.empty()) return {u_, sigma_, m_};
+  return fold(kScratchFold);
+}
+
 std::vector<double> IncrementalCompressor::singular_values() const {
   if (pending_.empty()) return sigma_;
   return fold(kScratchFold).sigma;
@@ -385,7 +406,7 @@ std::vector<double> IncrementalCompressor::singular_values() const {
 MatD IncrementalCompressor::basis(index order) const {
   PMTBR_REQUIRE(order >= 1, "order must be positive");
   PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
-  const Factor scratch = pending_.empty() ? Factor{} : fold(kScratchFold);
+  const Fold scratch = pending_.empty() ? Fold{} : fold(kScratchFold);
   const MatD& u = pending_.empty() ? u_ : scratch.u;
   const index k = rank_;
   const index q = std::min(order, k);

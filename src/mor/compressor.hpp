@@ -16,11 +16,14 @@
 // trailing-singular-value estimates after any sample, plus an orthonormal
 // basis for the dominant subspace.
 //
-// Queries (singular_values, basis, order_for_tolerance) are pure. On a
-// settled compressor they read U and σ in place; before settle() they fold
-// P into a scratch copy through the same code, so they return exactly what
-// settle() would then commit, and cost one fold each. settle() is the only
-// commit, and it is final: a settled compressor absorbs no more columns.
+// Queries (singular_values, basis, order_for_tolerance, scratch_fold) are
+// pure. On a settled compressor they read U and σ in place; before
+// settle() they fold P into a scratch copy through the same code, so they
+// return exactly what settle() would then commit, and cost one fold each.
+// settle() is the only commit, and it is final: a settled compressor
+// absorbs no more columns. A caller that already holds a scratch_fold() of
+// every absorbed column commits it through settle(Fold) without folding
+// again.
 // So the state is a function of the add_columns sequence, never of the
 // queries: a model is a function of its absorbed columns. Any number of
 // threads may query one compressor at once while none absorbs or settles.
@@ -32,8 +35,9 @@
 //  - kBlocked (default): two passes of block classical Gram–Schmidt
 //    against the existing basis, then a Householder QR of the n×k residual
 //    block and an SVD of its small R factor to decide which new directions
-//    survive drop_tol; the kept ones are re-orthogonalized (two more CGS
-//    passes, then MGS among themselves). One factorization per block
+//    survive drop_tol; the kept ones are re-orthogonalized (one more CGS
+//    pass, a second only for a direction that lost over half its squared
+//    norm, then one MGS pass among themselves). One factorization per block
 //    instead of per column. The block never leaves the basis' row layout:
 //    it is copied transposed into k rows of length n, every CGS pass runs
 //    through two register-tiled row kernels (C = Q·Xᵀ, then X −= Cᵀ·Q), the
@@ -89,9 +93,22 @@ class IncrementalCompressor {
   /// regrows below that rank. Never changes a result bit.
   void reserve(index max_rank);
 
+  /// U and σ of the absorbed columns, and how many columns they cover.
+  struct Fold {
+    MatD u;
+    std::vector<double> sigma;
+    index columns = 0;
+  };
+
   /// Folds the absorbed R columns into (U, σ), once; later calls are
   /// no-ops, and add_columns is closed from then on.
   void settle();
+
+  /// settle() that commits `fold`, a scratch_fold() of this compressor
+  /// taken after its last add_columns, instead of folding again: the same
+  /// bits for one SVD less. std::invalid_argument when `fold` covers
+  /// another number of columns than were absorbed.
+  void settle(Fold fold);
 
   /// settle(), then releases what only absorption needs (the block
   /// workspace, P and the basis' spare capacity), so the compressor holds
@@ -104,6 +121,11 @@ class IncrementalCompressor {
 
   // Pure queries: before settle(), each folds P into a scratch copy (a
   // settle() that commits nothing).
+  /// The fold settle() would commit now (on a settled compressor, the
+  /// committed one), for a caller that needs σ first and may commit it
+  /// later through settle(Fold).
+  Fold scratch_fold() const;
+
   /// Singular values of the absorbed matrix, descending (length = rank()).
   std::vector<double> singular_values() const;
 
@@ -120,6 +142,7 @@ class IncrementalCompressor {
   struct Workspace {
     la::AlignedVector<double> rows;  // the block transposed, k rows of n (residual, projected)
     std::vector<double> colsq;  // the block's squared column norms
+    std::vector<double> kept_sq;  // kept directions' squared norms before re-orthogonalizing
     std::vector<double> beta;   // 2/‖v_j‖² of the residual QR's reflectors
     std::vector<double> rdiag;  // diagonal of that QR's R
     MatD r;                     // R of the residual QR
@@ -129,14 +152,9 @@ class IncrementalCompressor {
 
   double add_block(const MatD& block);
 
-  /// U and σ of the absorbed columns.
-  struct Factor {
-    MatD u;
-    std::vector<double> sigma;
-  };
   /// The fold behind settle() and the scratch queries, traced under
   /// `scope`; reads only.
-  Factor fold(const char* scope) const;
+  Fold fold(const char* scope) const;
 
   /// Seed path: returns the squared norm of v's component orthogonal to the
   /// first `basis_rank` basis directions (the basis size before the

@@ -184,7 +184,8 @@ class SamplingEngine {
   // Weights `samples` by opts.weight_fn (paper Eq. 18; fully suppressed
   // samples are never solved), solves them `batch` at a time, and commits
   // each batch `window` samples at a time. When `on_absorb` stops the run,
-  // the rest of the batch is discarded without being recorded.
+  // the rest of the batch is discarded without being recorded; its solved
+  // samples are counted (pmtbr_samples_discarded).
   void sample(const std::vector<FrequencySample>& samples, index batch, index window,
               const OnAbsorb& on_absorb = nullptr) {
     const auto first = static_cast<index>(eff_.size());
@@ -227,8 +228,15 @@ class SamplingEngine {
           obs::counter_add(obs::Counter::kPmtbrSamples);
           used_.push_back(eff_[static_cast<std::size_t>(start + k)]);
           if (on_absorb && on_absorb(origin[static_cast<std::size_t>(start + k - first)], block,
-                                     novelty))
+                                     novelty)) {
+            std::int64_t discarded = 0;
+            for (index i = start + k + 1 - base; i < count; ++i) {
+              const auto& slot = outcomes[static_cast<std::size_t>(i)];
+              if (slot.is_ok() && slot.value().status.is_ok()) ++discarded;
+            }
+            obs::counter_add(obs::Counter::kPmtbrSamplesDiscarded, discarded);
             return;
+          }
         }
       }
     }
@@ -272,10 +280,12 @@ class SamplingEngine {
 
   // The span: the coverage floor, then the compressor's last fold, which
   // every order of this sampling shares. The fold runs in the pmtbr.project
-  // scope, where the order choice it serves is timed too. The compressor
-  // keeps its workspace and spare capacity; a span that outlives its call
-  // is shrunk (kept_span).
-  SampledSpan span() && {
+  // scope, where the order choice it serves is timed too; `checked`, a
+  // scratch fold taken by an order check, is committed instead when it
+  // covers every absorbed column (a run that stopped at that check). The
+  // compressor keeps its workspace and spare capacity; a span that
+  // outlives its call is shrunk (kept_span).
+  SampledSpan span(IncrementalCompressor::Fold checked = {}) && {
     PMTBR_REQUIRE(!eff_.empty(), "frequency weighting suppresses every sample");
     enforce_coverage_floor(st_);
     // Cancellation checkpoint before the fold: the compressor's settle is
@@ -285,7 +295,10 @@ class SamplingEngine {
     opts_.cancel.throw_if_cancelled();
     {
       PMTBR_TRACE_SCOPE("pmtbr.project");
-      comp_.settle();
+      if (checked.columns == comp_.columns_absorbed())
+        comp_.settle(std::move(checked));
+      else
+        comp_.settle();
     }
     return {std::move(comp_), std::move(used_), std::move(st_.report)};
   }
@@ -379,33 +392,38 @@ index sample_columns(const std::vector<FrequencySample>& samples, index m) {
 SampledSpan sample_span(const DescriptorSystem& sys, const std::vector<FrequencySample>& samples,
                         const PmtbrOptions& opts) {
   SamplingEngine engine(sys, opts, sample_columns(samples, sys.num_inputs()));
+  IncrementalCompressor::Fold checked;  // the fold of the last exact check
   if (opts.adaptive_excess > 0) {
     // Stop when the sample count comfortably exceeds the order estimate
     // (the paper's "samples in excess of the model order" criterion).
-    // Solves run two per pool thread at a time, bounding the waste past the
-    // stopping point, but commit in pairs at any thread count, so what is
-    // attempted, dropped and reweighted matches a serial run. The estimate
-    // takes a fold, so each check first asks the bound from σ at the last
-    // fold and the blocks absorbed since (R's columns are no longer than
-    // their blocks): while the run cannot stop at the bound, it cannot stop
-    // at the estimate either, and nothing is folded. Queries are pure, so
-    // the model does not depend on where the checks fold.
-    std::vector<double> sigma;  // σ at the last estimate
-    double added_sq = 0.0;      // Σ‖block‖²_F absorbed since
+    // Solves run one lane group per pool thread at a time (two samples when
+    // the pencil is factored by LU, one shift at a time), bounding the
+    // waste past the stopping point, but commit in pairs at any thread
+    // count and width, so what is attempted, dropped and reweighted matches
+    // a serial run. The estimate takes a fold, so each check first asks the
+    // bound from σ at the last fold and the blocks absorbed since (R's
+    // columns are no longer than their blocks): while the run cannot stop
+    // at the bound, it cannot stop at the estimate either, and nothing is
+    // folded. Queries are pure, so the model does not depend on where the
+    // checks fold; a run that stops at a check hands that check's fold to
+    // the span.
+    double added_sq = 0.0;  // Σ‖block‖²_F absorbed since the last fold
     const auto below = [&](index used, index order) {
       return static_cast<double>(used) < opts.adaptive_excess * static_cast<double>(order);
     };
-    engine.sample(samples, 2 * util::global_pool().size(), 2,
+    const index lanes = std::max<index>(2, sys.lane_width());
+    engine.sample(samples, lanes * util::global_pool().size(), 2,
                   [&](std::size_t, const MatD& block, double) {
                     const double norm = la::norm_fro(block);
                     added_sq += norm * norm;
                     const index used = engine.used();
                     if (used < opts.min_samples) return false;
-                    if (below(used, tail_order_lower_bound(sigma, added_sq, opts.truncation_tol)))
+                    if (below(used, tail_order_lower_bound(checked.sigma, added_sq,
+                                                           opts.truncation_tol)))
                       return false;
-                    sigma = engine.compressor().singular_values();
+                    checked = engine.compressor().scratch_fold();
                     added_sq = 0.0;
-                    const index est = tail_order(sigma, opts.truncation_tol);
+                    const index est = tail_order(checked.sigma, opts.truncation_tol);
                     if (below(used, est)) return false;
                     log_debug("pmtbr: adaptive stop after ", used, " samples (order ~", est, ")");
                     obs::counter_add(obs::Counter::kPmtbrAdaptiveStops);
@@ -415,7 +433,7 @@ SampledSpan sample_span(const DescriptorSystem& sys, const std::vector<Frequency
     const auto all = static_cast<index>(samples.size());
     engine.sample(samples, all, all);
   }
-  return std::move(engine).span();
+  return std::move(engine).span(std::move(checked));
 }
 
 // pmtbr_adaptive up to its order choice.

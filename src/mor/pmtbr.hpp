@@ -77,6 +77,10 @@ struct PmtbrOptions {
 
   /// Order selection: if fixed_order > 0 it wins; otherwise the smallest
   /// order whose trailing singular-value sum is below truncation_tol * σ1.
+  /// A tail compared below about rank·ε·σ1 is rounding: an order that
+  /// truncation_tol decides there (1e-14 on a 20×20 RC mesh) follows the
+  /// last bits of σ and can change between releases that move the solves
+  /// or the compressor at rounding level.
   index fixed_order = -1;
   double truncation_tol = 1e-8;
   index max_order = -1;  // optional cap (< 0: none)

@@ -93,11 +93,14 @@ std::vector<index> pre_permutation(index n, std::vector<index> perm) {
 //
 // Each lane performs exactly the IEEE operations of a one-lane factor, so
 // the grouping cannot change a bit: this file is built with
-// -ffp-contract=off (no clone fuses a multiply-add), complex products are
-// written out on real and imaginary parts in one fixed order, every
-// division runs per lane through T itself (std::complex's division, as
-// cd{1} / d and y / d), and the forward solve's skip of an exactly zero
-// multiplier is a per-lane mask.
+// -ffp-contract=off (no clone fuses a multiply-add) and
+// -fno-tree-slp-vectorize (no clone packs a one-lane complex product into
+// a fused add-subtract), complex products are written out on real and
+// imaginary parts in one fixed order, and the forward solve's skip of an
+// exactly zero multiplier is a per-lane mask. A complex factor keeps D⁻¹,
+// formed for all lanes at once by one formula of real divisions
+// (reciprocal()), and both L's scaling and the solve multiply by it; no
+// lane calls std::complex's division. Real factors divide by d per lane.
 
 template <typename T>
 inline constexpr int kParts = 1;
@@ -142,6 +145,22 @@ template <typename M>
 template <int W>
 struct Lanes {};
 
+// 1/d for each lane of d = re + i·im, as conj(d)/|d|² with d first scaled
+// by s = max(|re|, |im|): every pivot the factor accepts (|d|² > 0, so |d|
+// above about 1e-162) gets its reciprocal without overflow or underflow,
+// including pivots whose |d|² overflows.
+template <typename V>
+[[gnu::always_inline]] inline void reciprocal(const V& re, const V& im, V& inv_re, V& inv_im) {
+  const V are = re < 0.0 ? -re : re;
+  const V aim = im < 0.0 ? -im : im;
+  const V s = are < aim ? aim : are;
+  const V xr = re / s;
+  const V xi = im / s;
+  const V den = xr * xr + xi * xi;
+  inv_re = (xr / den) / s;
+  inv_im = (-xi / den) / s;
+}
+
 // Per lane, the column whose diagonal pivot was rejected (-1: accepted)
 // and that pivot's magnitude.
 struct LaneRejects {
@@ -156,10 +175,11 @@ struct LaneRejects {
 // of L — only the rows ≥ j of each contributing column. d_j faces the LU
 // replay's pivot test, on squared magnitudes. A lane whose pivot is
 // rejected is recorded and carried along with a zero reciprocal; the walk
-// stops once every lane is rejected.
+// stops once every lane is rejected. For complex T, `iv` receives D⁻¹
+// (zero from a lane's rejected column on); real T leaves it unread.
 template <typename T, int W>
 [[gnu::always_inline]] inline void ldlt_factor(const detail::LuPattern<T>& pat, const double* av,
-                                               double* lv, double* dv, double* x,
+                                               double* lv, double* dv, double* iv, double* x,
                                                LaneRejects& rej) {
   using V = typename LaneVec<W>::type;
   constexpr bool kComplex = kParts<T> == 2;
@@ -244,12 +264,11 @@ template <typename T, int W>
       best2 = best2 < m2 ? m2 : best2;
     }
     std::memcpy(dv + at(j), xj, S * sizeof(double));
-    double d2l[W], best2l[W], inv_re[W], inv_im[W];
+    double d2l[W], best2l[W], keep[W];
     store(d2l, d2);
     store(best2l, best2);
     for (int l = 0; l < W; ++l) {
-      inv_re[l] = 0.0;
-      inv_im[l] = 0.0;
+      keep[l] = 0.0;
       if (rej.col[l] >= 0) continue;
       if (!(d2l[l] > 0) || d2l[l] < tol2 * best2l[l]) {
         rej.col[l] = j;
@@ -257,17 +276,24 @@ template <typename T, int W>
         --live;
         continue;
       }
-      if constexpr (kComplex) {
-        const cd inv = cd{1} / cd(xj[l], xj[W + l]);
-        inv_re[l] = inv.real();
-        inv_im[l] = inv.imag();
-      } else {
-        inv_re[l] = 1.0 / xj[l];
-      }
+      keep[l] = 1.0;
     }
-    V ir, ii;
-    load(ir, inv_re);
-    load(ii, inv_im);
+    V kept, ir, ii;
+    load(kept, keep);
+    if constexpr (kComplex) {
+      V dim;
+      load(dim, xj + W);
+      reciprocal(dre, dim, ir, ii);
+      const V zero{};
+      ir = kept != 0.0 ? ir : zero;
+      ii = kept != 0.0 ? ii : zero;
+      store(iv + at(j), ir);
+      store(iv + at(j) + W, ii);
+    } else {
+      double inv_re[W];
+      for (int l = 0; l < W; ++l) inv_re[l] = keep[l] != 0.0 ? 1.0 / xj[l] : 0.0;
+      load(ir, inv_re);
+    }
     for (index p = lb; p < le; ++p) {
       double* xp = x + at(l_row[p]);
       double* lp = lv + at(p);
@@ -292,11 +318,12 @@ template <typename T, int W>
 }
 
 // Solves L·D·Lᵀ y = b in place for every lane, b permuted into `y` (n
-// lane-minor entries). Lanes with live[l] false (a rejected factor) skip
-// the division and end with meaningless values.
+// lane-minor entries). `dd` is D⁻¹ for complex T, which the D step
+// multiplies by, and D for real T, which it divides by. Lanes of a rejected
+// factor end with meaningless values.
 template <typename T, int W>
 [[gnu::always_inline]] inline void ldlt_solve(const detail::LuPattern<T>& pat, const double* lv,
-                                              const double* dv, double* y, const bool* live) {
+                                              const double* dd, double* y) {
   using V = typename LaneVec<W>::type;
   constexpr bool kComplex = kParts<T> == 2;
   constexpr std::size_t S = static_cast<std::size_t>(kParts<T> * W);
@@ -344,23 +371,21 @@ template <typename T, int W>
   // D, then Lᵀ backward.
   for (index k = n - 1; k >= 0; --k) {
     double* yk = y + at(k);
-    const double* dk = dv + at(k);
-    double q_re[W], q_im[W];
-    for (int l = 0; l < W; ++l) {
-      q_re[l] = 0.0;
-      q_im[l] = 0.0;
-      if (!live[l]) continue;
-      if constexpr (kComplex) {
-        const cd q = cd(yk[l], yk[W + l]) / cd(dk[l], dk[W + l]);
-        q_re[l] = q.real();
-        q_im[l] = q.imag();
-      } else {
-        q_re[l] = yk[l] / dk[l];
-      }
-    }
     V accr, acci;
-    load(accr, q_re);
-    load(acci, q_im);
+    load(accr, yk);
+    if constexpr (kComplex) {
+      V yi, ir, ii;
+      load(yi, yk + W);
+      load(ir, dd + at(k));
+      load(ii, dd + at(k) + W);
+      const V yr = accr;
+      accr = yr * ir - yi * ii;
+      acci = yr * ii + yi * ir;
+    } else {
+      V d;
+      load(d, dd + at(k));
+      accr = accr / d;
+    }
     for (index p = l_ptr[k]; p < l_ptr[k + 1]; ++p) {
       const double* yp = y + at(l_row[p]);
       V a, yr;
@@ -388,13 +413,13 @@ template <typename T, int W>
 #define PMTBR_LDLT_LANE_KERNELS(T, W)                                                          \
   PMTBR_KERNEL_CLONES                                                                          \
   void lane_factor(Lanes<W>, const detail::LuPattern<T>& pat, const double* av, double* lv,   \
-                   double* dv, double* x, LaneRejects& rej) {                                  \
-    ldlt_factor<T, W>(pat, av, lv, dv, x, rej);                                                \
+                   double* dv, double* iv, double* x, LaneRejects& rej) {                      \
+    ldlt_factor<T, W>(pat, av, lv, dv, iv, x, rej);                                            \
   }                                                                                            \
   PMTBR_KERNEL_CLONES                                                                          \
   void lane_solve(Lanes<W>, const detail::LuPattern<T>& pat, const double* lv,                \
-                  const double* dv, double* y, const bool* live) {                             \
-    ldlt_solve<T, W>(pat, lv, dv, y, live);                                                    \
+                  const double* dd, double* y) {                                               \
+    ldlt_solve<T, W>(pat, lv, dd, y);                                                          \
   }
 PMTBR_LDLT_LANE_KERNELS(double, 1)
 PMTBR_LDLT_LANE_KERNELS(cd, 1)
@@ -468,11 +493,11 @@ constexpr std::size_t kLaneGroupBytes = std::size_t{32} << 20;
 
 // Lanes per group for an analysis: kMaxLdltLanes, halved until the group
 // fits kLaneGroupBytes, at least one.
-std::size_t lane_cap(const detail::LuPattern<cd>& pat) {
+int lane_cap(const detail::LuPattern<cd>& pat) {
   const std::size_t per_lane =
       (pat.a_pos.size() + pat.l_row.size() + 2 * static_cast<std::size_t>(pat.n)) * sizeof(cd);
-  std::size_t cap = kMaxLdltLanes;
-  while (cap > 1 && cap * per_lane > kLaneGroupBytes) cap /= 2;
+  int cap = kMaxLdltLanes;
+  while (cap > 1 && static_cast<std::size_t>(cap) * per_lane > kLaneGroupBytes) cap /= 2;
   return cap;
 }
 
@@ -481,7 +506,7 @@ std::size_t lane_cap(const detail::LuPattern<cd>& pat) {
 // buffer starts on a cache line (la/aligned.hpp), so no load or store of
 // four or eight lanes straddles two.
 struct LaneBuffers {
-  la::AlignedVector<double> a, l, d, x;
+  la::AlignedVector<double> a, l, d, dinv, x;
 };
 LaneBuffers& lane_buffers() {
   thread_local LaneBuffers buffers;
@@ -880,10 +905,11 @@ util::Status SparseLu<T>::refactor_ldlt(const Csr<T>& a) {
   pack_lane(pat, a, av.data(), 1, 0);
   l_val_.resize(pat.l_row.size());
   diag_.resize(static_cast<std::size_t>(pat.n));
+  if constexpr (kParts<T> == 2) dinv_.resize(static_cast<std::size_t>(pat.n));
   std::vector<double> x(static_cast<std::size_t>(pat.n) * S, 0.0);
   LaneRejects rej;
   lane_factor(Lanes<1>{}, pat, av.data(), as_doubles(l_val_.data()), as_doubles(diag_.data()),
-               x.data(), rej);
+              as_doubles(dinv_.data()), x.data(), rej);
   if (rej.col[0] >= 0) return degenerate_pivot(rej, 0);
   return {};
 }
@@ -895,8 +921,8 @@ std::vector<T> SparseLu<T>::solve_ldlt(const std::vector<T>& b) const {
   std::vector<double> y(static_cast<std::size_t>(n) * kParts<T>);
   for (index k = 0; k < n; ++k)
     put_lane(y.data(), k, 1, 0, b[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])]);
-  const bool live[1] = {true};
-  lane_solve(Lanes<1>{}, pat, as_doubles(l_val_.data()), as_doubles(diag_.data()), y.data(), live);
+  const T* dd = kParts<T> == 2 ? dinv_.data() : diag_.data();
+  lane_solve(Lanes<1>{}, pat, as_doubles(l_val_.data()), as_doubles(dd), y.data());
   std::vector<T> out(static_cast<std::size_t>(n));
   for (index k = 0; k < n; ++k)
     out[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])] =
@@ -927,6 +953,7 @@ void solve_group(const detail::LuPattern<cd>& pat, const ShiftedPencil& pencil,
   double* av = fit(buf.a, pat.a_pos.size() * S);
   double* lv = fit(buf.l, pat.l_row.size() * S);
   double* dv = fit(buf.d, nn * S);
+  double* iv = fit(buf.dinv, nn * S);
   double* x = fit(buf.x, nn * S);
   std::fill(x, x + nn * S, 0.0);
   const auto& terms = pencil.terms().values();
@@ -941,7 +968,7 @@ void solve_group(const detail::LuPattern<cd>& pat, const ShiftedPencil& pencil,
   LaneRejects rej;
   {
     PMTBR_TRACE_SCOPE("splu.ldlt");
-    lane_factor(Lanes<W>{}, pat, av, lv, dv, x, rej);
+    lane_factor(Lanes<W>{}, pat, av, lv, dv, iv, x, rej);
   }
   obs::counter_add(obs::Counter::kSparseLdltLaneGroups);
   obs::counter_add(obs::Counter::kSparseLdltLanes, group);
@@ -967,7 +994,7 @@ void solve_group(const detail::LuPattern<cd>& pat, const ShiftedPencil& pencil,
       const cd v = rhs(pat.q[static_cast<std::size_t>(k)], c);
       for (int l = 0; l < W; ++l) put_lane(x, k, W, l, v);
     }
-    lane_solve(Lanes<W>{}, pat, lv, dv, x, live);
+    lane_solve(Lanes<W>{}, pat, lv, iv, x);
     std::size_t next = 0;
     for (int l = 0; l < group; ++l) {
       if (!live[l]) continue;
@@ -999,7 +1026,7 @@ std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLuC& symbolic,
   check_symmetric_values(pat, pencil.terms());
   std::vector<util::Expected<la::MatC>> out;
   out.reserve(shifts.size());
-  const std::size_t cap = lane_cap(pat);
+  const auto cap = static_cast<std::size_t>(lane_cap(pat));
   for (std::size_t base = 0; base < shifts.size(); base += cap) {
     const auto group = shifts.subspan(base, std::min(cap, shifts.size() - base));
     if (group.size() == 1)
@@ -1012,6 +1039,11 @@ std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLuC& symbolic,
       solve_group<8>(pat, pencil, group, rhs, out);
   }
   return out;
+}
+
+int lane_width(const SymbolicLuC& symbolic) {
+  PMTBR_REQUIRE(symbolic.kind() == FactorKind::kLdlt, "lane groups need an LDLT analysis");
+  return lane_cap(*symbolic.pattern_);
 }
 
 template <typename T>

@@ -109,6 +109,11 @@ std::vector<util::Expected<la::MatC>> solve_lanes(const SymbolicLu<cd>& symbolic
                                                   std::span<const cd> shifts,
                                                   const la::MatC& rhs);
 
+/// Shifts one solve_lanes group factors against the LDLᵀ analysis
+/// `symbolic`: kMaxLdltLanes, halved while the group's lane storage would
+/// exceed the byte budget, at least one.
+int lane_width(const SymbolicLu<cd>& symbolic);
+
 /// Reusable symbolic factorization, safe to share (const) across threads;
 /// numeric factorizations for any matrix with the SAME CSR layout are then
 /// obtained via SparseLu::refactor. Neither analysis consults an injection
@@ -147,6 +152,7 @@ class SymbolicLu {
                                                            const ShiftedPencil&,
                                                            std::span<const cd>,
                                                            const la::MatC&);
+  friend int lane_width(const SymbolicLu<cd>&);
   explicit SymbolicLu(std::shared_ptr<const detail::LuPattern<T>> pattern)
       : pattern_(std::move(pattern)) {}
 
@@ -187,8 +193,11 @@ class SparseLu {
   index n() const { return pattern_->n; }
   /// nnz(L+U) without U's diagonal; for LDLᵀ that of U = D·Lᵀ: 2·nnz(L).
   std::size_t nnz_factors() const { return l_val_.size() + pattern_->u_row.size(); }
-  /// Scalars actually stored: L, U and U's diagonal, or L and D.
-  std::size_t stored_values() const { return l_val_.size() + u_val_.size() + diag_.size(); }
+  /// Scalars actually stored: L, U and U's diagonal, or L, D and (complex
+  /// LDLᵀ) D⁻¹.
+  std::size_t stored_values() const {
+    return l_val_.size() + u_val_.size() + diag_.size() + dinv_.size();
+  }
 
   /// The elimination structure of this factorization, shareable for
   /// numeric-only refactorization of further same-pattern matrices.
@@ -226,6 +235,7 @@ class SparseLu {
   std::vector<T> l_val_;
   std::vector<T> u_val_;  // empty for LDLᵀ
   std::vector<T> diag_;   // U's diagonal, or D
+  std::vector<T> dinv_;   // D⁻¹ of a complex LDLᵀ, which the solve multiplies by
 };
 
 using SparseLuD = SparseLu<double>;

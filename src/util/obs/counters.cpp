@@ -33,6 +33,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kPoolIdleNanos: return "pool_idle_nanos";
     case Counter::kPmtbrSamples: return "pmtbr_samples";
     case Counter::kPmtbrAdaptiveStops: return "pmtbr_adaptive_stops";
+    case Counter::kPmtbrSamplesDiscarded: return "pmtbr_samples_discarded";
     case Counter::kAdaptiveBisections: return "adaptive_bisections";
     case Counter::kCompressorColumnsKept: return "compressor_columns_kept";
     case Counter::kCompressorColumnsDropped: return "compressor_columns_dropped";

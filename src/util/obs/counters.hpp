@@ -53,6 +53,7 @@ enum class Counter : int {
   // sampling / compression (src/mor)
   kPmtbrSamples,           // frequency samples absorbed into the basis
   kPmtbrAdaptiveStops,     // early stops via the samples >= excess*order rule
+  kPmtbrSamplesDiscarded,  // samples solved in an adaptive run's last batch past its stop
   kAdaptiveBisections,     // interval bisections in pmtbr_adaptive
   kCompressorColumnsKept,  // columns that extended the orthonormal basis
   kCompressorColumnsDropped, // columns dropped as numerically dependent

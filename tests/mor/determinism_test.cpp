@@ -169,6 +169,77 @@ TEST(ParallelDeterminism, AdaptiveStopMatchesExactEverySample) {
   expect_stop_rule_matches_replay(4);
 }
 
+// Solves an adaptive run throws away: the samples of its last batch solved
+// past the stop (pmtbr_samples_discarded). A batch is one lane group per
+// pool thread, two samples per thread when the pencil is factored by LU,
+// so at most a batch less the stopping sample is discarded.
+std::int64_t discarded_solves(const DescriptorSystem& sys, const PmtbrOptions& opts,
+                              std::size_t& used) {
+  const std::int64_t before = obs::counter_value(obs::Counter::kPmtbrSamplesDiscarded);
+  used = pmtbr(sys, opts).samples_used.size();
+  return obs::counter_value(obs::Counter::kPmtbrSamplesDiscarded) - before;
+}
+
+TEST(Pmtbr, AdaptiveMeshSolvesInThreeLaneGroupsAndDiscardsNone) {
+  // mesh_adaptive's shape at one thread never stops: its 20 samples are
+  // factored as 8 + 8 + 4 lanes, and no solve is discarded.
+  ScopedThreads guard(1);
+  circuit::RcMeshParams mp;
+  mp.rows = 20;
+  mp.cols = 20;
+  mp.num_ports = 2;
+  const auto sys = circuit::make_rc_mesh(mp);
+  PmtbrOptions opts;
+  opts.bands = {Band{1e5, 1e11}};
+  opts.num_samples = 20;
+  opts.adaptive_excess = 2.0;
+  opts.truncation_tol = 1e-6;
+  const std::int64_t groups = obs::counter_value(obs::Counter::kSparseLdltLaneGroups);
+  std::size_t used = 0;
+  EXPECT_EQ(discarded_solves(sys, opts, used), 0);
+  EXPECT_EQ(used, 20u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLdltLaneGroups) - groups, 3);
+}
+
+TEST(ParallelDeterminism, DiscardedSolvesStayWithinOneBatch) {
+  // bench_ablation_ordercontrol's 7-level clock tree (LDLᵀ lanes) stops at
+  // 5–13 of 60 samples; a 12-section PEEC line (RLC, LU) stops at 4–12.
+  circuit::PeecParams pp;
+  pp.sections = 12;
+  const DescriptorSystem tree = circuit::make_clock_tree({.levels = 7});
+  const DescriptorSystem peec = circuit::make_peec(pp);
+  for (const int threads : {1, 4}) {
+    ScopedThreads guard(threads);
+    for (const double tol : {1e-2, 1e-4, 1e-6, 1e-8, 1e-10}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, clock tree, tol " << tol);
+      PmtbrOptions opts;
+      opts.bands = {Band{0.0, 1e10}};
+      opts.num_samples = 60;
+      opts.adaptive_excess = 2.5;
+      opts.truncation_tol = tol;
+      std::size_t used = 0;
+      const std::int64_t discarded = discarded_solves(tree, opts, used);
+      EXPECT_LT(used, 60u);
+      EXPECT_GE(discarded, 0);
+      EXPECT_LE(discarded, tree.lane_width() * threads - 1);
+    }
+    EXPECT_EQ(peec.lane_width(), 1);
+    for (const double tol : {1e-2, 1e-3, 1e-4}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, PEEC, tol " << tol);
+      PmtbrOptions opts;
+      opts.bands = {Band{0.0, 1e10}};
+      opts.num_samples = 60;
+      opts.adaptive_excess = 1.5;
+      opts.truncation_tol = tol;
+      std::size_t used = 0;
+      const std::int64_t discarded = discarded_solves(peec, opts, used);
+      EXPECT_LT(used, 60u);
+      EXPECT_GE(discarded, 0);
+      EXPECT_LE(discarded, 2 * threads - 1);
+    }
+  }
+}
+
 // Adaptive stopping with a sample condemned just past the stopping point.
 // A serial run commits pairs and never solves it; a 4-thread run solves it
 // in the same batch as the stop. Windows are pairs at every pool size and

@@ -226,16 +226,31 @@ TEST(Differential, ColdFoldMatchesStackedSvdAtCostScalingSize) {
   EXPECT_NEAR(static_cast<double>(comp.rank()), 174.0, 2.0);
 
   // Reference through la::qr_pivoted and la::svd (a dense la::svd of the
-  // 900×400 stacked matrix alone takes ~20 s): stacked·Π = Q·R, and the rows
-  // of R past its 1e-15 rank carry at most √400·1e-15·σ_1, far inside the σ
-  // bound and small enough against the σ gap at the chosen order (~3e-8·σ_1)
-  // to leave the subspace check intact. So the reference is the SVD of R's
-  // leading rows, taken as la::svd of their transpose (whose columns
-  // converge much faster than R's), with left singular vectors Q·U_R;
-  // compressor σ past that rank are compared with zero.
-  const la::QrResult qr = la::qr_pivoted(stacked, 1e-15);
-  la::SvdResult ref = la::svd(la::transpose(qr.r).columns(0, qr.rank));
-  ref.u = la::matmul(qr.q.columns(0, qr.rank), ref.v);
+  // 900×400 stacked matrix alone takes ~20 s): stacked·Π = Q·R, and R's
+  // trailing rows are dropped while together they carry at most
+  // √400·1e-15·|R₀₀| ≤ √400·1e-15·σ_1, far inside the σ bound and small
+  // enough against the σ gap at the chosen order (~3e-8·σ_1) to leave the
+  // subspace check intact. The rows are measured, not cut at qr_pivoted's
+  // diagonal rank: its downdated column norms lose the pivot order once
+  // they fall below about √ε of their start, and cutting at that rank (128
+  // of the ~300 rows kept here) moved the reference σ by up to 3.6e-11·σ_1.
+  // So the reference is the SVD of R's
+  // kept rows, taken as la::svd of their transpose (whose columns converge
+  // much faster than R's), with left singular vectors Q·U_R; compressor σ
+  // past that rank are compared with zero.
+  const la::QrResult qr = la::qr_pivoted(stacked, 0.0);
+  index keep = qr.r.rows();
+  double dropped_sq = 0.0;
+  const double max_dropped = std::sqrt(400.0) * 1e-15 * std::abs(qr.r(0, 0));
+  while (keep > 1) {
+    double row_sq = 0.0;
+    for (index j = 0; j < qr.r.cols(); ++j) row_sq += qr.r(keep - 1, j) * qr.r(keep - 1, j);
+    if (std::sqrt(dropped_sq + row_sq) > max_dropped) break;
+    dropped_sq += row_sq;
+    --keep;
+  }
+  la::SvdResult ref = la::svd(la::transpose(qr.r).columns(0, keep));
+  ref.u = la::matmul(qr.q.columns(0, keep), ref.v);
   const auto s = comp.singular_values();
   ASSERT_EQ(static_cast<index>(s.size()), comp.rank());
   for (std::size_t i = 0; i < s.size(); ++i)

@@ -10,6 +10,7 @@
 #include "mor/error.hpp"
 #include "mor/pmtbr.hpp"
 #include "mor/replay.hpp"
+#include "mor/same_reduction.hpp"
 #include "mor/tbr.hpp"
 #include "signal/subspace.hpp"
 #include "util/obs/counters.hpp"
@@ -222,6 +223,39 @@ TEST(Pmtbr, AdaptiveMeshFoldsTwice) {
   EXPECT_EQ(res.samples_used.size(), 20u);
   EXPECT_LE(f.finalize + f.sampling + f.scratch, 2);
   EXPECT_LE(svd_calls, 20);
+}
+
+TEST(Pmtbr, StopAtExactCheckFoldsItsColumnsOnce) {
+  // A run that stops at an exact check commits that check's scratch fold:
+  // the span's settle() runs no SVD, so the columns the model is built
+  // from are folded by one la::svd_right, and the model is the bits of the
+  // replay that queries after every sample.
+  const auto sys = circuit::make_rc_line({.segments = 30});
+  PmtbrOptions opts;
+  opts.bands = {Band{0.0, 1e10}};
+  opts.num_samples = 60;
+  opts.truncation_tol = 1e-6;
+  opts.adaptive_excess = 2.0;
+  const bool trace_was_enabled = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  const std::int64_t stops = obs::counter_value(obs::Counter::kPmtbrAdaptiveStops);
+  const PmtbrResult res = pmtbr(sys, opts);
+  long long check_svds = 0, settle_svds = 0, settles = 0;
+  for (const auto& s : obs::trace_snapshot()) {
+    if (s.path.ends_with("compressor.scratch_fold/la.svd")) check_svds += s.count;
+    if (s.path.ends_with("compressor.settle/la.svd")) settle_svds += s.count;
+    if (s.path == "pmtbr/pmtbr.project/compressor.settle") settles += s.count;
+  }
+  obs::set_trace_enabled(trace_was_enabled);
+  const testing::Replayed ref = testing::replay_every_sample(sys, opts);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPmtbrAdaptiveStops), stops + 1);
+  EXPECT_LT(res.samples_used.size(), 60u);
+  EXPECT_EQ(res.samples_used.size(), ref.result.samples_used.size());
+  EXPECT_EQ(settles, 1);
+  EXPECT_EQ(settle_svds, 0);
+  EXPECT_EQ(check_svds, ref.exact_checks);
+  testing::expect_same_model(res, ref.result);
 }
 
 TEST(Pmtbr, FrequencySelectiveBeatsGlobalInBand) {

@@ -217,9 +217,9 @@ TEST_F(Ldlt, CountersKeepTheirLuMeaning) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors + 1);
   EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuFactorEntries),
             entries + static_cast<std::int64_t>(analysis.nnz_factors()));
-  // It stores L and D only: half the off-diagonal scalars of the LU.
+  // It stores L, D and D⁻¹: half the off-diagonal scalars of the LU.
   const std::size_t l_entries = ldlt.value().nnz_factors() / 2;
-  EXPECT_EQ(ldlt.value().stored_values(), l_entries + static_cast<std::size_t>(sys.n()));
+  EXPECT_EQ(ldlt.value().stored_values(), l_entries + 2 * static_cast<std::size_t>(sys.n()));
   const auto lu = SparseLuC::factor(pencil, sys.ordering());
   ASSERT_TRUE(lu.is_ok());
   EXPECT_EQ(lu.value().nnz_factors(), ldlt.value().nnz_factors());
@@ -375,6 +375,84 @@ TEST_F(Ldlt, LaneWithVanishingPivotIsRejectedAlone) {
     const auto lu = SparseLuC::refactor(analysis, shifted_pencil(shifts[k], e, a));
     ASSERT_TRUE(lu.is_ok());
     EXPECT_TRUE(same_bits(xs[k].value(), lu.value().solve(rhs))) << "shift " << k;
+  }
+}
+
+TEST_F(Ldlt, ReciprocalPivotsAtTheEdgesOfTheRange) {
+  // D⁻¹ is formed for all lanes at once from one formula, not by complex
+  // division. Pencils scaled so every pivot has |d| near 1e-160 (|d|² is
+  // subnormal) or 1e+160 (|d|² overflows), at shifts whose real and
+  // imaginary parts differ by 3–12x either way, and s = 0, where the first
+  // pivot is exactly zero. At every group width each lane must equal its
+  // one-lane solve bit for bit and a dense complex LU to 1e-12; the zero
+  // pivot is rejected on its own lane with refactor()'s detail.
+  const index n = 6;
+  std::vector<cd> shifts;
+  for (int k = 0; k < 8; ++k) {
+    const double small = 0.25 * (k + 1), large = 3.0 * (k + 1) + 1.0;
+    shifts.push_back(k % 2 == 0 ? cd(small, large) : cd(large, -small));
+  }
+  const std::size_t singular = 4;
+  shifts.insert(shifts.begin() + static_cast<std::ptrdiff_t>(singular), cd(0.0, 0.0));
+  la::MatC rhs(n, 2);
+  for (index i = 0; i < n; ++i) {
+    rhs(i, 0) = cd(1.0 + static_cast<double>(i), 0.5);
+    rhs(i, 1) = cd(std::sin(static_cast<double>(i) + 1.0), std::cos(static_cast<double>(i)));
+  }
+  for (const double scale : {1e-160, 1e160}) {
+    SCOPED_TRACE(scale);
+    // E = scale·I; A = scale·T, T tridiagonal with −1 off the diagonal and
+    // 0, −2, −2, … on it, so s = 0 leaves the first pivot exactly zero.
+    Triplets<double> te(n, n), ta(n, n);
+    for (index i = 0; i < n; ++i) {
+      te.add(i, i, scale);
+      ta.add(i, i, i == 0 ? 0.0 : -2.0 * scale);
+      if (i + 1 < n) {
+        ta.add(i, i + 1, -scale);
+        ta.add(i + 1, i, -scale);
+      }
+    }
+    const CsrD e(te), a(ta);
+    const auto analysis = SymbolicLuC::symmetric(shifted_pencil(shifts[0], e, a));
+    const ShiftedPencil pencil(e, a);
+    std::vector<la::MatC> one_lane(shifts.size());
+    for (std::size_t k = 0; k < shifts.size(); ++k) {
+      const CsrC m = shifted_pencil(shifts[k], e, a);
+      const auto lu = SparseLuC::refactor(analysis, m);
+      if (k == singular) {
+        ASSERT_FALSE(lu.is_ok());
+        continue;
+      }
+      ASSERT_TRUE(lu.is_ok()) << "shift " << k << ": " << lu.status().to_string();
+      one_lane[k] = lu.value().solve(rhs);
+      const la::MatC ref = la::solve(m.to_dense(), rhs);
+      double err = 0.0, size = 0.0;
+      for (index i = 0; i < n; ++i)
+        for (index c = 0; c < rhs.cols(); ++c) {
+          err = std::max(err, std::abs(one_lane[k](i, c) - ref(i, c)));
+          size = std::max(size, std::abs(ref(i, c)));
+        }
+      EXPECT_LE(err, 1e-12 * size) << "shift " << k;
+    }
+    for (std::size_t width = 1; width <= 8; ++width) {
+      for (std::size_t base = 0; base + width <= shifts.size(); ++base) {
+        SCOPED_TRACE(::testing::Message() << "width " << width << ", first shift " << base);
+        const auto xs = solve_lanes(analysis, pencil, std::span(shifts).subspan(base, width), rhs);
+        ASSERT_EQ(xs.size(), width);
+        for (std::size_t l = 0; l < width; ++l) {
+          const std::size_t k = base + l;
+          if (k == singular) {
+            ASSERT_FALSE(xs[l].is_ok());
+            EXPECT_EQ(xs[l].status().code(), util::ErrorCode::kDegeneratePivot);
+            EXPECT_EQ(xs[l].status().detail_index(), 0);
+            EXPECT_EQ(xs[l].status().detail_value(), 0.0);
+            continue;
+          }
+          ASSERT_TRUE(xs[l].is_ok()) << "shift " << k << ": " << xs[l].status().to_string();
+          EXPECT_TRUE(same_bits(xs[l].value(), one_lane[k])) << "shift " << k;
+        }
+      }
+    }
   }
 }
 
