@@ -367,6 +367,9 @@ void IncrementalCompressor::settle() {
 
 void IncrementalCompressor::settle(Fold fold) {
   PMTBR_REQUIRE(fold.columns == m_, "a fold of another column count cannot settle this compressor");
+  PMTBR_REQUIRE(static_cast<index>(fold.sigma.size()) == rank_ && fold.u.rows() == rank_ &&
+                    fold.u.cols() == rank_,
+                "a fold of another rank cannot settle this compressor");
   if (settled_) return;
   PMTBR_TRACE_SCOPE("compressor.settle");
   settled_ = true;

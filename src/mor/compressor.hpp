@@ -107,7 +107,8 @@ class IncrementalCompressor {
   /// settle() that commits `fold`, a scratch_fold() of this compressor
   /// taken after its last add_columns, instead of folding again: the same
   /// bits for one SVD less. std::invalid_argument when `fold` covers
-  /// another number of columns than were absorbed.
+  /// another number of columns than were absorbed, or has another rank
+  /// (σ of rank() values, U of rank() × rank()).
   void settle(Fold fold);
 
   /// settle(), then releases what only absorption needs (the block

@@ -396,23 +396,22 @@ SampledSpan sample_span(const DescriptorSystem& sys, const std::vector<Frequency
   if (opts.adaptive_excess > 0) {
     // Stop when the sample count comfortably exceeds the order estimate
     // (the paper's "samples in excess of the model order" criterion).
-    // Solves run one lane group per pool thread at a time (two samples when
-    // the pencil is factored by LU, one shift at a time), bounding the
-    // waste past the stopping point, but commit in pairs at any thread
-    // count and width, so what is attempted, dropped and reweighted matches
-    // a serial run. The estimate takes a fold, so each check first asks the
-    // bound from σ at the last fold and the blocks absorbed since (R's
-    // columns are no longer than their blocks): while the run cannot stop
-    // at the bound, it cannot stop at the estimate either, and nothing is
-    // folded. Queries are pure, so the model does not depend on where the
-    // checks fold; a run that stops at a check hands that check's fold to
-    // the span.
+    // Solves run two per pool thread at a time, or one lane group's width
+    // when that is more (eight shifts of an LDLᵀ pencil below four
+    // threads), bounding the waste past the stopping point, but commit in
+    // pairs at any thread count and width, so what is attempted, dropped
+    // and reweighted matches a serial run. The estimate takes a fold, so
+    // each check first asks the bound from σ at the last fold and the
+    // blocks absorbed since (R's columns are no longer than their blocks):
+    // while the run cannot stop at the bound, it cannot stop at the
+    // estimate either, and nothing is folded. Queries are pure, so the
+    // model does not depend on where the checks fold; a run that stops at a
+    // check hands that check's fold to the span.
     double added_sq = 0.0;  // Σ‖block‖²_F absorbed since the last fold
     const auto below = [&](index used, index order) {
       return static_cast<double>(used) < opts.adaptive_excess * static_cast<double>(order);
     };
-    const index lanes = std::max<index>(2, sys.lane_width());
-    engine.sample(samples, lanes * util::global_pool().size(), 2,
+    engine.sample(samples, std::max<index>(sys.lane_width(), 2 * util::global_pool().size()), 2,
                   [&](std::size_t, const MatD& block, double) {
                     const double norm = la::norm_fro(block);
                     added_sq += norm * norm;

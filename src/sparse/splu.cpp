@@ -176,7 +176,7 @@ struct LaneRejects {
 // replay's pivot test, on squared magnitudes. A lane whose pivot is
 // rejected is recorded and carried along with a zero reciprocal; the walk
 // stops once every lane is rejected. For complex T, `iv` receives D⁻¹
-// (zero from a lane's rejected column on); real T leaves it unread.
+// (zero from a lane's rejected column on); real T never touches it.
 template <typename T, int W>
 [[gnu::always_inline]] inline void ldlt_factor(const detail::LuPattern<T>& pat, const double* av,
                                                double* lv, double* dv, double* iv, double* x,
@@ -905,11 +905,15 @@ util::Status SparseLu<T>::refactor_ldlt(const Csr<T>& a) {
   pack_lane(pat, a, av.data(), 1, 0);
   l_val_.resize(pat.l_row.size());
   diag_.resize(static_cast<std::size_t>(pat.n));
-  if constexpr (kParts<T> == 2) dinv_.resize(static_cast<std::size_t>(pat.n));
   std::vector<double> x(static_cast<std::size_t>(pat.n) * S, 0.0);
+  // A complex factor keeps D⁻¹, which its solve multiplies by, and factors
+  // D in scratch; a real one keeps D.
+  constexpr bool kComplex = kParts<T> == 2;
+  std::vector<double> d(kComplex ? x.size() : 0);
+  double* dv = kComplex ? d.data() : as_doubles(diag_.data());
+  double* iv = kComplex ? as_doubles(diag_.data()) : nullptr;
   LaneRejects rej;
-  lane_factor(Lanes<1>{}, pat, av.data(), as_doubles(l_val_.data()), as_doubles(diag_.data()),
-              as_doubles(dinv_.data()), x.data(), rej);
+  lane_factor(Lanes<1>{}, pat, av.data(), as_doubles(l_val_.data()), dv, iv, x.data(), rej);
   if (rej.col[0] >= 0) return degenerate_pivot(rej, 0);
   return {};
 }
@@ -921,8 +925,7 @@ std::vector<T> SparseLu<T>::solve_ldlt(const std::vector<T>& b) const {
   std::vector<double> y(static_cast<std::size_t>(n) * kParts<T>);
   for (index k = 0; k < n; ++k)
     put_lane(y.data(), k, 1, 0, b[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])]);
-  const T* dd = kParts<T> == 2 ? dinv_.data() : diag_.data();
-  lane_solve(Lanes<1>{}, pat, as_doubles(l_val_.data()), as_doubles(dd), y.data());
+  lane_solve(Lanes<1>{}, pat, as_doubles(l_val_.data()), as_doubles(diag_.data()), y.data());
   std::vector<T> out(static_cast<std::size_t>(n));
   for (index k = 0; k < n; ++k)
     out[static_cast<std::size_t>(pat.q[static_cast<std::size_t>(k)])] =

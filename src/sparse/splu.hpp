@@ -193,11 +193,9 @@ class SparseLu {
   index n() const { return pattern_->n; }
   /// nnz(L+U) without U's diagonal; for LDLᵀ that of U = D·Lᵀ: 2·nnz(L).
   std::size_t nnz_factors() const { return l_val_.size() + pattern_->u_row.size(); }
-  /// Scalars actually stored: L, U and U's diagonal, or L, D and (complex
-  /// LDLᵀ) D⁻¹.
-  std::size_t stored_values() const {
-    return l_val_.size() + u_val_.size() + diag_.size() + dinv_.size();
-  }
+  /// Scalars actually stored: L, U and U's diagonal, or L and D (D⁻¹ for
+  /// a complex LDLᵀ).
+  std::size_t stored_values() const { return l_val_.size() + u_val_.size() + diag_.size(); }
 
   /// The elimination structure of this factorization, shareable for
   /// numeric-only refactorization of further same-pattern matrices.
@@ -234,8 +232,7 @@ class SparseLu {
   std::shared_ptr<const detail::LuPattern<T>> pattern_;
   std::vector<T> l_val_;
   std::vector<T> u_val_;  // empty for LDLᵀ
-  std::vector<T> diag_;   // U's diagonal, or D
-  std::vector<T> dinv_;   // D⁻¹ of a complex LDLᵀ, which the solve multiplies by
+  std::vector<T> diag_;   // U's diagonal, or D (D⁻¹ for a complex LDLᵀ)
 };
 
 using SparseLuD = SparseLu<double>;

@@ -169,6 +169,31 @@ TEST(Compressor, RejectsBadInput) {
   EXPECT_EQ(comp.rank(), 2);
 }
 
+TEST(Compressor, SettleRefusesAFoldOfAnotherShape) {
+  // settle(Fold) commits a fold only of this compressor's column count and
+  // rank; anything else would become its basis unnoticed.
+  MatD a(4, 2);
+  a(0, 0) = 1.0;
+  a(1, 1) = 2.0;
+  MatD b(4, 2);  // two columns, rank one
+  b(0, 0) = 1.0;
+  b(0, 1) = 3.0;
+  IncrementalCompressor comp(4), other(4), wide(4);
+  comp.add_columns(a);
+  other.add_columns(b);
+  wide.add_columns(a);
+  wide.add_columns(b);
+  ASSERT_EQ(other.rank(), 1);
+  EXPECT_THROW(comp.settle(other.scratch_fold()), std::invalid_argument);
+  EXPECT_THROW(comp.settle(wide.scratch_fold()), std::invalid_argument);
+  IncrementalCompressor::Fold resized = comp.scratch_fold();
+  resized.u = MatD(1, 1);
+  EXPECT_THROW(comp.settle(std::move(resized)), std::invalid_argument);
+  const std::vector<double> sigma = comp.singular_values();
+  comp.settle(comp.scratch_fold());
+  EXPECT_EQ(comp.singular_values(), sigma);
+}
+
 TEST(Compressor, RankNeverExceedsDimension) {
   Rng rng(65);
   IncrementalCompressor comp(4);
